@@ -15,6 +15,7 @@ from .countloss import (
     CountInterval,
     count_log_pmf,
     count_loss,
+    interval_log_prob,
     logsumexp,
 )
 from .neural import Mlp, backward, forward, reweighted_ce
@@ -64,8 +65,6 @@ def check_count_pmf(rng: np.random.Generator, cases: int = 200, max_n: int = 12,
 def check_interval_probs(rng: np.random.Generator, cases: int = 200, max_n: int = 12,
                          pmf_fn=count_log_pmf) -> CheckResult:
     """Interval probabilities vs direct sums over the enumerated pmf."""
-    from .countloss import interval_log_prob
-
     worst = 0.0
     for _ in range(cases):
         n = int(rng.integers(1, max_n + 1))
@@ -104,6 +103,48 @@ def check_count_loss_grad(rng: np.random.Generator, cases: int = 50, max_n: int 
                       - count_loss(minus, intervals, mode).loss) / (2.0 * h)
                 worst = max(worst, relative_error(res.grad[i, j], fd))
     return CheckResult("count-loss-grad-vs-fd", worst, 1e-6)
+
+
+def _clipped_interval_prob(dist, lo: int, hi: int) -> float:
+    """P(lo <= count <= hi) with the interval clipped to the support 0..n."""
+    lo, hi = max(lo, 0), min(hi, dist.n)
+    if lo > hi:
+        return 0.0
+    return math.exp(interval_log_prob(dist, CountInterval(lo, hi)))
+
+
+def check_count_loss_grad_at_scale(rng: np.random.Generator, n: int = 1000, m: int = 3,
+                                   rows: int = 16) -> CheckResult:
+    """Blocked count-loss gradient vs the leave-one-out identity at batch size n.
+
+    For q = P(S in [lo, hi]) and S_{-i} the count without item i,
+
+        dq/dp_i = P(S_{-i} in [lo-1, hi-1]) - P(S_{-i} in [lo, hi]),
+
+    evaluated with ``count_log_pmf`` on the other n - 1 items.  n = 1000 is
+    not a multiple of the gradient's row block, so the partial block is
+    covered; the intervals touch lo = 0 and hi = n.
+    """
+    z = rng.standard_normal((n, m))
+    probs = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
+    mean = probs.sum(axis=0)
+    sd = np.sqrt(np.sum(probs * (1.0 - probs), axis=0))
+    bounds = [(int(mean[j] - sd[j]), int(mean[j] + sd[j]) + 1) for j in range(m)]
+    bounds[0] = (0, int(mean[0]))
+    bounds[-1] = (int(mean[-1] - 2.0 * sd[-1]), n)
+    intervals = [CountInterval(lo, hi) for lo, hi in bounds]
+    res = count_loss(probs, intervals, "nll")
+
+    sample = np.concatenate(([0, n - 1], 1 + rng.choice(n - 2, rows - 2, replace=False)))
+    log_probs = np.log(probs)
+    worst = 0.0
+    for j, (lo, hi) in enumerate(bounds):
+        q = _clipped_interval_prob(count_log_pmf(log_probs[:, j]), lo, hi)
+        for i in sample:
+            rest = count_log_pmf(np.delete(log_probs[:, j], i))
+            dq = _clipped_interval_prob(rest, lo - 1, hi - 1) - _clipped_interval_prob(rest, lo, hi)
+            worst = max(worst, relative_error(res.grad[i, j], -dq / q))
+    return CheckResult(f"count-loss-grad-vs-leave-one-out-n{n}", worst, 1e-9)
 
 
 def total_objective(model: Mlp, X, weights, intervals, lam: float, mode: str) -> float:
@@ -181,6 +222,7 @@ def run_all_checks(seed: int = 0, stress_n: int = 1024) -> list[CheckResult]:
         check_count_pmf(rng),
         check_interval_probs(rng),
         check_count_loss_grad(rng),
+        check_count_loss_grad_at_scale(rng),
         check_trainer_grad(rng),
         check_underflow_stress(stress_n),
         check_logsumexp_identity(),

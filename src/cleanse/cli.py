@@ -11,7 +11,8 @@ All configuration is flags, progress goes to stderr, data goes to files or
 stdout.  Every train run writes a manifest.json that replays the run exactly
 (`cleanse train --manifest <path>`).
 
-Exit codes: 0 success, 1 check failure, 2 usage error, 3 I/O error.
+Exit codes: 0 success, 1 check failure, 2 usage error, 3 I/O error,
+4 training diverged (a non-finite loss).
 """
 
 from __future__ import annotations
@@ -38,12 +39,20 @@ from .data import (
 )
 from .neural import save_mlp
 from .stats import RankTable, bonferroni_dunn_cd, friedman, rank_results
-from .trainer import CSV_HEADER, TrainConfig, fit, format_metrics_row, summarize
+from .trainer import (
+    CSV_HEADER,
+    TrainConfig,
+    TrainingDiverged,
+    fit,
+    format_metrics_row,
+    summarize,
+)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_DIVERGED = 4
 
 
 def _log(msg: str) -> None:
@@ -152,7 +161,11 @@ def cmd_train(args) -> int:
             if args.checkpoint_every and (metrics.epoch + 1) % args.checkpoint_every == 0:
                 save_mlp(model, os.path.join(out_dir, f"model_epoch{metrics.epoch}.txt"))
 
-        model, history = fit(train, test, config, on_epoch=on_epoch, progress=not args.quiet)
+        try:
+            model, history = fit(train, test, config, on_epoch=on_epoch, progress=not args.quiet)
+        except TrainingDiverged as exc:
+            _log(f"error: {exc}")
+            return EXIT_DIVERGED
 
     save_mlp(model, os.path.join(out_dir, "model.txt"))
     window = min(config.eval_window, len(history))

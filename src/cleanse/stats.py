@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 
 @dataclass(frozen=True)
@@ -52,6 +51,9 @@ def rank_results(accuracies: np.ndarray, fixed_ranks: dict[int, float] | None = 
     for col, rank in fixed.items():
         ranks[:, col] = rank
     if free:
+        # imported here: scipy.stats costs about a second at import time
+        from scipy.stats import rankdata
+
         # rank 1 = best, so rank the negated accuracies
         ranks[:, free] = rankdata(-acc[:, free], method="average", axis=1)
     return RankTable(k=k, n_cases=n_cases, avg_ranks=ranks.mean(axis=0))

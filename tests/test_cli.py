@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from cleanse.checks import check_count_pmf
-from cleanse.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from cleanse.cli import EXIT_DIVERGED, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from cleanse.countloss import CountDistribution, count_log_pmf
-from cleanse.data import read_pll_file
+from cleanse.data import PartialDataset, read_pll_file, write_pll_file
 
 
 def run_cli(args):
@@ -156,6 +156,25 @@ class TestTrain:
         assert run_cli(["train", "--train", train, "--test", test,
                         "--temperature", "0.5"]) == EXIT_USAGE
 
+    def test_diverging_run_reports_and_exits_nonzero(self, tiny_dataset, tmp_path, capsys):
+        train, test = tiny_dataset
+        ds = read_pll_file(train)
+        huge = tmp_path / "huge.pll"
+        write_pll_file(
+            PartialDataset(features=ds.features * 1e200, candidates=ds.candidates,
+                           m=ds.m, hidden_truth=ds.hidden_truth),
+            str(huge),
+        )
+        out_dir = tmp_path / "div"
+        with np.errstate(all="ignore"):
+            code = run_cli(["train", "--train", str(huge), "--test", test,
+                            "--out-dir", str(out_dir), "--optimizer", "sgd", "--lr", "10",
+                            *TINY_TRAIN_ARGS])
+        assert code == EXIT_DIVERGED
+        assert "training diverged at epoch" in capsys.readouterr().err
+        assert not (out_dir / "model.txt").exists()
+        assert "nan" not in (out_dir / "metrics.csv").read_text()
+
     def test_periodic_checkpoints(self, tiny_dataset, tmp_path):
         train, test = tiny_dataset
         out_dir = tmp_path / "ck"
@@ -218,7 +237,7 @@ class TestCheck:
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "FAIL" not in out
-        assert out.count("PASS") == 6
+        assert out.count("PASS") == 7
 
     def test_injected_off_by_one_fails_named_check(self):
         def broken_pmf(log_p):

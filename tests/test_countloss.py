@@ -13,13 +13,18 @@ from cleanse.countloss import (
     batch_intervals,
     count_log_pmf,
     count_loss,
+    count_loss_value,
     interval_log_prob,
     log1mexp,
     log1mexp_vec,
     logsumexp,
 )
 from cleanse.data import CandidateSet, generate_synthetic
-from cleanse.checks import pmf_by_enumeration, relative_error
+from cleanse.checks import (
+    check_count_loss_grad_at_scale,
+    pmf_by_enumeration,
+    relative_error,
+)
 
 
 class TestLog1mexp:
@@ -284,3 +289,35 @@ class TestCountLoss:
     def test_interval_beyond_batch_rejected(self):
         with pytest.raises(ValueError):
             count_loss(np.full((2, 2), 0.5), [CountInterval(0, 3)] * 2, "nll")
+
+    def test_nll_loss_never_negative_with_certain_intervals(self):
+        # with [0, n] intervals q is 1 up to roundoff, which once pushed
+        # log q above 0 and the loss to -1.8e-15
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            n = int(rng.integers(2, 80))
+            m = int(rng.integers(2, 6))
+            z = rng.standard_normal((n, m))
+            probs = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
+            res = count_loss(probs, [CountInterval(0, n)] * m, "nll")
+            assert res.loss >= 0.0
+
+    def test_grad_matches_leave_one_out_at_scale(self):
+        # n = 1000 spans 16 row blocks, the last one partial
+        result = check_count_loss_grad_at_scale(np.random.default_rng(0))
+        assert result.passed, result
+
+    @pytest.mark.parametrize("mode", ["nll", "entropy"])
+    def test_value_path_matches_count_loss(self, mode):
+        rng = np.random.default_rng(17)
+        for max_n in (8, 8, 8, 200, 1000):
+            probs, intervals = _random_instance(rng, max_n)
+            want = count_loss(probs, intervals, mode).loss
+            got = count_loss_value(probs, intervals, mode)
+            assert abs(got - want) <= 1e-15 * max(1.0, abs(want))
+
+    def test_value_path_rejects_what_count_loss_rejects(self):
+        with pytest.raises(ValueError):
+            count_loss_value(np.full((2, 2), 0.5), [CountInterval(0, 2)] * 2, "kl")
+        with pytest.raises(ValueError):
+            count_loss_value(np.full((2, 2), 0.5), [CountInterval(0, 3)] * 2, "nll")

@@ -9,10 +9,12 @@ import pytest
 
 from cleanse.data import PartialDataset, gaussian_clusters, generate_synthetic, split
 from cleanse.neural import Mlp, backward, forward, make_optimizer, reweighted_ce
+import cleanse.trainer as trainer_module
 from cleanse.trainer import (
     CSV_HEADER,
     EpochMetrics,
     TrainConfig,
+    TrainingDiverged,
     epoch_batches,
     evaluate,
     fit,
@@ -261,6 +263,38 @@ class TestEvaluateSummarize:
             summarize(history, 2)
         with pytest.raises(ValueError):
             summarize(history, 0)
+
+
+class TestGlobalRawEnhancedLabels:
+    def test_computed_once_per_row_per_run(self, monkeypatch):
+        ds = make_dataset(n=100, seed=16)
+        train, test = split(ds, 0.2, seed=17)
+        calls = []
+        original = trainer_module.enhanced_label
+
+        def counting(i, dataset, neighbors, vote_mode):
+            calls.append(int(i))
+            return original(i, dataset, neighbors, vote_mode)
+
+        monkeypatch.setattr(trainer_module, "enhanced_label", counting)
+        config = TrainConfig(epochs=3, batch_size=32, hidden=(8,), knn_scope="global", seed=18)
+        fit(train, test, config)
+        assert calls == list(range(train.n))
+
+
+class TestDivergence:
+    def test_non_finite_loss_names_epoch_and_batch(self):
+        # features at 1e200 and SGD at lr=10 overflow the first update
+        feats, labels = gaussian_clusters(200, 3, seed=0)
+        cands = generate_synthetic(labels, 3, q=0.5, seed=1)
+        ds = PartialDataset(features=feats * 1e200, candidates=cands, m=3, hidden_truth=labels)
+        config = TrainConfig(epochs=5, batch_size=32, hidden=(8,), optimizer="sgd", lr=10.0, seed=0)
+        epochs_done = []
+        with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as err:
+            fit(ds, None, config, on_epoch=lambda metrics, model: epochs_done.append(metrics))
+        assert (err.value.epoch, err.value.batch) == (0, 1)
+        assert "epoch 0, batch 1" in str(err.value)
+        assert epochs_done == []
 
 
 class TestScalingSmoke:
