@@ -283,12 +283,14 @@ class TestCountLoss:
         assert np.all(np.isfinite(res.grad))
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            count_loss(np.full((2, 2), 0.5), [CountInterval(0, 2)] * 2, "kl")
+        for fn in (count_loss, count_loss_value):
+            with pytest.raises(ValueError):
+                fn(np.full((2, 2), 0.5), [CountInterval(0, 2)] * 2, "kl")
 
     def test_interval_beyond_batch_rejected(self):
-        with pytest.raises(ValueError):
-            count_loss(np.full((2, 2), 0.5), [CountInterval(0, 3)] * 2, "nll")
+        for fn in (count_loss, count_loss_value):
+            with pytest.raises(ValueError):
+                fn(np.full((2, 2), 0.5), [CountInterval(0, 3)] * 2, "nll")
 
     def test_nll_loss_never_negative_with_certain_intervals(self):
         # with [0, n] intervals q is 1 up to roundoff, which once pushed
@@ -315,9 +317,3 @@ class TestCountLoss:
             want = count_loss(probs, intervals, mode).loss
             got = count_loss_value(probs, intervals, mode)
             assert abs(got - want) <= 1e-15 * max(1.0, abs(want))
-
-    def test_value_path_rejects_what_count_loss_rejects(self):
-        with pytest.raises(ValueError):
-            count_loss_value(np.full((2, 2), 0.5), [CountInterval(0, 2)] * 2, "kl")
-        with pytest.raises(ValueError):
-            count_loss_value(np.full((2, 2), 0.5), [CountInterval(0, 3)] * 2, "nll")
