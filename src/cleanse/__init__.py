@@ -16,7 +16,6 @@ from .countloss import (
     logsumexp,
 )
 from .data import (
-    CandidateSet,
     DatasetStats,
     PartialDataset,
     PllFormatError,
@@ -40,7 +39,6 @@ from .stats import RankTable, bonferroni_dunn_cd, friedman, friedman_chi2, rank_
 from .trainer import EpochMetrics, TrainConfig, evaluate, fit, summarize
 
 __all__ = [
-    "CandidateSet",
     "PartialDataset",
     "DatasetStats",
     "PllFormatError",

@@ -169,11 +169,12 @@ def check_trainer_grad(rng: np.random.Generator, cases: int = 50, h: float = 1e-
         X = rng.standard_normal((n, d))
         truths = rng.integers(0, m, size=n)
         candidates = generate_synthetic(truths, m, 0.5, seed=int(rng.integers(1 << 30)))
-        enhanced = [
-            cs.labels()[int(rng.integers(0, cs.cardinality()))] for cs in candidates
-        ]
-        wm = build_weight_matrix(candidates, m, enhanced, temperature=2.0)
-        intervals = batch_intervals(candidates, m)
+        enhanced = []
+        for row in candidates:
+            labs = np.flatnonzero(row)
+            enhanced.append(int(labs[rng.integers(0, labs.size)]))
+        wm = build_weight_matrix(candidates, enhanced, temperature=2.0)
+        intervals = batch_intervals(candidates)
         lam = 0.7
         mode = "nll" if c % 2 == 0 else "entropy"
 

@@ -9,7 +9,8 @@ Subcommands:
 
 All configuration is flags, progress goes to stderr, data goes to files or
 stdout.  Every train run writes a manifest.json that replays the run exactly
-(`cleanse train --manifest <path>`).
+(`cleanse train --manifest <path>`); it records the sha256 of the input
+files, and a replay on changed files exits 3.
 
 Exit codes: 0 success, 1 check failure, 2 usage error, 3 I/O error,
 4 training diverged (a non-finite loss).
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import os
 import sys
@@ -119,19 +121,45 @@ def _config_from_args(args) -> TrainConfig:
     )
 
 
+class ManifestError(Exception):
+    """A replay manifest that is malformed or whose input files changed."""
+
+
+def _sha256(path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.file_digest(fh, "sha256").hexdigest()
+
+
+def _load_manifest(path: str):
+    """(config, train_path, test_path, out_dir) of a manifest whose inputs
+    still have the recorded sha256."""
+    with open(path, "r", encoding="utf-8") as fh:
+        loaded = json.load(fh)
+    try:
+        config = TrainConfig(**loaded["config"])
+        paths = loaded["train_path"], loaded["test_path"]
+        recorded = loaded["train_sha256"], loaded["test_sha256"]
+        out_dir = loaded["out_dir"]
+    except KeyError as exc:
+        raise ManifestError(f"{path}: missing field {exc.args[0]!r}") from None
+    except TypeError as exc:
+        raise ManifestError(f"{path}: bad config: {exc}") from None
+    for file, digest in zip(paths, recorded):
+        if _sha256(file) != digest:
+            raise ManifestError(f"{path}: {file} differs from the file it recorded")
+    return config, *paths, out_dir
+
+
 def cmd_train(args) -> int:
     if args.manifest:
-        with open(args.manifest, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
-        config = TrainConfig(**{**loaded["config"], "hidden": tuple(loaded["config"]["hidden"])})
-        train_path, test_path = loaded["train_path"], loaded["test_path"]
-        out_dir = args.out_dir if args.out_dir != "run" else loaded["out_dir"]
+        config, train_path, test_path, out_dir = _load_manifest(args.manifest)
+        out_dir = args.out_dir if args.out_dir is not None else out_dir
     else:
         if not args.train or not args.test:
             raise ValueError("--train and --test are required (or use --manifest)")
         config = _config_from_args(args)
         train_path, test_path = args.train, args.test
-        out_dir = args.out_dir
+        out_dir = args.out_dir if args.out_dir is not None else "run"
 
     train = read_pll_file(train_path)
     test = read_pll_file(test_path)
@@ -142,6 +170,8 @@ def cmd_train(args) -> int:
         "seed": config.seed,
         "train_path": train_path,
         "test_path": test_path,
+        "train_sha256": _sha256(train_path),
+        "test_sha256": _sha256(test_path),
         "out_dir": out_dir,
         "config": dataclasses.asdict(config),
     }
@@ -275,7 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--manifest", help="replay a previous run from its manifest")
     t.add_argument("--train", help="training PLL file")
     t.add_argument("--test", help="test PLL file (truth required)")
-    t.add_argument("--out-dir", default="run")
+    t.add_argument("--out-dir", default=None,
+                   help="output directory (default: run, or the manifest's on replay)")
     t.add_argument("--epochs", type=int, default=250)
     t.add_argument("--batch-size", type=int, default=64)
     t.add_argument("--lr", type=float, default=1e-3)
@@ -325,7 +356,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PllFormatError, OSError, json.JSONDecodeError) as exc:
+    except (PllFormatError, ManifestError, OSError, json.JSONDecodeError) as exc:
         _log(f"error: {exc}")
         return EXIT_IO
     except ValueError as exc:

@@ -159,8 +159,8 @@ def interval_log_prob(dist: CountDistribution, interval: CountInterval) -> float
     return logsumexp(dist.log_pmf[interval.lo : interval.hi + 1])
 
 
-def batch_intervals(candidates, m: int) -> list[CountInterval]:
-    """Per-class count bounds from a batch's candidate sets.
+def batch_intervals(candidates) -> list[CountInterval]:
+    """Per-class count bounds from a batch's (n, m) bool candidate mask.
 
     For class j the lower bound is the number of clean samples labeled j
     (those counts are certain) and the upper bound adds every partial
@@ -168,15 +168,10 @@ def batch_intervals(candidates, m: int) -> list[CountInterval]:
     """
     if len(candidates) == 0:
         raise ValueError("batch_intervals requires a nonempty batch")
-    lo = np.zeros(m, dtype=np.int64)
-    extra = np.zeros(m, dtype=np.int64)
-    for cs in candidates:
-        if cs.is_clean():
-            lo[cs.sole()] += 1
-        else:
-            for j in cs.labels():
-                extra[j] += 1
-    return [CountInterval(int(lo[j]), int(lo[j] + extra[j])) for j in range(m)]
+    clean = candidates.sum(axis=1) == 1
+    lo = candidates[clean].sum(axis=0)
+    hi = lo + candidates[~clean].sum(axis=0)
+    return [CountInterval(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
 
 
 @dataclass(frozen=True)

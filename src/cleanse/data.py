@@ -1,17 +1,16 @@
 """Partial-label dataset model, synthetic generation, file I/O, splitting.
 
-A dataset is a real feature matrix plus one candidate label set per
-instance; an instance whose set has exactly one label is *clean* and that
-label is its ground truth.  Synthetic data additionally carries the hidden
-truth for evaluation only -- training code must work from a truth-stripped
-view.
+A dataset is a real feature matrix plus an (n, m) boolean candidate mask:
+row i marks the candidate labels of instance i.  An instance with exactly
+one candidate is *clean* and that label is its ground truth.  Synthetic
+data additionally carries the hidden truth for evaluation only -- training
+code must work from a truth-stripped view.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable
 
 import numpy as np
 
@@ -27,60 +26,16 @@ class PllFormatError(ValueError):
 
 
 @dataclass(frozen=True)
-class CandidateSet:
-    """Candidate labels of one instance as a bitmask over classes 0..m-1."""
-
-    mask: int
-    m: int
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("class count must be >= 1")
-        if self.mask <= 0 or self.mask >= (1 << self.m):
-            raise ValueError("candidate mask must select >= 1 class below m")
-
-    @classmethod
-    def from_labels(cls, labels: Iterable[int], m: int) -> "CandidateSet":
-        mask = 0
-        for lab in labels:
-            if not 0 <= lab < m:
-                raise ValueError(f"label {lab} outside [0, {m})")
-            mask |= 1 << lab
-        return cls(mask=mask, m=m)
-
-    def cardinality(self) -> int:
-        return self.mask.bit_count()
-
-    def is_clean(self) -> bool:
-        return self.cardinality() == 1
-
-    def sole(self) -> int:
-        if not self.is_clean():
-            raise ValueError("sole() is only defined for clean samples")
-        return self.mask.bit_length() - 1
-
-    def labels(self) -> tuple[int, ...]:
-        cached = self.__dict__.get("_labels")
-        if cached is None:
-            cached = tuple(j for j in range(self.m) if self.mask >> j & 1)
-            object.__setattr__(self, "_labels", cached)
-        return cached
-
-    def __contains__(self, label: int) -> bool:
-        return 0 <= label < self.m and bool(self.mask >> label & 1)
-
-
-@dataclass(frozen=True)
 class PartialDataset:
-    """Feature matrix, per-instance candidate sets, optional hidden truth.
+    """Feature matrix, (n, m) bool candidate mask, optional hidden truth.
 
     hidden_truth exists only for evaluation: for data from the synthetic
-    generator it is always a member of the candidate set.  Instances are
-    immutable after construction; the feature array is marked read-only.
+    generator it is always a candidate.  Instances are immutable after
+    construction; the feature and candidate arrays are marked read-only.
     """
 
     features: np.ndarray
-    candidates: tuple[CandidateSet, ...]
+    candidates: np.ndarray  # (n, m) bool; candidates[i, j]: j is a candidate of i
     m: int
     hidden_truth: np.ndarray | None = None
 
@@ -91,12 +46,19 @@ class PartialDataset:
         feats = feats.copy()
         feats.flags.writeable = False
         object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "candidates", tuple(self.candidates))
-        if len(self.candidates) != feats.shape[0]:
-            raise ValueError("one candidate set per feature row required")
-        for cs in self.candidates:
-            if cs.m != self.m:
-                raise ValueError("candidate set class count differs from dataset")
+        cands = np.asarray(self.candidates)
+        if cands.ndim != 2 or cands.dtype != np.bool_:
+            raise ValueError("candidates must be a 2-D bool mask")
+        if cands.shape != (feats.shape[0], self.m):
+            raise ValueError(
+                f"candidate mask shape {cands.shape} differs from (n, m) = "
+                f"({feats.shape[0]}, {self.m})"
+            )
+        if not cands.any(axis=1).all():
+            raise ValueError("every instance needs at least one candidate")
+        cands = cands.copy()
+        cands.flags.writeable = False
+        object.__setattr__(self, "candidates", cands)
         if self.hidden_truth is not None:
             truth = np.asarray(self.hidden_truth, dtype=np.int64).copy()
             if truth.shape != (feats.shape[0],):
@@ -125,7 +87,7 @@ class PartialDataset:
         truth = None if self.hidden_truth is None else self.hidden_truth[idx]
         return PartialDataset(
             features=self.features[idx],
-            candidates=tuple(self.candidates[int(i)] for i in idx),
+            candidates=self.candidates[idx],
             m=self.m,
             hidden_truth=truth,
         )
@@ -142,8 +104,8 @@ class DatasetStats:
 
 def generate_synthetic(
     true_labels, m: int, q: float, seed: int, mode: str = "binomial"
-) -> tuple[CandidateSet, ...]:
-    """Candidate sets around known true labels.
+) -> np.ndarray:
+    """(n, m) bool candidate mask around known true labels.
 
     ``binomial`` (the default) includes each of the m-1 false labels
     independently with probability q, so set sizes follow 1 + Binomial(m-1, q).
@@ -164,40 +126,30 @@ def generate_synthetic(
     rng = np.random.default_rng(seed)
     n = len(labels)
 
-    out = []
     if mode == "binomial":
-        flips = rng.random((n, m)) < q
-        for i, t in enumerate(labels):
-            mask = 1 << int(t)
-            row = flips[i]
-            for j in range(m):
-                if j != t and row[j]:
-                    mask |= 1 << j
-            out.append(CandidateSet(mask=mask, m=m))
+        mask = rng.random((n, m)) < q
     else:
+        mask = np.zeros((n, m), dtype=bool)
         sizes = rng.integers(1, m + 1, size=n)
         for i, t in enumerate(labels):
-            false = [j for j in range(m) if j != int(t)]
-            extra = rng.permutation(len(false))[: sizes[i] - 1]
-            mask = 1 << int(t)
-            for e in extra:
-                mask |= 1 << false[int(e)]
-            out.append(CandidateSet(mask=mask, m=m))
-    return tuple(out)
+            # a permutation of the m-1 false labels, numbered skipping t
+            extra = rng.permutation(m - 1)[: sizes[i] - 1]
+            mask[i, extra + (extra >= t)] = True
+    mask[np.arange(n), labels] = True
+    return mask
 
 
 def compute_stats(dataset: PartialDataset) -> DatasetStats:
     """Exact size/candidate statistics of a dataset."""
     if dataset.n == 0:
         raise ValueError("dataset is empty")
-    cards = [cs.cardinality() for cs in dataset.candidates]
-    clean = sum(1 for c in cards if c == 1)
+    cards = dataset.candidates.sum(axis=1)
     return DatasetStats(
         n=dataset.n,
         d=dataset.d,
         m=dataset.m,
-        avg_candidates=sum(cards) / dataset.n,
-        clean_rate=clean / dataset.n,
+        avg_candidates=int(cards.sum()) / dataset.n,
+        clean_rate=int(np.count_nonzero(cards == 1)) / dataset.n,
     )
 
 
@@ -252,7 +204,7 @@ def write_pll_file(dataset: PartialDataset, path) -> None:
         truth = dataset.hidden_truth
         for i in range(dataset.n):
             t = "?" if truth is None else str(int(truth[i]))
-            cands = ",".join(str(j) for j in dataset.candidates[i].labels())
+            cands = ",".join(str(j) for j in np.flatnonzero(dataset.candidates[i]))
             feats = " ".join(repr(float(v)) for v in dataset.features[i])
             fh.write(f"{t};{cands};{feats}\n")
 
@@ -262,16 +214,16 @@ def read_pll_file(path) -> PartialDataset:
         header = fh.readline().rstrip("\n")
         n, d, m = _parse_header(header)
         features = np.empty((n, d))
-        candidates: list[CandidateSet] = []
+        candidates = np.zeros((n, m), dtype=bool)
         truths: list[int | None] = []
         for i in range(n):
             line = fh.readline()
             lineno = i + 2
             if line == "":
                 raise PllFormatError(f"expected {n} instances, file ends after {i}", lineno)
-            truth, cs, feats = _parse_line(line.rstrip("\n"), d, m, lineno)
+            truth, labs, feats = _parse_line(line.rstrip("\n"), d, m, lineno)
             features[i] = feats
-            candidates.append(cs)
+            candidates[i, labs] = True
             truths.append(truth)
         if fh.readline() != "":
             raise PllFormatError("trailing content after declared instances", n + 2)
@@ -280,7 +232,7 @@ def read_pll_file(path) -> PartialDataset:
     if any(have_truth) and not all(have_truth):
         raise PllFormatError("mix of '?' and concrete truth labels")
     hidden = np.array(truths, dtype=np.int64) if n and all(have_truth) else None
-    return PartialDataset(features=features, candidates=tuple(candidates), m=m, hidden_truth=hidden)
+    return PartialDataset(features=features, candidates=candidates, m=m, hidden_truth=hidden)
 
 
 def _parse_header(header: str) -> tuple[int, int, int]:
@@ -325,8 +277,7 @@ def _parse_line(line: str, d: int, m: int, lineno: int):
             raise PllFormatError(f"candidate index {lab} outside [0, {m})", lineno)
     if any(b <= a for a, b in zip(labs, labs[1:])):
         raise PllFormatError("candidates must be strictly increasing", lineno)
-    cs = CandidateSet.from_labels(labs, m)
-    if truth is not None and truth not in cs:
+    if truth is not None and truth not in labs:
         raise PllFormatError(f"truth label {truth} not among candidates", lineno)
 
     toks = feat_s.split()
@@ -336,4 +287,4 @@ def _parse_line(line: str, d: int, m: int, lineno: int):
         feats = [float(tok) for tok in toks]
     except ValueError:
         raise PllFormatError("bad feature value", lineno) from None
-    return truth, cs, feats
+    return truth, labs, feats

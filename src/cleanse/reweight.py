@@ -131,55 +131,60 @@ def enhanced_label(
     if vote_mode not in ("fractional", "multiset"):
         raise ValueError(f"unknown vote mode {vote_mode!r}")
     ci = dataset.candidates[i]
-    if ci.is_clean():
-        return ci.sole()
+    own = np.flatnonzero(ci)
+    if own.size == 1:
+        return int(own[0])
     if len(neighbors) == 0:
         raise ValueError("enhanced_label requires a nonempty neighbor list")
 
-    neighbor_sets = [dataset.candidates[int(idx)] for idx in neighbors.indices]
-    for cn in neighbor_sets:
-        if cn.is_clean() and cn.sole() in ci:
-            return cn.sole()
+    cands = dataset.candidates[neighbors.indices]
+    sizes = cands.sum(axis=1)
+    hits = cands & ci  # neighbor labels that are also i's candidates
+    clean_hits = np.flatnonzero((sizes == 1) & hits.any(axis=1))
+    if clean_hits.size:
+        return int(np.argmax(hits[clean_hits[0]]))
 
     # Integer votes on a common denominator keep totals exact, so vote ties
-    # (and the tie-break rules) are exact too.
-    scale = 1
-    if vote_mode == "fractional":
-        scale = math.lcm(*{cs.cardinality() for cs in neighbor_sets})
-    votes: dict[int, int] = {}
-    nearest: dict[int, float] = {}
-    for cs, dist in zip(neighbor_sets, neighbors.distances):
-        w = scale // cs.cardinality() if vote_mode == "fractional" else 1
-        for lab in cs.labels():
-            if lab in ci:
-                votes[lab] = votes.get(lab, 0) + w
-                if lab not in nearest:
-                    nearest[lab] = float(dist)  # neighbors arrive nearest-first
-    if not votes:
+    # (and the tie-break rules) are exact too.  The lcm of the set sizes
+    # can exceed int64 (lcm(1..43) > 2^63); Python ints take over there.
+    if vote_mode == "multiset":
+        w = np.ones_like(sizes)
+    else:
+        scale = math.lcm(*set(sizes.tolist()))
+        if scale * len(sizes) < 2**63:
+            w = scale // sizes
+        else:
+            w = np.array([scale // s for s in sizes.tolist()], dtype=object)
+    votes = w @ hits
+    labs = np.flatnonzero(votes)
+    if labs.size == 0:
         return NO_ENHANCEMENT
-    return min(votes, key=lambda lab: (-votes[lab], nearest[lab], lab))
+    # neighbors arrive nearest-first: a label's first hit is its nearest voter
+    nearest = neighbors.distances[np.argmax(hits[:, labs], axis=0)]
+    return min(zip((-votes[labs]).tolist(), nearest.tolist(), labs.tolist()))[2]
 
 
-def build_weight_matrix(candidates, m: int, enhanced, temperature: float) -> WeightMatrix:
+def build_weight_matrix(candidates, enhanced, temperature: float) -> WeightMatrix:
     """Soft-target rows: 0 off-candidates, T on the enhanced label, 1 elsewhere.
 
-    Rows are divided by their sum, so a clean sample is one-hot and a
-    sentinel-enhanced row is uniform over its candidates.
+    ``candidates`` is the (n, m) bool mask.  Rows are divided by their sum,
+    so a clean sample is one-hot and a sentinel-enhanced row is uniform over
+    its candidates.
     """
     if temperature < 1.0:
         raise ValueError("temperature must be >= 1")
-    n = len(candidates)
+    n, m = candidates.shape
     if len(enhanced) != n:
         raise ValueError("one enhanced label per instance required")
-    weights = np.zeros((n, m))
-    for i, cs in enumerate(candidates):
-        row = weights[i]
-        for lab in cs.labels():
-            row[lab] = 1.0
-        e = enhanced[i]
-        if e != NO_ENHANCEMENT:
-            if e not in cs:
-                raise ValueError(f"enhanced label {e} outside candidate set of row {i}")
-            row[e] = temperature
-        row /= row.sum()
+    enhanced = np.asarray(enhanced, dtype=np.int64)
+    rows = np.flatnonzero(enhanced != NO_ENHANCEMENT)
+    cols = enhanced[rows]
+    inside = (cols >= 0) & (cols < m)
+    inside[inside] = candidates[rows[inside], cols[inside]]
+    if not inside.all():
+        i = rows[np.argmin(inside)]
+        raise ValueError(f"enhanced label {enhanced[i]} outside candidate set of row {i}")
+    weights = candidates.astype(np.float64)
+    weights[rows, cols] = temperature
+    weights /= weights.sum(axis=1, keepdims=True)
     return WeightMatrix(weights=weights, temperature=temperature)

@@ -203,10 +203,10 @@ def fit(
                     enhanced_label(int(g), view, global_neighbors[int(g)], config.vote_mode)
                     for g in batch_idx
                 ]
-            wm = build_weight_matrix(batch.candidates, m, enhanced, config.temperature)
+            wm = build_weight_matrix(batch.candidates, enhanced, config.temperature)
 
             rl, grad_logits, _ = reweighted_ce(probs, wm.weights)
-            intervals = batch_intervals(batch.candidates, m)
+            intervals = batch_intervals(batch.candidates)
             if config.lam != 0.0:
                 cres = count_loss(probs, intervals, config.count_mode)
                 rg = cres.loss

@@ -1,6 +1,9 @@
 """CLI subcommands: generation, training with manifest replay, the stats
 report, the oracle check gate, and exit codes."""
 
+import json
+import shutil
+
 import numpy as np
 import pytest
 
@@ -185,6 +188,66 @@ class TestTrain:
         assert (out_dir / "model_epoch1.txt").exists()
         assert not (out_dir / "model_epoch2.txt").exists()
         assert (out_dir / "model.txt").exists()
+
+
+@pytest.fixture
+def recorded_run(tiny_dataset, tmp_path):
+    """A finished run on private copies of the tiny files: (manifest, train copy)."""
+    train, test = tmp_path / "train.pll", tmp_path / "test.pll"
+    for src, dst in zip(tiny_dataset, (train, test)):
+        shutil.copyfile(src, dst)
+    code = run_cli(["train", "--train", str(train), "--test", str(test),
+                    "--out-dir", str(tmp_path / "a"), "--seed", "5", *TINY_TRAIN_ARGS])
+    assert code == EXIT_OK
+    return tmp_path / "a" / "manifest.json", train
+
+
+def _edit_manifest(path, edit):
+    loaded = json.loads(path.read_text())
+    edit(loaded)
+    path.write_text(json.dumps(loaded))
+
+
+class TestReplay:
+    def test_explicit_out_dir_run_is_honoured(self, recorded_run, tmp_path, monkeypatch):
+        manifest, _ = recorded_run
+        monkeypatch.chdir(tmp_path)
+        code = run_cli(["train", "--manifest", str(manifest), "--out-dir", "run", "--quiet"])
+        assert code == EXIT_OK
+        assert (tmp_path / "run" / "metrics.csv").read_bytes() == (
+            manifest.parent / "metrics.csv"
+        ).read_bytes()
+
+    def test_changed_train_file_is_refused(self, recorded_run, tmp_path, capsys):
+        manifest, train = recorded_run
+        lines = train.read_text().splitlines(keepends=True)
+        truth, cands, feats = lines[1].split(";")
+        first, rest = feats.split(" ", 1)
+        lines[1] = f"{truth};{cands};{float(first) + 1.0!r} {rest}"
+        train.write_text("".join(lines))
+        read_pll_file(train)  # still a valid file, just a different one
+        code = run_cli(["train", "--manifest", str(manifest),
+                        "--out-dir", str(tmp_path / "b"), "--quiet"])
+        assert code == EXIT_IO
+        assert str(train) in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+
+    @pytest.mark.parametrize("field", ["train_path", "train_sha256", "test_sha256"])
+    def test_missing_field_is_refused(self, recorded_run, tmp_path, capsys, field):
+        manifest, _ = recorded_run
+        _edit_manifest(manifest, lambda loaded: loaded.pop(field))
+        code = run_cli(["train", "--manifest", str(manifest),
+                        "--out-dir", str(tmp_path / "b"), "--quiet"])
+        assert code == EXIT_IO
+        assert f"missing field {field!r}" in capsys.readouterr().err
+
+    def test_unknown_config_field_is_refused(self, recorded_run, tmp_path, capsys):
+        manifest, _ = recorded_run
+        _edit_manifest(manifest, lambda loaded: loaded["config"].update(bogus=1))
+        code = run_cli(["train", "--manifest", str(manifest),
+                        "--out-dir", str(tmp_path / "b"), "--quiet"])
+        assert code == EXIT_IO
+        assert "bogus" in capsys.readouterr().err
 
 
 class TestStats:

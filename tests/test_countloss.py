@@ -19,7 +19,7 @@ from cleanse.countloss import (
     log1mexp_vec,
     logsumexp,
 )
-from cleanse.data import CandidateSet, generate_synthetic
+from cleanse.data import generate_synthetic
 from cleanse.checks import (
     check_count_loss_grad_at_scale,
     pmf_by_enumeration,
@@ -189,25 +189,25 @@ class TestIntervalLogProb:
 
 class TestBatchIntervals:
     def test_all_clean_pins_counts(self):
-        cands = [CandidateSet.from_labels([lab], 2) for lab in (0, 0, 1)]
-        assert batch_intervals(cands, 2) == [CountInterval(2, 2), CountInterval(1, 1)]
+        cands = np.array([[True, False], [True, False], [False, True]])
+        assert batch_intervals(cands) == [CountInterval(2, 2), CountInterval(1, 1)]
 
     def test_clean_plus_partial(self):
-        cands = [CandidateSet.from_labels([0], 2), CandidateSet.from_labels([0, 1], 2)]
-        assert batch_intervals(cands, 2) == [CountInterval(1, 2), CountInterval(0, 1)]
+        cands = np.array([[True, False], [True, True]])
+        assert batch_intervals(cands) == [CountInterval(1, 2), CountInterval(0, 1)]
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            batch_intervals([], 3)
+            batch_intervals(np.zeros((0, 3), dtype=bool))
 
     def test_matches_naive_recount(self):
         m = 5
         truths = np.random.default_rng(9).integers(0, m, size=64)
         cands = generate_synthetic(truths, m, q=0.4, seed=17)
-        got = batch_intervals(cands, m)
+        got = batch_intervals(cands)
         for j in range(m):
-            clean_j = sum(1 for cs in cands if cs.cardinality() == 1 and j in cs)
-            partial_j = sum(1 for cs in cands if cs.cardinality() > 1 and j in cs)
+            clean_j = sum(1 for row in cands if row.sum() == 1 and row[j])
+            partial_j = sum(1 for row in cands if row.sum() > 1 and row[j])
             assert got[j] == CountInterval(clean_j, clean_j + partial_j)
 
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from cleanse.data import (
-    CandidateSet,
     PartialDataset,
     PllFormatError,
     compute_stats,
@@ -18,68 +17,31 @@ from cleanse.data import (
 )
 
 
-class TestCandidateSet:
-    def test_cardinality_and_clean(self):
-        cs = CandidateSet.from_labels([0, 3, 7], 10)
-        assert cs.cardinality() == 3
-        assert not cs.is_clean()
-        assert CandidateSet.from_labels([4], 10).is_clean()
-        assert CandidateSet.from_labels([4], 10).sole() == 4
-
-    def test_membership_and_labels(self):
-        cs = CandidateSet.from_labels([1, 5], 6)
-        assert 1 in cs and 5 in cs
-        assert 0 not in cs and 6 not in cs and -1 not in cs
-        assert cs.labels() == (1, 5)
-
-    def test_empty_set_rejected(self):
-        with pytest.raises(ValueError):
-            CandidateSet(mask=0, m=4)
-        with pytest.raises(ValueError):
-            CandidateSet.from_labels([], 4)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            CandidateSet.from_labels([4], 4)
-        with pytest.raises(ValueError):
-            CandidateSet(mask=1 << 5, m=4)
-
-    def test_sole_requires_clean(self):
-        with pytest.raises(ValueError):
-            CandidateSet.from_labels([1, 2], 4).sole()
-
-
 class TestGenerator:
     def test_q_zero_all_clean(self):
         labels = np.random.default_rng(0).integers(0, 5, size=200)
         cands = generate_synthetic(labels, 5, q=0.0, seed=1)
-        assert all(cs.is_clean() and cs.sole() == t for cs, t in zip(cands, labels))
+        np.testing.assert_array_equal(cands, np.eye(5, dtype=bool)[labels])
 
     def test_q_one_all_full(self):
         labels = np.random.default_rng(0).integers(0, 10, size=100)
         cands = generate_synthetic(labels, 10, q=1.0, seed=1)
-        assert all(cs.cardinality() == 10 for cs in cands)
+        assert cands.all()
 
     def test_truth_always_member(self):
         rng = np.random.default_rng(2)
         for q in (0.0, 0.1, 0.5, 0.9, 1.0):
             labels = rng.integers(0, 6, size=10_000)
             cands = generate_synthetic(labels, 6, q=q, seed=int(rng.integers(1 << 30)))
-            assert all(int(t) in cs for cs, t in zip(cands, labels))
+            assert cands[np.arange(len(labels)), labels].all()
 
     def test_per_false_label_frequency_within_3_sigma(self):
         n, m, q = 20_000, 5, 0.3
         labels = np.random.default_rng(3).integers(0, m, size=n)
         cands = generate_synthetic(labels, m, q=q, seed=4)
-        hits = np.zeros(m)
-        trials = np.zeros(m)
-        for cs, t in zip(cands, labels):
-            for j in range(m):
-                if j == t:
-                    continue
-                trials[j] += 1
-                if j in cs:
-                    hits[j] += 1
+        false = np.arange(m) != labels[:, None]
+        hits = (cands & false).sum(axis=0)
+        trials = false.sum(axis=0)
         for j in range(m):
             sigma = math.sqrt(q * (1 - q) / trials[j])
             assert abs(hits[j] / trials[j] - q) <= 3 * sigma
@@ -98,15 +60,15 @@ class TestGenerator:
         labels = np.arange(50) % 4
         a = generate_synthetic(labels, 4, q=0.5, seed=9)
         b = generate_synthetic(labels, 4, q=0.5, seed=9)
-        assert a == b
+        np.testing.assert_array_equal(a, b)
         c = generate_synthetic(labels, 4, q=0.5, seed=10)
-        assert a != c
+        assert not np.array_equal(a, c)
 
     def test_uniform_size_mode(self):
         labels = np.random.default_rng(7).integers(0, 6, size=6000)
         cands = generate_synthetic(labels, 6, q=0.5, seed=8, mode="uniform-size")
-        sizes = np.array([cs.cardinality() for cs in cands])
-        assert all(int(t) in cs for cs, t in zip(cands, labels))
+        sizes = cands.sum(axis=1)
+        assert cands[np.arange(len(labels)), labels].all()
         assert sizes.min() == 1 and sizes.max() == 6
         # uniform over 1..6 has mean 3.5
         assert abs(sizes.mean() - 3.5) < 0.1
@@ -124,15 +86,14 @@ class TestGenerator:
 
 class TestStatsAndSplit:
     def test_all_clean_stats(self):
-        cands = tuple(CandidateSet.from_labels([i % 3], 3) for i in range(9))
-        ds = PartialDataset(np.zeros((9, 2)), cands, 3)
+        ds = PartialDataset(np.zeros((9, 2)), np.eye(3, dtype=bool)[np.arange(9) % 3], 3)
         s = compute_stats(ds)
         assert s.avg_candidates == 1.0
         assert s.clean_rate == 1.0
         assert (s.n, s.d, s.m) == (9, 2, 3)
 
     def test_mixed_stats(self):
-        cands = (CandidateSet.from_labels([0], 3), CandidateSet.from_labels([0, 1, 2], 3))
+        cands = np.array([[True, False, False], [True, True, True]])
         ds = PartialDataset(np.zeros((2, 1)), cands, 3)
         s = compute_stats(ds)
         assert s.avg_candidates == 2.0
@@ -174,7 +135,7 @@ class TestStatsAndSplit:
                 split(ds, bad, seed=0)
 
     def test_stats_empty_rejected(self):
-        ds = PartialDataset(np.zeros((0, 2)), (), 3)
+        ds = PartialDataset(np.zeros((0, 2)), np.zeros((0, 3), dtype=bool), 3)
         with pytest.raises(ValueError):
             compute_stats(ds)
 
@@ -185,27 +146,54 @@ class TestDatasetModel:
         with pytest.raises(ValueError):
             ds.features[0, 0] = 99.0
 
+    def test_candidates_copied_and_read_only(self):
+        mask = np.array([[True, False], [False, True]])
+        ds = PartialDataset(np.zeros((2, 1)), mask, 2)
+        mask[0] = [False, True]
+        assert ds.candidates[0].tolist() == [True, False]
+        with pytest.raises(ValueError):
+            ds.candidates[0, 1] = True
+
     def test_strip_truth(self):
         ds = _synthetic_dataset(5, seed=0)
         stripped = ds.strip_truth()
         assert stripped.hidden_truth is None
-        assert stripped.candidates == ds.candidates
+        np.testing.assert_array_equal(stripped.candidates, ds.candidates)
         assert stripped.strip_truth() is stripped
 
     def test_shape_mismatch_rejected(self):
-        cands = (CandidateSet.from_labels([0], 2),)
+        cands = np.array([[True, False]])
         with pytest.raises(ValueError):
             PartialDataset(np.zeros((2, 2)), cands, 2)
         with pytest.raises(ValueError):
             PartialDataset(np.zeros((1, 2)), cands, 2, hidden_truth=np.array([0, 1]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="shape"):
             PartialDataset(np.zeros((1, 2)), cands, 3)
+        with pytest.raises(ValueError, match="shape"):  # a label at index m
+            PartialDataset(np.zeros((1, 2)), np.array([[False, False, True]]), 2)
+
+    def test_empty_candidate_row_rejected(self):
+        cands = np.array([[True, False], [False, False]])
+        with pytest.raises(ValueError, match="at least one candidate"):
+            PartialDataset(np.zeros((2, 1)), cands, 2)
+
+    @pytest.mark.parametrize(
+        "cands",
+        [
+            np.array([[1, 0], [0, 1]]),  # 0/1 integers, not bool
+            np.array([True, True]),  # 1-D
+            np.ones((2, 2, 1), dtype=bool),
+        ],
+    )
+    def test_mask_must_be_2d_bool(self, cands):
+        with pytest.raises(ValueError):
+            PartialDataset(np.zeros((2, 1)), cands, 2)
 
     def test_subset(self):
         ds = _synthetic_dataset(10, seed=1)
         sub = ds.subset([3, 1, 7])
         np.testing.assert_array_equal(sub.features, ds.features[[3, 1, 7]])
-        assert sub.candidates == tuple(ds.candidates[i] for i in (3, 1, 7))
+        np.testing.assert_array_equal(sub.candidates, ds.candidates[[3, 1, 7]])
         np.testing.assert_array_equal(sub.hidden_truth, ds.hidden_truth[[3, 1, 7]])
 
 
@@ -233,8 +221,8 @@ class TestPllFile:
         path.write_text("#pll n=2 d=2 m=8\n3;3,7;0.5 1.25\n2;2;1.0 -2.0\n")
         ds = read_pll_file(path)
         assert ds.hidden_truth.tolist() == [3, 2]
-        assert ds.candidates[0].labels() == (3, 7)
-        assert ds.candidates[1].is_clean()
+        assert np.flatnonzero(ds.candidates[0]).tolist() == [3, 7]
+        assert np.flatnonzero(ds.candidates[1]).tolist() == [2]
         np.testing.assert_array_equal(ds.features[0], [0.5, 1.25])
 
     def test_question_mark_means_no_truth(self, tmp_path):
@@ -242,7 +230,7 @@ class TestPllFile:
         path.write_text("#pll n=1 d=1 m=4\n?;2;1.0\n")
         ds = read_pll_file(path)
         assert ds.hidden_truth is None
-        assert ds.candidates[0].sole() == 2
+        assert ds.candidates.tolist() == [[False, False, True, False]]
 
     def test_round_trip_identity(self, tmp_path):
         ds = _synthetic_dataset(200, seed=11, d=3, q=0.5)
@@ -250,7 +238,7 @@ class TestPllFile:
         write_pll_file(ds, path)
         back = read_pll_file(path)
         np.testing.assert_array_equal(back.features, ds.features)
-        assert back.candidates == ds.candidates
+        np.testing.assert_array_equal(back.candidates, ds.candidates)
         np.testing.assert_array_equal(back.hidden_truth, ds.hidden_truth)
         assert compute_stats(back) == compute_stats(ds)
 
@@ -260,7 +248,7 @@ class TestPllFile:
         write_pll_file(ds, path)
         back = read_pll_file(path)
         assert back.hidden_truth is None
-        assert back.candidates == ds.candidates
+        np.testing.assert_array_equal(back.candidates, ds.candidates)
 
     def test_double_round_trip_is_byte_identical(self, tmp_path):
         ds = _synthetic_dataset(100, seed=13, d=2, q=0.7)
@@ -275,7 +263,7 @@ class TestPllFile:
         path = tmp_path / "mnist_shaped.pll"
         write_pll_file(ds, path)
         back = read_pll_file(path)
-        assert back.candidates == ds.candidates
+        np.testing.assert_array_equal(back.candidates, ds.candidates)
         np.testing.assert_array_equal(back.features, ds.features)
 
     @pytest.mark.parametrize(

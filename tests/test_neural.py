@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from cleanse.checks import relative_error
-from cleanse.data import CandidateSet
 from cleanse.neural import (
     Adam,
     Mlp,
@@ -89,16 +88,16 @@ class TestReweightedCe:
     def test_temperature_one_matches_uniform_reference_bitwise(self):
         rng = np.random.default_rng(4)
         m = 6
-        cands = []
-        for _ in range(32):
+        cands = np.zeros((32, m), dtype=bool)
+        for row in cands:
             size = int(rng.integers(1, m + 1))
-            cands.append(CandidateSet.from_labels(sorted(rng.permutation(m)[:size].tolist()), m))
-        enhanced = [cs.labels()[0] for cs in cands]
-        wm = build_weight_matrix(tuple(cands), m, enhanced, temperature=1.0)
+            row[rng.permutation(m)[:size]] = True
+        enhanced = [int(np.argmax(row)) for row in cands]
+        wm = build_weight_matrix(cands, enhanced, temperature=1.0)
         reference = np.zeros((32, m))
-        for i, cs in enumerate(cands):
-            for lab in cs.labels():
-                reference[i, lab] = 1.0 / cs.cardinality()
+        for i, row in enumerate(cands):
+            labs = np.flatnonzero(row)
+            reference[i, labs] = 1.0 / len(labs)
         np.testing.assert_array_equal(wm.weights, reference)
         probs = softmax(rng.standard_normal((32, m)))
         loss_a, grad_a, _ = reweighted_ce(probs, wm.weights)

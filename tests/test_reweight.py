@@ -1,12 +1,13 @@
 """k-NN search against a quadratic brute-force oracle, enhanced-label case
 logic against an independent vote enumeration, and weight-matrix algebra."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from cleanse.data import CandidateSet, PartialDataset
+from cleanse.data import PartialDataset
 from cleanse.reweight import (
     NO_ENHANCEMENT,
     build_weight_matrix,
@@ -82,6 +83,23 @@ class TestKnnSearch:
             np.testing.assert_array_equal(a.indices, b.indices)
             np.testing.assert_array_equal(a.distances, b.distances)
 
+    def test_gemm_path_matches_direct_differences(self):
+        # p > 4096 takes the GEMM expansion, which the small-p oracle above
+        # never reaches; sampled rows are re-ranked by direct differences.
+        p, d, k = 4200, 4, 5
+        X = np.random.default_rng(42).standard_normal((p, d))
+        got = knn_search(X, k, threads=1)
+        for r in range(0, p, 37):
+            diff = X - X[r]
+            d2 = np.sum(diff * diff, axis=1)
+            d2[r] = np.inf
+            want = np.argsort(d2, kind="stable")[:k]
+            np.testing.assert_array_equal(got[r].indices, want)
+            np.testing.assert_allclose(got[r].distances, np.sqrt(d2[want]), rtol=0, atol=1e-9)
+        for a, b in zip(got, knn_search(X, k, threads=2)):
+            assert a.indices.tobytes() == b.indices.tobytes()
+            assert a.distances.tobytes() == b.distances.tobytes()
+
     def test_distances_nondecreasing(self):
         X = np.random.default_rng(4).standard_normal((40, 3))
         for n in knn_search(X, 9):
@@ -92,8 +110,15 @@ class TestKnnSearch:
             knn_search(np.zeros((1, 2)), 1)
 
 
+def _mask(cand_lists, m):
+    mask = np.zeros((len(cand_lists), m), dtype=bool)
+    for row, labs in zip(mask, cand_lists):
+        row[labs] = True
+    return mask
+
+
 def _dataset(cand_lists, m, feats=None):
-    cands = tuple(CandidateSet.from_labels(c, m) for c in cand_lists)
+    cands = _mask(cand_lists, m)
     if feats is None:
         feats = np.arange(len(cands), dtype=float).reshape(-1, 1)
     return PartialDataset(features=feats, candidates=cands, m=m)
@@ -110,21 +135,25 @@ def _neighbors(indices, distances):
 
 def oracle_vote(i, dataset, neighbors, vote_mode):
     """Independent enhanced-label reimplementation by direct case analysis."""
-    ci = dataset.candidates[i]
-    if ci.is_clean():
-        return ci.sole()
+
+    def labels(row):
+        return [j for j in range(dataset.m) if dataset.candidates[row, j]]
+
+    ci = labels(i)
+    if len(ci) == 1:
+        return ci[0]
     for idx in neighbors.indices:
-        cn = dataset.candidates[int(idx)]
-        if cn.is_clean() and cn.sole() in ci:
-            return cn.sole()
+        cn = labels(int(idx))
+        if len(cn) == 1 and cn[0] in ci:
+            return cn[0]
     totals = {}
-    for lab in ci.labels():
+    for lab in ci:
         total = Fraction(0)
         best_dist = None
         for idx, dist in zip(neighbors.indices, neighbors.distances):
-            cs = dataset.candidates[int(idx)]
+            cs = labels(int(idx))
             if lab in cs:
-                total += Fraction(1, cs.cardinality()) if vote_mode == "fractional" else 1
+                total += Fraction(1, len(cs)) if vote_mode == "fractional" else 1
                 if best_dist is None or dist < best_dist:
                     best_dist = float(dist)
         if total > 0:
@@ -216,6 +245,18 @@ class TestEnhancedLabel:
             nb = _neighbors(idx, dists)
             assert enhanced_label(0, ds, nb, vote_mode) == oracle_vote(0, ds, nb, vote_mode)
 
+        # Partial neighbours whose set sizes are the primes 2..53: the
+        # common vote denominator exceeds int64.
+        primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
+        assert math.lcm(*primes) > 2**63
+        m = 53
+        for _ in range(20):
+            cand_lists = [sorted(rng.permutation(m)[:5].tolist())]
+            cand_lists += [sorted(rng.permutation(m)[:p].tolist()) for p in primes]
+            ds = _dataset(cand_lists, m)
+            nb = _neighbors(rng.permutation(np.arange(1, 17)), np.sort(rng.random(16)))
+            assert enhanced_label(0, ds, nb, vote_mode) == oracle_vote(0, ds, nb, vote_mode)
+
     def test_empty_neighbor_list_rejected_for_partial(self):
         ds = _dataset([[0, 1], [1]], m=2)
         with pytest.raises(ValueError):
@@ -224,32 +265,32 @@ class TestEnhancedLabel:
 
 class TestWeightMatrix:
     def test_enhanced_row_example(self):
-        cands = (CandidateSet.from_labels([1, 3, 7], 10),)
-        wm = build_weight_matrix(cands, 10, [3], temperature=3.0)
+        cands = _mask([[1, 3, 7]], 10)
+        wm = build_weight_matrix(cands, [3], temperature=3.0)
         want = np.zeros(10)
         want[[1, 7]] = 0.2
         want[3] = 0.6
         np.testing.assert_allclose(wm.weights[0], want, atol=1e-15)
 
     def test_clean_sample_is_one_hot(self):
-        cands = (CandidateSet.from_labels([6], 10),)
+        cands = _mask([[6]], 10)
         for temp in (1.0, 3.0, 10.0):
-            wm = build_weight_matrix(cands, 10, [6], temperature=temp)
+            wm = build_weight_matrix(cands, [6], temperature=temp)
             want = np.zeros(10)
             want[6] = 1.0
             np.testing.assert_array_equal(wm.weights[0], want)
 
     def test_temperature_one_is_uniform_over_candidates(self):
-        cands = (CandidateSet.from_labels([0, 2, 5], 6),)
+        cands = _mask([[0, 2, 5]], 6)
         for enhanced in (0, 2, 5, NO_ENHANCEMENT):
-            wm = build_weight_matrix(cands, 6, [enhanced], temperature=1.0)
+            wm = build_weight_matrix(cands, [enhanced], temperature=1.0)
             want = np.zeros(6)
             want[[0, 2, 5]] = 1.0 / 3.0
             np.testing.assert_array_equal(wm.weights[0], want)
 
     def test_sentinel_falls_back_to_uniform(self):
-        cands = (CandidateSet.from_labels([1, 4], 5),)
-        wm = build_weight_matrix(cands, 5, [NO_ENHANCEMENT], temperature=4.0)
+        cands = _mask([[1, 4]], 5)
+        wm = build_weight_matrix(cands, [NO_ENHANCEMENT], temperature=4.0)
         want = np.zeros(5)
         want[[1, 4]] = 0.5
         np.testing.assert_array_equal(wm.weights[0], want)
@@ -259,24 +300,24 @@ class TestWeightMatrix:
         for _ in range(50):
             m = int(rng.integers(2, 8))
             n = int(rng.integers(1, 12))
-            cands = []
+            cand_lists = []
             enhanced = []
             for _ in range(n):
                 size = int(rng.integers(1, m + 1))
                 labs = sorted(rng.permutation(m)[:size].tolist())
-                cands.append(CandidateSet.from_labels(labs, m))
+                cand_lists.append(labs)
                 enhanced.append(labs[int(rng.integers(0, size))])
-            wm = build_weight_matrix(tuple(cands), m, enhanced, temperature=3.0)
-            for i, cs in enumerate(cands):
+            wm = build_weight_matrix(_mask(cand_lists, m), enhanced, temperature=3.0)
+            for i, labs in enumerate(cand_lists):
                 on = wm.weights[i] > 0
-                np.testing.assert_array_equal(np.flatnonzero(on), np.array(cs.labels()))
+                np.testing.assert_array_equal(np.flatnonzero(on), np.array(labs))
                 assert abs(wm.weights[i].sum() - 1.0) < 1e-12
 
     def test_raising_temperature_is_monotone(self):
-        cands = (CandidateSet.from_labels([1, 3, 7], 10),)
+        cands = _mask([[1, 3, 7]], 10)
         prev_enh, prev_rest = 0.0, 1.0
         for temp in (1.0, 2.0, 3.0, 8.0):
-            wm = build_weight_matrix(cands, 10, [3], temperature=temp)
+            wm = build_weight_matrix(cands, [3], temperature=temp)
             enh = wm.weights[0][3]
             rest = wm.weights[0][1]
             if temp > 1.0:
@@ -285,11 +326,12 @@ class TestWeightMatrix:
             prev_enh, prev_rest = enh, rest
 
     def test_enhanced_outside_candidates_rejected(self):
-        cands = (CandidateSet.from_labels([1, 3], 5),)
-        with pytest.raises(ValueError):
-            build_weight_matrix(cands, 5, [2], temperature=2.0)
+        cands = _mask([[1, 3]], 5)
+        for bad in (2, 5, -2):  # a non-candidate, past m, a negative index
+            with pytest.raises(ValueError, match="outside candidate set of row 0"):
+                build_weight_matrix(cands, [bad], temperature=2.0)
 
     def test_temperature_below_one_rejected(self):
-        cands = (CandidateSet.from_labels([1, 3], 5),)
+        cands = _mask([[1, 3]], 5)
         with pytest.raises(ValueError):
-            build_weight_matrix(cands, 5, [3], temperature=0.5)
+            build_weight_matrix(cands, [3], temperature=0.5)
