@@ -17,6 +17,20 @@ from cleanse.data import (
 )
 
 
+class TestCandidateSet:
+    """A candidate set is one row of the (n, m) bool mask."""
+
+    def test_out_of_range_rejected(self, tmp_path):
+        path = tmp_path / "label_at_m.pll"
+        path.write_text("#pll n=1 d=1 m=4\n?;4;1.0\n")
+        with pytest.raises(ValueError, match="outside"):
+            read_pll_file(path)
+        row = np.zeros((1, 6), dtype=bool)
+        row[0, 5] = True
+        with pytest.raises(ValueError):
+            PartialDataset(np.zeros((1, 1)), row, 4)
+
+
 class TestGenerator:
     def test_q_zero_all_clean(self):
         labels = np.random.default_rng(0).integers(0, 5, size=200)
