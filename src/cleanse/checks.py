@@ -178,12 +178,12 @@ def check_trainer_grad(rng: np.random.Generator, cases: int = 50, h: float = 1e-
         lam = 0.7
         mode = "nll" if c % 2 == 0 else "entropy"
 
-        _, probs = forward(model, X)
+        hidden, probs = forward(model, X)
         _, grad_logits, _ = reweighted_ce(probs, wm.weights)
         cres = count_loss(probs, intervals, mode)
         gdotp = np.sum(cres.grad * probs, axis=1, keepdims=True)
         grad_logits = grad_logits + lam * probs * (cres.grad - gdotp)
-        grads = backward(model, X, grad_logits)
+        grads = backward(model, X, hidden, grad_logits)
 
         for p, g in zip(model.parameters(), grads):
             flat = p.reshape(-1)

@@ -22,6 +22,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -113,7 +114,6 @@ def _config_from_args(args) -> TrainConfig:
         vote_mode=args.vote_mode,
         optimizer=args.optimizer,
         hidden=hidden,
-        precision=args.precision,
         seed=args.seed,
         eval_window=args.eval_window,
         eval_stride=args.eval_stride,
@@ -151,6 +151,8 @@ def _load_manifest(path: str):
 
 
 def cmd_train(args) -> int:
+    if args.checkpoint_every < 0:
+        raise ValueError("--checkpoint-every must be >= 0 (0 disables checkpoints)")
     if args.manifest:
         config, train_path, test_path, out_dir = _load_manifest(args.manifest)
         out_dir = args.out_dir if args.out_dir is not None else out_dir
@@ -198,7 +200,8 @@ def cmd_train(args) -> int:
             return EXIT_DIVERGED
 
     save_mlp(model, os.path.join(out_dir, "model.txt"))
-    window = min(config.eval_window, len(history))
+    evaluated = sum(not math.isnan(h.test_accuracy) for h in history)
+    window = min(config.eval_window, evaluated)
     mean, std = summarize(history, window)
     print(f"final accuracy over last {window} epochs: {100*mean:.2f} ± {100*std:.2f}%")
     return EXIT_OK
@@ -320,8 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--vote-mode", choices=["fractional", "multiset"], default="fractional")
     t.add_argument("--optimizer", choices=["adam", "sgd"], default="adam")
     t.add_argument("--hidden", default="300,300", help="comma-separated hidden widths")
-    t.add_argument("--precision", choices=["double", "single"], default="double",
-                   help="single is faster but excluded from the acceptance contracts")
     t.add_argument("--seed", type=int, default=0)
     t.add_argument("--eval-window", type=int, default=10)
     t.add_argument("--eval-stride", type=int, default=1)

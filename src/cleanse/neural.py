@@ -1,7 +1,7 @@
 """Minimal feed-forward classifier with exact manual gradients.
 
-Double precision throughout; every gradient here is checkable against
-central finite differences, which is what the test suite does.
+Parameters and activations are float64; every gradient here is checkable
+against central finite differences, which is what the test suite does.
 """
 
 from __future__ import annotations
@@ -16,6 +16,14 @@ import numpy as np
 MIN_PROB = math.exp(-700.0)
 
 
+def _checked_widths(widths) -> tuple[int, ...]:
+    """Layer widths as ints: input, hidden..., output, all positive."""
+    widths = tuple(int(w) for w in widths)
+    if len(widths) < 2 or any(w < 1 for w in widths):
+        raise ValueError(f"widths must list >= 2 positive layer sizes, got {widths}")
+    return widths
+
+
 @dataclass
 class Mlp:
     """Fully connected ReLU net; weights[l] maps width l to width l+1."""
@@ -25,25 +33,15 @@ class Mlp:
     biases: list[np.ndarray]
 
     @classmethod
-    def init(cls, widths, rng: np.random.Generator, dtype=np.float64) -> "Mlp":
-        """He-style uniform fan-in initialization, biases at zero.
-
-        float32 is available for speed; gradient-check tolerances and the
-        acceptance suite assume the float64 default.
-        """
-        widths = tuple(int(w) for w in widths)
-        if len(widths) < 2 or any(w < 1 for w in widths):
-            raise ValueError("widths must list >= 2 positive layer sizes")
+    def init(cls, widths, rng: np.random.Generator) -> "Mlp":
+        """He-style uniform fan-in initialization, biases at zero."""
+        widths = _checked_widths(widths)
         weights, biases = [], []
         for fan_in, fan_out in zip(widths, widths[1:]):
             bound = math.sqrt(6.0 / fan_in)
-            weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(dtype, copy=False))
-            biases.append(np.zeros(fan_out, dtype=dtype))
+            weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
+            biases.append(np.zeros(fan_out))
         return cls(widths=widths, weights=weights, biases=biases)
-
-    @property
-    def dtype(self):
-        return self.weights[0].dtype
 
     def parameters(self) -> list[np.ndarray]:
         out = []
@@ -60,19 +58,6 @@ class Mlp:
         )
 
 
-def _affine_relu_stack(model: Mlp, X: np.ndarray) -> list[np.ndarray]:
-    """Activations per layer; ReLU on all but the final affine output."""
-    acts = [X]
-    h = X
-    last = len(model.weights) - 1
-    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
-        h = h @ w + b
-        if l != last:
-            h = np.maximum(h, 0.0)
-        acts.append(h)
-    return acts
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row softmax with max-shift, safe for logits of any magnitude."""
     shifted = logits - np.max(logits, axis=1, keepdims=True)
@@ -80,19 +65,22 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / np.sum(e, axis=1, keepdims=True)
 
 
-def forward(model: Mlp, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(logits, row-softmax probabilities) for a batch."""
-    X = np.asarray(X, dtype=model.dtype)
+def forward(model: Mlp, X: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """(hidden activations, row-softmax probabilities) for a batch.
+
+    hidden[l] is the ReLU output of hidden layer l, so hidden[-1] is the
+    embedding the last layer classifies (the list is empty without hidden
+    layers); ``backward`` takes the list as returned instead of recomputing it.
+    """
+    X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.widths[0]:
         raise ValueError(f"expected features of width {model.widths[0]}")
-    logits = _affine_relu_stack(model, X)[-1]
-    return logits, softmax(logits)
-
-
-def penultimate(model: Mlp, X: np.ndarray) -> np.ndarray:
-    """Last hidden activation; the embedding space for optional k-NN use."""
-    X = np.asarray(X, dtype=model.dtype)
-    return _affine_relu_stack(model, X)[-2]
+    hidden = []
+    h = X
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        h = np.maximum(h @ w + b, 0.0)
+        hidden.append(h)
+    return hidden, softmax(h @ model.weights[-1] + model.biases[-1])
 
 
 def reweighted_ce(probs: np.ndarray, weights: np.ndarray) -> tuple[float, np.ndarray, bool]:
@@ -116,21 +104,21 @@ def reweighted_ce(probs: np.ndarray, weights: np.ndarray) -> tuple[float, np.nda
     return loss, grad_logits, saturated
 
 
-def backward(model: Mlp, X: np.ndarray, grad_logits: np.ndarray) -> list[np.ndarray]:
-    """Parameter gradients (same layout as model.parameters())."""
-    X = np.asarray(X, dtype=model.dtype)
-    acts = _affine_relu_stack(model, X)
-    per_layer: list[tuple[np.ndarray, np.ndarray]] = []
+def backward(
+    model: Mlp, X: np.ndarray, hidden: list[np.ndarray], grad_logits: np.ndarray
+) -> list[np.ndarray]:
+    """Parameter gradients (same layout as model.parameters()).
+
+    ``hidden`` is the activation list ``forward`` returned for this ``X``.
+    """
+    inputs = [np.asarray(X, dtype=np.float64), *hidden]
     delta = np.asarray(grad_logits, dtype=np.float64)
+    grads: list[np.ndarray] = [None] * (2 * len(model.weights))
     for l in range(len(model.weights) - 1, -1, -1):
-        per_layer.append((acts[l].T @ delta, delta.sum(axis=0)))
+        grads[2 * l] = inputs[l].T @ delta
+        grads[2 * l + 1] = delta.sum(axis=0)
         if l > 0:
-            delta = delta @ model.weights[l].T
-            delta = np.where(acts[l] > 0.0, delta, 0.0)
-    grads: list[np.ndarray] = []
-    for w_grad, b_grad in reversed(per_layer):
-        grads.append(w_grad)
-        grads.append(b_grad)
+            delta = np.where(inputs[l] > 0.0, delta @ model.weights[l].T, 0.0)
     return grads
 
 
@@ -209,7 +197,7 @@ def load_mlp(path) -> Mlp:
         header = fh.readline().strip()
         if not header.startswith("#mlp widths="):
             raise ValueError("not an MLP checkpoint: missing '#mlp widths=' header")
-        widths = tuple(int(tok) for tok in header.removeprefix("#mlp widths=").split(","))
+        widths = _checked_widths(header.removeprefix("#mlp widths=").split(","))
         weights, biases = [], []
         for fan_in, fan_out in zip(widths, widths[1:]):
             w = np.empty((fan_in, fan_out))

@@ -31,7 +31,6 @@ from .neural import (
     backward,
     forward,
     make_optimizer,
-    penultimate,
     reweighted_ce,
 )
 from .reweight import build_weight_matrix, enhanced_label, knn_search
@@ -52,7 +51,6 @@ class TrainConfig:
     vote_mode: str = "fractional"
     optimizer: str = "adam"
     hidden: tuple[int, ...] = (300, 300)
-    precision: str = "double"
     seed: int = 0
     eval_window: int = 10
     eval_stride: int = 1
@@ -77,8 +75,6 @@ class TrainConfig:
             raise ValueError(f"unknown knn feature space {self.knn_features!r}")
         if self.vote_mode not in ("fractional", "multiset"):
             raise ValueError(f"unknown vote mode {self.vote_mode!r}")
-        if self.precision not in ("double", "single"):
-            raise ValueError(f"unknown precision {self.precision!r}")
         if self.eval_window < 1 or self.eval_stride < 1:
             raise ValueError("eval window and stride must be >= 1")
         if self.threads < 1:
@@ -135,10 +131,13 @@ def evaluate(model: Mlp, test: PartialDataset) -> float:
 
 
 def summarize(history, window: int) -> tuple[float, float]:
-    """Mean and population std of test accuracy over the last ``window`` epochs."""
-    if window < 1 or window > len(history):
-        raise ValueError("window must lie in 1..len(history)")
-    accs = np.array([h.test_accuracy for h in history[-window:]])
+    """Mean and population std of test accuracy over the last ``window``
+    evaluated epochs; epochs that ``eval_stride`` skipped carry nan."""
+    accs = np.array([h.test_accuracy for h in history])
+    accs = accs[~np.isnan(accs)]
+    if window < 1 or window > len(accs):
+        raise ValueError("window must lie in 1..number of evaluated epochs")
+    accs = accs[-window:]
     return float(np.mean(accs)), float(np.std(accs))
 
 
@@ -162,8 +161,7 @@ def fit(
     view = train.strip_truth()
     m = view.m
     rng = np.random.default_rng(config.seed)
-    dtype = np.float64 if config.precision == "double" else np.float32
-    model = Mlp.init((view.d, *config.hidden, m), rng, dtype=dtype)
+    model = Mlp.init((view.d, *config.hidden, m), rng)
     opt = make_optimizer(config.optimizer, config.lr, config.weight_decay)
 
     global_neighbors = global_enhanced = None
@@ -179,7 +177,8 @@ def fit(
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
         if config.knn_scope == "global" and config.knn_features == "embedding":
-            emb = penultimate(model, view.features)
+            hidden, _ = forward(model, view.features)
+            emb = hidden[-1] if hidden else view.features
             global_neighbors = knn_search(emb, config.k, threads=config.threads)
 
         perm = rng.permutation(view.n)
@@ -187,10 +186,11 @@ def fit(
         for batch_no, batch_idx in enumerate(epoch_batches(perm, config.batch_size)):
             batch = view.subset(batch_idx)
             X = batch.features
-            _, probs = forward(model, X)
+            hidden, probs = forward(model, X)
 
             if config.knn_scope == "batch":
-                feats = X if config.knn_features == "raw" else penultimate(model, X)
+                embed = config.knn_features == "embedding" and len(hidden) > 0
+                feats = hidden[-1] if embed else X
                 neighbors = knn_search(feats, config.k, threads=config.threads)
                 enhanced = [
                     enhanced_label(i, batch, neighbors[i], config.vote_mode)
@@ -222,7 +222,7 @@ def fit(
             sum_rl += rl * nb
             sum_rg += rg * nb
 
-            grads = backward(model, X, grad_logits)
+            grads = backward(model, X, hidden, grad_logits)
             opt.step(model, grads)
 
         mean_rl = sum_rl / view.n

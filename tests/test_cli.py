@@ -2,6 +2,7 @@
 report, the oracle check gate, and exit codes."""
 
 import json
+import math
 import shutil
 
 import numpy as np
@@ -189,6 +190,32 @@ class TestTrain:
         assert not (out_dir / "model_epoch2.txt").exists()
         assert (out_dir / "model.txt").exists()
 
+    def test_negative_checkpoint_interval_is_usage_error(self, tiny_dataset, tmp_path, capsys):
+        train, test = tiny_dataset
+        out_dir = tmp_path / "ck"
+        code = run_cli(["train", "--train", train, "--test", test,
+                        "--out-dir", str(out_dir), "--checkpoint-every", "-1",
+                        *TINY_TRAIN_ARGS])
+        assert code == EXIT_USAGE
+        assert "--checkpoint-every" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_eval_stride_summary_averages_evaluated_epochs(self, tiny_dataset, tmp_path,
+                                                           capsys):
+        train, test = tiny_dataset
+        out_dir = tmp_path / "stride"
+        code = run_cli(["train", "--train", train, "--test", test,
+                        "--out-dir", str(out_dir), "--seed", "6", *TINY_TRAIN_ARGS,
+                        "--epochs", "6", "--eval-stride", "2", "--eval-window", "10"])
+        assert code == EXIT_OK
+        rows = (out_dir / "metrics.csv").read_text().splitlines()[1:]
+        accs = [float(row.split(",")[4]) for row in rows]
+        evaluated = [a for a in accs if not math.isnan(a)]
+        assert len(evaluated) == 4  # epochs 0, 2, 4 and the last
+        out = capsys.readouterr().out
+        assert f"final accuracy over last 4 epochs: {100 * np.mean(evaluated):.2f} ± " in out
+        assert "nan" not in out
+
 
 @pytest.fixture
 def recorded_run(tiny_dataset, tmp_path):
@@ -243,11 +270,15 @@ class TestReplay:
 
     def test_unknown_config_field_is_refused(self, recorded_run, tmp_path, capsys):
         manifest, _ = recorded_run
-        _edit_manifest(manifest, lambda loaded: loaded["config"].update(bogus=1))
-        code = run_cli(["train", "--manifest", str(manifest),
-                        "--out-dir", str(tmp_path / "b"), "--quiet"])
-        assert code == EXIT_IO
-        assert "bogus" in capsys.readouterr().err
+        recorded = manifest.read_text()
+        # precision: a field of older manifests, removed with the float32 mode
+        for field, value in (("bogus", 1), ("precision", "double")):
+            manifest.write_text(recorded)
+            _edit_manifest(manifest, lambda loaded: loaded["config"].update({field: value}))
+            code = run_cli(["train", "--manifest", str(manifest),
+                            "--out-dir", str(tmp_path / "b"), "--quiet"])
+            assert code == EXIT_IO
+            assert field in capsys.readouterr().err
 
 
 class TestStats:

@@ -14,7 +14,6 @@ from cleanse.neural import (
     backward,
     forward,
     load_mlp,
-    penultimate,
     reweighted_ce,
     save_mlp,
     softmax,
@@ -60,8 +59,10 @@ class TestForward:
 
     def test_penultimate_shape(self):
         model = _model((3, 8, 5, 2))
-        emb = penultimate(model, np.zeros((4, 3)))
-        assert emb.shape == (4, 5)
+        hidden, probs = forward(model, np.zeros((4, 3)))
+        assert [h.shape for h in hidden] == [(4, 8), (4, 5)]
+        assert probs.shape == (4, 2)
+        assert forward(_model((3, 2)), np.zeros((4, 3)))[0] == []
 
 
 class TestReweightedCe:
@@ -125,9 +126,9 @@ class TestBackward:
             _, probs = forward(model, X)
             return reweighted_ce(probs, weights)[0]
 
-        _, probs = forward(model, X)
+        hidden, probs = forward(model, X)
         _, grad_logits, _ = reweighted_ce(probs, weights)
-        grads = backward(model, X, grad_logits)
+        grads = backward(model, X, hidden, grad_logits)
 
         h = 1e-5
         worst = 0.0
@@ -145,7 +146,8 @@ class TestBackward:
 
     def test_zero_grad_logits_give_zero_grads(self):
         model = _model((3, 4, 2))
-        grads = backward(model, np.ones((5, 3)), np.zeros((5, 2)))
+        X = np.ones((5, 3))
+        grads = backward(model, X, forward(model, X)[0], np.zeros((5, 2)))
         for g in grads:
             np.testing.assert_array_equal(g, 0.0)
 
@@ -154,8 +156,9 @@ class TestBackward:
         model = _model((3, 4, 2), seed=8)
         X = rng.standard_normal((5, 3))
         gl = rng.standard_normal((5, 2))
-        g1 = backward(model, X, gl)
-        g2 = backward(model, X, 2.0 * gl)
+        hidden, _ = forward(model, X)
+        g1 = backward(model, X, hidden, gl)
+        g2 = backward(model, X, hidden, 2.0 * gl)
         for a, b in zip(g1, g2):
             np.testing.assert_allclose(2.0 * a, b, atol=1e-14)
 
@@ -211,6 +214,15 @@ class TestCheckpoint:
         path.write_text("#nope\n")
         with pytest.raises(ValueError):
             load_mlp(path)
+
+    @pytest.mark.parametrize("widths", ["5", "3,0,2"])
+    def test_bad_widths_rejected_like_init(self, tmp_path, widths):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"#mlp widths={widths}\n")
+        with pytest.raises(ValueError, match="widths"):
+            load_mlp(path)
+        with pytest.raises(ValueError, match="widths"):
+            Mlp.init([int(w) for w in widths.split(",")], np.random.default_rng(0))
 
     def test_init_deterministic_given_seed(self):
         a = _model((5, 6, 4), seed=12)

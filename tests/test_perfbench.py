@@ -55,4 +55,19 @@ def test_traced_worker_accounts_for_fit(tmp_path):
     for name in ("data.subset", "reweight.enhanced_label", "reweight.build_weight_matrix",
                  "countloss.batch_intervals", "countloss.count_loss", "trainer.fit"):
         assert name in names
-    assert _load_spans().fit_accounting_gap(result["spans"]) < 1e-9
+    spans_module = _load_spans()
+    assert spans_module.fit_accounting_gap(result["spans"]) < 1e-9
+
+    # gemm_flops counts backward rows as len(backward's second argument),
+    # so that argument must stay the batch input X
+    widths, epochs = (train.d, 4, train.m), 2
+
+    def flops(name):
+        return sum(s["attrs"]["flops"] for s in result["spans"] if s["name"] == name)
+
+    n_train = result["n_train"]
+    assert flops("neural.backward") == epochs * spans_module._gemm_flops(
+        widths, n_train, backward=True)
+    rows_forward = epochs * n_train + epochs * test.n  # every epoch is evaluated
+    assert flops("neural.forward") == spans_module._gemm_flops(
+        widths, rows_forward, backward=False)

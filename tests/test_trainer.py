@@ -49,9 +49,9 @@ def baseline_fit(train, test, config):
         total = 0.0
         for batch_idx in epoch_batches(perm, config.batch_size):
             X = view.features[batch_idx]
-            _, probs = forward(model, X)
+            hidden, probs = forward(model, X)
             loss, grad_logits, _ = reweighted_ce(probs, uniform[batch_idx])
-            grads = backward(model, X, grad_logits)
+            grads = backward(model, X, hidden, grad_logits)
             opt.step(model, grads)
             total += loss * len(batch_idx)
         losses.append(total / view.n)
@@ -147,17 +147,6 @@ class TestFirewallAndDeterminism:
         assert [x.reweight_loss for x in h1] == [x.reweight_loss for x in h2]
         assert [x.count_loss for x in h1] == [x.count_loss for x in h2]
         assert [x.test_accuracy for x in h1] == [x.test_accuracy for x in h2]
-
-    def test_single_precision_mode_trains(self):
-        ds = make_dataset(n=150, q=0.0, seed=40)
-        train, test = split(ds, 0.2, seed=41)
-        config = TrainConfig(
-            epochs=30, batch_size=32, hidden=(16,), lam=0.0, lr=1e-2,
-            precision="single", seed=42
-        )
-        model, history = fit(train, test, config)
-        assert model.parameters()[0].dtype == np.float32
-        assert history[-1].test_accuracy >= 0.9
 
     @pytest.mark.parametrize("scope,feats", [("global", "raw"), ("batch", "embedding"),
                                              ("global", "embedding")])
@@ -256,6 +245,17 @@ class TestEvaluateSummarize:
         mean, std = summarize(history, 2)
         assert mean == pytest.approx(0.9, abs=1e-15)
         assert std == pytest.approx(0.1, abs=1e-15)
+
+    def test_summarize_skips_unevaluated_epochs(self):
+        nan = float("nan")
+        accs = [0.5, nan, 0.7, nan, 0.8, 0.9]
+        history = [EpochMetrics(i, 0.0, 0.0, 0.0, a, 0.0) for i, a in enumerate(accs)]
+        mean, std = summarize(history, 3)
+        assert mean == pytest.approx(0.8, abs=1e-15)
+        assert std == pytest.approx(float(np.std([0.7, 0.8, 0.9])), abs=1e-15)
+        assert summarize(history, 4)[0] == pytest.approx(0.725, abs=1e-15)
+        with pytest.raises(ValueError):
+            summarize(history, 5)
 
     def test_summarize_window_validated(self):
         history = [EpochMetrics(0, 0.0, 0.0, 0.0, 0.9, 0.0)]
