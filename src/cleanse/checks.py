@@ -1,6 +1,6 @@
-"""Self-contained oracle checks: brute-force enumeration and finite
-differences against the fast paths.  The CLI `check` subcommand runs these
-in CI; the test suite reuses the same oracles.
+"""Self-contained oracle checks: brute-force enumeration, brute-force k-NN
+and finite differences against the fast paths.  The CLI `check` subcommand
+runs these in CI; the test suite reuses the same oracles.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .countloss import (
     logsumexp,
 )
 from .neural import Mlp, backward, forward, reweighted_ce
-from .reweight import build_weight_matrix
+from .reweight import build_weight_matrix, knn_search
 
 
 @dataclass(frozen=True)
@@ -199,6 +199,54 @@ def check_trainer_grad(rng: np.random.Generator, cases: int = 50, h: float = 1e-
     return CheckResult("trainer-grad-vs-fd", worst, 1e-4)
 
 
+def brute_force_knn(X, k: int, rows=None) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Independent k-NN oracle: all-pairs loops, sort by (distance, index).
+
+    Returns (indices, distances) for each query in ``rows`` (default: every
+    row), the query itself excluded and k clamped to p - 1.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    p = X.shape[0]
+    out = []
+    for i in range(p) if rows is None else rows:
+        pairs = []
+        for j in range(p):
+            if j == i:
+                continue
+            diff = X[i] - X[j]
+            pairs.append((float(np.sum(diff * diff)), j))
+        pairs.sort()
+        chosen = pairs[: min(k, p - 1)]
+        out.append(
+            (
+                np.array([j for _, j in chosen]),
+                np.sqrt(np.array([d2 for d2, _ in chosen])),
+            )
+        )
+    return out
+
+
+def check_knn_brute_force(rng: np.random.Generator, p: int = 2000, d: int = 4, k: int = 10,
+                          queries: int = 50) -> CheckResult:
+    """knn_search vs brute_force_knn on queries sampled from every row block.
+
+    2000 points make four of knn_search's query blocks.  A half-unit grid
+    offset by 1e4 gives duplicates and distance ties whose GEMM estimates
+    differ in the last bits, so a band without its roundoff margin drops
+    tied neighbours.  The tolerance is 0: a wrong index counts as an
+    infinite deviation.
+    """
+    X = np.round(2.0 * rng.standard_normal((p, d))) / 2.0 + 1e4
+    got = knn_search(X, k)
+    rows = range(0, p, p // queries)
+    worst = 0.0
+    for r, (idx, dist) in zip(rows, brute_force_knn(X, k, rows)):
+        if not np.array_equal(got[r].indices, idx):
+            return CheckResult("knn-vs-brute-force", math.inf, 0.0)
+        worst = max(worst, float(np.max(np.abs(got[r].distances - dist))))
+    return CheckResult("knn-vs-brute-force", worst, 0.0)
+
+
 def check_underflow_stress(n: int = 1024) -> CheckResult:
     """Large-n pmf stays finite and normalized where direct space underflows."""
     p = np.empty(n)
@@ -227,4 +275,5 @@ def run_all_checks(seed: int = 0, stress_n: int = 1024) -> list[CheckResult]:
         check_trainer_grad(rng),
         check_underflow_stress(stress_n),
         check_logsumexp_identity(),
+        check_knn_brute_force(rng),
     ]

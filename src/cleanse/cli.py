@@ -203,7 +203,7 @@ def cmd_train(args) -> int:
     evaluated = sum(not math.isnan(h.test_accuracy) for h in history)
     window = min(config.eval_window, evaluated)
     mean, std = summarize(history, window)
-    print(f"final accuracy over last {window} epochs: {100*mean:.2f} ± {100*std:.2f}%")
+    print(f"final accuracy over last {window} evaluated epochs: {100*mean:.2f} ± {100*std:.2f}%")
     return EXIT_OK
 
 

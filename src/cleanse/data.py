@@ -223,6 +223,8 @@ def read_pll_file(path) -> PartialDataset:
                 raise PllFormatError(f"expected {n} instances, file ends after {i}", lineno)
             truth, labs, feats = _parse_line(line.rstrip("\n"), d, m, lineno)
             features[i] = feats
+            if not np.isfinite(features[i]).all():
+                raise PllFormatError("non-finite feature value", lineno)
             candidates[i, labs] = True
             truths.append(truth)
         if fh.readline() != "":

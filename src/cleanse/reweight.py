@@ -22,11 +22,8 @@ logger = logging.getLogger(__name__)
 # candidate set; the weight row falls back to uniform over candidates.
 NO_ENHANCEMENT = -1
 
-# knn_search switches from materializing (query, point, dim) difference
-# tensors to the GEMM expansion above this point count; selection and tie
-# rules are unchanged.
-_DIRECT_DIFF_MAX_POINTS = 4096
-_CHUNK_ELEMENTS = 4_000_000
+# elements per (rows, p) GEMM block and per (pairs, d) difference block
+_CHUNK_ELEMENTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -48,21 +45,6 @@ class WeightMatrix:
     temperature: float
 
 
-def _chunk_rows(p: int, d: int) -> int:
-    return max(1, _CHUNK_ELEMENTS // max(1, p * d))
-
-
-def _d2_block(X: np.ndarray, rows: np.ndarray, sq_norms: np.ndarray | None) -> np.ndarray:
-    if sq_norms is None:
-        diff = X[rows][:, None, :] - X[None, :, :]
-        return np.sum(diff * diff, axis=2)
-    # ||a-b||^2 = ||a||^2 + ||b||^2 - 2 a.b, clipped against roundoff
-    cross = X[rows] @ X.T
-    d2 = sq_norms[rows][:, None] + sq_norms[None, :] - 2.0 * cross
-    np.maximum(d2, 0.0, out=d2)
-    return d2
-
-
 def knn_search(features: np.ndarray, k: int, threads: int = 1) -> list[NeighborList]:
     """Exact Euclidean k nearest neighbors of every row among all rows.
 
@@ -70,8 +52,12 @@ def knn_search(features: np.ndarray, k: int, threads: int = 1) -> list[NeighborL
     instance index (stable sort on squared distances).  When k >= p the
     neighbor count is clamped to p - 1 and a warning is logged; that is a
     statistic of the run, not an error.  ``threads`` splits the query rows
-    over a thread pool with fixed chunk boundaries, so results are bitwise
+    over a thread pool with fixed block boundaries, so results are bitwise
     identical for any thread count.
+
+    A GEMM on mean-centred features picks each row's points within a roundoff
+    bound of its k-th estimate (all points, if one is not finite); direct
+    differences re-rank them, so results equal a full stable sort bit for bit.
     """
     X = np.ascontiguousarray(np.asarray(features, dtype=np.float64))
     if X.ndim != 2:
@@ -85,30 +71,39 @@ def knn_search(features: np.ndarray, k: int, threads: int = 1) -> list[NeighborL
     if kk < k:
         logger.warning("knn_search: k=%d clamped to %d (only %d instances)", k, kk, p)
 
-    sq_norms = None
-    if p > _DIRECT_DIFF_MAX_POINTS:
-        sq_norms = np.sum(X * X, axis=1)
+    C = X - X.mean(axis=0)
+    sq = np.sum(C * C, axis=1)
+    # margin[q] bounds |estimate - direct d2| for query q about twice over: the
+    # rounding of centring, norms, GEMM and direct sum, and (`tiny`) subnormals.
+    fp = np.finfo(np.float64)
+    margin = 8.0 * (d + 4) * fp.eps * (sq + sq.max() + fp.tiny)
+    block = max(1, _CHUNK_ELEMENTS // p)
+    pairs = max(1, _CHUNK_ELEMENTS // d)
 
-    out: list[NeighborList | None] = [None] * p
-    chunk = _chunk_rows(p, d)
-    starts = range(0, p, chunk)
-
-    def work(start: int) -> None:
-        rows = np.arange(start, min(start + chunk, p))
-        d2 = _d2_block(X, rows, sq_norms)
-        d2[np.arange(len(rows)), rows] = np.inf  # exclude self
-        order = np.argsort(d2, axis=1, kind="stable")[:, :kk]
-        dist = np.sqrt(np.take_along_axis(d2, order, axis=1))
-        for local, r in enumerate(rows):
-            out[r] = NeighborList(indices=order[local].copy(), distances=dist[local].copy())
+    def work(start: int) -> list[NeighborList]:
+        rows = slice(start, min(start + block, p))
+        est = sq[rows, None] + sq - 2.0 * (C[rows] @ C.T)
+        finite = np.isfinite(est).all(axis=1)
+        np.fill_diagonal(est[:, start:], np.inf)  # exclude self
+        # the k-th direct d2 is at most kth + margin: 2 margins keep its ties
+        bound = np.partition(est, kk - 1, axis=1)[:, kk - 1] + 2.0 * margin[rows]
+        band = (est <= bound[:, None]) | ~(finite & np.isfinite(bound))[:, None]
+        np.fill_diagonal(band[:, start:], False)
+        local, cols = np.nonzero(band)  # row-major: each band in index order
+        d2 = np.concatenate([
+            np.sum(np.square(X[start + local[s : s + pairs]] - X[cols[s : s + pairs]]), axis=1)
+            for s in range(0, len(cols), pairs)
+        ])
+        order = np.lexsort((d2, local))  # stable: ties keep index order
+        pick = order[np.searchsorted(local, np.arange(len(est)))[:, None] + np.arange(kk)]
+        return [NeighborList(i, dist) for i, dist in zip(cols[pick], np.sqrt(d2[pick]))]
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, starts))
+            blocks = list(pool.map(work, range(0, p, block)))
     else:
-        for start in starts:
-            work(start)
-    return out  # type: ignore[return-value]
+        blocks = [work(start) for start in range(0, p, block)]
+    return [nb for part in blocks for nb in part]
 
 
 def enhanced_label(

@@ -112,7 +112,7 @@ class TestTrain:
         assert (out_dir / "metrics.csv").exists()
         assert (out_dir / "model.txt").exists()
         assert (out_dir / "manifest.json").exists()
-        assert "final accuracy over last 3 epochs" in capsys.readouterr().out
+        assert "final accuracy over last 3 evaluated epochs" in capsys.readouterr().out
 
     def test_manifest_replay_is_byte_identical(self, tiny_dataset, tmp_path):
         train, test = tiny_dataset
@@ -213,7 +213,7 @@ class TestTrain:
         evaluated = [a for a in accs if not math.isnan(a)]
         assert len(evaluated) == 4  # epochs 0, 2, 4 and the last
         out = capsys.readouterr().out
-        assert f"final accuracy over last 4 epochs: {100 * np.mean(evaluated):.2f} ± " in out
+        assert f"final accuracy over last 4 evaluated epochs: {100 * np.mean(evaluated):.2f} ± " in out
         assert "nan" not in out
 
 
@@ -331,7 +331,7 @@ class TestCheck:
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "FAIL" not in out
-        assert out.count("PASS") == 7
+        assert out.count("PASS") == 8
 
     def test_injected_off_by_one_fails_named_check(self):
         def broken_pmf(log_p):

@@ -303,6 +303,13 @@ class TestPllFile:
         with pytest.raises(PllFormatError, match=fragment):
             read_pll_file(path)
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_rejected(self, tmp_path, token):
+        path = tmp_path / "bad.pll"
+        path.write_text(f"#pll n=2 d=2 m=3\n0;0;1.0 2.0\n1;1;0.5 {token}\n")
+        with pytest.raises(PllFormatError, match="line 3: non-finite feature value"):
+            read_pll_file(path)
+
     def test_parse_error_carries_line_number(self, tmp_path):
         path = tmp_path / "bad.pll"
         path.write_text("#pll n=2 d=1 m=3\n0;0;1.0\n0;0 1.0\n")

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cleanse.checks import brute_force_knn
 from cleanse.data import PartialDataset
 from cleanse.reweight import (
     NO_ENHANCEMENT,
@@ -14,29 +15,6 @@ from cleanse.reweight import (
     enhanced_label,
     knn_search,
 )
-
-
-def brute_force_knn(X, k):
-    """Independent oracle: all-pairs loops, sort by (distance, index)."""
-    X = np.asarray(X, dtype=np.float64)
-    p = X.shape[0]
-    out = []
-    for i in range(p):
-        pairs = []
-        for j in range(p):
-            if j == i:
-                continue
-            diff = X[i] - X[j]
-            pairs.append((float(np.sum(diff * diff)), j))
-        pairs.sort()
-        chosen = pairs[: min(k, p - 1)]
-        out.append(
-            (
-                np.array([j for _, j in chosen]),
-                np.sqrt(np.array([d2 for d2, _ in chosen])),
-            )
-        )
-    return out
 
 
 class TestKnnSearch:
@@ -84,21 +62,37 @@ class TestKnnSearch:
             np.testing.assert_array_equal(a.distances, b.distances)
 
     def test_gemm_path_matches_direct_differences(self):
-        # p > 4096 takes the GEMM expansion, which the small-p oracle above
-        # never reaches; sampled rows are re-ranked by direct differences.
+        # 4200 points span several query blocks, beyond the small-p oracle
+        # above; sampled rows are re-ranked by direct differences and must
+        # match bit for bit.  The +1e4 offset costs a GEMM expansion of the
+        # raw features about eight digits, so only an exact re-rank passes.
         p, d, k = 4200, 4, 5
-        X = np.random.default_rng(42).standard_normal((p, d))
-        got = knn_search(X, k, threads=1)
-        for r in range(0, p, 37):
-            diff = X - X[r]
-            d2 = np.sum(diff * diff, axis=1)
-            d2[r] = np.inf
-            want = np.argsort(d2, kind="stable")[:k]
-            np.testing.assert_array_equal(got[r].indices, want)
-            np.testing.assert_allclose(got[r].distances, np.sqrt(d2[want]), rtol=0, atol=1e-9)
-        for a, b in zip(got, knn_search(X, k, threads=2)):
-            assert a.indices.tobytes() == b.indices.tobytes()
-            assert a.distances.tobytes() == b.distances.tobytes()
+        for offset in (0.0, 1e4):
+            X = np.random.default_rng(42).standard_normal((p, d)) + offset
+            got = knn_search(X, k, threads=1)
+            for r in range(0, p, 37):
+                diff = X - X[r]
+                d2 = np.sum(diff * diff, axis=1)
+                d2[r] = np.inf
+                want = np.argsort(d2, kind="stable")[:k]
+                assert got[r].indices.tobytes() == want.tobytes()
+                assert got[r].distances.tobytes() == np.sqrt(d2[want]).tobytes()
+            for a, b in zip(got, knn_search(X, k, threads=2)):
+                assert a.indices.tobytes() == b.indices.tobytes()
+                assert a.distances.tobytes() == b.distances.tobytes()
+
+    def test_overflowing_features_match_oracle(self):
+        # squared distances overflow to inf, so every point joins the band
+        # and neighbours come in index order, never the query itself
+        X = np.random.default_rng(5).standard_normal((40, 3)) * 1e200
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = knn_search(X, 6)
+            want = brute_force_knn(X, 6)
+        for r, (g, (w_idx, w_dist)) in enumerate(zip(got, want)):
+            assert np.all(np.isinf(g.distances))
+            assert r not in g.indices
+            np.testing.assert_array_equal(g.indices, w_idx)
+            np.testing.assert_array_equal(g.distances, w_dist)
 
     def test_distances_nondecreasing(self):
         X = np.random.default_rng(4).standard_normal((40, 3))
