@@ -15,6 +15,9 @@ import numpy as np
 # loss clamp so saturated losses stay finite with the descent direction intact.
 MIN_PROB = math.exp(-700.0)
 
+# elements per row block of an optimizer step: its scratch rows stay in cache
+_STEP_BLOCK = 16384
+
 
 def _checked_widths(widths) -> tuple[int, ...]:
     """Layer widths as ints: input, hidden..., output, all positive."""
@@ -122,21 +125,65 @@ def backward(
     return grads
 
 
+def _step_blocks(params, count: int) -> list[list[tuple]]:
+    """Per parameter, its row blocks as (row slice, ``count`` scratch views).
+
+    A block holds about _STEP_BLOCK elements (at least one row).  The scratch
+    rows are allocated once, to the size of the largest block, and every
+    block's views share them.
+    """
+    slices = []
+    for p in params:
+        rows = max(1, _STEP_BLOCK // (p.size // len(p)))
+        slices.append([slice(r, r + rows) for r in range(0, len(p), rows)])
+    bufs = [np.empty(max(p[b[0]].size for p, b in zip(params, slices))) for _ in range(count)]
+
+    def views(block: np.ndarray) -> tuple:
+        return tuple(buf[: block.size].reshape(block.shape) for buf in bufs)
+
+    return [[(rows, *views(p[rows])) for rows in b] for p, b in zip(params, slices)]
+
+
 class Sgd:
-    """Plain gradient descent; weight decay enters as an L2 gradient term."""
+    """Plain gradient descent; weight decay enters as an L2 gradient term.
+
+    A step evaluates ``p -= lr * (g + wd * p)`` in place, one row block at a
+    time through one scratch row, so no step after the first allocates, and
+    the parameters are bitwise equal to the plain expression.
+    """
 
     def __init__(self, lr: float = 1e-3, weight_decay: float = 0.0):
         self.lr = lr
         self.weight_decay = weight_decay
+        self._blocks: list[list[tuple]] | None = None
 
     def step(self, model: Mlp, grads) -> Mlp:
-        for p, g in zip(model.parameters(), grads):
-            p -= self.lr * (g + self.weight_decay * p)
+        params = model.parameters()
+        if self._blocks is None:
+            self._blocks = _step_blocks(params, 1)
+        for p, g, blocks in zip(params, grads, self._blocks, strict=True):
+            for rows, a in blocks:
+                pb = p[rows]
+                np.multiply(pb, self.weight_decay, out=a)
+                np.add(g[rows], a, out=a)
+                np.multiply(a, self.lr, out=a)
+                np.subtract(pb, a, out=pb)
         return model
 
 
 class Adam:
-    """First/second-moment adaptive update with bias correction."""
+    """First/second-moment adaptive update with bias correction.
+
+    A step evaluates the textbook update below in place, one row block at a
+    time through a pair of scratch rows, with the same operations in the same
+    order.  No step after the first allocates, and the parameters are
+    bitwise equal to the expressions::
+
+        g = g + wd * p
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * (g * g)
+        p -= lr * (m / c1) / (sqrt(v / c2) + eps)   # c = 1 - beta ** t
+    """
 
     def __init__(
         self,
@@ -152,21 +199,36 @@ class Adam:
         self.t = 0
         self.m: list[np.ndarray] | None = None
         self.v: list[np.ndarray] | None = None
+        self._blocks: list[list[tuple]] | None = None
 
     def step(self, model: Mlp, grads) -> Mlp:
         params = model.parameters()
         if self.m is None:
             self.m = [np.zeros_like(p) for p in params]
             self.v = [np.zeros_like(p) for p in params]
+            self._blocks = _step_blocks(params, 2)
         self.t += 1
         b1, b2 = self.betas
-        for i, (p, g) in enumerate(zip(params, grads)):
-            g = g + self.weight_decay * p
-            self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1.0 - b2) * (g * g)
-            m_hat = self.m[i] / (1.0 - b1**self.t)
-            v_hat = self.v[i] / (1.0 - b2**self.t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        c1, c2 = 1.0 - b1**self.t, 1.0 - b2**self.t
+        for p, g, m, v, blocks in zip(params, grads, self.m, self.v, self._blocks, strict=True):
+            for rows, a, b in blocks:
+                pb, mb, vb = p[rows], m[rows], v[rows]
+                np.multiply(pb, self.weight_decay, out=a)
+                np.add(g[rows], a, out=a)  # a = g
+                np.multiply(mb, b1, out=mb)
+                np.multiply(a, 1.0 - b1, out=b)
+                np.add(mb, b, out=mb)
+                np.multiply(a, a, out=a)
+                np.multiply(a, 1.0 - b2, out=a)
+                np.multiply(vb, b2, out=vb)
+                np.add(vb, a, out=vb)
+                np.divide(mb, c1, out=a)
+                np.multiply(a, self.lr, out=a)  # a = lr * m_hat
+                np.divide(vb, c2, out=b)
+                np.sqrt(b, out=b)
+                np.add(b, self.eps, out=b)
+                np.divide(a, b, out=a)
+                np.subtract(pb, a, out=pb)
         return model
 
 

@@ -90,17 +90,24 @@ def knn_search(features: np.ndarray, k: int, threads: int = 1) -> list[NeighborL
         band = (est <= bound[:, None]) | ~(finite & np.isfinite(bound))[:, None]
         np.fill_diagonal(band[:, start:], False)
         local, cols = np.nonzero(band)  # row-major: each band in index order
-        d2 = np.concatenate([
-            np.sum(np.square(X[start + local[s : s + pairs]] - X[cols[s : s + pairs]]), axis=1)
-            for s in range(0, len(cols), pairs)
-        ])
+        d2 = np.empty(len(cols))
+        for s in range(0, len(cols), pairs):
+            diff = X[start + local[s : s + pairs]]
+            diff -= X[cols[s : s + pairs]]
+            np.sum(np.square(diff, out=diff), axis=1, out=d2[s : s + pairs])
         order = np.lexsort((d2, local))  # stable: ties keep index order
         pick = order[np.searchsorted(local, np.arange(len(est)))[:, None] + np.arange(kk)]
         return [NeighborList(i, dist) for i, dist in zip(cols[pick], np.sqrt(d2[pick]))]
 
     if threads > 1:
+        errstate = np.geterr()  # pool threads start from numpy's default
+
+        def task(start: int) -> list[NeighborList]:
+            with np.errstate(**errstate):
+                return work(start)
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            blocks = list(pool.map(work, range(0, p, block)))
+            blocks = list(pool.map(task, range(0, p, block)))
     else:
         blocks = [work(start) for start in range(0, p, block)]
     return [nb for part in blocks for nb in part]

@@ -8,6 +8,7 @@ import pytest
 
 from cleanse.checks import relative_error
 from cleanse.neural import (
+    _STEP_BLOCK,
     Adam,
     Mlp,
     Sgd,
@@ -197,6 +198,69 @@ class TestOptimizers:
         opt.step(model, grads)
         for mom, p in zip(opt.m, model.parameters()):
             assert mom.shape == p.shape
+
+
+def _textbook_sgd_step(params, grads, lr, weight_decay):
+    for p, g in zip(params, grads):
+        p -= lr * (g + weight_decay * p)
+
+
+class _TextbookAdam:
+    """The plain-expression update the blocked Adam.step must equal bit for bit."""
+
+    def __init__(self, params, lr, weight_decay, betas=(0.9, 0.999), eps=1e-8):
+        self.lr, self.weight_decay, self.betas, self.eps = lr, weight_decay, betas, eps
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+        self.t = 0
+
+    def step(self, params, grads):
+        self.t += 1
+        b1, b2 = self.betas
+        for i, (p, g) in enumerate(zip(params, grads)):
+            g = g + self.weight_decay * p
+            self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
+            self.v[i] = b2 * self.v[i] + (1.0 - b2) * (g * g)
+            m_hat = self.m[i] / (1.0 - b1**self.t)
+            v_hat = self.v[i] / (1.0 - b2**self.t)
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+class TestBlockedStep:
+    @staticmethod
+    def _model():
+        # 784x300 spans several row blocks, a 40000-wide row exceeds one
+        # block, the 1-D biases are single blocks, and the Fortran-ordered
+        # weight makes every row slice a strided view
+        rng = np.random.default_rng(12)
+        weights = [
+            rng.standard_normal((784, 300)),
+            rng.standard_normal((3, 40000)),
+            np.asfortranarray(rng.standard_normal((70, 50))),
+        ]
+        biases = [rng.standard_normal(300), rng.standard_normal(40000), rng.standard_normal(50)]
+        assert 784 * 300 > 2 * _STEP_BLOCK and 40000 > _STEP_BLOCK
+        return Mlp(widths=(784, 300), weights=weights, biases=biases)
+
+    @pytest.mark.parametrize("name", ["adam", "sgd"])
+    def test_equals_textbook_update_in_place(self, name):
+        model = self._model()
+        params = model.parameters()
+        want = [p.copy() for p in params]
+        lr, wd = 1e-3, 1e-5
+        opt = Adam(lr=lr, weight_decay=wd) if name == "adam" else Sgd(lr=lr, weight_decay=wd)
+        ref = _TextbookAdam(want, lr, wd) if name == "adam" else None
+        rng = np.random.default_rng(13)
+        for _ in range(5):
+            grads = [rng.standard_normal(p.shape) for p in params]
+            opt.step(model, grads)
+            if ref is None:
+                _textbook_sgd_step(want, grads, lr, wd)
+            else:
+                ref.step(want, grads)
+            for p, q, w in zip(model.parameters(), params, want):
+                assert p is q
+                assert p.tobytes() == w.tobytes()
 
 
 class TestCheckpoint:

@@ -2,6 +2,7 @@
 logic against an independent vote enumeration, and weight-matrix algebra."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from cleanse.checks import brute_force_knn
 from cleanse.data import PartialDataset
 from cleanse.reweight import (
+    _CHUNK_ELEMENTS,
     NO_ENHANCEMENT,
     build_weight_matrix,
     enhanced_label,
@@ -93,6 +95,32 @@ class TestKnnSearch:
             assert r not in g.indices
             np.testing.assert_array_equal(g.indices, w_idx)
             np.testing.assert_array_equal(g.distances, w_dist)
+
+    def test_rerank_spanning_several_difference_blocks(self):
+        # each row's band holds at least k points, so p * k band pairs exceed
+        # one (pairs, d) difference block and the re-rank loop runs again
+        p, d, k = 300, 784, 10
+        assert p * k > _CHUNK_ELEMENTS // d
+        X = np.random.default_rng(21).standard_normal((p, d))
+        got = knn_search(X, k)
+        rows = range(0, p, 23)
+        for r, (w_idx, w_dist) in zip(rows, brute_force_knn(X, k, rows=rows)):
+            assert got[r].indices.tobytes() == w_idx.tobytes()
+            assert got[r].distances.tobytes() == w_dist.tobytes()
+
+    def test_threads_keep_callers_error_state(self):
+        # pool threads start from numpy's default error state; the search
+        # must run under the caller's, as the sequential path does
+        X = np.random.default_rng(5).standard_normal((40, 3)) * 1e200
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with np.errstate(all="ignore"):
+                par = knn_search(X, 3, threads=2)
+                seq = knn_search(X, 3, threads=1)
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        for a, b in zip(par, seq):
+            assert a.indices.tobytes() == b.indices.tobytes()
+            assert a.distances.tobytes() == b.distances.tobytes()
 
     def test_distances_nondecreasing(self):
         X = np.random.default_rng(4).standard_normal((40, 3))
