@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 
 from .countloss import (
     CountDistribution,
-    CountInterval,
     CountLossResult,
     batch_intervals,
     count_log_pmf,
@@ -30,7 +29,6 @@ from .neural import Adam, Mlp, Sgd, backward, forward, load_mlp, reweighted_ce, 
 from .reweight import (
     NO_ENHANCEMENT,
     NeighborList,
-    WeightMatrix,
     build_weight_matrix,
     enhanced_label,
     knn_search,
@@ -49,13 +47,11 @@ __all__ = [
     "read_pll_file",
     "write_pll_file",
     "NeighborList",
-    "WeightMatrix",
     "NO_ENHANCEMENT",
     "knn_search",
     "enhanced_label",
     "build_weight_matrix",
     "CountDistribution",
-    "CountInterval",
     "CountLossResult",
     "log1mexp",
     "logsumexp",

@@ -12,14 +12,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .countloss import (
-    CountInterval,
+    batch_intervals,
     count_log_pmf,
     count_loss,
     interval_log_prob,
     logsumexp,
 )
+from .data import generate_synthetic
 from .neural import Mlp, backward, forward, reweighted_ce
 from .reweight import build_weight_matrix, knn_search
+from .trainer import batch_objective
 
 
 @dataclass(frozen=True)
@@ -71,7 +73,7 @@ def check_interval_probs(rng: np.random.Generator, cases: int = 200, max_n: int 
         p = rng.random(n)
         lo = int(rng.integers(0, n + 1))
         hi = int(rng.integers(lo, n + 1))
-        got = math.exp(interval_log_prob(pmf_fn(np.log(p)), CountInterval(lo, hi)))
+        got = math.exp(interval_log_prob(pmf_fn(np.log(p)), lo, hi))
         want = float(np.sum(pmf_by_enumeration(p)[lo : hi + 1]))
         worst = max(worst, abs(got - want))
     return CheckResult("interval-prob-vs-enumeration", worst, 1e-10)
@@ -86,21 +88,20 @@ def check_count_loss_grad(rng: np.random.Generator, cases: int = 50, max_n: int 
         m = int(rng.integers(2, 5))
         z = rng.standard_normal((n, m))
         probs = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
-        intervals = []
-        for _ in range(m):
-            lo = int(rng.integers(0, n))
-            hi = int(rng.integers(lo, n + 1))
-            intervals.append(CountInterval(lo, hi))
+        lo, hi = np.empty(m, dtype=np.int64), np.empty(m, dtype=np.int64)
+        for j in range(m):
+            lo[j] = rng.integers(0, n)
+            hi[j] = rng.integers(lo[j], n + 1)
         mode = "nll" if c % 2 == 0 else "entropy"
-        res = count_loss(probs, intervals, mode)
+        res = count_loss(probs, lo, hi, mode)
         for i in range(n):
             for j in range(m):
                 plus = probs.copy()
                 plus[i, j] += h
                 minus = probs.copy()
                 minus[i, j] -= h
-                fd = (count_loss(plus, intervals, mode).loss
-                      - count_loss(minus, intervals, mode).loss) / (2.0 * h)
+                fd = (count_loss(plus, lo, hi, mode).loss
+                      - count_loss(minus, lo, hi, mode).loss) / (2.0 * h)
                 worst = max(worst, relative_error(res.grad[i, j], fd))
     return CheckResult("count-loss-grad-vs-fd", worst, 1e-6)
 
@@ -110,7 +111,7 @@ def _clipped_interval_prob(dist, lo: int, hi: int) -> float:
     lo, hi = max(lo, 0), min(hi, dist.n)
     if lo > hi:
         return 0.0
-    return math.exp(interval_log_prob(dist, CountInterval(lo, hi)))
+    return math.exp(interval_log_prob(dist, lo, hi))
 
 
 def check_count_loss_grad_at_scale(rng: np.random.Generator, n: int = 1000, m: int = 3,
@@ -132,8 +133,8 @@ def check_count_loss_grad_at_scale(rng: np.random.Generator, n: int = 1000, m: i
     bounds = [(int(mean[j] - sd[j]), int(mean[j] + sd[j]) + 1) for j in range(m)]
     bounds[0] = (0, int(mean[0]))
     bounds[-1] = (int(mean[-1] - 2.0 * sd[-1]), n)
-    intervals = [CountInterval(lo, hi) for lo, hi in bounds]
-    res = count_loss(probs, intervals, "nll")
+    lo, hi = np.array(bounds).T
+    res = count_loss(probs, lo, hi, "nll")
 
     sample = np.concatenate(([0, n - 1], 1 + rng.choice(n - 2, rows - 2, replace=False)))
     log_probs = np.log(probs)
@@ -147,18 +148,16 @@ def check_count_loss_grad_at_scale(rng: np.random.Generator, n: int = 1000, m: i
     return CheckResult(f"count-loss-grad-vs-leave-one-out-n{n}", worst, 1e-9)
 
 
-def total_objective(model: Mlp, X, weights, intervals, lam: float, mode: str) -> float:
+def total_objective(model: Mlp, X, weights, lo, hi, lam: float, mode: str) -> float:
     """Combined loss used by the trainer step, as a pure function of the model."""
     _, probs = forward(model, X)
     rl, _, _ = reweighted_ce(probs, weights)
-    return rl + lam * count_loss(probs, intervals, mode).loss
+    return rl + lam * count_loss(probs, lo, hi, mode).loss
 
 
 def check_trainer_grad(rng: np.random.Generator, cases: int = 50, h: float = 1e-5) -> CheckResult:
-    """Full-chain parameter gradients of the combined objective vs FD."""
-    from .countloss import batch_intervals
-    from .data import generate_synthetic
-
+    """The trainer's own parameter gradients (``batch_objective``, then
+    ``backward``) of the combined objective vs FD of ``total_objective``."""
     worst = 0.0
     for c in range(cases):
         n = int(rng.integers(3, 7))
@@ -173,16 +172,13 @@ def check_trainer_grad(rng: np.random.Generator, cases: int = 50, h: float = 1e-
         for row in candidates:
             labs = np.flatnonzero(row)
             enhanced.append(int(labs[rng.integers(0, labs.size)]))
-        wm = build_weight_matrix(candidates, enhanced, temperature=2.0)
-        intervals = batch_intervals(candidates)
+        weights = build_weight_matrix(candidates, enhanced, temperature=2.0)
+        lo, hi = batch_intervals(candidates)
         lam = 0.7
         mode = "nll" if c % 2 == 0 else "entropy"
 
         hidden, probs = forward(model, X)
-        _, grad_logits, _ = reweighted_ce(probs, wm.weights)
-        cres = count_loss(probs, intervals, mode)
-        gdotp = np.sum(cres.grad * probs, axis=1, keepdims=True)
-        grad_logits = grad_logits + lam * probs * (cres.grad - gdotp)
+        _, _, grad_logits = batch_objective(probs, weights, lo, hi, lam, mode)
         grads = backward(model, X, hidden, grad_logits)
 
         for p, g in zip(model.parameters(), grads):
@@ -191,9 +187,9 @@ def check_trainer_grad(rng: np.random.Generator, cases: int = 50, h: float = 1e-
             for idx in range(flat.size):
                 orig = flat[idx]
                 flat[idx] = orig + h
-                up = total_objective(model, X, wm.weights, intervals, lam, mode)
+                up = total_objective(model, X, weights, lo, hi, lam, mode)
                 flat[idx] = orig - h
-                down = total_objective(model, X, wm.weights, intervals, lam, mode)
+                down = total_objective(model, X, weights, lo, hi, lam, mode)
                 flat[idx] = orig
                 worst = max(worst, relative_error(gflat[idx], (up - down) / (2.0 * h)))
     return CheckResult("trainer-grad-vs-fd", worst, 1e-4)

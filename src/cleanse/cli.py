@@ -188,7 +188,7 @@ def cmd_train(args) -> int:
 
         def on_epoch(metrics, model):
             # streamed row by row so a concurrent reader can tail the file
-            fh.write(format_metrics_row(metrics, args.record_timing) + "\n")
+            fh.write(format_metrics_row(metrics) + "\n")
             fh.flush()
             if args.checkpoint_every and (metrics.epoch + 1) % args.checkpoint_every == 0:
                 save_mlp(model, os.path.join(out_dir, f"model_epoch{metrics.epoch}.txt"))
@@ -327,8 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--eval-window", type=int, default=10)
     t.add_argument("--eval-stride", type=int, default=1)
     t.add_argument("--threads", type=int, default=1)
-    t.add_argument("--record-timing", action="store_true",
-                   help="write real wall times into metrics.csv (breaks byte replay)")
     t.add_argument("--checkpoint-every", type=int, default=0, metavar="E",
                    help="also write model_epoch<N>.txt every E epochs")
     t.add_argument("--quiet", action="store_true")

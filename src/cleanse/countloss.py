@@ -88,18 +88,6 @@ class CountDistribution:
         return len(self.log_pmf) - 1
 
 
-@dataclass(frozen=True)
-class CountInterval:
-    """Inclusive [lo, hi] range the per-class count is constrained to."""
-
-    lo: int
-    hi: int
-
-    def __post_init__(self):
-        if not (0 <= self.lo <= self.hi):
-            raise ValueError(f"invalid count interval [{self.lo}, {self.hi}]")
-
-
 def _dp_row(prev: np.ndarray, out: np.ndarray, log_p, log_q, lo: int, hi: int) -> None:
     """One recurrence step on padded (m, width) rows, for columns lo <= c < hi:
 
@@ -150,28 +138,25 @@ def count_log_pmf(log_p: np.ndarray) -> CountDistribution:
     return CountDistribution(log_pmf=_forward(log_p, log_q)[0, 1:-1])
 
 
-def interval_log_prob(dist: CountDistribution, interval: CountInterval) -> float:
+def interval_log_prob(dist: CountDistribution, lo: int, hi: int) -> float:
     """log P(lo <= count <= hi): logsumexp over the pmf slice."""
-    if interval.hi > dist.n:
-        raise ValueError(
-            f"interval [{interval.lo}, {interval.hi}] exceeds support 0..{dist.n}"
-        )
-    return logsumexp(dist.log_pmf[interval.lo : interval.hi + 1])
+    if not 0 <= lo <= hi <= dist.n:
+        raise ValueError(f"interval [{lo}, {hi}] outside 0 <= lo <= hi <= {dist.n}")
+    return logsumexp(dist.log_pmf[lo : hi + 1])
 
 
-def batch_intervals(candidates) -> list[CountInterval]:
-    """Per-class count bounds from a batch's (n, m) bool candidate mask.
+def batch_intervals(candidates) -> tuple[np.ndarray, np.ndarray]:
+    """Per-class count bounds ``lo, hi`` from a batch's (n, m) bool candidate mask.
 
-    For class j the lower bound is the number of clean samples labeled j
-    (those counts are certain) and the upper bound adds every partial
-    sample that still lists j as a candidate.
+    For class j, ``lo[j]`` counts the clean samples labeled j (those counts
+    are certain) and ``hi[j]`` adds every partial sample that still lists j
+    as a candidate.  Both are (m,) int64 arrays.
     """
     if len(candidates) == 0:
         raise ValueError("batch_intervals requires a nonempty batch")
     clean = candidates.sum(axis=1) == 1
-    lo = candidates[clean].sum(axis=0)
-    hi = lo + candidates[~clean].sum(axis=0)
-    return [CountInterval(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
+    lo = candidates[clean].sum(axis=0, dtype=np.int64)
+    return lo, lo + candidates[~clean].sum(axis=0, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -189,7 +174,7 @@ class CountLossResult:
 _GRAD_BLOCK = 64
 
 
-def _batch_inputs(probs: np.ndarray, intervals, mode: str) -> tuple:
+def _batch_inputs(probs: np.ndarray, lo, hi, mode: str) -> tuple:
     """Validated (n, m, 1) log p and log(1 - p), and the (m,) lo and hi."""
     if mode not in ("nll", "entropy"):
         raise ValueError(f"unknown count-loss mode {mode!r}")
@@ -197,17 +182,21 @@ def _batch_inputs(probs: np.ndarray, intervals, mode: str) -> tuple:
     if probs.ndim != 2:
         raise ValueError("batch_probs must be a 2-D matrix")
     n, m = probs.shape
-    if len(intervals) != m:
-        raise ValueError(f"expected {m} intervals, got {len(intervals)}")
-    for interval in intervals:
-        if interval.hi > n:
+    lo, hi = np.asarray(lo), np.asarray(hi)
+    for bound in (lo, hi):
+        if bound.shape != (m,) or not np.issubdtype(bound.dtype, np.integer):
             raise ValueError(
-                f"interval [{interval.lo}, {interval.hi}] exceeds batch size {n}"
+                f"count bounds must be integer arrays of shape ({m},), "
+                f"got {bound.dtype} {bound.shape}"
             )
+    bad = (lo < 0) | (lo > hi) | (hi > n)
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise ValueError(
+            f"count interval [{lo[j]}, {hi[j]}] of class {j} is outside 0 <= lo <= hi <= {n}"
+        )
     with np.errstate(divide="ignore"):
         log_p, log_q = _log_probs(np.log(probs))
-    lo = np.array([iv.lo for iv in intervals], dtype=np.int64)
-    hi = np.array([iv.hi for iv in intervals], dtype=np.int64)
     return log_p, log_q, lo, hi
 
 
@@ -303,16 +292,12 @@ def _leave_one_out_grad(
     return grad
 
 
-def count_loss(
-    batch_probs: np.ndarray,
-    intervals,
-    mode: str = "nll",
-) -> CountLossResult:
+def count_loss(batch_probs: np.ndarray, lo, hi, mode: str = "nll") -> CountLossResult:
     """Count objective and its exact gradient w.r.t. the prediction matrix.
 
     Per class j the batch column is treated as independent Bernoulli
-    probabilities, q_j = P(count_j in intervals[j]) comes out of the DP, and
-    the per-class terms are summed:
+    probabilities, q_j = P(lo[j] <= count_j <= hi[j]) comes out of the DP,
+    and the per-class terms are summed:
 
     * ``nll``     : sum_j -log q_j (clamped at ``MIN_LOG_PROB``; hitting the
       clamp raises the ``saturated`` flag instead of returning +inf).
@@ -322,7 +307,7 @@ def count_loss(
     leave-one-out identity evaluated on the forward lattice and its
     interval adjoint (``_leave_one_out_grad``), O(n^2 m) in all.
     """
-    log_p, log_q, lo, hi = _batch_inputs(batch_probs, intervals, mode)
+    log_p, log_q, lo, hi = _batch_inputs(batch_probs, lo, hi, mode)
     n, m, _ = log_p.shape
     lattice = np.full((n + 1, m, n + 3), LOG_ZERO)
     last = _forward(log_p, log_q, lattice)
@@ -331,11 +316,11 @@ def count_loss(
     return CountLossResult(loss=total, grad=grad, saturated=saturated)
 
 
-def count_loss_value(batch_probs: np.ndarray, intervals, mode: str = "nll") -> float:
+def count_loss_value(batch_probs: np.ndarray, lo, hi, mode: str = "nll") -> float:
     """``count_loss(...).loss`` without the lattice or the gradient.
 
     Keeps a single DP row, so memory is O(n m); used when the count loss is
     only reported (lambda = 0).
     """
-    log_p, log_q, lo, hi = _batch_inputs(batch_probs, intervals, mode)
+    log_p, log_q, lo, hi = _batch_inputs(batch_probs, lo, hi, mode)
     return _loss_terms(_interval_log_q(_forward(log_p, log_q), lo, hi), mode)[0]

@@ -37,14 +37,6 @@ class NeighborList:
         return len(self.indices)
 
 
-@dataclass(frozen=True)
-class WeightMatrix:
-    """Row-stochastic soft targets; support equals each row's candidate set."""
-
-    weights: np.ndarray  # n x m, rows sum to 1
-    temperature: float
-
-
 def knn_search(features: np.ndarray, k: int, threads: int = 1) -> list[NeighborList]:
     """Exact Euclidean k nearest neighbors of every row among all rows.
 
@@ -166,12 +158,13 @@ def enhanced_label(
     return min(zip((-votes[labs]).tolist(), nearest.tolist(), labs.tolist()))[2]
 
 
-def build_weight_matrix(candidates, enhanced, temperature: float) -> WeightMatrix:
+def build_weight_matrix(candidates, enhanced, temperature: float) -> np.ndarray:
     """Soft-target rows: 0 off-candidates, T on the enhanced label, 1 elsewhere.
 
-    ``candidates`` is the (n, m) bool mask.  Rows are divided by their sum,
-    so a clean sample is one-hot and a sentinel-enhanced row is uniform over
-    its candidates.
+    ``candidates`` is the (n, m) bool mask.  Returns the (n, m) float64
+    matrix with each row divided by its sum, so rows are stochastic with
+    support equal to the candidate set: a clean sample is one-hot and a
+    sentinel-enhanced row is uniform over its candidates.
     """
     if temperature < 1.0:
         raise ValueError("temperature must be >= 1")
@@ -189,4 +182,4 @@ def build_weight_matrix(candidates, enhanced, temperature: float) -> WeightMatri
     weights = candidates.astype(np.float64)
     weights[rows, cols] = temperature
     weights /= weights.sum(axis=1, keepdims=True)
-    return WeightMatrix(weights=weights, temperature=temperature)
+    return weights

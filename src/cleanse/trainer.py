@@ -141,6 +141,30 @@ def summarize(history, window: int) -> tuple[float, float]:
     return float(np.mean(accs)), float(np.std(accs))
 
 
+def _enhanced_labels(dataset: PartialDataset, neighbors, vote_mode: str) -> np.ndarray:
+    """(n,) int64 enhanced label of every row of ``dataset``, in row order."""
+    return np.array(
+        [enhanced_label(i, dataset, neighbors[i], vote_mode) for i in range(dataset.n)],
+        dtype=np.int64,
+    )
+
+
+def batch_objective(
+    probs: np.ndarray, weights: np.ndarray, lo, hi, lam: float, mode: str
+) -> tuple[float, float, np.ndarray]:
+    """Reweighted CE, count loss and d(CE + lam * count) / d logits for one batch.
+
+    At lam = 0 the count loss is only reported, so its value-only DP runs.
+    """
+    rl, grad_logits, _ = reweighted_ce(probs, weights)
+    if lam == 0.0:
+        return rl, count_loss_value(probs, lo, hi, mode), grad_logits
+    cres = count_loss(probs, lo, hi, mode)
+    # route the prob-space gradient through the softmax Jacobian
+    gdotp = np.sum(cres.grad * probs, axis=1, keepdims=True)
+    return rl, cres.loss, grad_logits + lam * probs * (cres.grad - gdotp)
+
+
 def fit(
     train: PartialDataset,
     test: PartialDataset | None,
@@ -164,14 +188,11 @@ def fit(
     model = Mlp.init((view.d, *config.hidden, m), rng)
     opt = make_optimizer(config.optimizer, config.lr, config.weight_decay)
 
-    global_neighbors = global_enhanced = None
+    global_enhanced = None
     if config.knn_scope == "global" and config.knn_features == "raw":
         # neighbours and enhanced labels of the raw view never change
-        global_neighbors = knn_search(view.features, config.k, threads=config.threads)
-        global_enhanced = [
-            enhanced_label(g, view, global_neighbors[g], config.vote_mode)
-            for g in range(view.n)
-        ]
+        neighbors = knn_search(view.features, config.k, threads=config.threads)
+        global_enhanced = _enhanced_labels(view, neighbors, config.vote_mode)
 
     history: list[EpochMetrics] = []
     for epoch in range(config.epochs):
@@ -179,7 +200,8 @@ def fit(
         if config.knn_scope == "global" and config.knn_features == "embedding":
             hidden, _ = forward(model, view.features)
             emb = hidden[-1] if hidden else view.features
-            global_neighbors = knn_search(emb, config.k, threads=config.threads)
+            neighbors = knn_search(emb, config.k, threads=config.threads)
+            global_enhanced = _enhanced_labels(view, neighbors, config.vote_mode)
 
         perm = rng.permutation(view.n)
         sum_rl = sum_rg = 0.0
@@ -192,29 +214,14 @@ def fit(
                 embed = config.knn_features == "embedding" and len(hidden) > 0
                 feats = hidden[-1] if embed else X
                 neighbors = knn_search(feats, config.k, threads=config.threads)
-                enhanced = [
-                    enhanced_label(i, batch, neighbors[i], config.vote_mode)
-                    for i in range(batch.n)
-                ]
-            elif global_enhanced is not None:
-                enhanced = [global_enhanced[g] for g in batch_idx]
+                enhanced = _enhanced_labels(batch, neighbors, config.vote_mode)
             else:
-                enhanced = [
-                    enhanced_label(int(g), view, global_neighbors[int(g)], config.vote_mode)
-                    for g in batch_idx
-                ]
-            wm = build_weight_matrix(batch.candidates, enhanced, config.temperature)
-
-            rl, grad_logits, _ = reweighted_ce(probs, wm.weights)
-            intervals = batch_intervals(batch.candidates)
-            if config.lam != 0.0:
-                cres = count_loss(probs, intervals, config.count_mode)
-                rg = cres.loss
-                # route the prob-space gradient through the softmax Jacobian
-                gdotp = np.sum(cres.grad * probs, axis=1, keepdims=True)
-                grad_logits = grad_logits + config.lam * probs * (cres.grad - gdotp)
-            else:
-                rg = count_loss_value(probs, intervals, config.count_mode)
+                enhanced = global_enhanced[batch_idx]
+            weights = build_weight_matrix(batch.candidates, enhanced, config.temperature)
+            lo, hi = batch_intervals(batch.candidates)
+            rl, rg, grad_logits = batch_objective(
+                probs, weights, lo, hi, config.lam, config.count_mode
+            )
             if not (math.isfinite(rl) and math.isfinite(rg)):
                 raise TrainingDiverged(epoch, batch_no, rl, rg)
 
@@ -257,24 +264,24 @@ def fit(
 CSV_HEADER = "epoch,reweight_loss,count_loss,total_loss,test_accuracy,seconds"
 
 
-def format_metrics_row(metrics: EpochMetrics, include_timing: bool = False) -> str:
+def format_metrics_row(metrics: EpochMetrics) -> str:
     """One CSV row, 9 significant digits.
 
-    Timing is zeroed unless explicitly requested: the CSV is a replayable
-    data artifact, and wall time is the one field a rerun cannot reproduce.
+    The ``seconds`` column is always 0: the CSV is a replayable data
+    artifact, and wall time is the one field a rerun cannot reproduce.
+    Per-epoch times print in the ``progress`` lines instead.
     """
-    secs = metrics.seconds if include_timing else 0.0
     return (
         f"{metrics.epoch},{metrics.reweight_loss:.9g},{metrics.count_loss:.9g},"
-        f"{metrics.total_loss:.9g},{metrics.test_accuracy:.9g},{secs:.9g}"
+        f"{metrics.total_loss:.9g},{metrics.test_accuracy:.9g},0"
     )
 
 
-def write_metrics_csv(history, path, include_timing: bool = False) -> None:
+def write_metrics_csv(history, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
         for metrics in history:
-            fh.write(format_metrics_row(metrics, include_timing) + "\n")
+            fh.write(format_metrics_row(metrics) + "\n")
 
 
 def read_metrics_csv(path) -> list[EpochMetrics]:

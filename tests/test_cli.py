@@ -8,9 +8,10 @@ import shutil
 import numpy as np
 import pytest
 
-from cleanse.checks import check_count_pmf
+import cleanse.trainer as trainer_module
+from cleanse.checks import check_count_pmf, check_trainer_grad
 from cleanse.cli import EXIT_DIVERGED, EXIT_IO, EXIT_OK, EXIT_USAGE, main
-from cleanse.countloss import CountDistribution, count_log_pmf
+from cleanse.countloss import CountDistribution, CountLossResult, count_log_pmf
 from cleanse.data import PartialDataset, read_pll_file, write_pll_file
 
 
@@ -340,6 +341,20 @@ class TestCheck:
 
         result = check_count_pmf(np.random.default_rng(0), cases=20, pmf_fn=broken_pmf)
         assert result.name == "count-pmf-vs-enumeration"
+        assert not result.passed
+
+    def test_trainer_grad_gates_the_trainers_own_chain(self, monkeypatch):
+        # a sign error in the count-loss gradient the trainer uses must fail
+        # the check; its finite-difference reference keeps the true loss
+        count_loss = trainer_module.count_loss
+
+        def flipped(*args, **kwargs):
+            res = count_loss(*args, **kwargs)
+            return CountLossResult(loss=res.loss, grad=-res.grad, saturated=res.saturated)
+
+        monkeypatch.setattr(trainer_module, "count_loss", flipped)
+        result = check_trainer_grad(np.random.default_rng(0), cases=5)
+        assert result.name == "trainer-grad-vs-fd"
         assert not result.passed
 
     def test_check_subcommand_alias(self, capsys):

@@ -9,7 +9,6 @@ import pytest
 
 from cleanse.countloss import (
     LOG_ZERO,
-    CountInterval,
     batch_intervals,
     count_log_pmf,
     count_loss,
@@ -154,26 +153,25 @@ class TestCountLogPmf:
 class TestIntervalLogProb:
     def test_full_support_is_certain(self):
         dist = count_log_pmf(np.log([0.3, 0.8, 0.5]))
-        assert interval_log_prob(dist, CountInterval(0, 3)) == pytest.approx(0.0, abs=1e-12)
+        assert interval_log_prob(dist, 0, 3) == pytest.approx(0.0, abs=1e-12)
 
     def test_two_fair_coins_upper(self):
         dist = count_log_pmf(np.log([0.5, 0.5]))
-        assert interval_log_prob(dist, CountInterval(1, 2)) == pytest.approx(
+        assert interval_log_prob(dist, 1, 2) == pytest.approx(
             math.log(0.75), abs=1e-12
         )
 
     def test_three_probability_interval(self):
         dist = count_log_pmf(np.log([0.2, 0.7, 0.5]))
-        assert interval_log_prob(dist, CountInterval(1, 2)) == pytest.approx(
+        assert interval_log_prob(dist, 1, 2) == pytest.approx(
             math.log(0.81), abs=1e-12
         )
 
     def test_invalid_intervals_rejected(self):
         dist = count_log_pmf(np.log([0.5, 0.5]))
-        with pytest.raises(ValueError):
-            CountInterval(2, 1)
-        with pytest.raises(ValueError):
-            interval_log_prob(dist, CountInterval(0, 3))
+        for lo, hi in [(2, 1), (0, dist.n + 1), (-1, 1)]:
+            with pytest.raises(ValueError, match="outside"):
+                interval_log_prob(dist, lo, hi)
 
     def test_widening_never_decreases(self):
         rng = np.random.default_rng(5)
@@ -182,19 +180,22 @@ class TestIntervalLogProb:
             dist = count_log_pmf(np.log(rng.random(n)))
             lo = int(rng.integers(1, n))
             hi = int(rng.integers(lo, n))
-            base = interval_log_prob(dist, CountInterval(lo, hi))
-            assert interval_log_prob(dist, CountInterval(lo - 1, hi)) >= base
-            assert interval_log_prob(dist, CountInterval(lo, hi + 1)) >= base
+            base = interval_log_prob(dist, lo, hi)
+            assert interval_log_prob(dist, lo - 1, hi) >= base
+            assert interval_log_prob(dist, lo, hi + 1) >= base
 
 
 class TestBatchIntervals:
     def test_all_clean_pins_counts(self):
         cands = np.array([[True, False], [True, False], [False, True]])
-        assert batch_intervals(cands) == [CountInterval(2, 2), CountInterval(1, 1)]
+        lo, hi = batch_intervals(cands)
+        assert lo.dtype == hi.dtype == np.int64
+        assert lo.tolist() == [2, 1] and hi.tolist() == [2, 1]
 
     def test_clean_plus_partial(self):
         cands = np.array([[True, False], [True, True]])
-        assert batch_intervals(cands) == [CountInterval(1, 2), CountInterval(0, 1)]
+        lo, hi = batch_intervals(cands)
+        assert lo.tolist() == [1, 0] and hi.tolist() == [2, 1]
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
@@ -204,11 +205,12 @@ class TestBatchIntervals:
         m = 5
         truths = np.random.default_rng(9).integers(0, m, size=64)
         cands = generate_synthetic(truths, m, q=0.4, seed=17)
-        got = batch_intervals(cands)
+        lo, hi = batch_intervals(cands)
+        assert lo.shape == hi.shape == (m,)
         for j in range(m):
             clean_j = sum(1 for row in cands if row.sum() == 1 and row[j])
             partial_j = sum(1 for row in cands if row.sum() > 1 and row[j])
-            assert got[j] == CountInterval(clean_j, clean_j + partial_j)
+            assert (lo[j], hi[j]) == (clean_j, clean_j + partial_j)
 
 
 def _random_instance(rng, max_n=8):
@@ -216,41 +218,41 @@ def _random_instance(rng, max_n=8):
     m = int(rng.integers(2, 5))
     z = rng.standard_normal((n, m))
     probs = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
-    intervals = []
-    for _ in range(m):
-        lo = int(rng.integers(0, n))
-        intervals.append(CountInterval(lo, int(rng.integers(lo, n + 1))))
-    return probs, intervals
+    lo, hi = np.empty(m, dtype=np.int64), np.empty(m, dtype=np.int64)
+    for j in range(m):
+        lo[j] = rng.integers(0, n)
+        hi[j] = rng.integers(lo[j], n + 1)
+    return probs, lo, hi
 
 
 class TestCountLoss:
     def test_certain_interval_zero_loss_zero_grad(self):
         probs = np.full((3, 2), 0.5)
         for mode in ("nll", "entropy"):
-            res = count_loss(probs, [CountInterval(0, 3)] * 2, mode)
+            res = count_loss(probs, np.full(2, 0), np.full(2, 3), mode)
             assert res.loss == pytest.approx(0.0, abs=1e-12)
             np.testing.assert_allclose(res.grad, 0.0, atol=1e-12)
             assert not res.saturated
 
     def test_nll_two_fair_coins(self):
         probs = np.full((2, 2), 0.5)
-        res = count_loss(probs, [CountInterval(1, 2)] * 2, "nll")
+        res = count_loss(probs, np.full(2, 1), np.full(2, 2), "nll")
         assert res.loss == pytest.approx(2.0 * -math.log(0.75), abs=1e-12)
 
     def test_entropy_literal_form(self):
         probs = np.full((2, 2), 0.5)
-        res = count_loss(probs, [CountInterval(1, 2)] * 2, "entropy")
+        res = count_loss(probs, np.full(2, 1), np.full(2, 2), "entropy")
         q = 0.75
         assert res.loss == pytest.approx(2.0 * (-q * math.log(q)), abs=1e-12)
 
     def test_nll_loss_nonnegative_zero_iff_certain(self):
         rng = np.random.default_rng(21)
         for _ in range(30):
-            probs, intervals = _random_instance(rng)
-            res = count_loss(probs, intervals, "nll")
+            probs, lo, hi = _random_instance(rng)
+            res = count_loss(probs, lo, hi, "nll")
             assert res.loss >= 0.0
-        certain = [CountInterval(0, 4)] * 3
-        assert count_loss(np.full((4, 3), 1 / 3), certain, "nll").loss == pytest.approx(
+        certain = np.full(3, 0), np.full(3, 4)
+        assert count_loss(np.full((4, 3), 1 / 3), *certain, "nll").loss == pytest.approx(
             0.0, abs=1e-12
         )
 
@@ -259,8 +261,8 @@ class TestCountLoss:
         rng = np.random.default_rng(13)
         h = 1e-6
         for _ in range(20):
-            probs, intervals = _random_instance(rng)
-            res = count_loss(probs, intervals, mode)
+            probs, lo, hi = _random_instance(rng)
+            res = count_loss(probs, lo, hi, mode)
             for i in range(probs.shape[0]):
                 for j in range(probs.shape[1]):
                     plus = probs.copy()
@@ -268,8 +270,8 @@ class TestCountLoss:
                     minus = probs.copy()
                     minus[i, j] -= h
                     fd = (
-                        count_loss(plus, intervals, mode).loss
-                        - count_loss(minus, intervals, mode).loss
+                        count_loss(plus, lo, hi, mode).loss
+                        - count_loss(minus, lo, hi, mode).loss
                     ) / (2 * h)
                     assert relative_error(res.grad[i, j], fd) <= 1e-6
 
@@ -277,7 +279,7 @@ class TestCountLoss:
         # both instances predict class 0 with certainty but the interval
         # demands count 0: interval probability is exactly zero
         probs = np.array([[1.0, 0.0], [1.0, 0.0]])
-        res = count_loss(probs, [CountInterval(0, 0), CountInterval(2, 2)], "nll")
+        res = count_loss(probs, np.array([0, 2]), np.array([0, 2]), "nll")
         assert res.saturated
         assert math.isfinite(res.loss)
         assert np.all(np.isfinite(res.grad))
@@ -285,12 +287,40 @@ class TestCountLoss:
     def test_unknown_mode_rejected(self):
         for fn in (count_loss, count_loss_value):
             with pytest.raises(ValueError):
-                fn(np.full((2, 2), 0.5), [CountInterval(0, 2)] * 2, "kl")
+                fn(np.full((2, 2), 0.5), np.full(2, 0), np.full(2, 2), "kl")
 
     def test_interval_beyond_batch_rejected(self):
         for fn in (count_loss, count_loss_value):
             with pytest.raises(ValueError):
-                fn(np.full((2, 2), 0.5), [CountInterval(0, 3)] * 2, "nll")
+                fn(np.full((2, 2), 0.5), np.full(2, 0), np.full(2, 3), "nll")
+
+    @pytest.mark.parametrize("fn", [count_loss, count_loss_value])
+    @pytest.mark.parametrize(
+        "lo, hi, bad",
+        [
+            ([0, -1, -1], [3, 3, 3], 1),  # lo < 0; the first bad class is named
+            ([0, 0, 2], [3, 3, 1], 2),  # lo > hi
+            ([0, 0, 0], [4, 3, 3], 0),  # hi > n
+        ],
+    )
+    def test_malformed_bounds_name_the_class(self, fn, lo, hi, bad):
+        with pytest.raises(ValueError, match=f"of class {bad} is outside"):
+            fn(np.full((3, 3), 1 / 3), np.array(lo), np.array(hi), "nll")
+
+    @pytest.mark.parametrize("fn", [count_loss, count_loss_value])
+    def test_bounds_of_wrong_shape_or_type_rejected(self, fn):
+        probs = np.full((2, 2), 0.5)
+        for lo, hi in [
+            (np.full(3, 0), np.full(3, 2)),  # one bound per class, not per row
+            (np.full((2, 1), 0), np.full((2, 1), 2)),
+            (np.full(2, 0), np.full(1, 2)),
+            (np.full(2, 0.0), np.full(2, 2.0)),
+        ]:
+            with pytest.raises(ValueError, match=r"integer arrays of shape \(2,\)"):
+                fn(probs, lo, hi, "nll")
+        # the old call shape, a list of (lo, hi) pairs, must not be misread at m = 2
+        with pytest.raises(ValueError, match=r"shape \(2,\)"):
+            fn(probs, [(0, 2), (1, 2)], "nll")
 
     def test_nll_loss_never_negative_with_certain_intervals(self):
         # with [0, n] intervals q is 1 up to roundoff, which once pushed
@@ -301,7 +331,7 @@ class TestCountLoss:
             m = int(rng.integers(2, 6))
             z = rng.standard_normal((n, m))
             probs = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
-            res = count_loss(probs, [CountInterval(0, n)] * m, "nll")
+            res = count_loss(probs, np.full(m, 0), np.full(m, n), "nll")
             assert res.loss >= 0.0
 
     def test_grad_matches_leave_one_out_at_scale(self):
@@ -313,7 +343,7 @@ class TestCountLoss:
     def test_value_path_matches_count_loss(self, mode):
         rng = np.random.default_rng(17)
         for max_n in (8, 8, 8, 200, 1000):
-            probs, intervals = _random_instance(rng, max_n)
-            want = count_loss(probs, intervals, mode).loss
-            got = count_loss_value(probs, intervals, mode)
+            probs, lo, hi = _random_instance(rng, max_n)
+            want = count_loss(probs, lo, hi, mode).loss
+            got = count_loss_value(probs, lo, hi, mode)
             assert abs(got - want) <= 1e-15 * max(1.0, abs(want))

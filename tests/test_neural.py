@@ -95,14 +95,14 @@ class TestReweightedCe:
             size = int(rng.integers(1, m + 1))
             row[rng.permutation(m)[:size]] = True
         enhanced = [int(np.argmax(row)) for row in cands]
-        wm = build_weight_matrix(cands, enhanced, temperature=1.0)
+        weights = build_weight_matrix(cands, enhanced, temperature=1.0)
         reference = np.zeros((32, m))
         for i, row in enumerate(cands):
             labs = np.flatnonzero(row)
             reference[i, labs] = 1.0 / len(labs)
-        np.testing.assert_array_equal(wm.weights, reference)
+        np.testing.assert_array_equal(weights, reference)
         probs = softmax(rng.standard_normal((32, m)))
-        loss_a, grad_a, _ = reweighted_ce(probs, wm.weights)
+        loss_a, grad_a, _ = reweighted_ce(probs, weights)
         loss_b, grad_b, _ = reweighted_ce(probs, reference)
         assert loss_a == loss_b
         np.testing.assert_array_equal(grad_a, grad_b)

@@ -288,34 +288,34 @@ class TestEnhancedLabel:
 class TestWeightMatrix:
     def test_enhanced_row_example(self):
         cands = _mask([[1, 3, 7]], 10)
-        wm = build_weight_matrix(cands, [3], temperature=3.0)
+        weights = build_weight_matrix(cands, [3], temperature=3.0)
         want = np.zeros(10)
         want[[1, 7]] = 0.2
         want[3] = 0.6
-        np.testing.assert_allclose(wm.weights[0], want, atol=1e-15)
+        np.testing.assert_allclose(weights[0], want, atol=1e-15)
 
     def test_clean_sample_is_one_hot(self):
         cands = _mask([[6]], 10)
         for temp in (1.0, 3.0, 10.0):
-            wm = build_weight_matrix(cands, [6], temperature=temp)
+            weights = build_weight_matrix(cands, [6], temperature=temp)
             want = np.zeros(10)
             want[6] = 1.0
-            np.testing.assert_array_equal(wm.weights[0], want)
+            np.testing.assert_array_equal(weights[0], want)
 
     def test_temperature_one_is_uniform_over_candidates(self):
         cands = _mask([[0, 2, 5]], 6)
         for enhanced in (0, 2, 5, NO_ENHANCEMENT):
-            wm = build_weight_matrix(cands, [enhanced], temperature=1.0)
+            weights = build_weight_matrix(cands, [enhanced], temperature=1.0)
             want = np.zeros(6)
             want[[0, 2, 5]] = 1.0 / 3.0
-            np.testing.assert_array_equal(wm.weights[0], want)
+            np.testing.assert_array_equal(weights[0], want)
 
     def test_sentinel_falls_back_to_uniform(self):
         cands = _mask([[1, 4]], 5)
-        wm = build_weight_matrix(cands, [NO_ENHANCEMENT], temperature=4.0)
+        weights = build_weight_matrix(cands, [NO_ENHANCEMENT], temperature=4.0)
         want = np.zeros(5)
         want[[1, 4]] = 0.5
-        np.testing.assert_array_equal(wm.weights[0], want)
+        np.testing.assert_array_equal(weights[0], want)
 
     def test_support_equals_candidates_and_rows_stochastic(self):
         rng = np.random.default_rng(23)
@@ -329,19 +329,20 @@ class TestWeightMatrix:
                 labs = sorted(rng.permutation(m)[:size].tolist())
                 cand_lists.append(labs)
                 enhanced.append(labs[int(rng.integers(0, size))])
-            wm = build_weight_matrix(_mask(cand_lists, m), enhanced, temperature=3.0)
+            weights = build_weight_matrix(_mask(cand_lists, m), enhanced, temperature=3.0)
+            assert weights.dtype == np.float64 and weights.shape == (n, m)
             for i, labs in enumerate(cand_lists):
-                on = wm.weights[i] > 0
+                on = weights[i] > 0
                 np.testing.assert_array_equal(np.flatnonzero(on), np.array(labs))
-                assert abs(wm.weights[i].sum() - 1.0) < 1e-12
+                assert abs(weights[i].sum() - 1.0) < 1e-12
 
     def test_raising_temperature_is_monotone(self):
         cands = _mask([[1, 3, 7]], 10)
         prev_enh, prev_rest = 0.0, 1.0
         for temp in (1.0, 2.0, 3.0, 8.0):
-            wm = build_weight_matrix(cands, [3], temperature=temp)
-            enh = wm.weights[0][3]
-            rest = wm.weights[0][1]
+            weights = build_weight_matrix(cands, [3], temperature=temp)
+            enh = weights[0][3]
+            rest = weights[0][1]
             if temp > 1.0:
                 assert enh > prev_enh
                 assert rest < prev_rest

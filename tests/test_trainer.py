@@ -266,7 +266,10 @@ class TestEvaluateSummarize:
 
 
 class TestGlobalRawEnhancedLabels:
-    def test_computed_once_per_row_per_run(self, monkeypatch):
+    @pytest.mark.parametrize("knn_features", ["raw", "embedding"])
+    def test_computed_once_per_row_per_run(self, monkeypatch, knn_features):
+        # raw neighbours never change, so labels are computed once per run;
+        # embedding neighbours are recomputed each epoch, in view order
         ds = make_dataset(n=100, seed=16)
         train, test = split(ds, 0.2, seed=17)
         calls = []
@@ -277,9 +280,11 @@ class TestGlobalRawEnhancedLabels:
             return original(i, dataset, neighbors, vote_mode)
 
         monkeypatch.setattr(trainer_module, "enhanced_label", counting)
-        config = TrainConfig(epochs=3, batch_size=32, hidden=(8,), knn_scope="global", seed=18)
+        config = TrainConfig(epochs=3, batch_size=32, hidden=(8,), knn_scope="global",
+                             knn_features=knn_features, seed=18)
         fit(train, test, config)
-        assert calls == list(range(train.n))
+        runs = 1 if knn_features == "raw" else config.epochs
+        assert calls == list(range(train.n)) * runs
 
 
 class TestDivergence:
