@@ -1,13 +1,16 @@
-"""Self-contained oracle checks: brute-force enumeration, brute-force k-NN
-and finite differences against the fast paths.  The CLI `check` subcommand
-runs these in CI; the test suite reuses the same oracles.
+"""Self-contained oracle checks: brute-force enumeration, brute-force k-NN,
+finite differences and a bitwise file round trip against the fast paths.
+The CLI `check` subcommand runs these in CI; the test suite reuses the same
+oracles.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -18,7 +21,13 @@ from .countloss import (
     interval_log_prob,
     logsumexp,
 )
-from .data import generate_synthetic
+from .data import (
+    _READ_ROWS,
+    PartialDataset,
+    generate_synthetic,
+    read_pll_file,
+    write_pll_file,
+)
 from .neural import Mlp, backward, forward, reweighted_ce
 from .reweight import build_weight_matrix, knn_search
 from .trainer import batch_objective
@@ -261,6 +270,36 @@ def check_logsumexp_identity() -> CheckResult:
     return CheckResult("logsumexp-shift-identity", dev, 1e-12)
 
 
+def check_pll_roundtrip(rng: np.random.Generator, n: int = 4 * _READ_ROWS, d: int = 8,
+                        m: int = 5) -> CheckResult:
+    """write_pll_file -> read_pll_file, bitwise, over several parsing blocks.
+
+    The first half of the rows are uniform 64-bit patterns (non-finite ones
+    replaced by -0.0), so subnormals and every exponent occur, and its first
+    eight features are the extremes.  The second half are standard normals:
+    whole blocks of values that a parser of narrower range still accepts.
+    The deviation counts features whose bits differ plus rows whose
+    candidates or truth differ.
+    """
+    feats = rng.integers(0, 1 << 64, size=(n, d), dtype=np.uint64).view(np.float64)
+    feats[~np.isfinite(feats)] = -0.0
+    fi = np.finfo(np.float64)
+    feats.flat[:8] = [fi.max, -fi.max, fi.smallest_subnormal, -fi.smallest_subnormal,
+                      fi.tiny, -0.0, 0.0, 1.0]
+    feats[n // 2 :] = rng.standard_normal((n - n // 2, d))
+    truths = rng.integers(0, m, size=n)
+    cands = generate_synthetic(truths, m, 0.5, seed=int(rng.integers(1 << 30)))
+    ds = PartialDataset(feats, cands, m, hidden_truth=truths)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "roundtrip.pll"
+        write_pll_file(ds, path)
+        back = read_pll_file(path)
+    dev = np.count_nonzero(back.features.view(np.uint64) != ds.features.view(np.uint64))
+    dev += np.count_nonzero((back.candidates != ds.candidates).any(axis=1))
+    dev += np.count_nonzero(back.hidden_truth != ds.hidden_truth)
+    return CheckResult("pll-roundtrip", float(dev), 0.0)
+
+
 def run_all_checks(seed: int = 0, stress_n: int = 1024) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     return [
@@ -272,4 +311,5 @@ def run_all_checks(seed: int = 0, stress_n: int = 1024) -> list[CheckResult]:
         check_underflow_stress(stress_n),
         check_logsumexp_identity(),
         check_knn_brute_force(rng),
+        check_pll_roundtrip(rng),
     ]

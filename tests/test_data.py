@@ -1,11 +1,13 @@
 """Dataset model, synthetic candidate generation, splitting, file format."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from cleanse.data import (
+    _READ_ROWS,
     PartialDataset,
     PllFormatError,
     compute_stats,
@@ -174,6 +176,12 @@ class TestDatasetModel:
         assert stripped.hidden_truth is None
         np.testing.assert_array_equal(stripped.candidates, ds.candidates)
         assert stripped.strip_truth() is stripped
+        assert ds.hidden_truth is not None
+        # a view: no copy of the validated arrays, which stay read-only
+        assert np.shares_memory(stripped.features, ds.features)
+        assert np.shares_memory(stripped.candidates, ds.candidates)
+        for arr in (stripped.features, stripped.candidates, ds.features, ds.candidates):
+            assert not arr.flags.writeable
 
     def test_shape_mismatch_rejected(self):
         cands = np.array([[True, False]])
@@ -315,6 +323,64 @@ class TestPllFile:
         path.write_text("#pll n=2 d=1 m=3\n0;0;1.0\n0;0 1.0\n")
         with pytest.raises(PllFormatError, match="line 3"):
             read_pll_file(path)
+
+    def test_random_bit_patterns_round_trip_bitwise(self, tmp_path):
+        # every exponent, subnormals and signed zeros, over several blocks
+        n, d = 2 * _READ_ROWS + 7, 5
+        rng = np.random.default_rng(15)
+        feats = rng.integers(0, 1 << 64, size=(n, d), dtype=np.uint64).view(np.float64)
+        feats[~np.isfinite(feats)] = -0.0
+        fi = np.finfo(np.float64)
+        feats[0] = [fi.max, -fi.max, fi.smallest_subnormal, -fi.smallest_subnormal, -0.0]
+        ds = PartialDataset(feats, np.ones((n, 3), dtype=bool), 3)
+        path = tmp_path / "bits.pll"
+        write_pll_file(ds, path)
+        back = read_pll_file(path)
+        assert back.features.tobytes() == ds.features.tobytes()
+        np.testing.assert_array_equal(back.candidates, ds.candidates)
+
+    @pytest.mark.parametrize("token", ["1_0", "\u0661", "-2_5.0_1"])
+    def test_tokens_only_float_accepts_read_as_float_reads_them(self, tmp_path, token):
+        path = tmp_path / "t.pll"
+        path.write_text(f"#pll n=2 d=2 m=3\n?;0;0.5 1.5\n?;1;{token} 2.0\n", encoding="utf-8")
+        ds = read_pll_file(path)
+        assert ds.features.tolist() == [[0.5, 1.5], [float(token), 2.0]]
+        assert ds.hidden_truth is None
+
+    def test_first_bad_line_in_block_is_reported(self, tmp_path):
+        # a bad feature on line 3 and a bad truth on line 5, in one block
+        path = tmp_path / "bad.pll"
+        path.write_text("#pll n=4 d=1 m=3\n0;0;1.0\n0;0;x\n0;0;1.0\nx;0;1.0\n")
+        with pytest.raises(PllFormatError, match="^line 3: bad feature value$"):
+            read_pll_file(path)
+
+    def test_error_in_second_block_names_its_line(self, tmp_path):
+        n = _READ_ROWS + 3
+        rows = ["0;0;1.0"] * n
+        rows[_READ_ROWS + 1] = "0;0;1.0 2.0"
+        path = tmp_path / "bad.pll"
+        path.write_text(f"#pll n={n} d=1 m=3\n" + "\n".join(rows) + "\n")
+        with pytest.raises(PllFormatError, match=f"^line {_READ_ROWS + 3}: expected 1 features"):
+            read_pll_file(path)
+
+    def test_file_ending_at_a_block_boundary(self, tmp_path):
+        path = tmp_path / "short.pll"
+        path.write_text(f"#pll n={_READ_ROWS + 1} d=1 m=3\n" + "0;0;1.0\n" * _READ_ROWS)
+        with pytest.raises(
+            PllFormatError,
+            match=f"^line {_READ_ROWS + 2}: expected {_READ_ROWS + 1} instances, "
+            f"file ends after {_READ_ROWS}$",
+        ):
+            read_pll_file(path)
+
+    @pytest.mark.parametrize("field", ["", " ", "\t \x1c"])
+    def test_blank_feature_field_reports_zero_features(self, tmp_path, field):
+        path = tmp_path / "bad.pll"
+        path.write_text(f"#pll n=1 d=2 m=3\n0;0;{field}\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt warns on input without data
+            with pytest.raises(PllFormatError, match="^line 2: expected 2 features, got 0$"):
+                read_pll_file(path)
 
 
 def _synthetic_dataset(n, seed, d=2, q=0.5, m=4):

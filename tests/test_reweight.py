@@ -11,7 +11,7 @@ import pytest
 from cleanse.checks import brute_force_knn
 from cleanse.data import PartialDataset
 from cleanse.reweight import (
-    _CHUNK_ELEMENTS,
+    _RERANK_ELEMENTS,
     NO_ENHANCEMENT,
     build_weight_matrix,
     enhanced_label,
@@ -100,7 +100,7 @@ class TestKnnSearch:
         # each row's band holds at least k points, so p * k band pairs exceed
         # one (pairs, d) difference block and the re-rank loop runs again
         p, d, k = 300, 784, 10
-        assert p * k > _CHUNK_ELEMENTS // d
+        assert p * k > _RERANK_ELEMENTS // d
         X = np.random.default_rng(21).standard_normal((p, d))
         got = knn_search(X, k)
         rows = range(0, p, 23)
