@@ -15,9 +15,11 @@ from pathlib import Path
 import numpy as np
 
 from .countloss import (
+    MIN_LOG_PROB,
     batch_intervals,
     count_log_pmf,
     count_loss,
+    count_loss_values,
     interval_log_prob,
     logsumexp,
 )
@@ -300,6 +302,43 @@ def check_pll_roundtrip(rng: np.random.Generator, n: int = 4 * _READ_ROWS, d: in
     return CheckResult("pll-roundtrip", float(dev), 0.0)
 
 
+def loss_by_enumeration(probs: np.ndarray, lo, hi, mode: str) -> float:
+    """Count loss from per-class enumerated pmfs, clamped as ``count_loss`` is."""
+    total = 0.0
+    for j in range(probs.shape[1]):
+        q = min(float(np.sum(pmf_by_enumeration(probs[:, j])[lo[j] : hi[j] + 1])), 1.0)
+        if mode == "nll":
+            total -= max(math.log(q) if q > 0.0 else -math.inf, MIN_LOG_PROB)
+        elif q > 0.0:
+            total -= q * math.log(q)
+    return total
+
+
+def check_count_values(rng: np.random.Generator, cases: int = 20, max_n: int = 12,
+                       values_fn=count_loss_values) -> CheckResult:
+    """``count_loss_values`` over mixed-size batches vs enumerated losses.
+
+    Each case is a list of batches of a few sizes, so batches are stacked
+    into one DP per size and values must come back in batch order.
+    """
+    worst = 0.0
+    for c in range(cases):
+        m = int(rng.integers(2, 5))
+        sizes = rng.integers(1, max_n + 1, size=3)
+        batches = []
+        for n in rng.choice(sizes, size=int(rng.integers(1, 7))):
+            z = rng.standard_normal((n, m))
+            probs = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
+            lo = rng.integers(0, n + 1, size=m)
+            hi = lo + rng.integers(0, n + 1 - lo)
+            batches.append((probs, lo, hi))
+        mode = "nll" if c % 2 == 0 else "entropy"
+        got = values_fn(batches, mode)
+        for value, (probs, lo, hi) in zip(got, batches):
+            worst = max(worst, relative_error(value, loss_by_enumeration(probs, lo, hi, mode)))
+    return CheckResult("count-values-vs-enumeration", worst, 1e-10)
+
+
 def run_all_checks(seed: int = 0, stress_n: int = 1024) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     return [
@@ -312,4 +351,5 @@ def run_all_checks(seed: int = 0, stress_n: int = 1024) -> list[CheckResult]:
         check_logsumexp_identity(),
         check_knn_brute_force(rng),
         check_pll_roundtrip(rng),
+        check_count_values(rng),
     ]

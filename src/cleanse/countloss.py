@@ -101,21 +101,26 @@ def _dp_row(prev: np.ndarray, out: np.ndarray, log_p, log_q, lo: int, hi: int) -
     np.logaddexp(prev[:, lo - 1 : hi - 1] + log_p, prev[:, lo:hi] + log_q, out=out[:, lo:hi])
 
 
-def _forward(log_p: np.ndarray, log_q: np.ndarray, lattice: np.ndarray | None = None) -> np.ndarray:
+def _forward(
+    log_p: np.ndarray, log_q: np.ndarray, top: int, lattice: np.ndarray | None = None
+) -> np.ndarray:
     """Run the count recurrence over all n items; return the last padded row.
 
     ``log_p`` and ``log_q`` are (n, m, 1).  Column k + 1 of an (m, n + 3)
     row holds log P(count == k) per class, and row i is updated only over
-    the counts 0..i it can reach.  Without ``lattice`` one row is updated
-    in place (O(n m) memory); with an (n + 1, m, n + 3) ``-inf`` lattice,
-    row i of it receives the distribution over the first i items.
+    the counts 0..min(i, top) it can reach.  Counts above ``top`` stay
+    ``-inf``: a count never falls, so they feed no count at or below ``top``,
+    and every kept value has the bits of the full recurrence.  Without
+    ``lattice`` one row is updated in place (O(n m) memory); with an
+    (n + 1, m, n + 3) ``-inf`` lattice, row i of it receives the
+    distribution over the first i items.
     """
     n, m, _ = log_p.shape
     row = np.full((m, n + 3), LOG_ZERO) if lattice is None else lattice[0]
     row[:, 1] = 0.0
     for i in range(n):
         out = row if lattice is None else lattice[i + 1]
-        _dp_row(row, out, log_p[i], log_q[i], 1, i + 3)
+        _dp_row(row, out, log_p[i], log_q[i], 1, min(i + 1, top) + 2)
         row = out
     return row
 
@@ -135,7 +140,7 @@ def count_log_pmf(log_p: np.ndarray) -> CountDistribution:
     while time is O(n^2).
     """
     log_p, log_q = _log_probs(np.asarray(log_p, dtype=np.float64)[:, None])
-    return CountDistribution(log_pmf=_forward(log_p, log_q)[0, 1:-1])
+    return CountDistribution(log_pmf=_forward(log_p, log_q, len(log_p))[0, 1:-1])
 
 
 def interval_log_prob(dist: CountDistribution, lo: int, hi: int) -> float:
@@ -310,17 +315,40 @@ def count_loss(batch_probs: np.ndarray, lo, hi, mode: str = "nll") -> CountLossR
     log_p, log_q, lo, hi = _batch_inputs(batch_probs, lo, hi, mode)
     n, m, _ = log_p.shape
     lattice = np.full((n + 1, m, n + 3), LOG_ZERO)
-    last = _forward(log_p, log_q, lattice)
+    last = _forward(log_p, log_q, int(hi.max()), lattice)
     total, dloss_dq, saturated = _loss_terms(_interval_log_q(last, lo, hi), mode)
     grad = _leave_one_out_grad(lattice, log_p, log_q, lo, hi) * dloss_dq
     return CountLossResult(loss=total, grad=grad, saturated=saturated)
 
 
-def count_loss_value(batch_probs: np.ndarray, lo, hi, mode: str = "nll") -> float:
-    """``count_loss(...).loss`` without the lattice or the gradient.
+def count_loss_values(batches, mode: str = "nll") -> list[float]:
+    """``count_loss(probs, lo, hi, mode).loss`` of each ``(probs, lo, hi)`` batch.
 
-    Keeps a single DP row, so memory is O(n m); used when the count loss is
-    only reported (lambda = 0).
+    Value only: no lattice and no gradient, so memory is O(n m) per batch;
+    used when the count loss is only reported (lambda = 0).  Batches of one
+    size n share one DP: their (n, m, 1) log-probabilities are stacked into
+    (n, B m, 1) class rows, which the recurrence treats independently, so
+    each batch's value has the bits it gets on its own.  Values come back in
+    batch order.
     """
-    log_p, log_q, lo, hi = _batch_inputs(batch_probs, lo, hi, mode)
-    return _loss_terms(_interval_log_q(_forward(log_p, log_q), lo, hi), mode)[0]
+    inputs = [_batch_inputs(probs, lo, hi, mode) for probs, lo, hi in batches]
+    by_size: dict[int, list[int]] = {}
+    for b, (log_p, _, _, _) in enumerate(inputs):
+        by_size.setdefault(log_p.shape[0], []).append(b)
+    values = [0.0] * len(inputs)
+    for group in by_size.values():
+        log_p, log_q, lo, hi = zip(*(inputs[b] for b in group))
+        log_p, log_q = np.concatenate(log_p, axis=1), np.concatenate(log_q, axis=1)
+        lo, hi = np.concatenate(lo), np.concatenate(hi)
+        log_in = _interval_log_q(_forward(log_p, log_q, int(hi.max())), lo, hi)
+        start = 0
+        for b in group:
+            stop = start + len(inputs[b][2])
+            values[b] = _loss_terms(log_in[start:stop], mode)[0]
+            start = stop
+    return values
+
+
+def count_loss_value(batch_probs: np.ndarray, lo, hi, mode: str = "nll") -> float:
+    """``count_loss_values`` of the one batch ``(batch_probs, lo, hi)``."""
+    return count_loss_values([(batch_probs, lo, hi)], mode)[0]

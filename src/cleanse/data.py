@@ -42,10 +42,28 @@ class PartialDataset:
     hidden_truth: np.ndarray | None = None
 
     def __post_init__(self):
+        self._validate(copy=True)
+
+    @classmethod
+    def _adopt(cls, features, candidates, m: int, hidden_truth=None) -> "PartialDataset":
+        """Dataset over arrays the caller has just built and hands over.
+
+        Validated and made read-only like the public constructor's, but not
+        copied: the caller must hold no other reference it writes through.
+        """
+        ds = object.__new__(cls)
+        for name, value in (("features", features), ("candidates", candidates),
+                            ("m", m), ("hidden_truth", hidden_truth)):
+            object.__setattr__(ds, name, value)
+        ds._validate(copy=False)
+        return ds
+
+    def _validate(self, copy: bool) -> None:
         feats = np.asarray(self.features, dtype=np.float64)
         if feats.ndim != 2:
             raise ValueError("features must be a 2-D matrix")
-        feats = feats.copy()
+        if copy:
+            feats = feats.copy()
         feats.flags.writeable = False
         object.__setattr__(self, "features", feats)
         cands = np.asarray(self.candidates)
@@ -58,11 +76,14 @@ class PartialDataset:
             )
         if not cands.any(axis=1).all():
             raise ValueError("every instance needs at least one candidate")
-        cands = cands.copy()
+        if copy:
+            cands = cands.copy()
         cands.flags.writeable = False
         object.__setattr__(self, "candidates", cands)
         if self.hidden_truth is not None:
-            truth = np.asarray(self.hidden_truth, dtype=np.int64).copy()
+            truth = np.asarray(self.hidden_truth, dtype=np.int64)
+            if copy:
+                truth = truth.copy()
             if truth.shape != (feats.shape[0],):
                 raise ValueError("hidden_truth must have one label per instance")
             if truth.size and (truth.min() < 0 or truth.max() >= self.m):
@@ -92,12 +113,7 @@ class PartialDataset:
     def subset(self, indices) -> "PartialDataset":
         idx = np.asarray(indices, dtype=np.int64)
         truth = None if self.hidden_truth is None else self.hidden_truth[idx]
-        return PartialDataset(
-            features=self.features[idx],
-            candidates=self.candidates[idx],
-            m=self.m,
-            hidden_truth=truth,
-        )
+        return PartialDataset._adopt(self.features[idx], self.candidates[idx], self.m, truth)
 
 
 @dataclass(frozen=True)
@@ -246,7 +262,7 @@ def read_pll_file(path) -> PartialDataset:
     if any(have_truth) and not all(have_truth):
         raise PllFormatError("mix of '?' and concrete truth labels")
     hidden = np.array(truths, dtype=np.int64) if n and all(have_truth) else None
-    return PartialDataset(features=features, candidates=candidates, m=m, hidden_truth=hidden)
+    return PartialDataset._adopt(features, candidates, m, hidden)
 
 
 def _parse_block(lines: list[str], lineno: int, d: int, m: int):

@@ -127,38 +127,39 @@ def enhanced_label(
     """
     if vote_mode not in ("fractional", "multiset"):
         raise ValueError(f"unknown vote mode {vote_mode!r}")
-    ci = dataset.candidates[i]
-    own = np.flatnonzero(ci)
-    if own.size == 1:
-        return int(own[0])
+    own = dataset.candidates[i].tolist()
+    labs = [j for j, mine in enumerate(own) if mine]
+    if len(labs) == 1:
+        return labs[0]
     if len(neighbors) == 0:
         raise ValueError("enhanced_label requires a nonempty neighbor list")
 
-    cands = dataset.candidates[neighbors.indices]
-    sizes = cands.sum(axis=1)
-    hits = cands & ci  # neighbor labels that are also i's candidates
-    clean_hits = np.flatnonzero((sizes == 1) & hits.any(axis=1))
-    if clean_hits.size:
-        return int(np.argmax(hits[clean_hits[0]]))
+    rows = dataset.candidates[neighbors.indices].tolist()
+    sizes = [row.count(True) for row in rows]
+    for size, row in zip(sizes, rows):
+        if size == 1 and own[row.index(True)]:
+            return row.index(True)
 
     # Integer votes on a common denominator keep totals exact, so vote ties
-    # (and the tie-break rules) are exact too.  The lcm of the set sizes
-    # can exceed int64 (lcm(1..43) > 2^63); Python ints take over there.
-    if vote_mode == "multiset":
-        w = np.ones_like(sizes)
+    # (and the tie-break rules) are exact too; Python ints never overflow,
+    # whatever the lcm of the set sizes (lcm(1..43) > 2^63).
+    if vote_mode == "fractional":
+        scale = math.lcm(*set(sizes))
+        weights = [scale // size for size in sizes]
     else:
-        scale = math.lcm(*set(sizes.tolist()))
-        if scale * len(sizes) < 2**63:
-            w = scale // sizes
-        else:
-            w = np.array([scale // s for s in sizes.tolist()], dtype=object)
-    votes = w @ hits
-    labs = np.flatnonzero(votes)
-    if labs.size == 0:
+        weights = [1] * len(sizes)
+    votes = dict.fromkeys(labs, 0)
+    nearest = {}  # label -> its nearest voter; neighbors arrive nearest-first
+    for t in range(len(rows) - 1, -1, -1):
+        row = rows[t]
+        for j in labs:
+            if row[j]:
+                votes[j] += weights[t]
+                nearest[j] = t
+    if not nearest:
         return NO_ENHANCEMENT
-    # neighbors arrive nearest-first: a label's first hit is its nearest voter
-    nearest = neighbors.distances[np.argmax(hits[:, labs], axis=0)]
-    return min(zip((-votes[labs]).tolist(), nearest.tolist(), labs.tolist()))[2]
+    dist = neighbors.distances.tolist()
+    return min(nearest, key=lambda j: (-votes[j], dist[nearest[j]], j))
 
 
 def build_weight_matrix(candidates, enhanced, temperature: float) -> np.ndarray:

@@ -23,6 +23,7 @@ from .countloss import (  # noqa: F401
     count_log_pmf,
     count_loss,
     count_loss_value,
+    count_loss_values,
     interval_log_prob,
 )
 from .data import PartialDataset
@@ -151,14 +152,16 @@ def _enhanced_labels(dataset: PartialDataset, neighbors, vote_mode: str) -> np.n
 
 def batch_objective(
     probs: np.ndarray, weights: np.ndarray, lo, hi, lam: float, mode: str
-) -> tuple[float, float, np.ndarray]:
+) -> tuple[float, float | None, np.ndarray]:
     """Reweighted CE, count loss and d(CE + lam * count) / d logits for one batch.
 
-    At lam = 0 the count loss is only reported, so its value-only DP runs.
+    At lam = 0 the count loss only enters the report, so no count value is
+    returned (None): ``fit`` computes the epoch's values in one
+    ``count_loss_values`` call.
     """
     rl, grad_logits, _ = reweighted_ce(probs, weights)
     if lam == 0.0:
-        return rl, count_loss_value(probs, lo, hi, mode), grad_logits
+        return rl, None, grad_logits
     cres = count_loss(probs, lo, hi, mode)
     # route the prob-space gradient through the softmax Jacobian
     gdotp = np.sum(cres.grad * probs, axis=1, keepdims=True)
@@ -178,7 +181,10 @@ def fit(
     hidden labels cannot leak into any gradient.  ``on_epoch`` (if given)
     receives (EpochMetrics, model) as each epoch finishes, e.g. to tail a
     CSV or write periodic checkpoints.  A non-finite batch loss stops the
-    run with ``TrainingDiverged`` before the optimizer step.
+    run with ``TrainingDiverged`` before that batch's optimizer step.  At
+    lambda = 0 the count losses are only reported; they are computed after
+    the epoch's last step, in one ``count_loss_values`` call, and a
+    non-finite one raises ``TrainingDiverged`` naming its batch then.
     """
     if train.n == 0:
         raise ValueError("training set is empty")
@@ -204,8 +210,10 @@ def fit(
             global_enhanced = _enhanced_labels(view, neighbors, config.vote_mode)
 
         perm = rng.permutation(view.n)
-        sum_rl = sum_rg = 0.0
-        for batch_no, batch_idx in enumerate(epoch_batches(perm, config.batch_size)):
+        sum_rl = 0.0
+        batch_rl, batch_rg, deferred = [], [], []  # deferred: lambda = 0 count inputs
+        batches = epoch_batches(perm, config.batch_size)
+        for batch_no, batch_idx in enumerate(batches):
             batch = view.subset(batch_idx)
             X = batch.features
             hidden, probs = forward(model, X)
@@ -222,16 +230,29 @@ def fit(
             rl, rg, grad_logits = batch_objective(
                 probs, weights, lo, hi, config.lam, config.count_mode
             )
-            if not (math.isfinite(rl) and math.isfinite(rg)):
+            if rg is None:  # lambda = 0: computed after the epoch's last step
+                deferred.append((probs, lo, hi))
+            if not (math.isfinite(rl) and (rg is None or math.isfinite(rg))):
+                if rg is None:
+                    rg = count_loss_value(probs, lo, hi, config.count_mode)
                 raise TrainingDiverged(epoch, batch_no, rl, rg)
 
-            nb = len(batch_idx)
-            sum_rl += rl * nb
-            sum_rg += rg * nb
+            sum_rl += rl * len(batch_idx)
+            batch_rl.append(rl)
+            batch_rg.append(rg)
 
             grads = backward(model, X, hidden, grad_logits)
             opt.step(model, grads)
 
+        if deferred:
+            batch_rg = count_loss_values(deferred, config.count_mode)
+            deferred.clear()  # the epoch's probabilities, freed before evaluation
+            for batch_no, rg in enumerate(batch_rg):
+                if not math.isfinite(rg):
+                    raise TrainingDiverged(epoch, batch_no, batch_rl[batch_no], rg)
+        sum_rg = 0.0
+        for batch_idx, rg in zip(batches, batch_rg):
+            sum_rg += rg * len(batch_idx)
         mean_rl = sum_rl / view.n
         mean_rg = sum_rg / view.n
         total = mean_rl + config.lam * mean_rg

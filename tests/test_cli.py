@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 import cleanse.trainer as trainer_module
-from cleanse.checks import check_count_pmf, check_trainer_grad
+from cleanse.checks import check_count_pmf, check_count_values, check_trainer_grad
 from cleanse.cli import EXIT_DIVERGED, EXIT_IO, EXIT_OK, EXIT_USAGE, main
-from cleanse.countloss import CountDistribution, CountLossResult, count_log_pmf
+from cleanse.countloss import CountDistribution, CountLossResult, count_log_pmf, count_loss_values
 from cleanse.data import PartialDataset, read_pll_file, write_pll_file
 
 
@@ -332,7 +332,7 @@ class TestCheck:
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "FAIL" not in out
-        assert out.count("PASS") == 9
+        assert out.count("PASS") == 10
 
     def test_injected_off_by_one_fails_named_check(self):
         def broken_pmf(log_p):
@@ -341,6 +341,14 @@ class TestCheck:
 
         result = check_count_pmf(np.random.default_rng(0), cases=20, pmf_fn=broken_pmf)
         assert result.name == "count-pmf-vs-enumeration"
+        assert not result.passed
+
+    def test_values_out_of_batch_order_fail_named_check(self):
+        def reversed_values(batches, mode):
+            return count_loss_values(batches, mode)[::-1]
+
+        result = check_count_values(np.random.default_rng(0), values_fn=reversed_values)
+        assert result.name == "count-values-vs-enumeration"
         assert not result.passed
 
     def test_trainer_grad_gates_the_trainers_own_chain(self, monkeypatch):

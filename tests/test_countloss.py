@@ -7,12 +7,14 @@ import math
 import numpy as np
 import pytest
 
+import cleanse.countloss as countloss_module
 from cleanse.countloss import (
     LOG_ZERO,
     batch_intervals,
     count_log_pmf,
     count_loss,
     count_loss_value,
+    count_loss_values,
     interval_log_prob,
     log1mexp,
     log1mexp_vec,
@@ -347,3 +349,75 @@ class TestCountLoss:
             want = count_loss(probs, lo, hi, mode).loss
             got = count_loss_value(probs, lo, hi, mode)
             assert abs(got - want) <= 1e-15 * max(1.0, abs(want))
+
+
+def _epoch_of_batches(rng, n_rows, m):
+    """(probs, lo, hi) per batch of a shuffled epoch: 64-row batches, the
+    remainder merged into the last one (a 96-row tail when 32 are left)."""
+    cands = generate_synthetic(rng.integers(0, m, size=n_rows), m, 0.3, seed=int(rng.integers(1 << 30)))
+    z = 3.0 * rng.standard_normal((n_rows, m))
+    probs = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
+    full = max(1, n_rows // 64)
+    bounds = [b * 64 for b in range(full)] + [n_rows]
+    return [
+        (probs[a:b], *batch_intervals(cands[a:b])) for a, b in zip(bounds, bounds[1:])
+    ]
+
+
+def _full_row_value(probs, lo, hi, mode):
+    """The value-only DP with every count row kept (no stop at max(hi))."""
+    log_p, log_q, lo, hi = countloss_module._batch_inputs(probs, lo, hi, mode)
+    row = countloss_module._forward(log_p, log_q, len(log_p))
+    return countloss_module._loss_terms(countloss_module._interval_log_q(row, lo, hi), mode)[0]
+
+
+class TestCountLossValues:
+    @pytest.mark.parametrize("mode", ["nll", "entropy"])
+    def test_stacked_values_equal_per_batch_values_bitwise(self, mode):
+        rng = np.random.default_rng(23)
+        for n_rows in (2, 5, 63, 64, 65, 160, 200):
+            for m in (2, 3, 7, 10):
+                batches = _epoch_of_batches(rng, n_rows, m)
+                got = count_loss_values(batches, mode)
+                one_by_one = [count_loss_value(p, lo, hi, mode) for p, lo, hi in batches]
+                full_rows = [_full_row_value(p, lo, hi, mode) for p, lo, hi in batches]
+                assert np.array(got).tobytes() == np.array(one_by_one).tobytes()
+                assert np.array(got).tobytes() == np.array(full_rows).tobytes()
+
+    def test_mixed_sizes_come_back_in_batch_order(self):
+        # batches of 64 and one merged 96-row tail interleaved with small ones
+        rng = np.random.default_rng(29)
+        batches = _epoch_of_batches(rng, 352, 10)  # 4 x 64 + 96
+        batches += _epoch_of_batches(rng, 7, 3) + _epoch_of_batches(rng, 64, 4)
+        order = rng.permutation(len(batches))
+        shuffled = [batches[b] for b in order]
+        got = count_loss_values(shuffled, "nll")
+        for value, b in zip(got, order):
+            assert value == count_loss_value(*batches[b], "nll")
+
+    def test_empty_list_and_bad_batch(self):
+        assert count_loss_values([], "nll") == []
+        probs = np.full((3, 2), 0.5)
+        with pytest.raises(ValueError, match="of class 1 is outside"):
+            count_loss_values([(probs, [0, 0], [3, 3]), (probs, [0, 2], [3, 1])], "nll")
+
+    @pytest.mark.parametrize("n", [64, 1000])
+    @pytest.mark.parametrize("mode", ["nll", "entropy"])
+    def test_top_stop_keeps_count_loss_bits(self, monkeypatch, n, mode):
+        rng = np.random.default_rng(n)
+        m = 4
+        cands = generate_synthetic(rng.integers(0, m, size=n), m, 0.2, seed=n + 1)
+        z = 2.0 * rng.standard_normal((n, m))
+        probs = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
+        lo, hi = batch_intervals(cands)
+        assert hi.max() < n  # the stop drops counts
+        got = count_loss(probs, lo, hi, mode)
+        forward = countloss_module._forward
+        monkeypatch.setattr(
+            countloss_module, "_forward",
+            lambda log_p, log_q, top, lattice=None: forward(log_p, log_q, len(log_p), lattice),
+        )
+        want = count_loss(probs, lo, hi, mode)
+        assert got.loss == want.loss
+        assert got.grad.tobytes() == want.grad.tobytes()
+        assert got.saturated == want.saturated

@@ -218,6 +218,24 @@ class TestDatasetModel:
         np.testing.assert_array_equal(sub.candidates, ds.candidates[[3, 1, 7]])
         np.testing.assert_array_equal(sub.hidden_truth, ds.hidden_truth[[3, 1, 7]])
 
+    def test_subset_owns_fresh_read_only_arrays(self):
+        ds = _synthetic_dataset(10, seed=1)
+        sub = ds.subset([3, 1, 7])
+        for mine, parent in zip((sub.features, sub.candidates, sub.hidden_truth),
+                                (ds.features, ds.candidates, ds.hidden_truth)):
+            assert not np.shares_memory(mine, parent)
+            assert not mine.flags.writeable
+
+    def test_adopted_arrays_are_validated_not_copied(self):
+        feats, mask, truth = np.zeros((2, 1)), np.array([[True, False], [False, True]]), np.array([0, 1])
+        ds = PartialDataset._adopt(feats, mask, 2, truth)
+        assert ds.features is feats and ds.candidates is mask and ds.hidden_truth is truth
+        assert not (feats.flags.writeable or mask.flags.writeable or truth.flags.writeable)
+        with pytest.raises(ValueError, match="at least one candidate"):
+            PartialDataset._adopt(np.zeros((2, 1)), np.array([[True, False], [False, False]]), 2)
+        with pytest.raises(ValueError, match="outside"):
+            PartialDataset._adopt(np.zeros((2, 1)), mask.copy(), 2, np.array([0, 2]))
+
 
 class TestGaussianClusters:
     def test_shapes_and_determinism(self):
@@ -263,6 +281,8 @@ class TestPllFile:
         np.testing.assert_array_equal(back.candidates, ds.candidates)
         np.testing.assert_array_equal(back.hidden_truth, ds.hidden_truth)
         assert compute_stats(back) == compute_stats(ds)
+        for arr in (back.features, back.candidates, back.hidden_truth):
+            assert not arr.flags.writeable
 
     def test_round_trip_without_truth(self, tmp_path):
         ds = _synthetic_dataset(50, seed=12).strip_truth()

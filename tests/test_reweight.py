@@ -185,7 +185,60 @@ def oracle_vote(i, dataset, neighbors, vote_mode):
     return min(totals, key=lambda lab: (-totals[lab][0], totals[lab][1], lab))
 
 
+def reference_enhanced_label(i, dataset, neighbors, vote_mode="fractional"):
+    """The array-based enhanced_label that the list-based one replaced, kept
+    verbatim as the reference it must match label for label."""
+    ci = dataset.candidates[i]
+    own = np.flatnonzero(ci)
+    if own.size == 1:
+        return int(own[0])
+    cands = dataset.candidates[neighbors.indices]
+    sizes = cands.sum(axis=1)
+    hits = cands & ci
+    clean_hits = np.flatnonzero((sizes == 1) & hits.any(axis=1))
+    if clean_hits.size:
+        return int(np.argmax(hits[clean_hits[0]]))
+    if vote_mode == "multiset":
+        w = np.ones_like(sizes)
+    else:
+        scale = math.lcm(*set(sizes.tolist()))
+        if scale * len(sizes) < 2**63:
+            w = scale // sizes
+        else:
+            w = np.array([scale // s for s in sizes.tolist()], dtype=object)
+    votes = w @ hits
+    labs = np.flatnonzero(votes)
+    if labs.size == 0:
+        return NO_ENHANCEMENT
+    nearest = neighbors.distances[np.argmax(hits[:, labs], axis=0)]
+    return min(zip((-votes[labs]).tolist(), nearest.tolist(), labs.tolist()))[2]
+
+
 class TestEnhancedLabel:
+    @pytest.mark.parametrize("vote_mode", ["fractional", "multiset"])
+    def test_matches_reference_on_random_batches(self, vote_mode):
+        # k-NN of grid points (many distance ties) over masks that mix clean
+        # rows, small sets and, at large m, sets whose sizes have a big lcm
+        rng = np.random.default_rng(31)
+        cases = {"clean": 0, "partial": 0, "none": 0}
+        for _ in range(60):
+            m = int(rng.integers(2, 54))
+            n = int(rng.integers(2, 41))
+            k = int(rng.integers(1, 21))
+            sizes = np.where(rng.random(n) < 0.3, 1, rng.integers(1, m + 1, size=n))
+            cand_lists = [sorted(rng.permutation(m)[:size].tolist()) for size in sizes]
+            ds = _dataset(cand_lists, m, feats=np.round(rng.standard_normal((n, 2))))
+            for i, nb in enumerate(knn_search(ds.features, k)):
+                got = enhanced_label(i, ds, nb, vote_mode)
+                assert got == reference_enhanced_label(i, ds, nb, vote_mode)
+                if got == NO_ENHANCEMENT:
+                    cases["none"] += 1
+                elif len(cand_lists[i]) > 1:
+                    cases["partial"] += 1
+                else:
+                    cases["clean"] += 1
+        assert min(cases.values()) > 0, cases
+
     def test_clean_sample_returns_sole_candidate(self):
         ds = _dataset([[4], [0, 4], [1]], m=5)
         nb = _neighbors([1, 2], [0.5, 1.0])

@@ -301,6 +301,65 @@ class TestDivergence:
         assert "epoch 0, batch 1" in str(err.value)
         assert epochs_done == []
 
+    def test_lambda0_stops_at_the_same_batch(self):
+        # lambda = 0 defers the count values to the epoch's end, but a
+        # non-finite reweight loss still stops the run at its own batch
+        feats, labels = gaussian_clusters(200, 3, seed=0)
+        cands = generate_synthetic(labels, 3, q=0.5, seed=1)
+        ds = PartialDataset(features=feats * 1e200, candidates=cands, m=3, hidden_truth=labels)
+        config = TrainConfig(epochs=5, batch_size=32, hidden=(8,), optimizer="sgd", lr=10.0,
+                             seed=0, lam=0.0)
+        epochs_done = []
+        with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as err:
+            fit(ds, None, config, on_epoch=lambda metrics, model: epochs_done.append(metrics))
+        assert (err.value.epoch, err.value.batch) == (0, 1)
+        assert epochs_done == []
+
+    def test_lambda0_message_carries_the_batch_count_value(self, monkeypatch):
+        seen = []
+
+        def ce_failing_at_batch_1(probs, weights):
+            rl, grad, sat = reweighted_ce(probs, weights)
+            seen.append(probs)
+            return (float("nan") if len(seen) == 2 else rl), grad, sat
+
+        intervals = []
+        batch_intervals = trainer_module.batch_intervals
+
+        def recording_intervals(candidates):
+            intervals.append(batch_intervals(candidates))
+            return intervals[-1]
+
+        monkeypatch.setattr(trainer_module, "reweighted_ce", ce_failing_at_batch_1)
+        monkeypatch.setattr(trainer_module, "batch_intervals", recording_intervals)
+        config = TrainConfig(epochs=2, batch_size=32, hidden=(8,), seed=0, lam=0.0)
+        epochs_done = []
+        with pytest.raises(TrainingDiverged) as err:
+            fit(make_dataset(), None, config,
+                on_epoch=lambda metrics, model: epochs_done.append(metrics))
+        assert (err.value.epoch, err.value.batch) == (0, 1)
+        assert epochs_done == []
+        want = trainer_module.count_loss_value(seen[1], *intervals[1], "nll")
+        assert math.isfinite(want)
+        assert str(err.value).endswith(f"reweight loss nan, count loss {want}")
+
+    def test_non_finite_deferred_count_value_names_its_batch(self, monkeypatch):
+        count_loss_values = trainer_module.count_loss_values
+
+        def nan_at_batch_2(batches, mode):
+            values = count_loss_values(batches, mode)
+            values[2] = float("inf")
+            return values
+
+        monkeypatch.setattr(trainer_module, "count_loss_values", nan_at_batch_2)
+        config = TrainConfig(epochs=2, batch_size=32, hidden=(8,), seed=0, lam=0.0)
+        epochs_done = []
+        with pytest.raises(TrainingDiverged, match="epoch 0, batch 2: .* count loss inf") as err:
+            fit(make_dataset(), None, config,
+                on_epoch=lambda metrics, model: epochs_done.append(metrics))
+        assert (err.value.epoch, err.value.batch) == (0, 2)
+        assert epochs_done == []
+
 
 class TestScalingSmoke:
     def test_doubling_batch_size_stays_within_loose_bound(self):
