@@ -99,26 +99,7 @@ def cmd_generate(args) -> int:
 
 
 def _config_from_args(args) -> TrainConfig:
-    hidden = tuple(int(tok) for tok in args.hidden.split(",") if tok)
-    return TrainConfig(
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        lr=args.lr,
-        weight_decay=args.weight_decay,
-        k=args.k,
-        temperature=args.temperature,
-        lam=getattr(args, "lambda"),
-        count_mode=args.count_mode,
-        knn_scope=args.knn_scope,
-        knn_features=args.knn_features,
-        vote_mode=args.vote_mode,
-        optimizer=args.optimizer,
-        hidden=hidden,
-        seed=args.seed,
-        eval_window=args.eval_window,
-        eval_stride=args.eval_stride,
-        threads=args.threads,
-    )
+    return TrainConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(TrainConfig)})
 
 
 class ManifestError(Exception):
@@ -282,6 +263,27 @@ def cmd_check(args) -> int:
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
+def _widths(text: str) -> tuple[int, ...]:
+    """--hidden's comma list; an empty one means no hidden layer."""
+    return tuple(int(tok) for tok in text.split(",") if tok)
+
+
+def _add_config_flags(parser) -> None:
+    """One flag per TrainConfig field, with its type, default and choices."""
+    for f in dataclasses.fields(TrainConfig):
+        name = "lambda" if f.name == "lam" else f.name  # lambda is a keyword
+        choices = f.metadata.get("choices")
+        parser.add_argument(
+            "--" + name.replace("_", "-"),
+            dest=f.name,
+            type=_widths if f.name == "hidden" else type(f.default),
+            default=f.default,
+            choices=choices,
+            metavar=None if choices else name.upper(),
+            help="comma-separated hidden widths" if f.name == "hidden" else None,
+        )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cleanse",
@@ -310,23 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--test", help="test PLL file (truth required)")
     t.add_argument("--out-dir", default=None,
                    help="output directory (default: run, or the manifest's on replay)")
-    t.add_argument("--epochs", type=int, default=250)
-    t.add_argument("--batch-size", type=int, default=64)
-    t.add_argument("--lr", type=float, default=1e-3)
-    t.add_argument("--weight-decay", type=float, default=1e-5)
-    t.add_argument("--k", type=int, default=10)
-    t.add_argument("--temperature", type=float, default=3.0)
-    t.add_argument("--lambda", type=float, default=1e-3)
-    t.add_argument("--count-mode", choices=["nll", "entropy"], default="nll")
-    t.add_argument("--knn-scope", choices=["batch", "global"], default="batch")
-    t.add_argument("--knn-features", choices=["raw", "embedding"], default="raw")
-    t.add_argument("--vote-mode", choices=["fractional", "multiset"], default="fractional")
-    t.add_argument("--optimizer", choices=["adam", "sgd"], default="adam")
-    t.add_argument("--hidden", default="300,300", help="comma-separated hidden widths")
-    t.add_argument("--seed", type=int, default=0)
-    t.add_argument("--eval-window", type=int, default=10)
-    t.add_argument("--eval-stride", type=int, default=1)
-    t.add_argument("--threads", type=int, default=1)
+    _add_config_flags(t)
     t.add_argument("--checkpoint-every", type=int, default=0, metavar="E",
                    help="also write model_epoch<N>.txt every E epochs")
     t.add_argument("--quiet", action="store_true")

@@ -53,13 +53,6 @@ class Mlp:
             out.append(b)
         return out
 
-    def copy(self) -> "Mlp":
-        return Mlp(
-            widths=self.widths,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
-
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row softmax with max-shift, safe for logits of any magnitude."""
@@ -232,12 +225,14 @@ class Adam:
         return model
 
 
+# optimizer classes by name; the first is the default
+OPTIMIZERS = {"adam": Adam, "sgd": Sgd}
+
+
 def make_optimizer(name: str, lr: float, weight_decay: float):
-    if name == "adam":
-        return Adam(lr=lr, weight_decay=weight_decay)
-    if name == "sgd":
-        return Sgd(lr=lr, weight_decay=weight_decay)
-    raise ValueError(f"unknown optimizer {name!r}")
+    if name not in OPTIMIZERS:
+        raise ValueError(f"unknown optimizer {name!r}")
+    return OPTIMIZERS[name](lr=lr, weight_decay=weight_decay)
 
 
 def save_mlp(model: Mlp, path) -> None:

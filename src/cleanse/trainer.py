@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .countloss import (  # noqa: F401
 )
 from .data import PartialDataset
 from .neural import (
+    OPTIMIZERS,
     Mlp,
     backward,
     forward,
@@ -37,8 +38,19 @@ from .neural import (
 from .reweight import build_weight_matrix, enhanced_label, knn_search
 
 
+def _one_of(*choices: str):
+    """A string setting limited to ``choices``; the first is its default."""
+    return field(default=choices[0], metadata={"choices": choices})
+
+
 @dataclass(frozen=True)
 class TrainConfig:
+    """Every setting of a training run.
+
+    ``cleanse train`` has one flag per field (``lam`` is ``--lambda``), with
+    the field's default and, for the string modes, its choices.
+    """
+
     epochs: int = 250
     batch_size: int = 64
     lr: float = 1e-3
@@ -46,11 +58,11 @@ class TrainConfig:
     k: int = 10
     temperature: float = 3.0
     lam: float = 1e-3
-    count_mode: str = "nll"
-    knn_scope: str = "batch"
-    knn_features: str = "raw"
-    vote_mode: str = "fractional"
-    optimizer: str = "adam"
+    count_mode: str = _one_of("nll", "entropy")
+    knn_scope: str = _one_of("batch", "global")
+    knn_features: str = _one_of("raw", "embedding")
+    vote_mode: str = _one_of("fractional", "multiset")
+    optimizer: str = _one_of(*OPTIMIZERS)
     hidden: tuple[int, ...] = (300, 300)
     seed: int = 0
     eval_window: int = 10
@@ -58,29 +70,28 @@ class TrainConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 2:
-            raise ValueError("batch_size must be >= 2 (k-NN needs a neighbor)")
-        if self.temperature < 1.0:
-            raise ValueError("temperature must be >= 1")
-        if self.lam < 0.0:
-            raise ValueError("lambda must be >= 0")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.count_mode not in ("nll", "entropy"):
-            raise ValueError(f"unknown count mode {self.count_mode!r}")
-        if self.knn_scope not in ("batch", "global"):
-            raise ValueError(f"unknown knn scope {self.knn_scope!r}")
-        if self.knn_features not in ("raw", "embedding"):
-            raise ValueError(f"unknown knn feature space {self.knn_features!r}")
-        if self.vote_mode not in ("fractional", "multiset"):
-            raise ValueError(f"unknown vote mode {self.vote_mode!r}")
-        if self.eval_window < 1 or self.eval_stride < 1:
-            raise ValueError("eval window and stride must be >= 1")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
+        rules = (
+            (self.epochs >= 1, "epochs must be >= 1"),
+            (self.batch_size >= 2, "batch_size must be >= 2 (k-NN needs a neighbor)"),
+            (0.0 < self.lr < math.inf, "lr must be finite and > 0"),
+            (0.0 <= self.weight_decay < math.inf, "weight_decay must be finite and >= 0"),
+            (self.k >= 1, "k must be >= 1"),
+            (1.0 <= self.temperature < math.inf, "temperature must be finite and >= 1"),
+            (0.0 <= self.lam < math.inf, "lambda must be finite and >= 0"),
+            (all(h >= 1 for h in self.hidden), "hidden widths must be >= 1"),
+            (self.seed >= 0, "seed must be >= 0"),
+            (self.eval_window >= 1 and self.eval_stride >= 1,
+             "eval window and stride must be >= 1"),
+            (self.threads >= 1, "threads must be >= 1"),
+        )
+        for ok, message in rules:
+            if not ok:
+                raise ValueError(message)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if "choices" in f.metadata and value not in f.metadata["choices"]:
+                raise ValueError(f"unknown {f.name} {value!r}")
 
 
 class TrainingDiverged(ArithmeticError):
@@ -194,8 +205,9 @@ def fit(
     model = Mlp.init((view.d, *config.hidden, m), rng)
     opt = make_optimizer(config.optimizer, config.lr, config.weight_decay)
 
+    embed = config.knn_features == "embedding" and len(config.hidden) > 0
     global_enhanced = None
-    if config.knn_scope == "global" and config.knn_features == "raw":
+    if config.knn_scope == "global" and not embed:
         # neighbours and enhanced labels of the raw view never change
         neighbors = knn_search(view.features, config.k, threads=config.threads)
         global_enhanced = _enhanced_labels(view, neighbors, config.vote_mode)
@@ -203,10 +215,9 @@ def fit(
     history: list[EpochMetrics] = []
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
-        if config.knn_scope == "global" and config.knn_features == "embedding":
+        if config.knn_scope == "global" and embed:
             hidden, _ = forward(model, view.features)
-            emb = hidden[-1] if hidden else view.features
-            neighbors = knn_search(emb, config.k, threads=config.threads)
+            neighbors = knn_search(hidden[-1], config.k, threads=config.threads)
             global_enhanced = _enhanced_labels(view, neighbors, config.vote_mode)
 
         perm = rng.permutation(view.n)
@@ -219,7 +230,6 @@ def fit(
             hidden, probs = forward(model, X)
 
             if config.knn_scope == "batch":
-                embed = config.knn_features == "embedding" and len(hidden) > 0
                 feats = hidden[-1] if embed else X
                 neighbors = knn_search(feats, config.k, threads=config.threads)
                 enhanced = _enhanced_labels(batch, neighbors, config.vote_mode)

@@ -1,6 +1,8 @@
 """CLI subcommands: generation, training with manifest replay, the stats
 report, the oracle check gate, and exit codes."""
 
+import argparse
+import dataclasses
 import json
 import math
 import shutil
@@ -10,9 +12,18 @@ import pytest
 
 import cleanse.trainer as trainer_module
 from cleanse.checks import check_count_pmf, check_count_values, check_trainer_grad
-from cleanse.cli import EXIT_DIVERGED, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from cleanse.cli import (
+    EXIT_DIVERGED,
+    EXIT_IO,
+    EXIT_OK,
+    EXIT_USAGE,
+    _config_from_args,
+    build_parser,
+    main,
+)
 from cleanse.countloss import CountDistribution, CountLossResult, count_log_pmf, count_loss_values
 from cleanse.data import PartialDataset, read_pll_file, write_pll_file
+from cleanse.trainer import TrainConfig
 
 
 def run_cli(args):
@@ -161,6 +172,22 @@ class TestTrain:
         assert run_cli(["train", "--train", train, "--test", test,
                         "--temperature", "0.5"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--lambda", "nan"], ["--lambda", "inf"], ["--temperature", "nan"],
+         ["--temperature", "inf"], ["--lr", "nan"], ["--lr", "0"], ["--lr", "-1"],
+         ["--weight-decay=-1e-5"], ["--weight-decay", "inf"], ["--seed", "-1"],
+         ["--hidden", "8,0"]],
+    )
+    def test_refused_setting_writes_nothing(self, tiny_dataset, tmp_path, capsys, flags):
+        train, test = tiny_dataset
+        out_dir = tmp_path / "bad"
+        code = run_cli(["train", "--train", train, "--test", test,
+                        "--out-dir", str(out_dir), *TINY_TRAIN_ARGS, *flags])
+        assert code == EXIT_USAGE
+        assert "must be" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_diverging_run_reports_and_exits_nonzero(self, tiny_dataset, tmp_path, capsys):
         train, test = tiny_dataset
         ds = read_pll_file(train)
@@ -280,6 +307,77 @@ class TestReplay:
                             "--out-dir", str(tmp_path / "b"), "--quiet"])
             assert code == EXIT_IO
             assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [({"optimizer": "foo"}, "unknown optimizer 'foo'"),
+         ({"hidden": [0]}, "hidden widths must be >= 1"),
+         ({"seed": -1}, "seed must be >= 0"),
+         ({"lam": math.nan}, "lambda must be finite")],
+        ids=["optimizer", "hidden", "seed", "lam"],
+    )
+    def test_refused_config_value_writes_nothing(self, recorded_run, tmp_path, capsys,
+                                                 edit, message):
+        manifest, _ = recorded_run
+        _edit_manifest(manifest, lambda loaded: loaded["config"].update(edit))
+        out_dir = tmp_path / "b"
+        code = run_cli(["train", "--manifest", str(manifest), "--out-dir", str(out_dir),
+                        "--quiet"])
+        assert code == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not out_dir.exists()
+
+
+def _train_parser() -> argparse.ArgumentParser:
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return sub.choices["train"]
+
+
+RUN_FLAGS = {"--manifest", "--train", "--test", "--out-dir", "--checkpoint-every", "--quiet"}
+
+
+class TestTrainFlags:
+    """The train flags are generated from TrainConfig's fields."""
+
+    def test_one_flag_per_config_field_plus_run_flags(self):
+        actions = [a for a in _train_parser()._actions if a.option_strings != ["-h", "--help"]]
+        flags = {a.option_strings[0]: a for a in actions}
+        assert all(len(a.option_strings) == 1 for a in actions)
+        assert set(flags) == RUN_FLAGS | {
+            "--epochs", "--batch-size", "--lr", "--weight-decay", "--k", "--temperature",
+            "--lambda", "--count-mode", "--knn-scope", "--knn-features", "--vote-mode",
+            "--optimizer", "--hidden", "--seed", "--eval-window", "--eval-stride",
+            "--threads",
+        }
+        config_dests = {a.dest for flag, a in flags.items() if flag not in RUN_FLAGS}
+        assert config_dests == {f.name for f in dataclasses.fields(TrainConfig)}
+        choices = {flag: list(a.choices) for flag, a in flags.items() if a.choices}
+        assert choices == {
+            "--count-mode": ["nll", "entropy"],
+            "--knn-scope": ["batch", "global"],
+            "--knn-features": ["raw", "embedding"],
+            "--vote-mode": ["fractional", "multiset"],
+            "--optimizer": ["adam", "sgd"],
+        }
+
+    def test_defaults_are_the_config_defaults(self):
+        args = _train_parser().parse_args([])
+        assert _config_from_args(args) == TrainConfig()
+
+    def test_hidden_list_and_lambda_flag(self):
+        args = _train_parser().parse_args(["--hidden=", "--lambda", "0"])
+        config = _config_from_args(args)
+        assert config.hidden == ()
+        assert config.lam == 0.0
+        args = _train_parser().parse_args(["--hidden", "16,8"])
+        assert _config_from_args(args).hidden == (16, 8)
+
+    def test_bad_choice_exits_through_argparse(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["train", "--optimizer", "foo"])
+        assert exc.value.code == EXIT_USAGE
+        assert "invalid choice: 'foo'" in capsys.readouterr().err
 
 
 class TestStats:

@@ -92,11 +92,36 @@ class TestConfigValidation:
             {"knn_features": "pca"},
             {"eval_window": 0},
             {"threads": 0},
+            # non-finite numbers: NaN fails every comparison, inf every bound
+            {"lam": math.nan},
+            {"lam": math.inf},
+            {"temperature": math.nan},
+            {"temperature": math.inf},
+            {"lr": math.nan},
+            {"lr": math.inf},
+            {"weight_decay": math.nan},
+            {"weight_decay": math.inf},
+            # fields that used to fail only inside fit, or never
+            {"lr": 0.0},
+            {"lr": -1.0},
+            {"weight_decay": -1e-5},
+            {"seed": -1},
+            {"hidden": (8, 0)},
+            {"hidden": [0]},
+            {"optimizer": "foo"},
+            {"eval_stride": 0},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
+
+    def test_boundary_values_accepted(self):
+        config = TrainConfig(temperature=1.0, lam=0.0, weight_decay=0.0, lr=1e-300,
+                             hidden=[], seed=0, optimizer="sgd")
+        assert config.hidden == ()
+        # manifests and the benchmark worker pass hidden as a JSON list
+        assert TrainConfig(hidden=[300, 300]) == TrainConfig()
 
 
 class TestDegeneracy:
@@ -265,26 +290,49 @@ class TestEvaluateSummarize:
             summarize(history, 0)
 
 
+@pytest.fixture
+def label_calls(monkeypatch):
+    """Row indices of every enhanced_label call fit makes, in call order."""
+    calls = []
+    original = trainer_module.enhanced_label
+
+    def counting(i, dataset, neighbors, vote_mode):
+        calls.append(int(i))
+        return original(i, dataset, neighbors, vote_mode)
+
+    monkeypatch.setattr(trainer_module, "enhanced_label", counting)
+    return calls
+
+
 class TestGlobalRawEnhancedLabels:
     @pytest.mark.parametrize("knn_features", ["raw", "embedding"])
-    def test_computed_once_per_row_per_run(self, monkeypatch, knn_features):
+    def test_computed_once_per_row_per_run(self, label_calls, knn_features):
         # raw neighbours never change, so labels are computed once per run;
         # embedding neighbours are recomputed each epoch, in view order
         ds = make_dataset(n=100, seed=16)
         train, test = split(ds, 0.2, seed=17)
-        calls = []
-        original = trainer_module.enhanced_label
-
-        def counting(i, dataset, neighbors, vote_mode):
-            calls.append(int(i))
-            return original(i, dataset, neighbors, vote_mode)
-
-        monkeypatch.setattr(trainer_module, "enhanced_label", counting)
         config = TrainConfig(epochs=3, batch_size=32, hidden=(8,), knn_scope="global",
                              knn_features=knn_features, seed=18)
         fit(train, test, config)
         runs = 1 if knn_features == "raw" else config.epochs
-        assert calls == list(range(train.n)) * runs
+        assert label_calls == list(range(train.n)) * runs
+
+    def test_embedding_without_hidden_layer_computed_once(self, label_calls):
+        # with no hidden layer the embedding is the raw view, which never changes
+        ds = make_dataset(n=100, seed=16)
+        train, test = split(ds, 0.2, seed=17)
+        runs = {}
+        for knn_features in ("embedding", "raw"):
+            config = TrainConfig(epochs=3, batch_size=32, hidden=(), knn_scope="global",
+                                 knn_features=knn_features, seed=18)
+            model, history = fit(train, test, config)
+            runs[knn_features] = (
+                [(h.reweight_loss, h.count_loss, h.test_accuracy) for h in history],
+                [p.tobytes() for p in model.parameters()],
+            )
+            if knn_features == "embedding":
+                assert label_calls == list(range(train.n))
+        assert runs["embedding"] == runs["raw"]
 
 
 class TestDivergence:
