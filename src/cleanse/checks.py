@@ -75,8 +75,8 @@ def check_count_pmf(rng: np.random.Generator, cases: int = 200, max_n: int = 12,
     return CheckResult("count-pmf-vs-enumeration", worst, 1e-10)
 
 
-def check_interval_probs(rng: np.random.Generator, cases: int = 200, max_n: int = 12,
-                         pmf_fn=count_log_pmf) -> CheckResult:
+def check_interval_probs(rng: np.random.Generator, cases: int = 200,
+                         max_n: int = 12) -> CheckResult:
     """Interval probabilities vs direct sums over the enumerated pmf."""
     worst = 0.0
     for _ in range(cases):
@@ -84,7 +84,7 @@ def check_interval_probs(rng: np.random.Generator, cases: int = 200, max_n: int 
         p = rng.random(n)
         lo = int(rng.integers(0, n + 1))
         hi = int(rng.integers(lo, n + 1))
-        got = math.exp(interval_log_prob(pmf_fn(np.log(p)), lo, hi))
+        got = math.exp(interval_log_prob(count_log_pmf(np.log(p)), lo, hi))
         want = float(np.sum(pmf_by_enumeration(p)[lo : hi + 1]))
         worst = max(worst, abs(got - want))
     return CheckResult("interval-prob-vs-enumeration", worst, 1e-10)

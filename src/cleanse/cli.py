@@ -24,6 +24,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -41,11 +42,12 @@ from .data import (
     write_pll_file,
 )
 from .neural import save_mlp
-from .stats import RankTable, bonferroni_dunn_cd, friedman, rank_results
+from .stats import Q_ALPHA_05, RankTable, bonferroni_dunn_cd, friedman, rank_results
 from .trainer import (
     CSV_HEADER,
     TrainConfig,
     TrainingDiverged,
+    check_test_set,
     fit,
     format_metrics_row,
     summarize,
@@ -83,19 +85,17 @@ def cmd_generate(args) -> int:
         write_pll_file(train, args.out)
         write_pll_file(test, args.test_out)
         for name, part in (("train", train), ("test", test)):
-            s = compute_stats(part)
-            _log(
-                f"{name}: n={s.n} d={s.d} m={s.m} "
-                f"avg_candidates={s.avg_candidates:.4f} clean_rate={s.clean_rate:.4f}"
-            )
+            _log(f"{name}: {_describe(part)}")
     else:
         write_pll_file(dataset, args.out)
-        s = compute_stats(dataset)
-        _log(
-            f"wrote {args.out}: n={s.n} d={s.d} m={s.m} "
-            f"avg_candidates={s.avg_candidates:.4f} clean_rate={s.clean_rate:.4f}"
-        )
+        _log(f"wrote {args.out}: {_describe(dataset)}")
     return EXIT_OK
+
+
+def _describe(dataset) -> str:
+    s = compute_stats(dataset)
+    return (f"n={s.n} d={s.d} m={s.m} "
+            f"avg_candidates={s.avg_candidates:.4f} clean_rate={s.clean_rate:.4f}")
 
 
 def _config_from_args(args) -> TrainConfig:
@@ -146,7 +146,12 @@ def cmd_train(args) -> int:
 
     train = read_pll_file(train_path)
     test = read_pll_file(test_path)
+    check_test_set(train, test)
     os.makedirs(out_dir, exist_ok=True)
+    # no model.txt or model_epoch<N>.txt of an earlier run stays beside this manifest
+    for name in os.listdir(out_dir):
+        if re.fullmatch(r"model(_epoch\d+)?\.txt", name):
+            os.remove(os.path.join(out_dir, name))
 
     manifest = {
         "toolkit_version": __version__,
@@ -202,13 +207,13 @@ def _rank_table_from_args(args) -> tuple[RankTable, list[str]]:
             toks = line.rstrip("\n").split(",")
             if len(toks) != len(header):
                 raise ValueError(f"{args.csv}:{lineno}: expected {len(header)} columns")
-            try:
-                rows.append([float(t) for t in toks])
-            except ValueError:
-                bad = next(t for t in toks if not _is_float(t))
-                raise ValueError(
-                    f"{args.csv}:{lineno}: bad accuracy value {bad!r}"
-                ) from None
+            row = []
+            for tok in toks:
+                try:
+                    row.append(float(tok))
+                except ValueError:
+                    raise ValueError(f"{args.csv}:{lineno}: bad accuracy value {tok!r}") from None
+            rows.append(row)
     fixed = {}
     for spec in args.fixed_rank or []:
         name, _, value = spec.partition("=")
@@ -218,12 +223,11 @@ def _rank_table_from_args(args) -> tuple[RankTable, list[str]]:
     return rank_results(np.array(rows), fixed_ranks=fixed or None), header
 
 
-def _is_float(tok: str) -> bool:
-    try:
-        float(tok)
-        return True
-    except ValueError:
-        return False
+def _q_alpha(args, k: int) -> float:
+    """--q-alpha, or the tabulated alpha = 0.05 value for k algorithms."""
+    if args.q_alpha is None and k not in Q_ALPHA_05:
+        raise ValueError(f"no tabulated q_alpha for k={k}; pass --q-alpha")
+    return Q_ALPHA_05[k] if args.q_alpha is None else args.q_alpha
 
 
 def cmd_stats(args) -> int:
@@ -231,17 +235,19 @@ def cmd_stats(args) -> int:
         # critical-difference-only mode: just k, N and q_alpha
         if args.k is None or args.cases is None:
             raise ValueError("provide --csv, --avg-ranks, or both --k and --cases")
-        cd = bonferroni_dunn_cd(args.q_alpha, args.k, args.cases)
-        print(f"CD={cd:.6g} (q_alpha={args.q_alpha}, k={args.k}, N={args.cases})")
+        q_alpha = _q_alpha(args, args.k)
+        cd = bonferroni_dunn_cd(q_alpha, args.k, args.cases)
+        print(f"CD={cd:.6g} (q_alpha={q_alpha}, k={args.k}, N={args.cases})")
         return EXIT_OK
 
     table, names = _rank_table_from_args(args)
+    q_alpha = _q_alpha(args, table.k)
     chi2, f_f = friedman(table)
-    cd = bonferroni_dunn_cd(args.q_alpha, table.k, table.n_cases)
+    cd = bonferroni_dunn_cd(q_alpha, table.k, table.n_cases)
     print(f"k={table.k} N={table.n_cases}")
     print(f"chi2={chi2:.6g}")
     print(f"F_F={f_f:.6g}")
-    print(f"CD={cd:.6g} (q_alpha={args.q_alpha})")
+    print(f"CD={cd:.6g} (q_alpha={q_alpha})")
     order = np.argsort(table.avg_ranks, kind="stable")
     best = table.avg_ranks[order[0]]
     print("ranking (best first):")
@@ -322,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--csv", help="accuracy CSV: header = algorithm names, one row per case")
     s.add_argument("--avg-ranks", help="comma-separated average ranks (skip ranking)")
     s.add_argument("--cases", "--n", type=int, default=None, help="case count N")
-    s.add_argument("--q-alpha", type=float, default=2.690)
+    s.add_argument("--q-alpha", type=float, default=None,
+                   help="critical value (default: the alpha = 0.05 value for k)")
     s.add_argument("--k", type=int, default=None,
                    help="algorithm count (for CD-only mode without a rank table)")
     s.add_argument("--fixed-rank", action="append", metavar="NAME=RANK",

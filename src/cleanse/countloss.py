@@ -25,6 +25,9 @@ import numpy as np
 
 LOG_ZERO = float("-inf")
 
+# count-loss modes; the first is the default
+COUNT_MODES = ("nll", "entropy")
+
 # Clamp floor for interval probabilities in nll mode: keeps the gradient
 # finite (1/q <= e^700, still inside float64 range) without changing its sign.
 MIN_LOG_PROB = -700.0
@@ -32,44 +35,33 @@ MIN_LOG_PROB = -700.0
 _LOG_HALF = -math.log(2.0)
 
 
-def log1mexp(x: float) -> float:
-    """Compute log(1 - exp(x)) for x <= 0 without catastrophic cancellation.
+def log1mexp(x):
+    """log(1 - exp(x)) elementwise for x <= 0, without catastrophic cancellation.
 
-    Uses log(-expm1(x)) when x > -ln 2 (exp(x) close to 1) and
-    log1p(-exp(x)) otherwise, the standard two-branch scheme.  x = 0 maps
-    to -inf (probability zero).
+    Uses log(-expm1(x)) where x > -ln 2 (exp(x) close to 1) and
+    log1p(-exp(x)) elsewhere, the standard two-branch scheme.  x = 0 maps
+    to -inf (probability zero); a scalar in gives a scalar out.
     """
-    if x > 0.0:
-        raise ValueError(f"log1mexp requires x <= 0, got {x}")
-    if x == 0.0:
-        return LOG_ZERO
-    if x > _LOG_HALF:
-        return math.log(-math.expm1(x))
-    return math.log1p(-math.exp(x))
-
-
-def log1mexp_vec(x: np.ndarray) -> np.ndarray:
-    """Vectorized ``log1mexp`` over an array of log-probabilities."""
     x = np.asarray(x, dtype=np.float64)
     if np.any(x > 0.0):
-        raise ValueError("log1mexp requires all inputs <= 0")
+        raise ValueError("log-probabilities must be <= 0")
     out = np.empty_like(x)
     near_one = x > _LOG_HALF
     with np.errstate(divide="ignore"):
         out[near_one] = np.log(-np.expm1(x[near_one]))
         out[~near_one] = np.log1p(-np.exp(x[~near_one]))
-    return out
+    return out[()]
 
 
-def logsumexp(xs) -> float:
-    """log(sum(exp(xs))) via max-shift; an all--inf input returns -inf."""
+def logsumexp(xs):
+    """log(sum(exp(xs))) over the last axis via max-shift; an all--inf row gives -inf."""
     xs = np.asarray(xs, dtype=np.float64)
     if xs.size == 0:
         raise ValueError("logsumexp of an empty sequence")
-    m = float(np.max(xs))
-    if m == LOG_ZERO:
-        return LOG_ZERO
-    return m + math.log(float(np.sum(np.exp(xs - m))))
+    top = xs.max(axis=-1)
+    shift = np.where(top > LOG_ZERO, top, 0.0)
+    with np.errstate(divide="ignore"):
+        return (shift + np.log(np.sum(np.exp(xs - shift[..., None]), axis=-1)))[()]
 
 
 @dataclass(frozen=True)
@@ -125,22 +117,14 @@ def _forward(
     return row
 
 
-def _log_probs(log_p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(n, m, 1) log p and log(1 - p) from an (n, m) matrix of log p."""
-    log_p = np.asarray(log_p, dtype=np.float64)
-    if np.any(log_p > 0.0):
-        raise ValueError("log-probabilities must be <= 0")
-    return log_p[:, :, None], log1mexp_vec(log_p)[:, :, None]
-
-
 def count_log_pmf(log_p: np.ndarray) -> CountDistribution:
     """Log-pmf of the sum of independent Bernoullis with log-probs ``log_p``.
 
     Runs the convolution recurrence in place, so working memory stays O(n)
     while time is O(n^2).
     """
-    log_p, log_q = _log_probs(np.asarray(log_p, dtype=np.float64)[:, None])
-    return CountDistribution(log_pmf=_forward(log_p, log_q, len(log_p))[0, 1:-1])
+    log_p = np.asarray(log_p, dtype=np.float64)[:, None, None]
+    return CountDistribution(log_pmf=_forward(log_p, log1mexp(log_p), len(log_p))[0, 1:-1])
 
 
 def interval_log_prob(dist: CountDistribution, lo: int, hi: int) -> float:
@@ -181,7 +165,7 @@ _GRAD_BLOCK = 64
 
 def _batch_inputs(probs: np.ndarray, lo, hi, mode: str) -> tuple:
     """Validated (n, m, 1) log p and log(1 - p), and the (m,) lo and hi."""
-    if mode not in ("nll", "entropy"):
+    if mode not in COUNT_MODES:
         raise ValueError(f"unknown count-loss mode {mode!r}")
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 2:
@@ -201,8 +185,8 @@ def _batch_inputs(probs: np.ndarray, lo, hi, mode: str) -> tuple:
             f"count interval [{lo[j]}, {hi[j]}] of class {j} is outside 0 <= lo <= hi <= {n}"
         )
     with np.errstate(divide="ignore"):
-        log_p, log_q = _log_probs(np.log(probs))
-    return log_p, log_q, lo, hi
+        log_p = np.log(probs)[:, :, None]
+    return log_p, log1mexp(log_p), lo, hi
 
 
 def _interval_mask(width: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -213,11 +197,7 @@ def _interval_mask(width: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 def _interval_log_q(row: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Per-class log P(lo_j <= count_j <= hi_j) from a padded last DP row."""
-    inside = np.where(_interval_mask(row.shape[1], lo, hi), row, LOG_ZERO)
-    top = inside.max(axis=1)
-    shift = np.where(top > LOG_ZERO, top, 0.0)
-    with np.errstate(divide="ignore"):
-        return shift + np.log(np.sum(np.exp(inside - shift[:, None]), axis=1))
+    return logsumexp(np.where(_interval_mask(row.shape[1], lo, hi), row, LOG_ZERO))
 
 
 def _loss_terms(log_q: np.ndarray, mode: str) -> tuple[float, np.ndarray, bool]:

@@ -22,6 +22,9 @@ logger = logging.getLogger(__name__)
 # candidate set; the weight row falls back to uniform over candidates.
 NO_ENHANCEMENT = -1
 
+# neighbour-vote modes of enhanced_label; the first is the default
+VOTE_MODES = ("fractional", "multiset")
+
 # elements per (rows, p) GEMM block
 _CHUNK_ELEMENTS = 1_000_000
 # elements per (pairs, d) re-rank difference block, a cache-sized 256 KiB
@@ -125,7 +128,7 @@ def enhanced_label(
        neighbor is closest, then to the lowest class index.  If no neighbor
        label lands in i's candidate set the sentinel is returned.
     """
-    if vote_mode not in ("fractional", "multiset"):
+    if vote_mode not in VOTE_MODES:
         raise ValueError(f"unknown vote mode {vote_mode!r}")
     own = dataset.candidates[i].tolist()
     labs = [j for j, mine in enumerate(own) if mine]

@@ -92,7 +92,7 @@ def bonferroni_dunn_cd(q_alpha: float, k: int, n_cases: int) -> float:
 
 
 # Common two-tailed Bonferroni-Dunn q values at alpha = 0.05 (control vs
-# k-1 others); callers may always pass their own.
+# k-1 others); `cleanse stats` uses them unless --q-alpha is given.
 Q_ALPHA_05 = {
     2: 1.960,
     3: 2.241,

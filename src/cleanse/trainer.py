@@ -19,6 +19,7 @@ import numpy as np
 # count_log_pmf and interval_log_prob are unused here but stay bound:
 # perfbench/spans.py wraps every count-loss name on this module.
 from .countloss import (  # noqa: F401
+    COUNT_MODES,
     batch_intervals,
     count_log_pmf,
     count_loss,
@@ -35,7 +36,7 @@ from .neural import (
     make_optimizer,
     reweighted_ce,
 )
-from .reweight import build_weight_matrix, enhanced_label, knn_search
+from .reweight import VOTE_MODES, build_weight_matrix, enhanced_label, knn_search
 
 
 def _one_of(*choices: str):
@@ -58,10 +59,10 @@ class TrainConfig:
     k: int = 10
     temperature: float = 3.0
     lam: float = 1e-3
-    count_mode: str = _one_of("nll", "entropy")
+    count_mode: str = _one_of(*COUNT_MODES)
     knn_scope: str = _one_of("batch", "global")
     knn_features: str = _one_of("raw", "embedding")
-    vote_mode: str = _one_of("fractional", "multiset")
+    vote_mode: str = _one_of(*VOTE_MODES)
     optimizer: str = _one_of(*OPTIMIZERS)
     hidden: tuple[int, ...] = (300, 300)
     seed: int = 0
@@ -70,7 +71,7 @@ class TrainConfig:
     threads: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
+        object.__setattr__(self, "hidden", tuple(self.hidden))
         rules = (
             (self.epochs >= 1, "epochs must be >= 1"),
             (self.batch_size >= 2, "batch_size must be >= 2 (k-NN needs a neighbor)"),
@@ -79,6 +80,7 @@ class TrainConfig:
             (self.k >= 1, "k must be >= 1"),
             (1.0 <= self.temperature < math.inf, "temperature must be finite and >= 1"),
             (0.0 <= self.lam < math.inf, "lambda must be finite and >= 0"),
+            (all(type(h) is int for h in self.hidden), "hidden widths must be integers"),
             (all(h >= 1 for h in self.hidden), "hidden widths must be >= 1"),
             (self.seed >= 0, "seed must be >= 0"),
             (self.eval_window >= 1 and self.eval_stride >= 1,
@@ -90,6 +92,8 @@ class TrainConfig:
                 raise ValueError(message)
         for f in fields(self):
             value = getattr(self, f.name)
+            if type(f.default) is int and type(value) is not int:
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
             if "choices" in f.metadata and value not in f.metadata["choices"]:
                 raise ValueError(f"unknown {f.name} {value!r}")
 
@@ -153,6 +157,15 @@ def summarize(history, window: int) -> tuple[float, float]:
     return float(np.mean(accs)), float(np.std(accs))
 
 
+def check_test_set(train: PartialDataset, test: PartialDataset) -> None:
+    """Refuse a test set without truth labels, or with another d or m than ``train``."""
+    if test.hidden_truth is None:
+        raise ValueError("the test set has no truth labels to evaluate against")
+    if (test.d, test.m) != (train.d, train.m):
+        raise ValueError(f"the test set has d={test.d}, m={test.m}; "
+                         f"the training set has d={train.d}, m={train.m}")
+
+
 def _enhanced_labels(dataset: PartialDataset, neighbors, vote_mode: str) -> np.ndarray:
     """(n,) int64 enhanced label of every row of ``dataset``, in row order."""
     return np.array(
@@ -188,21 +201,23 @@ def fit(
 ) -> tuple[Mlp, list[EpochMetrics]]:
     """Train a classifier on a partial-label dataset.
 
-    The training view is truth-stripped before anything else runs, so the
-    hidden labels cannot leak into any gradient.  ``on_epoch`` (if given)
-    receives (EpochMetrics, model) as each epoch finishes, e.g. to tail a
-    CSV or write periodic checkpoints.  A non-finite batch loss stops the
-    run with ``TrainingDiverged`` before that batch's optimizer step.  At
-    lambda = 0 the count losses are only reported; they are computed after
-    the epoch's last step, in one ``count_loss_values`` call, and a
-    non-finite one raises ``TrainingDiverged`` naming its batch then.
+    The test set must pass ``check_test_set``.  The training view is
+    truth-stripped before anything else runs, so the hidden labels cannot
+    leak into any gradient.  ``on_epoch`` (if given) receives (EpochMetrics,
+    model) after each epoch, e.g. to tail a CSV or write checkpoints.  A
+    non-finite batch loss stops the run with ``TrainingDiverged`` before
+    that batch's optimizer step.  At lambda = 0 the count losses are only
+    reported; they are computed after the epoch's last step, in one
+    ``count_loss_values`` call, and a non-finite one raises
+    ``TrainingDiverged`` naming its batch then.
     """
     if train.n == 0:
         raise ValueError("training set is empty")
+    if test is not None:
+        check_test_set(train, test)
     view = train.strip_truth()
-    m = view.m
     rng = np.random.default_rng(config.seed)
-    model = Mlp.init((view.d, *config.hidden, m), rng)
+    model = Mlp.init((view.d, *config.hidden, view.m), rng)
     opt = make_optimizer(config.optimizer, config.lr, config.weight_decay)
 
     embed = config.knn_features == "embedding" and len(config.hidden) > 0
@@ -306,13 +321,6 @@ def format_metrics_row(metrics: EpochMetrics) -> str:
         f"{metrics.epoch},{metrics.reweight_loss:.9g},{metrics.count_loss:.9g},"
         f"{metrics.total_loss:.9g},{metrics.test_accuracy:.9g},0"
     )
-
-
-def write_metrics_csv(history, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for metrics in history:
-            fh.write(format_metrics_row(metrics) + "\n")
 
 
 def read_metrics_csv(path) -> list[EpochMetrics]:

@@ -5,7 +5,10 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from cleanse.cli import (
 )
 from cleanse.countloss import CountDistribution, CountLossResult, count_log_pmf, count_loss_values
 from cleanse.data import PartialDataset, read_pll_file, write_pll_file
+from cleanse.stats import Q_ALPHA_05
 from cleanse.trainer import TrainConfig
 
 
@@ -207,6 +211,47 @@ class TestTrain:
         assert not (out_dir / "model.txt").exists()
         assert "nan" not in (out_dir / "metrics.csv").read_text()
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [(lambda ds: PartialDataset(ds.features, np.pad(ds.candidates, ((0, 0), (0, 1))),
+                                    4, ds.hidden_truth), "m=4"),
+         (lambda ds: PartialDataset(np.hstack([ds.features, ds.features]), ds.candidates,
+                                    ds.m, ds.hidden_truth), "d=4"),
+         (lambda ds: ds.strip_truth(), "no truth labels")],
+        ids=["m", "d", "truth"],
+    )
+    def test_mismatched_test_set_writes_nothing(self, tiny_dataset, tmp_path, capsys,
+                                                change, message):
+        train, test = tiny_dataset
+        bad_test = tmp_path / "bad_test.pll"
+        write_pll_file(change(read_pll_file(test)), bad_test)
+        out_dir = tmp_path / "bad"
+        code = run_cli(["train", "--train", train, "--test", str(bad_test),
+                        "--out-dir", str(out_dir), *TINY_TRAIN_ARGS])
+        assert code == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_diverging_rerun_leaves_no_stale_model(self, tiny_dataset, tmp_path, capsys):
+        train, test = tiny_dataset
+        out_dir = tmp_path / "rerun"
+        code = run_cli(["train", "--train", train, "--test", test, "--out-dir", str(out_dir),
+                        "--checkpoint-every", "1", *TINY_TRAIN_ARGS])
+        assert code == EXIT_OK
+        assert {"model.txt", "model_epoch0.txt"} <= set(os.listdir(out_dir))
+        (out_dir / "notes.txt").write_text("kept\n")
+        ds = read_pll_file(train)
+        huge = tmp_path / "huge.pll"
+        write_pll_file(PartialDataset(ds.features * 1e200, ds.candidates, ds.m,
+                                      ds.hidden_truth), huge)
+        with np.errstate(all="ignore"):
+            code = run_cli(["train", "--train", str(huge), "--test", test,
+                            "--out-dir", str(out_dir), "--optimizer", "sgd", "--lr", "10",
+                            *TINY_TRAIN_ARGS])
+        assert code == EXIT_DIVERGED
+        assert sorted(os.listdir(out_dir)) == ["manifest.json", "metrics.csv", "notes.txt"]
+        assert json.loads((out_dir / "manifest.json").read_text())["train_path"] == str(huge)
+
     def test_periodic_checkpoints(self, tiny_dataset, tmp_path):
         train, test = tiny_dataset
         out_dir = tmp_path / "ck"
@@ -273,6 +318,15 @@ class TestReplay:
             manifest.parent / "metrics.csv"
         ).read_bytes()
 
+    def test_replay_into_recorded_out_dir(self, recorded_run):
+        manifest, _ = recorded_run
+        out_dir = manifest.parent
+        recorded = {name: (out_dir / name).read_bytes()
+                    for name in ("manifest.json", "metrics.csv", "model.txt")}
+        assert run_cli(["train", "--manifest", str(manifest), "--quiet"]) == EXIT_OK
+        for name, content in recorded.items():
+            assert (out_dir / name).read_bytes() == content
+
     def test_changed_train_file_is_refused(self, recorded_run, tmp_path, capsys):
         manifest, train = recorded_run
         lines = train.read_text().splitlines(keepends=True)
@@ -313,8 +367,10 @@ class TestReplay:
         [({"optimizer": "foo"}, "unknown optimizer 'foo'"),
          ({"hidden": [0]}, "hidden widths must be >= 1"),
          ({"seed": -1}, "seed must be >= 0"),
-         ({"lam": math.nan}, "lambda must be finite")],
-        ids=["optimizer", "hidden", "seed", "lam"],
+         ({"lam": math.nan}, "lambda must be finite"),
+         ({"epochs": 2.5}, "epochs must be an integer, got 2.5"),
+         ({"hidden": [2.7]}, "hidden widths must be integers")],
+        ids=["optimizer", "hidden", "seed", "lam", "epochs", "hidden-fraction"],
     )
     def test_refused_config_value_writes_nothing(self, recorded_run, tmp_path, capsys,
                                                  edit, message):
@@ -398,6 +454,25 @@ class TestStats:
         cd = float(capsys.readouterr().out.split("CD=")[1].split()[0])
         assert abs(cd - 1.864) <= 0.001
 
+    @pytest.mark.parametrize("k", [2, 3, 10])
+    def test_default_q_alpha_is_the_one_for_k(self, capsys, k):
+        assert run_cli(["stats", "--k", str(k), "--cases", "25"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert f"q_alpha={Q_ALPHA_05[k]}," in out
+        want = Q_ALPHA_05[k] * math.sqrt(k * (k + 1) / (6.0 * 25))
+        assert float(out.split("CD=")[1].split()[0]) == pytest.approx(want, rel=1e-5)
+
+    def test_default_q_alpha_follows_the_csv_columns(self, tmp_path, capsys):
+        path = tmp_path / "acc.csv"
+        path.write_text("a,b,c\n0.9,0.8,0.7\n0.7,0.8,0.6\n0.9,0.6,0.8\n")
+        assert run_cli(["stats", "--csv", str(path)]) == EXIT_OK
+        assert f"(q_alpha={Q_ALPHA_05[3]})" in capsys.readouterr().out
+
+    def test_k_outside_the_table_needs_q_alpha(self, capsys):
+        assert run_cli(["stats", "--k", "11", "--cases", "25"]) == EXIT_USAGE
+        assert "--q-alpha" in capsys.readouterr().err
+        assert run_cli(["stats", "--k", "11", "--cases", "25", "--q-alpha", "2.8"]) == EXIT_OK
+
     def test_csv_equal_columns_give_zero(self, tmp_path, capsys):
         path = tmp_path / "acc.csv"
         path.write_text("a,b,c\n0.5,0.5,0.5\n0.7,0.7,0.7\n")
@@ -466,3 +541,15 @@ class TestCheck:
     def test_check_subcommand_alias(self, capsys):
         code = run_cli(["countloss-check", "--n", "64"])
         assert code == EXIT_OK
+
+
+def test_import_loads_no_scipy():
+    """scipy.stats costs about a second to import; only ``stats`` may load it,
+    when it ranks a table."""
+    code = ("import sys, cleanse, cleanse.cli, cleanse.trainer; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(trainer_module.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -17,7 +17,6 @@ from cleanse.countloss import (
     count_loss_values,
     interval_log_prob,
     log1mexp,
-    log1mexp_vec,
     logsumexp,
 )
 from cleanse.data import generate_synthetic
@@ -63,9 +62,18 @@ class TestLog1mexp:
 
     def test_vectorized_agrees_with_scalar(self):
         xs = np.array([-1e-12, -0.1, -0.7, -5.0, -100.0, 0.0, -np.inf])
-        vec = log1mexp_vec(xs)
+        vec = log1mexp(xs)
+        assert vec.shape == xs.shape
         for x, v in zip(xs, vec):
             assert v == log1mexp(float(x))
+
+    def test_scalar_in_scalar_out(self):
+        assert np.ndim(log1mexp(-0.5)) == 0
+        assert log1mexp(np.float64(-0.5)) == log1mexp(np.array([-0.5]))[0]
+
+    def test_any_positive_entry_rejected(self):
+        with pytest.raises(ValueError, match="must be <= 0"):
+            log1mexp(np.array([[-1.0, -2.0], [-3.0, 1e-300]]))
 
 
 class TestLogsumexp:
@@ -102,6 +110,40 @@ class TestLogsumexp:
         for _ in range(200):
             xs = rng.uniform(-700.0, 0.0, size=int(rng.integers(1, 20)))
             assert logsumexp(xs) == pytest.approx(float(scipy_lse(xs)), abs=1e-12)
+
+    def test_reduces_the_last_axis_row_by_row(self):
+        rng = np.random.default_rng(12)
+        rows = rng.uniform(-700.0, 0.0, size=(6, 9))
+        rows[2] = LOG_ZERO
+        rows[4, ::2] = LOG_ZERO
+        got = logsumexp(rows)
+        assert got.shape == (6,)
+        assert got[2] == LOG_ZERO
+        for row, value in zip(rows, got):
+            assert value == logsumexp(row)
+        assert np.ndim(logsumexp(rows[0])) == 0
+
+
+class TestTrainingRunsTheTestedPrimitives:
+    """count_loss and count_loss_values call the log1mexp and logsumexp the
+    tests above check, not private copies of them."""
+
+    @pytest.mark.parametrize("name", ["log1mexp", "logsumexp"])
+    def test_both_paths_call_the_module_function(self, monkeypatch, name):
+        calls = []
+        original = getattr(countloss_module, name)
+
+        def counting(x):
+            calls.append(np.shape(x))
+            return original(x)
+
+        monkeypatch.setattr(countloss_module, name, counting)
+        probs = np.array([[0.2, 0.8], [0.6, 0.4], [0.5, 0.5]])
+        lo, hi = np.array([0, 1]), np.array([2, 3])
+        count_loss(probs, lo, hi)
+        assert len(calls) == 1
+        count_loss_values([(probs, lo, hi), (probs, lo, hi)])
+        assert len(calls) == (3 if name == "log1mexp" else 2)
 
 
 class TestCountLogPmf:

@@ -7,7 +7,14 @@ import time
 import numpy as np
 import pytest
 
-from cleanse.data import PartialDataset, gaussian_clusters, generate_synthetic, split
+from cleanse.cli import EXIT_OK, main
+from cleanse.data import (
+    PartialDataset,
+    gaussian_clusters,
+    generate_synthetic,
+    split,
+    write_pll_file,
+)
 from cleanse.neural import Mlp, backward, forward, make_optimizer, reweighted_ce
 import cleanse.trainer as trainer_module
 from cleanse.trainer import (
@@ -18,9 +25,9 @@ from cleanse.trainer import (
     epoch_batches,
     evaluate,
     fit,
+    format_metrics_row,
     read_metrics_csv,
     summarize,
-    write_metrics_csv,
 )
 
 
@@ -28,6 +35,19 @@ def make_dataset(n=240, m=3, q=0.5, seed=0, spread=1.0):
     feats, labels = gaussian_clusters(n, m, seed=seed, spread=spread)
     cands = generate_synthetic(labels, m, q=q, seed=seed + 1)
     return PartialDataset(features=feats, candidates=cands, m=m, hidden_truth=labels)
+
+
+def cli_metrics_csv(tmp_path, train, test, flags):
+    """Path of the metrics.csv that ``cleanse train`` writes for ``train`` and
+    ``test``, given as PLL files, with the config ``flags``."""
+    paths = [tmp_path / "train.pll", tmp_path / "test.pll"]
+    for dataset, path in zip((train, test), paths):
+        write_pll_file(dataset, path)
+    out_dir = tmp_path / "run"
+    code = main(["train", "--train", str(paths[0]), "--test", str(paths[1]),
+                 "--out-dir", str(out_dir), "--quiet", *flags])
+    assert code == EXIT_OK
+    return out_dir / "metrics.csv"
 
 
 def baseline_fit(train, test, config):
@@ -110,6 +130,15 @@ class TestConfigValidation:
             {"hidden": [0]},
             {"optimizer": "foo"},
             {"eval_stride": 0},
+            # integer fields: no fractions, no bools, no silent truncation
+            {"epochs": 2.5},
+            {"batch_size": 32.5},
+            {"k": 2.5},
+            {"threads": 1.5},
+            {"seed": True},
+            {"eval_window": 10.0},
+            {"hidden": (2.7,)},
+            {"hidden": (8, True)},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -122,6 +151,27 @@ class TestConfigValidation:
         assert config.hidden == ()
         # manifests and the benchmark worker pass hidden as a JSON list
         assert TrainConfig(hidden=[300, 300]) == TrainConfig()
+
+
+class TestTestSetCheck:
+    @pytest.mark.parametrize(
+        "change, message",
+        [(lambda ds: PartialDataset(ds.features[:, :1], ds.candidates, ds.m, ds.hidden_truth),
+          "d=1, m=3"),
+         (lambda ds: PartialDataset(ds.features, np.pad(ds.candidates, ((0, 0), (0, 1))),
+                                    4, ds.hidden_truth), "d=2, m=4"),
+         (lambda ds: ds.strip_truth(), "no truth labels")],
+        ids=["d", "m", "truth"],
+    )
+    def test_refused_before_any_work(self, monkeypatch, change, message):
+        train, test = split(make_dataset(n=60, seed=40), 0.2, seed=41)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("fit started work on a refused test set")
+
+        monkeypatch.setattr(trainer_module, "make_optimizer", no_work)
+        with pytest.raises(ValueError, match=message):
+            fit(train, change(test), TrainConfig(epochs=1, batch_size=16, hidden=(4,)))
 
 
 class TestDegeneracy:
@@ -203,9 +253,10 @@ class TestMetrics:
         train, test = split(ds, 0.2, seed=20)
         config = TrainConfig(epochs=12, batch_size=32, hidden=(8,), seed=21)
         _, history = fit(train, test, config)
-        path = tmp_path / "metrics.csv"
-        write_metrics_csv(history, path)
-        assert path.read_text().splitlines()[0] == CSV_HEADER
+        path = cli_metrics_csv(tmp_path, train, test, ["--epochs", "12", "--batch-size", "32",
+                                                        "--hidden", "8", "--seed", "21"])
+        lines = path.read_text().splitlines()
+        assert lines == [CSV_HEADER, *(format_metrics_row(h) for h in history)]
         back = read_metrics_csv(path)
         # recompute the reported number from the emitted CSV
         mean, std = summarize(history, 10)
@@ -218,9 +269,11 @@ class TestMetrics:
         train, test = split(ds, 0.2, seed=23)
         _, history = fit(train, test, TrainConfig(epochs=2, batch_size=32, hidden=(8,), seed=0))
         assert all(h.seconds > 0 for h in history)
-        path = tmp_path / "m.csv"
-        write_metrics_csv(history, path)
-        for line in path.read_text().splitlines()[1:]:
+        path = cli_metrics_csv(tmp_path, train, test,
+                               ["--epochs", "2", "--batch-size", "32", "--hidden", "8"])
+        lines = path.read_text().splitlines()[1:]
+        assert len(lines) == 2
+        for line in lines:
             assert line.rsplit(",", 1)[1] == "0"
 
     def test_eval_stride(self):
