@@ -5,7 +5,6 @@ nonparametric rank statistics."""
 __version__ = "0.1.0"
 
 from .countloss import (
-    CountDistribution,
     CountLossResult,
     batch_intervals,
     count_log_pmf,
@@ -51,7 +50,6 @@ __all__ = [
     "knn_search",
     "enhanced_label",
     "build_weight_matrix",
-    "CountDistribution",
     "CountLossResult",
     "log1mexp",
     "logsumexp",

@@ -47,7 +47,7 @@ from .trainer import (
     CSV_HEADER,
     TrainConfig,
     TrainingDiverged,
-    check_test_set,
+    check_datasets,
     fit,
     format_metrics_row,
     summarize,
@@ -146,7 +146,7 @@ def cmd_train(args) -> int:
 
     train = read_pll_file(train_path)
     test = read_pll_file(test_path)
-    check_test_set(train, test)
+    check_datasets(train, test)
     os.makedirs(out_dir, exist_ok=True)
     # no model.txt or model_epoch<N>.txt of an earlier run stays beside this manifest
     for name in os.listdir(out_dir):

@@ -64,22 +64,6 @@ def logsumexp(xs):
         return (shift + np.log(np.sum(np.exp(xs - shift[..., None]), axis=-1)))[()]
 
 
-@dataclass(frozen=True)
-class CountDistribution:
-    """Exact distribution of a per-class label count over n instances.
-
-    ``log_pmf[k]`` is the natural-log probability that exactly k of the n
-    instances carry the label; the vector has length n + 1 and its
-    exponentials sum to 1.
-    """
-
-    log_pmf: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.log_pmf) - 1
-
-
 def _dp_row(prev: np.ndarray, out: np.ndarray, log_p, log_q, lo: int, hi: int) -> None:
     """One recurrence step on padded (m, width) rows, for columns lo <= c < hi:
 
@@ -117,21 +101,40 @@ def _forward(
     return row
 
 
-def count_log_pmf(log_p: np.ndarray) -> CountDistribution:
+def count_log_pmf(log_p: np.ndarray) -> np.ndarray:
     """Log-pmf of the sum of independent Bernoullis with log-probs ``log_p``.
 
-    Runs the convolution recurrence in place, so working memory stays O(n)
-    while time is O(n^2).
+    Entry k of the (n + 1,) result is log P(count == k).  The recurrence
+    runs in place: O(n) working memory, O(n^2) time.
     """
     log_p = np.asarray(log_p, dtype=np.float64)[:, None, None]
-    return CountDistribution(log_pmf=_forward(log_p, log1mexp(log_p), len(log_p))[0, 1:-1])
+    return _forward(log_p, log1mexp(log_p), len(log_p))[0, 1:-1]
 
 
-def interval_log_prob(dist: CountDistribution, lo: int, hi: int) -> float:
-    """log P(lo <= count <= hi): logsumexp over the pmf slice."""
-    if not 0 <= lo <= hi <= dist.n:
-        raise ValueError(f"interval [{lo}, {hi}] outside 0 <= lo <= hi <= {dist.n}")
-    return logsumexp(dist.log_pmf[lo : hi + 1])
+def _check_intervals(lo: np.ndarray, hi: np.ndarray, n: int) -> None:
+    """Refuse same-shape bounds outside 0 <= lo <= hi <= n, naming the first bad class."""
+    bad = (lo < 0) | (lo > hi) | (hi > n)
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise ValueError(f"count interval [{lo.flat[j]}, {hi.flat[j]}] of class {j} "
+                         f"is outside 0 <= lo <= hi <= {n}")
+
+
+def interval_log_prob(log_pmf: np.ndarray, lo, hi):
+    """log P(lo <= count <= hi) of each (n + 1,) log-pmf row of ``log_pmf``.
+
+    ``lo`` and ``hi`` are integers, scalars or one per row.  The rows are
+    summed in the DP's padded layout (count k in column k + 1, a ``-inf``
+    column on each side): ``count_loss`` and ``count_loss_values`` pass
+    their last DP row, and the sum then has the bits it had on that row.
+    """
+    log_pmf = np.asarray(log_pmf, dtype=np.float64)
+    lo, hi = np.broadcast_arrays(lo, hi)
+    n = log_pmf.shape[-1] - 1
+    _check_intervals(lo, hi, n)
+    row = np.full((*log_pmf.shape[:-1], n + 3), LOG_ZERO)
+    row[..., 1:-1] = log_pmf
+    return logsumexp(np.where(_interval_mask(n + 3, lo, hi), row, LOG_ZERO))
 
 
 def batch_intervals(candidates) -> tuple[np.ndarray, np.ndarray]:
@@ -178,26 +181,16 @@ def _batch_inputs(probs: np.ndarray, lo, hi, mode: str) -> tuple:
                 f"count bounds must be integer arrays of shape ({m},), "
                 f"got {bound.dtype} {bound.shape}"
             )
-    bad = (lo < 0) | (lo > hi) | (hi > n)
-    if bad.any():
-        j = int(np.argmax(bad))
-        raise ValueError(
-            f"count interval [{lo[j]}, {hi[j]}] of class {j} is outside 0 <= lo <= hi <= {n}"
-        )
+    _check_intervals(lo, hi, n)
     with np.errstate(divide="ignore"):
         log_p = np.log(probs)[:, :, None]
     return log_p, log1mexp(log_p), lo, hi
 
 
-def _interval_mask(width: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """(m, width) mask of the padded columns whose count lies in [lo_j, hi_j]."""
+def _interval_mask(width: int, lo, hi) -> np.ndarray:
+    """Mask of the padded columns whose count lies in [lo, hi], one row per bound."""
     counts = np.arange(-1, width - 1)
-    return (counts >= lo[:, None]) & (counts <= hi[:, None])
-
-
-def _interval_log_q(row: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Per-class log P(lo_j <= count_j <= hi_j) from a padded last DP row."""
-    return logsumexp(np.where(_interval_mask(row.shape[1], lo, hi), row, LOG_ZERO))
+    return (counts >= np.expand_dims(lo, -1)) & (counts <= np.expand_dims(hi, -1))
 
 
 def _loss_terms(log_q: np.ndarray, mode: str) -> tuple[float, np.ndarray, bool]:
@@ -296,7 +289,7 @@ def count_loss(batch_probs: np.ndarray, lo, hi, mode: str = "nll") -> CountLossR
     n, m, _ = log_p.shape
     lattice = np.full((n + 1, m, n + 3), LOG_ZERO)
     last = _forward(log_p, log_q, int(hi.max()), lattice)
-    total, dloss_dq, saturated = _loss_terms(_interval_log_q(last, lo, hi), mode)
+    total, dloss_dq, saturated = _loss_terms(interval_log_prob(last[:, 1:-1], lo, hi), mode)
     grad = _leave_one_out_grad(lattice, log_p, log_q, lo, hi) * dloss_dq
     return CountLossResult(loss=total, grad=grad, saturated=saturated)
 
@@ -320,15 +313,9 @@ def count_loss_values(batches, mode: str = "nll") -> list[float]:
         log_p, log_q, lo, hi = zip(*(inputs[b] for b in group))
         log_p, log_q = np.concatenate(log_p, axis=1), np.concatenate(log_q, axis=1)
         lo, hi = np.concatenate(lo), np.concatenate(hi)
-        log_in = _interval_log_q(_forward(log_p, log_q, int(hi.max())), lo, hi)
-        start = 0
-        for b in group:
-            stop = start + len(inputs[b][2])
-            values[b] = _loss_terms(log_in[start:stop], mode)[0]
-            start = stop
+        log_in = interval_log_prob(_forward(log_p, log_q, int(hi.max()))[:, 1:-1], lo, hi)
+        ends = np.cumsum([len(inputs[b][2]) for b in group])
+        for b, log_q_b in zip(group, np.split(log_in, ends[:-1])):
+            values[b] = _loss_terms(log_q_b, mode)[0]
     return values
 
-
-def count_loss_value(batch_probs: np.ndarray, lo, hi, mode: str = "nll") -> float:
-    """``count_loss_values`` of the one batch ``(batch_probs, lo, hi)``."""
-    return count_loss_values([(batch_probs, lo, hi)], mode)[0]

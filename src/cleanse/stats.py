@@ -86,8 +86,12 @@ def friedman(table: RankTable) -> tuple[float, float]:
 
 def bonferroni_dunn_cd(q_alpha: float, k: int, n_cases: int) -> float:
     """Post-hoc critical difference CD = q_alpha * sqrt(k(k+1) / (6N))."""
-    if q_alpha <= 0.0:
-        raise ValueError("q_alpha must be positive")
+    if not 0.0 < q_alpha < np.inf:
+        raise ValueError(f"q_alpha must be finite and > 0, got {q_alpha}")
+    if k < 2 or n_cases < 1:
+        raise ValueError(
+            f"the critical difference needs k >= 2 and N >= 1, got k={k}, N={n_cases}"
+        )
     return q_alpha * float(np.sqrt(k * (k + 1) / (6.0 * n_cases)))
 
 

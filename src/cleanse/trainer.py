@@ -23,7 +23,6 @@ from .countloss import (  # noqa: F401
     batch_intervals,
     count_log_pmf,
     count_loss,
-    count_loss_value,
     count_loss_values,
     interval_log_prob,
 )
@@ -71,7 +70,21 @@ class TrainConfig:
     threads: int = 1
 
     def __post_init__(self):
+        # types first, so no range rule below compares a value of the wrong type
+        if not (isinstance(self.hidden, (tuple, list))
+                and all(type(h) is int for h in self.hidden)):
+            raise ValueError(f"hidden widths must be integers in a list, got {self.hidden!r}")
         object.__setattr__(self, "hidden", tuple(self.hidden))
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(f.default) is int and type(value) is not int:
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            if type(f.default) is float and (
+                isinstance(value, bool) or not isinstance(value, (int, float))
+            ):
+                raise ValueError(f"{f.name} must be a number, got {value!r}")
+            if "choices" in f.metadata and value not in f.metadata["choices"]:
+                raise ValueError(f"unknown {f.name} {value!r}")
         rules = (
             (self.epochs >= 1, "epochs must be >= 1"),
             (self.batch_size >= 2, "batch_size must be >= 2 (k-NN needs a neighbor)"),
@@ -80,7 +93,6 @@ class TrainConfig:
             (self.k >= 1, "k must be >= 1"),
             (1.0 <= self.temperature < math.inf, "temperature must be finite and >= 1"),
             (0.0 <= self.lam < math.inf, "lambda must be finite and >= 0"),
-            (all(type(h) is int for h in self.hidden), "hidden widths must be integers"),
             (all(h >= 1 for h in self.hidden), "hidden widths must be >= 1"),
             (self.seed >= 0, "seed must be >= 0"),
             (self.eval_window >= 1 and self.eval_stride >= 1,
@@ -90,12 +102,6 @@ class TrainConfig:
         for ok, message in rules:
             if not ok:
                 raise ValueError(message)
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if type(f.default) is int and type(value) is not int:
-                raise ValueError(f"{f.name} must be an integer, got {value!r}")
-            if "choices" in f.metadata and value not in f.metadata["choices"]:
-                raise ValueError(f"unknown {f.name} {value!r}")
 
 
 class TrainingDiverged(ArithmeticError):
@@ -157,8 +163,15 @@ def summarize(history, window: int) -> tuple[float, float]:
     return float(np.mean(accs)), float(np.std(accs))
 
 
-def check_test_set(train: PartialDataset, test: PartialDataset) -> None:
-    """Refuse a test set without truth labels, or with another d or m than ``train``."""
+def check_datasets(train: PartialDataset, test: PartialDataset | None) -> None:
+    """Refuse a training set of fewer than 2 rows (k-NN needs a neighbour), and
+    a test set that is empty, has no truth labels, or another d or m than ``train``."""
+    if train.n < 2:
+        raise ValueError(f"the training set has {train.n} rows; training needs at least 2")
+    if test is None:
+        return
+    if test.n == 0:
+        raise ValueError("the test set is empty")
     if test.hidden_truth is None:
         raise ValueError("the test set has no truth labels to evaluate against")
     if (test.d, test.m) != (train.d, train.m):
@@ -201,7 +214,7 @@ def fit(
 ) -> tuple[Mlp, list[EpochMetrics]]:
     """Train a classifier on a partial-label dataset.
 
-    The test set must pass ``check_test_set``.  The training view is
+    Both sets must pass ``check_datasets``.  The training view is
     truth-stripped before anything else runs, so the hidden labels cannot
     leak into any gradient.  ``on_epoch`` (if given) receives (EpochMetrics,
     model) after each epoch, e.g. to tail a CSV or write checkpoints.  A
@@ -211,10 +224,7 @@ def fit(
     ``count_loss_values`` call, and a non-finite one raises
     ``TrainingDiverged`` naming its batch then.
     """
-    if train.n == 0:
-        raise ValueError("training set is empty")
-    if test is not None:
-        check_test_set(train, test)
+    check_datasets(train, test)
     view = train.strip_truth()
     rng = np.random.default_rng(config.seed)
     model = Mlp.init((view.d, *config.hidden, view.m), rng)
@@ -259,7 +269,7 @@ def fit(
                 deferred.append((probs, lo, hi))
             if not (math.isfinite(rl) and (rg is None or math.isfinite(rg))):
                 if rg is None:
-                    rg = count_loss_value(probs, lo, hi, config.count_mode)
+                    rg = count_loss_values([(probs, lo, hi)], config.count_mode)[0]
                 raise TrainingDiverged(epoch, batch_no, rl, rg)
 
             sum_rl += rl * len(batch_idx)

@@ -24,7 +24,7 @@ from cleanse.cli import (
     build_parser,
     main,
 )
-from cleanse.countloss import CountDistribution, CountLossResult, count_log_pmf, count_loss_values
+from cleanse.countloss import CountLossResult, count_log_pmf, count_loss_values
 from cleanse.data import PartialDataset, read_pll_file, write_pll_file
 from cleanse.stats import Q_ALPHA_05
 from cleanse.trainer import TrainConfig
@@ -217,8 +217,9 @@ class TestTrain:
                                     4, ds.hidden_truth), "m=4"),
          (lambda ds: PartialDataset(np.hstack([ds.features, ds.features]), ds.candidates,
                                     ds.m, ds.hidden_truth), "d=4"),
-         (lambda ds: ds.strip_truth(), "no truth labels")],
-        ids=["m", "d", "truth"],
+         (lambda ds: ds.strip_truth(), "no truth labels"),
+         (lambda ds: ds.subset(np.arange(0)), "the test set is empty")],
+        ids=["m", "d", "truth", "empty"],
     )
     def test_mismatched_test_set_writes_nothing(self, tiny_dataset, tmp_path, capsys,
                                                 change, message):
@@ -230,6 +231,19 @@ class TestTrain:
                         "--out-dir", str(out_dir), *TINY_TRAIN_ARGS])
         assert code == EXIT_USAGE
         assert message in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_train_file_below_two_rows_writes_nothing(self, tiny_dataset, tmp_path, capsys,
+                                                      rows):
+        train, test = tiny_dataset
+        small = tmp_path / "small.pll"
+        write_pll_file(read_pll_file(train).subset(np.arange(rows)), small)
+        out_dir = tmp_path / "small"
+        code = run_cli(["train", "--train", str(small), "--test", test,
+                        "--out-dir", str(out_dir), *TINY_TRAIN_ARGS])
+        assert code == EXIT_USAGE
+        assert f"the training set has {rows} rows" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_diverging_rerun_leaves_no_stale_model(self, tiny_dataset, tmp_path, capsys):
@@ -369,8 +383,13 @@ class TestReplay:
          ({"seed": -1}, "seed must be >= 0"),
          ({"lam": math.nan}, "lambda must be finite"),
          ({"epochs": 2.5}, "epochs must be an integer, got 2.5"),
-         ({"hidden": [2.7]}, "hidden widths must be integers")],
-        ids=["optimizer", "hidden", "seed", "lam", "epochs", "hidden-fraction"],
+         ({"hidden": [2.7]}, "hidden widths must be integers"),
+         ({"epochs": "3"}, "epochs must be an integer, got '3'"),
+         ({"lr": True}, "lr must be a number, got True"),
+         ({"temperature": "3.0"}, "temperature must be a number, got '3.0'"),
+         ({"hidden": 300}, "hidden widths must be integers in a list, got 300")],
+        ids=["optimizer", "hidden", "seed", "lam", "epochs", "hidden-fraction",
+             "epochs-string", "lr-bool", "temperature-string", "hidden-int"],
     )
     def test_refused_config_value_writes_nothing(self, recorded_run, tmp_path, capsys,
                                                  edit, message):
@@ -498,6 +517,21 @@ class TestStats:
     def test_missing_inputs_usage_error(self):
         assert run_cli(["stats"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--k", "3", "--cases", "0"], "N >= 1"),
+         (["--k", "3", "--cases", "-5"], "N >= 1"),
+         (["--k", "3", "--cases", "25", "--q-alpha", "nan"], "q_alpha must be finite"),
+         (["--k", "3", "--cases", "25", "--q-alpha", "inf"], "q_alpha must be finite"),
+         (["--k", "1", "--cases", "25", "--q-alpha", "2.0"], "k >= 2")],
+        ids=["cases-0", "cases-negative", "q-nan", "q-inf", "k-1"],
+    )
+    def test_bad_cd_inputs_are_usage_errors(self, capsys, flags, message):
+        assert run_cli(["stats", *flags]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "CD=" not in captured.out
+
 
 class TestCheck:
     def test_fresh_build_passes(self, capsys):
@@ -509,8 +543,7 @@ class TestCheck:
 
     def test_injected_off_by_one_fails_named_check(self):
         def broken_pmf(log_p):
-            dist = count_log_pmf(log_p)
-            return CountDistribution(log_pmf=np.roll(dist.log_pmf, 1))
+            return np.roll(count_log_pmf(log_p), 1)
 
         result = check_count_pmf(np.random.default_rng(0), cases=20, pmf_fn=broken_pmf)
         assert result.name == "count-pmf-vs-enumeration"

@@ -13,18 +13,22 @@ from cleanse.countloss import (
     batch_intervals,
     count_log_pmf,
     count_loss,
-    count_loss_value,
     count_loss_values,
     interval_log_prob,
     log1mexp,
     logsumexp,
 )
+import cleanse.checks as checks_module
 from cleanse.data import generate_synthetic
 from cleanse.checks import (
     check_count_loss_grad_at_scale,
     pmf_by_enumeration,
     relative_error,
 )
+
+
+def count_loss_value(probs, lo, hi, mode="nll"):
+    return count_loss_values([(probs, lo, hi)], mode)[0]
 
 
 class TestLog1mexp:
@@ -125,17 +129,18 @@ class TestLogsumexp:
 
 
 class TestTrainingRunsTheTestedPrimitives:
-    """count_loss and count_loss_values call the log1mexp and logsumexp the
-    tests above check, not private copies of them."""
+    """count_loss and count_loss_values call the log1mexp, logsumexp and
+    interval_log_prob the tests above and ``cleanse check`` test, not private
+    copies of them."""
 
-    @pytest.mark.parametrize("name", ["log1mexp", "logsumexp"])
+    @pytest.mark.parametrize("name", ["log1mexp", "logsumexp", "interval_log_prob"])
     def test_both_paths_call_the_module_function(self, monkeypatch, name):
         calls = []
         original = getattr(countloss_module, name)
 
-        def counting(x):
-            calls.append(np.shape(x))
-            return original(x)
+        def counting(*args):
+            calls.append(np.shape(args[0]))
+            return original(*args)
 
         monkeypatch.setattr(countloss_module, name, counting)
         probs = np.array([[0.2, 0.8], [0.6, 0.4], [0.5, 0.5]])
@@ -145,22 +150,38 @@ class TestTrainingRunsTheTestedPrimitives:
         count_loss_values([(probs, lo, hi), (probs, lo, hi)])
         assert len(calls) == (3 if name == "log1mexp" else 2)
 
+    def test_the_oracle_path_has_the_training_bits(self):
+        # interval-prob-vs-enumeration sums count_log_pmf's array with this very
+        # function; padded to the DP's row layout, that sum has the bits of the
+        # trained loss (a sum over the bare pmf slice differed in the last bit)
+        assert checks_module.interval_log_prob is countloss_module.interval_log_prob
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            n = int(rng.integers(50, 200))
+            probs = rng.random((n, 1))
+            mean, sd = probs.sum(), math.sqrt(np.sum(probs * (1.0 - probs)))
+            lo, hi = np.array([int(mean - sd)]), np.array([int(mean + 2.0 * sd)])
+            log_q = interval_log_prob(count_log_pmf(np.log(probs[:, 0])), lo[0], hi[0])
+            want = -min(log_q, 0.0)
+            assert count_loss(probs, lo, hi).loss == want
+            assert count_loss_value(probs, lo, hi) == want
+
 
 class TestCountLogPmf:
     def test_two_fair_coins(self):
-        dist = count_log_pmf(np.log([0.5, 0.5]))
-        np.testing.assert_allclose(np.exp(dist.log_pmf), [0.25, 0.5, 0.25], atol=1e-15)
+        log_pmf = count_log_pmf(np.log([0.5, 0.5]))
+        np.testing.assert_allclose(np.exp(log_pmf), [0.25, 0.5, 0.25], atol=1e-15)
 
     def test_deterministic_outcomes(self):
         with np.errstate(divide="ignore"):
-            dist = count_log_pmf(np.log([1.0, 0.0]))
-        np.testing.assert_allclose(np.exp(dist.log_pmf), [0.0, 1.0, 0.0], atol=0)
+            log_pmf = count_log_pmf(np.log([1.0, 0.0]))
+        np.testing.assert_allclose(np.exp(log_pmf), [0.0, 1.0, 0.0], atol=0)
 
     def test_three_probability_example(self):
         # oracle: the 2^3 enumeration gives [0.12, 0.43, 0.38, 0.07]
-        dist = count_log_pmf(np.log([0.2, 0.7, 0.5]))
+        log_pmf = count_log_pmf(np.log([0.2, 0.7, 0.5]))
         np.testing.assert_allclose(
-            np.exp(dist.log_pmf), [0.12, 0.43, 0.38, 0.07], atol=1e-15
+            np.exp(log_pmf), [0.12, 0.43, 0.38, 0.07], atol=1e-15
         )
 
     def test_matches_enumeration(self):
@@ -168,9 +189,9 @@ class TestCountLogPmf:
         for _ in range(60):
             n = int(rng.integers(1, 13))
             p = rng.random(n)
-            dist = count_log_pmf(np.log(p))
+            log_pmf = count_log_pmf(np.log(p))
             np.testing.assert_allclose(
-                np.exp(dist.log_pmf), pmf_by_enumeration(p), atol=1e-10
+                np.exp(log_pmf), pmf_by_enumeration(p), atol=1e-10
             )
 
     def test_positive_log_prob_rejected(self):
@@ -183,50 +204,57 @@ class TestCountLogPmf:
         p[0::3] = 1e-12
         p[1::3] = 0.5
         p[2::3] = 1.0 - 1e-12
-        dist = count_log_pmf(np.log(p))
-        assert np.all(np.isfinite(dist.log_pmf))
-        assert abs(math.exp(logsumexp(dist.log_pmf)) - 1.0) < 1e-9
+        log_pmf = count_log_pmf(np.log(p))
+        assert np.all(np.isfinite(log_pmf))
+        assert abs(math.exp(logsumexp(log_pmf)) - 1.0) < 1e-9
 
     def test_underflow_free_n1024_uniform_half(self):
         # 0.5^1024 ~ 1e-309 underflows in direct space; log space must not
-        dist = count_log_pmf(np.full(1024, math.log(0.5)))
-        assert np.all(np.isfinite(dist.log_pmf))
-        assert dist.log_pmf[0] == pytest.approx(1024 * math.log(0.5), rel=1e-12)
+        log_pmf = count_log_pmf(np.full(1024, math.log(0.5)))
+        assert np.all(np.isfinite(log_pmf))
+        assert log_pmf[0] == pytest.approx(1024 * math.log(0.5), rel=1e-12)
 
 
 class TestIntervalLogProb:
     def test_full_support_is_certain(self):
-        dist = count_log_pmf(np.log([0.3, 0.8, 0.5]))
-        assert interval_log_prob(dist, 0, 3) == pytest.approx(0.0, abs=1e-12)
+        log_pmf = count_log_pmf(np.log([0.3, 0.8, 0.5]))
+        assert interval_log_prob(log_pmf, 0, 3) == pytest.approx(0.0, abs=1e-12)
 
     def test_two_fair_coins_upper(self):
-        dist = count_log_pmf(np.log([0.5, 0.5]))
-        assert interval_log_prob(dist, 1, 2) == pytest.approx(
+        log_pmf = count_log_pmf(np.log([0.5, 0.5]))
+        assert interval_log_prob(log_pmf, 1, 2) == pytest.approx(
             math.log(0.75), abs=1e-12
         )
 
     def test_three_probability_interval(self):
-        dist = count_log_pmf(np.log([0.2, 0.7, 0.5]))
-        assert interval_log_prob(dist, 1, 2) == pytest.approx(
+        log_pmf = count_log_pmf(np.log([0.2, 0.7, 0.5]))
+        assert interval_log_prob(log_pmf, 1, 2) == pytest.approx(
             math.log(0.81), abs=1e-12
         )
 
     def test_invalid_intervals_rejected(self):
-        dist = count_log_pmf(np.log([0.5, 0.5]))
-        for lo, hi in [(2, 1), (0, dist.n + 1), (-1, 1)]:
+        log_pmf = count_log_pmf(np.log([0.5, 0.5]))
+        for lo, hi in [(2, 1), (0, len(log_pmf)), (-1, 1)]:
             with pytest.raises(ValueError, match="outside"):
-                interval_log_prob(dist, lo, hi)
+                interval_log_prob(log_pmf, lo, hi)
+        # per-row bounds name the first bad class
+        rows = np.stack([log_pmf] * 3)
+        for lo, hi, bad in [([0, -1, -1], [2, 2, 2], 1),
+                            ([0, 0, 2], [2, 2, 1], 2),
+                            ([0, 0, 0], [3, 2, 3], 0)]:
+            with pytest.raises(ValueError, match=f"of class {bad} is outside 0 <= lo <= hi <= 2"):
+                interval_log_prob(rows, np.array(lo), np.array(hi))
 
     def test_widening_never_decreases(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             n = int(rng.integers(2, 10))
-            dist = count_log_pmf(np.log(rng.random(n)))
+            log_pmf = count_log_pmf(np.log(rng.random(n)))
             lo = int(rng.integers(1, n))
             hi = int(rng.integers(lo, n))
-            base = interval_log_prob(dist, lo, hi)
-            assert interval_log_prob(dist, lo - 1, hi) >= base
-            assert interval_log_prob(dist, lo, hi + 1) >= base
+            base = interval_log_prob(log_pmf, lo, hi)
+            assert interval_log_prob(log_pmf, lo - 1, hi) >= base
+            assert interval_log_prob(log_pmf, lo, hi + 1) >= base
 
 
 class TestBatchIntervals:
@@ -410,7 +438,7 @@ def _full_row_value(probs, lo, hi, mode):
     """The value-only DP with every count row kept (no stop at max(hi))."""
     log_p, log_q, lo, hi = countloss_module._batch_inputs(probs, lo, hi, mode)
     row = countloss_module._forward(log_p, log_q, len(log_p))
-    return countloss_module._loss_terms(countloss_module._interval_log_q(row, lo, hi), mode)[0]
+    return countloss_module._loss_terms(interval_log_prob(row[:, 1:-1], lo, hi), mode)[0]
 
 
 class TestCountLossValues:

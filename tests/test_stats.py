@@ -1,5 +1,7 @@
 """Friedman statistic, Bonferroni-Dunn critical difference, rank tables."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,19 @@ class TestCriticalDifference:
     def test_q_alpha_validated(self):
         with pytest.raises(ValueError):
             bonferroni_dunn_cd(0.0, 8, 25)
+
+    @pytest.mark.parametrize(
+        "q_alpha, k, n_cases, message",
+        [(2.241, 3, 0, "N >= 1"),
+         (2.241, 3, -5, "N >= 1"),
+         (2.241, 1, 25, "k >= 2"),
+         (math.nan, 3, 25, "q_alpha must be finite and > 0"),
+         (math.inf, 3, 25, "q_alpha must be finite and > 0"),
+         (-1.0, 3, 25, "q_alpha must be finite and > 0")],
+    )
+    def test_bad_inputs_refused(self, q_alpha, k, n_cases, message):
+        with pytest.raises(ValueError, match=message):
+            bonferroni_dunn_cd(q_alpha, k, n_cases)
 
     def test_q_table_contains_reference_entry(self):
         assert Q_ALPHA_05[8] == 2.690

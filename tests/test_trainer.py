@@ -139,6 +139,14 @@ class TestConfigValidation:
             {"eval_window": 10.0},
             {"hidden": (2.7,)},
             {"hidden": (8, True)},
+            # float fields: numbers only, no bools; wrong types before ranges
+            {"lr": True},
+            {"lam": False},
+            {"weight_decay": None},
+            {"temperature": "3"},
+            {"epochs": "3"},
+            {"hidden": 3},
+            {"hidden": ("8",)},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -172,6 +180,14 @@ class TestTestSetCheck:
         monkeypatch.setattr(trainer_module, "make_optimizer", no_work)
         with pytest.raises(ValueError, match=message):
             fit(train, change(test), TrainConfig(epochs=1, batch_size=16, hidden=(4,)))
+
+
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_train_set_below_two_rows_refused(self, rows):
+        train, test = split(make_dataset(n=60, seed=40), 0.2, seed=41)
+        for t in (test, None):
+            with pytest.raises(ValueError, match=f"the training set has {rows} rows"):
+                fit(train.subset(np.arange(rows)), t, TrainConfig(epochs=1, hidden=(4,)))
 
 
 class TestDegeneracy:
@@ -440,7 +456,7 @@ class TestDivergence:
                 on_epoch=lambda metrics, model: epochs_done.append(metrics))
         assert (err.value.epoch, err.value.batch) == (0, 1)
         assert epochs_done == []
-        want = trainer_module.count_loss_value(seen[1], *intervals[1], "nll")
+        want = trainer_module.count_loss_values([(seen[1], *intervals[1])], "nll")[0]
         assert math.isfinite(want)
         assert str(err.value).endswith(f"reweight loss nan, count loss {want}")
 
