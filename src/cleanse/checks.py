@@ -127,15 +127,15 @@ def _clipped_interval_prob(log_pmf: np.ndarray, lo: int, hi: int) -> float:
 
 def check_count_loss_grad_at_scale(rng: np.random.Generator, n: int = 1000, m: int = 3,
                                    rows: int = 16) -> CheckResult:
-    """Blocked count-loss gradient vs the leave-one-out identity at batch size n.
+    """Count-loss gradient vs the leave-one-out identity at batch size n.
 
     For q = P(S in [lo, hi]) and S_{-i} the count without item i,
 
         dq/dp_i = P(S_{-i} in [lo-1, hi-1]) - P(S_{-i} in [lo, hi]),
 
-    evaluated with ``count_log_pmf`` on the other n - 1 items.  n = 1000 is
-    not a multiple of the gradient's row block, so the partial block is
-    covered; the intervals touch lo = 0 and hi = n.
+    evaluated with ``count_log_pmf`` on the other n - 1 items, independently
+    of the prefix/suffix lattice ``count_loss`` reads the same identity off;
+    the intervals touch lo = 0 and hi = n.
     """
     z = rng.standard_normal((n, m))
     probs = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)

@@ -216,10 +216,15 @@ def _rank_table_from_args(args) -> tuple[RankTable, list[str]]:
             rows.append(row)
     fixed = {}
     for spec in args.fixed_rank or []:
-        name, _, value = spec.partition("=")
+        name, _, value = spec.partition("=")  # no "=" leaves value empty
+        try:
+            rank = float(value)
+        except ValueError:
+            raise ValueError(f"--fixed-rank {spec!r} is not of the form NAME=RANK "
+                             "with a numeric RANK") from None
         if name not in header:
             raise ValueError(f"--fixed-rank column {name!r} not in CSV header")
-        fixed[header.index(name)] = float(value)
+        fixed[header.index(name)] = rank
     return rank_results(np.array(rows), fixed_ranks=fixed or None), header
 
 
@@ -260,6 +265,8 @@ def cmd_stats(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.n < 1:
+        raise ValueError(f"--n must be at least 1, got {args.n}")
     results = run_all_checks(seed=args.seed, stress_n=args.n)
     failed = False
     for r in results:

@@ -11,9 +11,10 @@ through ``logaddexp``/``logsumexp``, so a batch of 1024 near-zero
 probabilities still produces finite log masses where the direct-space
 product would underflow.
 
-One row update (``_dp_row``) serves every caller, on all m classes at once:
-the forward pmf, the interval adjoint of the gradient (the same update on a
-reversed count axis), and the value-only path that keeps a single row.
+One forward pass (``_forward``) serves every caller, on all m classes at
+once: the pmf of one class, the value-only path that keeps a single row, and
+the gradient, which runs the items forward and reversed as 2m stacked class
+rows and reads its prefix and suffix pmfs off that one lattice.
 """
 
 from __future__ import annotations
@@ -77,28 +78,32 @@ def _dp_row(prev: np.ndarray, out: np.ndarray, log_p, log_q, lo: int, hi: int) -
     np.logaddexp(prev[:, lo - 1 : hi - 1] + log_p, prev[:, lo:hi] + log_q, out=out[:, lo:hi])
 
 
-def _forward(
-    log_p: np.ndarray, log_q: np.ndarray, top: int, lattice: np.ndarray | None = None
-) -> np.ndarray:
+def _forward(log_p: np.ndarray, log_q: np.ndarray, top: int, lattice: bool = False) -> np.ndarray:
     """Run the count recurrence over all n items; return the last padded row.
 
-    ``log_p`` and ``log_q`` are (n, m, 1).  Column k + 1 of an (m, n + 3)
+    ``log_p`` and ``log_q`` are (n, m, 1).  Column k + 1 of an (m, top + 3)
     row holds log P(count == k) per class, and row i is updated only over
-    the counts 0..min(i, top) it can reach.  Counts above ``top`` stay
-    ``-inf``: a count never falls, so they feed no count at or below ``top``,
+    the counts 0..min(i, top) it can reach.  Counts above ``top`` are never
+    stored: a count never falls, so they feed no count at or below ``top``,
     and every kept value has the bits of the full recurrence.  Without
-    ``lattice`` one row is updated in place (O(n m) memory); with an
-    (n + 1, m, n + 3) ``-inf`` lattice, row i of it receives the
+    ``lattice`` one row is updated in place (O(top m) memory); with it, the
+    (n + 1, m, top + 3) lattice is returned, whose row i is the
     distribution over the first i items.
     """
     n, m, _ = log_p.shape
-    row = np.full((m, n + 3), LOG_ZERO) if lattice is None else lattice[0]
-    row[:, 1] = 0.0
+    rows = np.full((n + 1 if lattice else 1, m, top + 3), LOG_ZERO)
+    rows[0, :, 1] = 0.0
     for i in range(n):
-        out = row if lattice is None else lattice[i + 1]
+        row, out = (rows[i], rows[i + 1]) if lattice else (rows[0], rows[0])
         _dp_row(row, out, log_p[i], log_q[i], 1, min(i + 1, top) + 2)
-        row = out
-    return row
+    return rows if lattice else rows[0]
+
+
+def _log_pmf(row: np.ndarray, n: int) -> np.ndarray:
+    """The (..., n + 1) log-pmf held in padded rows that stop at a count top <= n."""
+    pmf = np.full((*row.shape[:-1], n + 1), LOG_ZERO)
+    pmf[..., : row.shape[-1] - 2] = row[..., 1:-1]
+    return pmf
 
 
 def count_log_pmf(log_p: np.ndarray) -> np.ndarray:
@@ -134,7 +139,9 @@ def interval_log_prob(log_pmf: np.ndarray, lo, hi):
     _check_intervals(lo, hi, n)
     row = np.full((*log_pmf.shape[:-1], n + 3), LOG_ZERO)
     row[..., 1:-1] = log_pmf
-    return logsumexp(np.where(_interval_mask(n + 3, lo, hi), row, LOG_ZERO))
+    counts = np.arange(-1, n + 2)
+    inside = (counts >= np.expand_dims(lo, -1)) & (counts <= np.expand_dims(hi, -1))
+    return logsumexp(np.where(inside, row, LOG_ZERO))
 
 
 def batch_intervals(candidates) -> tuple[np.ndarray, np.ndarray]:
@@ -160,12 +167,6 @@ class CountLossResult:
     saturated: bool  # an interval probability hit the clamp floor
 
 
-# Rows per block of the gradient reduction: large enough to amortise numpy
-# call overhead, small enough that the (block, m, n) temporaries stay in
-# cache (unblocked, n = 1024 ran slower than the per-class loop it replaced).
-_GRAD_BLOCK = 64
-
-
 def _batch_inputs(probs: np.ndarray, lo, hi, mode: str) -> tuple:
     """Validated (n, m, 1) log p and log(1 - p), and the (m,) lo and hi."""
     if mode not in COUNT_MODES:
@@ -185,12 +186,6 @@ def _batch_inputs(probs: np.ndarray, lo, hi, mode: str) -> tuple:
     with np.errstate(divide="ignore"):
         log_p = np.log(probs)[:, :, None]
     return log_p, log1mexp(log_p), lo, hi
-
-
-def _interval_mask(width: int, lo, hi) -> np.ndarray:
-    """Mask of the padded columns whose count lies in [lo, hi], one row per bound."""
-    counts = np.arange(-1, width - 1)
-    return (counts >= np.expand_dims(lo, -1)) & (counts <= np.expand_dims(hi, -1))
 
 
 def _loss_terms(log_q: np.ndarray, mode: str) -> tuple[float, np.ndarray, bool]:
@@ -218,55 +213,32 @@ def _loss_terms(log_q: np.ndarray, mode: str) -> tuple[float, np.ndarray, bool]:
     return sum(terms.tolist(), 0.0), dloss_dq, saturated
 
 
-def _leave_one_out_grad(
-    lattice: np.ndarray, log_p: np.ndarray, log_q: np.ndarray, lo: np.ndarray, hi: np.ndarray
-) -> np.ndarray:
-    """(n, m) matrix of d q_j / d p_ij from the forward lattice.
+def _leave_one_out_grad(lattice: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """(n, m) matrix of d q_j / d p_ij from the stacked prefix/suffix lattice.
 
-    The adjoint row A_i[k] = log P(items i..n-1 bring a count of k into
-    [lo, hi]) starts as the interval indicator at i = n and follows
+    ``lattice`` is ``_forward``'s over the items followed, as classes m..2m-1,
+    by the same items reversed: rows :m of lattice[i] are the prefix pmfs F_i
+    (items 0..i-1) and rows m: of lattice[n-1-i] the suffix pmfs B_{i+1}
+    (items i+1..n-1).  Conditioning q on item i, the interval sums telescope:
 
-        A_i[k] = logaddexp(A_{i+1}[k+1] + log p_i, A_{i+1}[k] + log q_i),
+        dq/dp_i = P(S_{-i} = lo-1) - P(S_{-i} = hi),
+        P(S_{-i} = c) = sum_k F_i[k] B_{i+1}[c-k],
 
-    which is the forward update with the count axis reversed.  Conditioning
-    on item i,
-
-        dq/dp_i = sum_k F_i[k] (A_{i+1}[k+1] - A_{i+1}[k]),
-
-    i.e. P(S_{-i} in [lo-1, hi-1]) - P(S_{-i} in [lo, hi]).  Rows are
-    processed in blocks from the end: only counts 0..i of A_i are ever
-    read, so the block holds the adjoint rows it needs and the reduction
-    sees the (block, m, i) triangle of the lattice, never (n, m, n).
+    two slice sums per class.  At lo = 0 the first slices are empty and its
+    term is 0.
     """
-    n, m, _ = log_p.shape
-    width = n + 3
-    # adj[t] holds A_{b0+t} with the count axis reversed: column r is count
-    # n + 1 - r, so the update is _dp_row over columns n+1-i..n+1.
-    adj = np.full((_GRAD_BLOCK + 1, m, width), LOG_ZERO)
-    top = (n - 1) // _GRAD_BLOCK * _GRAD_BLOCK  # start of the last block
-    adj[n - top] = np.where(_interval_mask(width, lo, hi)[:, ::-1], 0.0, LOG_ZERO)
+    n = len(lattice) - 1
+    m = lattice.shape[1] // 2
+    fwd = lattice[:n, :m]  # F_i, i = 0..n-1
+    bwd = lattice[n - 1 :: -1, m:]  # B_{i+1}, i = 0..n-1
     grad = np.empty((n, m))
-    for b0 in range(top, -1, -_GRAD_BLOCK):
-        b1 = min(b0 + _GRAD_BLOCK, n)
-        size = b1 - b0
-        if b1 < n:
-            adj[size] = adj[0]  # A_{b1}, carried over from the block above
-        # Entries above count i keep stale values from earlier blocks; the
-        # reduction pairs them only with F_i[k] = -inf.
-        for t in range(size - 1, -1, -1):
-            i = b0 + t
-            _dp_row(adj[t + 1], adj[t], log_p[i], log_q[i], n + 1 - i, n + 2)
-
-        fwd = lattice[b0:b1, :, 1 : b1 + 1]  # F_i[k], k = 0..b1-1
-        nxt = adj[1 : size + 1, :, n + 1 - b1 : n + 2][..., ::-1]  # A_{i+1}[k], k = 0..b1
-        up = fwd + nxt[..., 1:]
-        down = fwd + nxt[..., :-1]
+    for j in range(m):
+        up, down = (fwd[:, j, 1 : c + 2] + bwd[:, j, c + 1 : 0 : -1] for c in (lo[j] - 1, hi[j]))
         # one max-shift for both sums keeps their difference well scaled
-        shift = np.maximum(up.max(axis=2, keepdims=True), down.max(axis=2, keepdims=True))
+        shift = np.maximum(*(t.max(axis=1, initial=LOG_ZERO) for t in (up, down)))
         shift = np.where(shift > LOG_ZERO, shift, 0.0)
-        np.exp(np.subtract(up, shift, out=up), out=up)
-        np.exp(np.subtract(down, shift, out=down), out=down)
-        grad[b0:b1] = np.exp(shift[..., 0]) * (up.sum(axis=2) - down.sum(axis=2))
+        up, down = (np.exp(t - shift[:, None]).sum(axis=1) for t in (up, down))
+        grad[:, j] = np.exp(shift) * (up - down)
     return grad
 
 
@@ -281,16 +253,17 @@ def count_loss(batch_probs: np.ndarray, lo, hi, mode: str = "nll") -> CountLossR
       clamp raises the ``saturated`` flag instead of returning +inf).
     * ``entropy`` : sum_j -q_j log q_j with the 0*log 0 -> 0 convention.
 
-    All m classes run through one DP; the gradient comes from the
-    leave-one-out identity evaluated on the forward lattice and its
-    interval adjoint (``_leave_one_out_grad``), O(n^2 m) in all.
+    All m classes, and the same items in reverse order, run through one DP;
+    the gradient comes from the leave-one-out identity evaluated on its
+    prefix and suffix pmfs (``_leave_one_out_grad``), O(n^2 m) in all.
     """
     log_p, log_q, lo, hi = _batch_inputs(batch_probs, lo, hi, mode)
     n, m, _ = log_p.shape
-    lattice = np.full((n + 1, m, n + 3), LOG_ZERO)
-    last = _forward(log_p, log_q, int(hi.max()), lattice)
-    total, dloss_dq, saturated = _loss_terms(interval_log_prob(last[:, 1:-1], lo, hi), mode)
-    grad = _leave_one_out_grad(lattice, log_p, log_q, lo, hi) * dloss_dq
+    both_ways = [np.concatenate((x, x[::-1]), axis=1) for x in (log_p, log_q)]
+    lattice = _forward(*both_ways, int(hi.max()), lattice=True)
+    log_in = interval_log_prob(_log_pmf(lattice[n, :m], n), lo, hi)
+    total, dloss_dq, saturated = _loss_terms(log_in, mode)
+    grad = _leave_one_out_grad(lattice, lo, hi) * dloss_dq
     return CountLossResult(loss=total, grad=grad, saturated=saturated)
 
 
@@ -313,7 +286,8 @@ def count_loss_values(batches, mode: str = "nll") -> list[float]:
         log_p, log_q, lo, hi = zip(*(inputs[b] for b in group))
         log_p, log_q = np.concatenate(log_p, axis=1), np.concatenate(log_q, axis=1)
         lo, hi = np.concatenate(lo), np.concatenate(hi)
-        log_in = interval_log_prob(_forward(log_p, log_q, int(hi.max()))[:, 1:-1], lo, hi)
+        last = _forward(log_p, log_q, int(hi.max()))
+        log_in = interval_log_prob(_log_pmf(last, len(log_p)), lo, hi)
         ends = np.cumsum([len(inputs[b][2]) for b in group])
         for b, log_q_b in zip(group, np.split(log_in, ends[:-1])):
             values[b] = _loss_terms(log_q_b, mode)[0]

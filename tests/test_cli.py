@@ -13,6 +13,7 @@ import sys
 import numpy as np
 import pytest
 
+import cleanse.cli as cli_module
 import cleanse.trainer as trainer_module
 from cleanse.checks import check_count_pmf, check_count_values, check_trainer_grad
 from cleanse.cli import (
@@ -508,6 +509,15 @@ class TestStats:
         assert code == EXIT_OK
         assert "ranking (best first):" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("spec", ["a", "a=", "a=x"])
+    def test_malformed_fixed_rank_names_the_flag_and_form(self, tmp_path, capsys, spec):
+        path = tmp_path / "acc.csv"
+        path.write_text("a,b,c\n0.9,0.8,0.7\n0.7,0.8,0.6\n")
+        assert run_cli(["stats", "--csv", str(path), "--fixed-rank", spec]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "--fixed-rank" in captured.err and "NAME=RANK" in captured.err
+        assert "CD=" not in captured.out
+
     def test_malformed_csv_reports_location(self, tmp_path, capsys):
         path = tmp_path / "acc.csv"
         path.write_text("a,b\n0.9,oops\n")
@@ -570,6 +580,15 @@ class TestCheck:
         result = check_trainer_grad(np.random.default_rng(0), cases=5)
         assert result.name == "trainer-grad-vs-fd"
         assert not result.passed
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_stress_size_below_one_is_refused(self, monkeypatch, capsys, n):
+        ran = []
+        monkeypatch.setattr(cli_module, "run_all_checks", lambda **kw: ran.append(kw) or [])
+        assert run_cli(["check", "--n", n]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "--n must be at least 1" in captured.err
+        assert captured.out == "" and ran == []
 
     def test_check_subcommand_alias(self, capsys):
         code = run_cli(["countloss-check", "--n", "64"])

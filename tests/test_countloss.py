@@ -407,9 +407,48 @@ class TestCountLoss:
             assert res.loss >= 0.0
 
     def test_grad_matches_leave_one_out_at_scale(self):
-        # n = 1000 spans 16 row blocks, the last one partial
+        # n = 1000, with intervals that touch lo = 0 and hi = n
         result = check_count_loss_grad_at_scale(np.random.default_rng(0))
         assert result.passed, result
+
+    @pytest.mark.parametrize("mode", ["nll", "entropy"])
+    def test_grad_of_a_wide_interval_against_mpmath(self, mode):
+        # 1 - q is 7e-6 and 1e-6: dq/dp_i is a difference of two point masses
+        # near 1e-7, which a difference of two interval sums near 1 gets only
+        # to 4e-10 relative here
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 60
+        rng = np.random.default_rng(3)
+        n = 40
+        p1 = rng.uniform(0.35, 0.65, size=n)
+        probs = np.stack([p1, 1.0 - p1], axis=1)
+        lo, hi = np.array([7, 6]), np.array([33, 34])
+        got = count_loss(probs, lo, hi, mode).grad
+
+        def pmfs(ps):
+            """Exact pmfs of the first 0..len(ps) items."""
+            rows = [[mp.mpf(1)]]
+            for p in ps:
+                prev = rows[-1] + [mp.mpf(0)]
+                rows.append([prev[k] * (1 - p) + (prev[k - 1] * p if k else 0)
+                             for k in range(len(prev))])
+            return rows
+
+        for j in range(2):
+            ps = [mp.mpf(float(x)) for x in probs[:, j]]
+            pre, suf = pmfs(ps), pmfs(ps[::-1])
+            q = mp.fsum(pre[n][lo[j] : hi[j] + 1])
+            assert 1e-7 < 1 - q < 1e-5
+            dloss_dq = -1 / q if mode == "nll" else -(mp.log(q) + 1)
+            for i in range(n):
+                before, after = pre[i], suf[n - 1 - i]
+
+                def mass(c):  # P(S_{-i} = c)
+                    return mp.fsum(before[k] * after[c - k] for k in range(len(before))
+                                   if 0 <= c - k < len(after))
+
+                want = dloss_dq * (mass(lo[j] - 1) - mass(hi[j]))
+                assert abs(got[i, j] - want) <= 1e-11 * abs(want), (i, j)
 
     @pytest.mark.parametrize("mode", ["nll", "entropy"])
     def test_value_path_matches_count_loss(self, mode):
