@@ -65,6 +65,13 @@ def _log(msg: str) -> None:
 
 
 def cmd_generate(args) -> int:
+    if args.test_out is not None:
+        if args.test_fraction is None:
+            raise ValueError("--test-out requires --test-fraction")
+        if os.path.realpath(args.test_out) == os.path.realpath(args.out):
+            raise ValueError(f"--test-out and -o name the same file {args.out!r}")
+    elif args.test_fraction is not None:
+        raise ValueError("--test-fraction requires --test-out")
     if args.gaussian:
         features, labels = gaussian_clusters(args.n, args.classes, args.seed)
         m = args.classes
@@ -79,8 +86,6 @@ def cmd_generate(args) -> int:
     )
 
     if args.test_fraction is not None:
-        if args.test_out is None:
-            raise ValueError("--test-fraction requires --test-out")
         train, test = split(dataset, args.test_fraction, seed=args.seed + 2)
         write_pll_file(train, args.out)
         write_pll_file(test, args.test_out)
@@ -198,6 +203,8 @@ def _rank_table_from_args(args) -> tuple[RankTable, list[str]]:
         ranks = [float(tok) for tok in args.avg_ranks.split(",")]
         if args.cases is None:
             raise ValueError("--avg-ranks requires --cases")
+        if args.fixed_rank:
+            raise ValueError("--fixed-rank pins a CSV column and cannot be used with --avg-ranks")
         table = RankTable(k=len(ranks), n_cases=args.cases, avg_ranks=np.array(ranks))
         return table, [f"alg{i}" for i in range(table.k)]
     with open(args.csv, "r", encoding="utf-8") as fh:

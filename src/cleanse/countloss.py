@@ -7,9 +7,11 @@ convolution recurrence
     P(count_n = k) = P(count_{n-1} = k-1) * p_n + P(count_{n-1} = k) * (1 - p_n)
 
 carried out entirely in log space: products become additions and sums go
-through ``logaddexp``/``logsumexp``, so a batch of 1024 near-zero
-probabilities still produces finite log masses where the direct-space
-product would underflow.
+through ``logaddexp``, so a batch of 1024 near-zero probabilities still
+produces finite log masses where the direct-space product would underflow.
+``logsumexp`` is a left fold of ``logaddexp``, which leaves a sum bitwise
+unchanged by ``-inf`` entries, so a pmf row sums to the same bits however
+far it is padded or cut.
 
 One forward pass (``_forward``) serves every caller, on all m classes at
 once: the pmf of one class, the value-only path that keeps a single row, and
@@ -55,55 +57,40 @@ def log1mexp(x):
 
 
 def logsumexp(xs):
-    """log(sum(exp(xs))) over the last axis via max-shift; an all--inf row gives -inf."""
+    """log(sum(exp(xs))) over the last axis, as a left fold of ``logaddexp``.
+
+    ``logaddexp(acc, -inf) == acc`` holds bit for bit, so ``-inf`` entries
+    anywhere in a row leave its sum unchanged: a row's bits do not depend on
+    how far it is padded or which counts are masked out.  An all--inf row
+    gives -inf; an empty input raises.
+    """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.size == 0:
         raise ValueError("logsumexp of an empty sequence")
-    top = xs.max(axis=-1)
-    shift = np.where(top > LOG_ZERO, top, 0.0)
-    with np.errstate(divide="ignore"):
-        return (shift + np.log(np.sum(np.exp(xs - shift[..., None]), axis=-1)))[()]
-
-
-def _dp_row(prev: np.ndarray, out: np.ndarray, log_p, log_q, lo: int, hi: int) -> None:
-    """One recurrence step on padded (m, width) rows, for columns lo <= c < hi:
-
-        out[:, c] = logaddexp(prev[:, c-1] + log_p, prev[:, c] + log_q)
-
-    ``log_p`` and ``log_q`` are (m, 1) columns, one entry per class.  Rows
-    carry one ``-inf`` pad column on each side, so the shift of the lowest
-    column needs no special case.  ``out`` may be ``prev`` itself: both
-    operands are formed before anything is written.
-    """
-    np.logaddexp(prev[:, lo - 1 : hi - 1] + log_p, prev[:, lo:hi] + log_q, out=out[:, lo:hi])
+    return np.logaddexp.reduce(xs, axis=-1)[()]
 
 
 def _forward(log_p: np.ndarray, log_q: np.ndarray, top: int, lattice: bool = False) -> np.ndarray:
-    """Run the count recurrence over all n items; return the last padded row.
+    """Run the count recurrence over all n items; return the last row.
 
-    ``log_p`` and ``log_q`` are (n, m, 1).  Column k + 1 of an (m, top + 3)
-    row holds log P(count == k) per class, and row i is updated only over
-    the counts 0..min(i, top) it can reach.  Counts above ``top`` are never
-    stored: a count never falls, so they feed no count at or below ``top``,
-    and every kept value has the bits of the full recurrence.  Without
-    ``lattice`` one row is updated in place (O(top m) memory); with it, the
-    (n + 1, m, top + 3) lattice is returned, whose row i is the
-    distribution over the first i items.
+    ``log_p`` and ``log_q`` are (n, m, 1).  Column k + 1 of an (m, top + 2)
+    row holds log P(count == k) per class; column 0 is a ``-inf`` pad, so
+    count 0 needs no special case.  Row i is updated only over the counts
+    0..min(i, top) it can reach.  Counts above ``top`` are never stored: a
+    count never falls, so they feed no count at or below ``top``, and every
+    kept value has the bits of the full recurrence.  Without ``lattice`` one
+    row is updated in place (both operands are formed before anything is
+    written); with it, the (n + 1, m, top + 2) lattice is returned, whose
+    row i is the distribution over the first i items.
     """
     n, m, _ = log_p.shape
-    rows = np.full((n + 1 if lattice else 1, m, top + 3), LOG_ZERO)
+    rows = np.full((n + 1 if lattice else 1, m, top + 2), LOG_ZERO)
     rows[0, :, 1] = 0.0
     for i in range(n):
-        row, out = (rows[i], rows[i + 1]) if lattice else (rows[0], rows[0])
-        _dp_row(row, out, log_p[i], log_q[i], 1, min(i + 1, top) + 2)
+        prev, out = (rows[i], rows[i + 1]) if lattice else (rows[0], rows[0])
+        end = min(i + 1, top) + 2
+        np.logaddexp(prev[:, : end - 1] + log_p[i], prev[:, 1:end] + log_q[i], out=out[:, 1:end])
     return rows if lattice else rows[0]
-
-
-def _log_pmf(row: np.ndarray, n: int) -> np.ndarray:
-    """The (..., n + 1) log-pmf held in padded rows that stop at a count top <= n."""
-    pmf = np.full((*row.shape[:-1], n + 1), LOG_ZERO)
-    pmf[..., : row.shape[-1] - 2] = row[..., 1:-1]
-    return pmf
 
 
 def count_log_pmf(log_p: np.ndarray) -> np.ndarray:
@@ -113,7 +100,7 @@ def count_log_pmf(log_p: np.ndarray) -> np.ndarray:
     runs in place: O(n) working memory, O(n^2) time.
     """
     log_p = np.asarray(log_p, dtype=np.float64)[:, None, None]
-    return _forward(log_p, log1mexp(log_p), len(log_p))[0, 1:-1]
+    return _forward(log_p, log1mexp(log_p), len(log_p))[0, 1:]
 
 
 def _check_intervals(lo: np.ndarray, hi: np.ndarray, n: int) -> None:
@@ -126,22 +113,19 @@ def _check_intervals(lo: np.ndarray, hi: np.ndarray, n: int) -> None:
 
 
 def interval_log_prob(log_pmf: np.ndarray, lo, hi):
-    """log P(lo <= count <= hi) of each (n + 1,) log-pmf row of ``log_pmf``.
+    """log P(lo <= count <= hi) of each log-pmf row of ``log_pmf``.
 
-    ``lo`` and ``hi`` are integers, scalars or one per row.  The rows are
-    summed in the DP's padded layout (count k in column k + 1, a ``-inf``
-    column on each side): ``count_loss`` and ``count_loss_values`` pass
-    their last DP row, and the sum then has the bits it had on that row.
+    Entry k of a row is log P(count == k); a row may stop at any count
+    top >= hi, as the DP's rows stop at max(hi).  ``lo`` and ``hi`` are
+    integers, scalars or one per row.  ``logsumexp`` ignores the masked
+    counts, so a cut row and the full (n + 1,) pmf give the same bits.
     """
     log_pmf = np.asarray(log_pmf, dtype=np.float64)
     lo, hi = np.broadcast_arrays(lo, hi)
-    n = log_pmf.shape[-1] - 1
-    _check_intervals(lo, hi, n)
-    row = np.full((*log_pmf.shape[:-1], n + 3), LOG_ZERO)
-    row[..., 1:-1] = log_pmf
-    counts = np.arange(-1, n + 2)
+    counts = np.arange(log_pmf.shape[-1])
+    _check_intervals(lo, hi, len(counts) - 1)
     inside = (counts >= np.expand_dims(lo, -1)) & (counts <= np.expand_dims(hi, -1))
-    return logsumexp(np.where(inside, row, LOG_ZERO))
+    return logsumexp(np.where(inside, log_pmf, LOG_ZERO))
 
 
 def batch_intervals(candidates) -> tuple[np.ndarray, np.ndarray]:
@@ -261,7 +245,7 @@ def count_loss(batch_probs: np.ndarray, lo, hi, mode: str = "nll") -> CountLossR
     n, m, _ = log_p.shape
     both_ways = [np.concatenate((x, x[::-1]), axis=1) for x in (log_p, log_q)]
     lattice = _forward(*both_ways, int(hi.max()), lattice=True)
-    log_in = interval_log_prob(_log_pmf(lattice[n, :m], n), lo, hi)
+    log_in = interval_log_prob(lattice[n, :m, 1:], lo, hi)
     total, dloss_dq, saturated = _loss_terms(log_in, mode)
     grad = _leave_one_out_grad(lattice, lo, hi) * dloss_dq
     return CountLossResult(loss=total, grad=grad, saturated=saturated)
@@ -287,7 +271,7 @@ def count_loss_values(batches, mode: str = "nll") -> list[float]:
         log_p, log_q = np.concatenate(log_p, axis=1), np.concatenate(log_q, axis=1)
         lo, hi = np.concatenate(lo), np.concatenate(hi)
         last = _forward(log_p, log_q, int(hi.max()))
-        log_in = interval_log_prob(_log_pmf(last, len(log_p)), lo, hi)
+        log_in = interval_log_prob(last[:, 1:], lo, hi)
         ends = np.cumsum([len(inputs[b][2]) for b in group])
         for b, log_q_b in zip(group, np.split(log_in, ends[:-1])):
             values[b] = _loss_terms(log_q_b, mode)[0]

@@ -20,8 +20,8 @@ class RankTable:
         ranks = np.asarray(self.avg_ranks, dtype=np.float64)
         if len(ranks) != self.k:
             raise ValueError("one average rank per algorithm required")
-        if np.any(ranks < 1.0) or np.any(ranks > self.k):
-            raise ValueError(f"average ranks must lie in [1, {self.k}]")
+        if not np.all((ranks >= 1.0) & (ranks <= self.k)):  # NaN fails both
+            raise ValueError(f"average ranks must be finite and lie in [1, {self.k}]")
         object.__setattr__(self, "avg_ranks", ranks)
 
 
@@ -60,14 +60,25 @@ def rank_results(accuracies: np.ndarray, fixed_ranks: dict[int, float] | None = 
 
 
 def friedman_chi2(table: RankTable) -> float:
-    """chi2 = 12N/(k(k+1)) * (sum_i R_i^2 - k(k+1)^2/4)."""
+    """chi2 = 12N/(k(k+1)) * (sum_i R_i^2 - k(k+1)^2/4).
+
+    Average ranks of a real ranking sum to k(k+1)/2, so their squares sum to
+    at least k(k+1)^2/4 and chi2 >= 0.  A table whose chi2 falls below 0 by
+    more than rounding came from no ranking and is refused; rounding below
+    0 reads as 0.
+    """
     k, n = table.k, table.n_cases
     if k < 2:
         raise ValueError("Friedman test needs >= 2 algorithms")
     if n < 2:
         raise ValueError("Friedman test needs >= 2 cases")
     r = table.avg_ranks
-    return 12.0 * n / (k * (k + 1)) * (float(np.sum(r * r)) - k * (k + 1) ** 2 / 4.0)
+    floor = k * (k + 1) ** 2 / 4.0
+    spread = float(np.sum(r * r)) - floor
+    if spread < -1e-9 * floor:
+        raise ValueError(f"average ranks {r.tolist()} come from no ranking: "
+                         "they give a negative Friedman chi2")
+    return 12.0 * n / (k * (k + 1)) * max(spread, 0.0)
 
 
 def friedman(table: RankTable) -> tuple[float, float]:

@@ -95,6 +95,26 @@ class TestGenerate:
              str(tmp_path / "x.pll")]
         ) == EXIT_IO
 
+    def test_test_out_without_fraction_writes_nothing(self, tmp_path, capsys):
+        out, test_out = tmp_path / "tr.pll", tmp_path / "te.pll"
+        assert run_cli(
+            ["generate", "--gaussian", "--n", "20", "-o", str(out), "--test-out", str(test_out)]
+        ) == EXIT_USAGE
+        assert "--test-out requires --test-fraction" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_test_out_naming_the_train_file_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "tr.pll"
+        same = tmp_path / "sub" / ".." / "tr.pll"
+        (tmp_path / "sub").mkdir()
+        assert run_cli(
+            ["generate", "--gaussian", "--n", "20", "-o", str(out),
+             "--test-fraction", "0.25", "--test-out", str(same)]
+        ) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--test-out" in err and "same file" in err
+        assert not out.exists()
+
     def test_bad_fraction_is_usage_error(self, tmp_path):
         assert run_cli(
             ["generate", "--gaussian", "--n", "10", "-o", str(tmp_path / "x.pll"),
@@ -517,6 +537,22 @@ class TestStats:
         captured = capsys.readouterr()
         assert "--fixed-rank" in captured.err and "NAME=RANK" in captured.err
         assert "CD=" not in captured.out
+
+    def test_fixed_rank_with_avg_ranks_is_refused(self, capsys):
+        code = run_cli(["stats", "--avg-ranks", "1.5,1.5,3", "--cases", "5",
+                        "--fixed-rank", "zzz=9"])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "--fixed-rank" in captured.err and "--avg-ranks" in captured.err
+        assert "CD=" not in captured.out
+
+    @pytest.mark.parametrize("ranks, message", [("1.5,nan,3", "must be finite"),
+                                                ("1,1,1", "negative Friedman chi2")])
+    def test_avg_ranks_from_no_ranking_are_refused(self, capsys, ranks, message):
+        assert run_cli(["stats", "--avg-ranks", ranks, "--cases", "5"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "chi2=" not in captured.out
 
     def test_malformed_csv_reports_location(self, tmp_path, capsys):
         path = tmp_path / "acc.csv"

@@ -127,6 +127,20 @@ class TestLogsumexp:
             assert value == logsumexp(row)
         assert np.ndim(logsumexp(rows[0])) == 0
 
+    def test_log_zero_entries_leave_the_bits_unchanged(self):
+        # a fold of logaddexp ignores -inf bit for bit, wherever it sits; the
+        # lengths cross numpy's 8-wide and 128-block pairwise summation
+        rng = np.random.default_rng(41)
+        for length in range(1, 301):
+            xs = rng.uniform(-40.0, -1e-3, size=length)
+            want = logsumexp(xs).tobytes()
+            for _ in range(3):
+                extra = int(rng.integers(1, 2 * length + 2))
+                at = np.sort(rng.integers(0, length + 1, size=extra))
+                padded = np.insert(xs, at, LOG_ZERO)
+                assert logsumexp(padded).tobytes() == want, (length, extra)
+                assert logsumexp(np.stack([padded, padded]))[1].tobytes() == want
+
 
 class TestTrainingRunsTheTestedPrimitives:
     """count_loss and count_loss_values call the log1mexp, logsumexp and
@@ -152,8 +166,8 @@ class TestTrainingRunsTheTestedPrimitives:
 
     def test_the_oracle_path_has_the_training_bits(self):
         # interval-prob-vs-enumeration sums count_log_pmf's array with this very
-        # function; padded to the DP's row layout, that sum has the bits of the
-        # trained loss (a sum over the bare pmf slice differed in the last bit)
+        # function; the count losses sum their DP rows, cut at max(hi), and the
+        # sum ignores the -inf masked counts, so both get the same bits
         assert checks_module.interval_log_prob is countloss_module.interval_log_prob
         rng = np.random.default_rng(31)
         for _ in range(40):
@@ -244,6 +258,17 @@ class TestIntervalLogProb:
                             ([0, 0, 0], [3, 2, 3], 0)]:
             with pytest.raises(ValueError, match=f"of class {bad} is outside 0 <= lo <= hi <= 2"):
                 interval_log_prob(rows, np.array(lo), np.array(hi))
+
+    def test_a_row_cut_at_any_top_above_hi_has_the_full_row_bits(self):
+        rng = np.random.default_rng(43)
+        for _ in range(60):
+            n = int(rng.integers(1, 300))
+            log_pmf = count_log_pmf(np.log(rng.random(n)))
+            lo = int(rng.integers(0, n + 1))
+            hi = int(rng.integers(lo, n + 1))
+            want = interval_log_prob(log_pmf, lo, hi).tobytes()
+            for top in range(hi, n + 1):
+                assert interval_log_prob(log_pmf[: top + 1], lo, hi).tobytes() == want, (n, top)
 
     def test_widening_never_decreases(self):
         rng = np.random.default_rng(5)
@@ -477,7 +502,7 @@ def _full_row_value(probs, lo, hi, mode):
     """The value-only DP with every count row kept (no stop at max(hi))."""
     log_p, log_q, lo, hi = countloss_module._batch_inputs(probs, lo, hi, mode)
     row = countloss_module._forward(log_p, log_q, len(log_p))
-    return countloss_module._loss_terms(interval_log_prob(row[:, 1:-1], lo, hi), mode)[0]
+    return countloss_module._loss_terms(interval_log_prob(row[:, 1:], lo, hi), mode)[0]
 
 
 class TestCountLossValues:

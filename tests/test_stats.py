@@ -66,6 +66,20 @@ class TestFriedman:
         with pytest.raises(ValueError, match="degenerate"):
             friedman(table)
 
+    def test_ranks_from_no_ranking_are_refused(self):
+        # squares of ranks that sum to k(k+1)/2 sum to at least k(k+1)^2/4
+        for ranks in ([1.0, 1.0, 1.0], [1.0, 1.0, 2.0, 2.0], [1.9, 1.9, 1.9]):
+            table = RankTable(k=len(ranks), n_cases=5, avg_ranks=np.array(ranks))
+            with pytest.raises(ValueError, match="negative Friedman chi2"):
+                friedman_chi2(table)
+            with pytest.raises(ValueError, match="negative Friedman chi2"):
+                friedman(table)
+
+    def test_rounding_below_zero_reads_as_zero(self):
+        # ties averaged with roundoff can miss the k(k+1)^2/4 floor by a hair
+        table = RankTable(k=3, n_cases=5, avg_ranks=np.array([2.0 - 1e-12, 2.0, 2.0]))
+        assert friedman_chi2(table) == 0.0
+
     def test_size_requirements(self):
         with pytest.raises(ValueError):
             friedman(RankTable(k=2, n_cases=1, avg_ranks=np.array([1.0, 2.0])))
@@ -163,3 +177,8 @@ class TestRankTable:
             RankTable(k=3, n_cases=5, avg_ranks=np.array([1.0, 2.0, 3.5]))
         with pytest.raises(ValueError):
             RankTable(k=3, n_cases=5, avg_ranks=np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_ranks_refused(self, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            RankTable(k=3, n_cases=5, avg_ranks=np.array([1.5, bad, 3.0]))
