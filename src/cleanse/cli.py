@@ -59,6 +59,9 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_DIVERGED = 4
 
+# `generate --gaussian` sizes; --source takes both from its file
+GAUSSIAN_N, GAUSSIAN_CLASSES = 600, 3
+
 
 def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
@@ -73,9 +76,15 @@ def cmd_generate(args) -> int:
     elif args.test_fraction is not None:
         raise ValueError("--test-fraction requires --test-out")
     if args.gaussian:
-        features, labels = gaussian_clusters(args.n, args.classes, args.seed)
-        m = args.classes
+        n = GAUSSIAN_N if args.n is None else args.n
+        m = GAUSSIAN_CLASSES if args.classes is None else args.classes
+        features, labels = gaussian_clusters(n, m, args.seed)
     else:
+        given = [flag for flag, value in (("--n", args.n), ("--classes", args.classes))
+                 if value is not None]
+        if given:
+            raise ValueError(f"{' and '.join(given)} size the --gaussian clusters; "
+                             "--source takes n and m from its file")
         source = read_pll_file(args.source)
         if source.hidden_truth is None:
             raise ValueError("source file carries no truth labels to regenerate from")
@@ -103,8 +112,20 @@ def _describe(dataset) -> str:
             f"avg_candidates={s.avg_candidates:.4f} clean_rate={s.clean_rate:.4f}")
 
 
+def _config_flag(name: str) -> str:
+    """The flag of a TrainConfig field: _ becomes -, and lam is --lambda
+    (lambda is a keyword)."""
+    return "--" + ("lambda" if name == "lam" else name).replace("_", "-")
+
+
+def _given_config(args) -> dict:
+    """The TrainConfig fields whose flags were given (the others are None)."""
+    return {f.name: getattr(args, f.name) for f in dataclasses.fields(TrainConfig)
+            if getattr(args, f.name) is not None}
+
+
 def _config_from_args(args) -> TrainConfig:
-    return TrainConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(TrainConfig)})
+    return TrainConfig(**_given_config(args))
 
 
 class ManifestError(Exception):
@@ -140,6 +161,12 @@ def cmd_train(args) -> int:
     if args.checkpoint_every < 0:
         raise ValueError("--checkpoint-every must be >= 0 (0 disables checkpoints)")
     if args.manifest:
+        given = [_config_flag(name) for name in _given_config(args)]
+        given += [flag for flag, value in (("--train", args.train), ("--test", args.test))
+                  if value is not None]
+        if given:
+            raise ValueError(f"--manifest replays the run it recorded; {', '.join(given)} "
+                             "cannot be given with it")
         config, train_path, test_path, out_dir = _load_manifest(args.manifest)
         out_dir = args.out_dir if args.out_dir is not None else out_dir
     else:
@@ -199,12 +226,8 @@ def cmd_train(args) -> int:
 
 
 def _rank_table_from_args(args) -> tuple[RankTable, list[str]]:
-    if args.avg_ranks:
+    if args.avg_ranks is not None:
         ranks = [float(tok) for tok in args.avg_ranks.split(",")]
-        if args.cases is None:
-            raise ValueError("--avg-ranks requires --cases")
-        if args.fixed_rank:
-            raise ValueError("--fixed-rank pins a CSV column and cannot be used with --avg-ranks")
         table = RankTable(k=len(ranks), n_cases=args.cases, avg_ranks=np.array(ranks))
         return table, [f"alg{i}" for i in range(table.k)]
     with open(args.csv, "r", encoding="utf-8") as fh:
@@ -243,10 +266,16 @@ def _q_alpha(args, k: int) -> float:
 
 
 def cmd_stats(args) -> int:
-    if not args.csv and not args.avg_ranks:
+    # argparse lets exactly one of --csv, --avg-ranks and --k through
+    if args.csv is not None and args.cases is not None:
+        raise ValueError("--cases cannot be given with --csv: the CSV's rows are the cases")
+    if args.csv is None and args.cases is None:
+        raise ValueError("--avg-ranks and --k need --cases, the case count N")
+    if args.csv is None and args.fixed_rank:
+        raise ValueError("--fixed-rank pins a CSV column, so it needs --csv "
+                         "and cannot be used with --avg-ranks or --k")
+    if args.k is not None:
         # critical-difference-only mode: just k, N and q_alpha
-        if args.k is None or args.cases is None:
-            raise ValueError("provide --csv, --avg-ranks, or both --k and --cases")
         q_alpha = _q_alpha(args, args.k)
         cd = bonferroni_dunn_cd(q_alpha, args.k, args.cases)
         print(f"CD={cd:.6g} (q_alpha={q_alpha}, k={args.k}, N={args.cases})")
@@ -289,17 +318,18 @@ def _widths(text: str) -> tuple[int, ...]:
 
 
 def _add_config_flags(parser) -> None:
-    """One flag per TrainConfig field, with its type, default and choices."""
+    """One flag per TrainConfig field, with its type and choices.  A flag not
+    given stays None, so TrainConfig alone holds the defaults."""
     for f in dataclasses.fields(TrainConfig):
-        name = "lambda" if f.name == "lam" else f.name  # lambda is a keyword
+        flag = _config_flag(f.name)
         choices = f.metadata.get("choices")
         parser.add_argument(
-            "--" + name.replace("_", "-"),
+            flag,
             dest=f.name,
             type=_widths if f.name == "hidden" else type(f.default),
-            default=f.default,
+            default=None,
             choices=choices,
-            metavar=None if choices else name.upper(),
+            metavar=None if choices else flag[2:].replace("-", "_").upper(),
             help="comma-separated hidden widths" if f.name == "hidden" else None,
         )
 
@@ -316,8 +346,10 @@ def build_parser() -> argparse.ArgumentParser:
     src = g.add_mutually_exclusive_group(required=True)
     src.add_argument("--gaussian", action="store_true", help="built-in 2-D Gaussian clusters")
     src.add_argument("--source", help="existing PLL file with truth labels to re-candidate")
-    g.add_argument("--classes", type=int, default=3)
-    g.add_argument("--n", type=int, default=600)
+    g.add_argument("--classes", type=int, default=None,
+                   help=f"class count of --gaussian (default {GAUSSIAN_CLASSES})")
+    g.add_argument("--n", type=int, default=None,
+                   help=f"instance count of --gaussian (default {GAUSSIAN_N})")
     g.add_argument("--q", type=float, default=0.5, help="false-label flip probability")
     g.add_argument("--mode", choices=["binomial", "uniform-size"], default="binomial")
     g.add_argument("--seed", type=int, default=0)
@@ -339,15 +371,17 @@ def build_parser() -> argparse.ArgumentParser:
     t.set_defaults(func=cmd_train)
 
     s = sub.add_parser("stats", help="Friedman / critical-difference report")
-    s.add_argument("--csv", help="accuracy CSV: header = algorithm names, one row per case")
-    s.add_argument("--avg-ranks", help="comma-separated average ranks (skip ranking)")
-    s.add_argument("--cases", "--n", type=int, default=None, help="case count N")
+    ranks = s.add_mutually_exclusive_group(required=True)
+    ranks.add_argument("--csv", help="accuracy CSV: header = algorithm names, one row per case")
+    ranks.add_argument("--avg-ranks", help="comma-separated average ranks (skip ranking)")
+    ranks.add_argument("--k", type=int, default=None,
+                       help="algorithm count (critical difference only, no rank table)")
+    s.add_argument("--cases", "--n", type=int, default=None,
+                   help="case count N (with --avg-ranks or --k)")
     s.add_argument("--q-alpha", type=float, default=None,
                    help="critical value (default: the alpha = 0.05 value for k)")
-    s.add_argument("--k", type=int, default=None,
-                   help="algorithm count (for CD-only mode without a rank table)")
     s.add_argument("--fixed-rank", action="append", metavar="NAME=RANK",
-                   help="pin an algorithm at a fixed rank in every case")
+                   help="pin a CSV column at a fixed rank in every case (with --csv)")
     s.set_defaults(func=cmd_stats)
 
     c = sub.add_parser("check", aliases=["countloss-check"], help="run the oracle suite")

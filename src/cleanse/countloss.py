@@ -192,9 +192,13 @@ def _loss_terms(log_q: np.ndarray, mode: str) -> tuple[float, np.ndarray, bool]:
         safe = np.where(possible, log_q, 0.0)
         terms = np.where(possible, -np.exp(safe) * safe, 0.0)
         dloss_dq = np.where(possible, -(safe + 1.0), 0.0)
-    # summed class by class, in order, so the value is independent of m's
-    # numpy reduction strategy
-    return sum(terms.tolist(), 0.0), dloss_dq, saturated
+    # summed class by class, left to right, so the value depends neither on
+    # numpy's reduction strategy for m nor on the Python version (sum() of
+    # floats is compensated from 3.12 on)
+    total = 0.0
+    for term in terms.tolist():
+        total += term
+    return total, dloss_dq, saturated
 
 
 def _leave_one_out_grad(lattice: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

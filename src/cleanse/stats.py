@@ -7,10 +7,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# published average ranks are printed to two decimals, so each may be off by
+# half a unit in the last place; 1e-9 more absorbs float error in the sums
+_RANK_ROUNDING = 0.005 + 1e-9
+
 
 @dataclass(frozen=True)
 class RankTable:
-    """Average rank per algorithm over N comparison cases (rank 1 = best)."""
+    """Average rank per algorithm over N comparison cases (rank 1 = best).
+
+    A table is refused unless some ranking gives it.  By Rado's theorem the
+    average ranks of N rankings of k items (ties averaged) are exactly the
+    vectors whose j smallest entries sum to at least j(j+1)/2 for every j
+    and whose total is k(k+1)/2; each rank may be off by ``_RANK_ROUNDING``.
+    """
 
     k: int
     n_cases: int
@@ -22,6 +32,14 @@ class RankTable:
             raise ValueError("one average rank per algorithm required")
         if not np.all((ranks >= 1.0) & (ranks <= self.k)):  # NaN fails both
             raise ValueError(f"average ranks must be finite and lie in [1, {self.k}]")
+        k, j = self.k, np.arange(1, self.k + 1)
+        prefix = np.cumsum(np.sort(ranks))
+        if (np.any(prefix < j * (j + 1) / 2 - j * _RANK_ROUNDING)
+                or abs(float(np.sum(ranks)) - k * (k + 1) / 2) > k * _RANK_ROUNDING):
+            raise ValueError(
+                f"average ranks {ranks.tolist()} come from no ranking: the j smallest "
+                f"must sum to at least j(j+1)/2 and all {k} to {k * (k + 1) // 2}"
+            )
         object.__setattr__(self, "avg_ranks", ranks)
 
 
@@ -31,7 +49,8 @@ def rank_results(accuracies: np.ndarray, fixed_ranks: dict[int, float] | None = 
     Ties share the averaged rank.  ``fixed_ranks`` pins chosen columns at a
     constant rank in every case (e.g. algorithms with unavailable results
     settled at a fixed position); the remaining columns are ranked among
-    themselves.
+    themselves, so pins that no ranking gives (two columns both at rank k)
+    are refused with the table.
     """
     acc = np.asarray(accuracies, dtype=np.float64)
     if acc.ndim != 2 or acc.shape[0] < 1 or acc.shape[1] < 2:
@@ -40,11 +59,9 @@ def rank_results(accuracies: np.ndarray, fixed_ranks: dict[int, float] | None = 
         raise ValueError("missing accuracy entries are not allowed")
     n_cases, k = acc.shape
     fixed = fixed_ranks or {}
-    for col, rank in fixed.items():
+    for col in fixed:
         if not 0 <= col < k:
             raise ValueError(f"fixed-rank column {col} out of range")
-        if not 1.0 <= rank <= k:
-            raise ValueError(f"fixed rank {rank} outside [1, {k}]")
     free = [j for j in range(k) if j not in fixed]
 
     ranks = np.empty_like(acc)
@@ -63,9 +80,8 @@ def friedman_chi2(table: RankTable) -> float:
     """chi2 = 12N/(k(k+1)) * (sum_i R_i^2 - k(k+1)^2/4).
 
     Average ranks of a real ranking sum to k(k+1)/2, so their squares sum to
-    at least k(k+1)^2/4 and chi2 >= 0.  A table whose chi2 falls below 0 by
-    more than rounding came from no ranking and is refused; rounding below
-    0 reads as 0.
+    at least k(k+1)^2/4 and chi2 >= 0; ranks rounded within what
+    ``RankTable`` allows can dip below that floor, which reads as 0.
     """
     k, n = table.k, table.n_cases
     if k < 2:
@@ -73,11 +89,7 @@ def friedman_chi2(table: RankTable) -> float:
     if n < 2:
         raise ValueError("Friedman test needs >= 2 cases")
     r = table.avg_ranks
-    floor = k * (k + 1) ** 2 / 4.0
-    spread = float(np.sum(r * r)) - floor
-    if spread < -1e-9 * floor:
-        raise ValueError(f"average ranks {r.tolist()} come from no ranking: "
-                         "they give a negative Friedman chi2")
+    spread = float(np.sum(r * r)) - k * (k + 1) ** 2 / 4.0
     return 12.0 * n / (k * (k + 1)) * max(spread, 0.0)
 
 

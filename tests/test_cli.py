@@ -89,6 +89,22 @@ class TestGenerate:
         np.testing.assert_array_equal(back.hidden_truth, orig.hidden_truth)
         np.testing.assert_array_equal(back.features, orig.features)
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [(["--n", "5", "--classes", "7"], "--n and --classes"),
+         (["--n", "600"], "--n"),
+         (["--classes", "3"], "--classes")],
+        ids=["both", "n", "classes"],
+    )
+    def test_gaussian_sizes_with_source_write_nothing(self, tmp_path, capsys, flags, named):
+        src = tmp_path / "src.pll"
+        run_cli(["generate", "--gaussian", "--n", "90", "--seed", "2", "-o", str(src)])
+        out = tmp_path / "re.pll"
+        code = run_cli(["generate", "--source", str(src), *flags, "-o", str(out)])
+        assert code == EXIT_USAGE
+        assert f"{named} size the --gaussian clusters" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_source_is_io_error(self, tmp_path):
         assert run_cli(
             ["generate", "--source", str(tmp_path / "nope.pll"), "-o",
@@ -362,6 +378,38 @@ class TestReplay:
         for name, content in recorded.items():
             assert (out_dir / name).read_bytes() == content
 
+    def test_checkpoints_combine_with_replay(self, recorded_run, tmp_path):
+        manifest, _ = recorded_run
+        out_dir = tmp_path / "b"
+        code = run_cli(["train", "--manifest", str(manifest), "--out-dir", str(out_dir),
+                        "--checkpoint-every", "1", "--quiet"])
+        assert code == EXIT_OK
+        assert (out_dir / "model_epoch2.txt").read_bytes() == (out_dir / "model.txt").read_bytes()
+        assert (out_dir / "metrics.csv").read_bytes() == (
+            manifest.parent / "metrics.csv"
+        ).read_bytes()
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [(["--epochs", "7", "--lambda", "5", "--train", "m1.pll"],
+          "--epochs, --lambda, --train"),
+         (["--epochs", "3"], "--epochs"),  # the recorded value, still refused
+         (["--hidden="], "--hidden"),
+         (["--test", "t.pll"], "--test")],
+        ids=["several", "recorded-value", "hidden-empty", "test"],
+    )
+    def test_run_flags_with_manifest_write_nothing(self, recorded_run, tmp_path, capsys,
+                                                   flags, named):
+        manifest, _ = recorded_run
+        recorded = {p.name: p.read_bytes() for p in manifest.parent.iterdir()}
+        out_dir = tmp_path / "b"
+        for out in ([], ["--out-dir", str(out_dir)]):
+            code = run_cli(["train", "--manifest", str(manifest), *out, *flags, "--quiet"])
+            assert code == EXIT_USAGE
+            assert f"{named} cannot be given with it" in capsys.readouterr().err
+        assert not out_dir.exists()
+        assert {p.name: p.read_bytes() for p in manifest.parent.iterdir()} == recorded
+
     def test_changed_train_file_is_refused(self, recorded_run, tmp_path, capsys):
         manifest, train = recorded_run
         lines = train.read_text().splitlines(keepends=True)
@@ -547,7 +595,7 @@ class TestStats:
         assert "CD=" not in captured.out
 
     @pytest.mark.parametrize("ranks, message", [("1.5,nan,3", "must be finite"),
-                                                ("1,1,1", "negative Friedman chi2")])
+                                                ("1,1,1", "come from no ranking")])
     def test_avg_ranks_from_no_ranking_are_refused(self, capsys, ranks, message):
         assert run_cli(["stats", "--avg-ranks", ranks, "--cases", "5"]) == EXIT_USAGE
         captured = capsys.readouterr()
@@ -561,7 +609,39 @@ class TestStats:
         assert ":2:" in capsys.readouterr().err
 
     def test_missing_inputs_usage_error(self):
-        assert run_cli(["stats"]) == EXIT_USAGE
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["stats"])
+        assert exc.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--avg-ranks", "1.9,2.0,2.3", "--cases", "50"], "come from no ranking"),
+         (["--avg-ranks", "1.5,1.5,3", "--cases", "5", "--csv", "ACC"], "not allowed with"),
+         (["--csv", "ACC", "--cases", "99"], "--cases cannot be given with --csv"),
+         (["--csv", "ACC", "--k", "7"], "not allowed with"),
+         (["--avg-ranks", "1.5,1.5,3", "--cases", "5", "--k", "9"], "not allowed with"),
+         (["--k", "3", "--cases", "5", "--fixed-rank", "a=1"], "--fixed-rank pins a CSV column"),
+         (["--avg-ranks", "1.5,1.5,3"], "need --cases"),
+         (["--k", "3"], "need --cases"),
+         (["--csv", "ACC", "--fixed-rank", "c=4", "--fixed-rank", "d=4"],
+          "come from no ranking"),
+         (["--csv", "ACC", "--fixed-rank", "c=5"], "must be finite and lie in [1, 4]")],
+        ids=["avg-ranks-sum", "avg-ranks-and-csv", "csv-and-cases", "csv-and-k",
+             "avg-ranks-and-k", "k-and-fixed-rank", "avg-ranks-without-cases",
+             "k-without-cases", "fixed-ranks-no-ranking-gives", "fixed-rank-out-of-range"],
+    )
+    def test_inputs_no_report_answers_are_refused(self, tmp_path, capsys, flags, message):
+        path = tmp_path / "acc.csv"
+        path.write_text("a,b,c,d\n0.9,0.8,0,0\n0.7,0.8,0,0\n0.9,0.6,0,0\n")
+        flags = [str(path) if flag == "ACC" else flag for flag in flags]
+        try:
+            code = run_cli(["stats", *flags])
+        except SystemExit as exc:  # argparse's own usage errors
+            code = exc.code
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "chi2=" not in captured.out and "CD=" not in captured.out
 
     @pytest.mark.parametrize(
         "flags, message",

@@ -484,6 +484,12 @@ class TestCountLoss:
             got = count_loss_value(probs, lo, hi, mode)
             assert abs(got - want) <= 1e-15 * max(1.0, abs(want))
 
+    def test_terms_are_summed_left_to_right(self):
+        # 1 + 1e-16 rounds back to 1 each time; a compensated sum (Python's
+        # sum() of floats from 3.12 on) would return 1.0000000000000002
+        total, _, _ = countloss_module._loss_terms(np.array([-1.0, -1e-16, -1e-16]), "nll")
+        assert total == 1.0
+
 
 def _epoch_of_batches(rng, n_rows, m):
     """(probs, lo, hi) per batch of a shuffled epoch: 64-row batches, the

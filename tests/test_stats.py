@@ -67,13 +67,10 @@ class TestFriedman:
             friedman(table)
 
     def test_ranks_from_no_ranking_are_refused(self):
-        # squares of ranks that sum to k(k+1)/2 sum to at least k(k+1)^2/4
+        # each would give a negative chi2; RankTable refuses them on sight
         for ranks in ([1.0, 1.0, 1.0], [1.0, 1.0, 2.0, 2.0], [1.9, 1.9, 1.9]):
-            table = RankTable(k=len(ranks), n_cases=5, avg_ranks=np.array(ranks))
-            with pytest.raises(ValueError, match="negative Friedman chi2"):
-                friedman_chi2(table)
-            with pytest.raises(ValueError, match="negative Friedman chi2"):
-                friedman(table)
+            with pytest.raises(ValueError, match="come from no ranking"):
+                RankTable(k=len(ranks), n_cases=5, avg_ranks=np.array(ranks))
 
     def test_rounding_below_zero_reads_as_zero(self):
         # ties averaged with roundoff can miss the k(k+1)^2/4 floor by a hair
@@ -182,3 +179,31 @@ class TestRankTable:
     def test_non_finite_ranks_refused(self, bad):
         with pytest.raises(ValueError, match="must be finite"):
             RankTable(k=3, n_cases=5, avg_ranks=np.array([1.5, bad, 3.0]))
+
+    def test_every_ranking_is_accepted(self):
+        RankTable(k=8, n_cases=25, avg_ranks=np.array(EIGHT_ALGO_RANKS))  # sums to 36.04
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            n, k = int(rng.integers(1, 30)), int(rng.integers(2, 9))
+            # coarse accuracies, so ties are common
+            accs = rng.integers(0, 4, size=(n, k)).astype(float)
+            four = rng.integers(0, 4, size=(n, 4)).astype(float)
+            # the last two of four settled at (3 + 4) / 2
+            for table in (rank_results(accs), rank_results(four, fixed_ranks={2: 3.5, 3: 3.5})):
+                RankTable(k=table.k, n_cases=n, avg_ranks=table.avg_ranks)
+
+    @pytest.mark.parametrize(
+        "ranks",
+        [[1.9, 2.0, 2.3],  # in range, chi2 > 0, but sums to 6.2, not 6
+         [4.0, 4.0, 1.0, 2.0]],  # sums to 11, not 10: two algorithms at rank 4
+    )
+    def test_ranks_no_ranking_gives_are_refused(self, ranks):
+        with pytest.raises(ValueError, match="come from no ranking"):
+            RankTable(k=len(ranks), n_cases=50, avg_ranks=np.array(ranks))
+
+    def test_two_decimal_rounding_is_allowed(self):
+        # 1/3, 2/3-style averages printed to two decimals stay acceptable;
+        # a third decimal's worth more is not
+        RankTable(k=3, n_cases=3, avg_ranks=np.array([1.67, 1.67, 2.67]))
+        with pytest.raises(ValueError, match="come from no ranking"):
+            RankTable(k=3, n_cases=3, avg_ranks=np.array([1.67, 1.67, 2.68]))
