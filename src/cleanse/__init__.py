@@ -2,7 +2,7 @@
 log-space Poisson-binomial count loss, a from-scratch MLP trainer, and
 nonparametric rank statistics."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .countloss import (
     CountLossResult,

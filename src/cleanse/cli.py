@@ -22,7 +22,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import math
 import os
 import re
 import sys
@@ -187,7 +186,6 @@ def cmd_train(args) -> int:
 
     manifest = {
         "toolkit_version": __version__,
-        "seed": config.seed,
         "train_path": train_path,
         "test_path": test_path,
         "train_sha256": _sha256(train_path),
@@ -210,16 +208,19 @@ def cmd_train(args) -> int:
             fh.flush()
             if args.checkpoint_every and (metrics.epoch + 1) % args.checkpoint_every == 0:
                 save_mlp(model, os.path.join(out_dir, f"model_epoch{metrics.epoch}.txt"))
+            if not args.quiet:
+                _log(f"epoch {metrics.epoch}: reweight={metrics.reweight_loss:.6f} "
+                     f"count={metrics.count_loss:.6f} total={metrics.total_loss:.6f} "
+                     f"acc={metrics.test_accuracy:.4f} ({metrics.seconds:.2f}s)")
 
         try:
-            model, history = fit(train, test, config, on_epoch=on_epoch, progress=not args.quiet)
+            model, history = fit(train, test, config, on_epoch=on_epoch)
         except TrainingDiverged as exc:
             _log(f"error: {exc}")
             return EXIT_DIVERGED
 
     save_mlp(model, os.path.join(out_dir, "model.txt"))
-    evaluated = sum(not math.isnan(h.test_accuracy) for h in history)
-    window = min(config.eval_window, evaluated)
+    window = min(config.eval_window, len(history))
     mean, std = summarize(history, window)
     print(f"final accuracy over last {window} evaluated epochs: {100*mean:.2f} ± {100*std:.2f}%")
     return EXIT_OK
@@ -227,7 +228,13 @@ def cmd_train(args) -> int:
 
 def _rank_table_from_args(args) -> tuple[RankTable, list[str]]:
     if args.avg_ranks is not None:
-        ranks = [float(tok) for tok in args.avg_ranks.split(",")]
+        ranks = []
+        for tok in args.avg_ranks.split(","):
+            try:
+                ranks.append(float(tok))
+            except ValueError:
+                raise ValueError(f"--avg-ranks {args.avg_ranks!r}: rank {tok!r} is not a number; "
+                                 "give comma-separated ranks such as 1.5,1.5,3") from None
         table = RankTable(k=len(ranks), n_cases=args.cases, avg_ranks=np.array(ranks))
         return table, [f"alg{i}" for i in range(table.k)]
     with open(args.csv, "r", encoding="utf-8") as fh:

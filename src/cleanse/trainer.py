@@ -10,7 +10,6 @@ Runs are deterministic given the config seed.
 from __future__ import annotations
 
 import math
-import sys
 import time
 from dataclasses import dataclass, field, fields
 
@@ -66,7 +65,6 @@ class TrainConfig:
     hidden: tuple[int, ...] = (300, 300)
     seed: int = 0
     eval_window: int = 10
-    eval_stride: int = 1
     threads: int = 1
 
     def __post_init__(self):
@@ -95,8 +93,7 @@ class TrainConfig:
             (0.0 <= self.lam < math.inf, "lambda must be finite and >= 0"),
             (all(h >= 1 for h in self.hidden), "hidden widths must be >= 1"),
             (self.seed >= 0, "seed must be >= 0"),
-            (self.eval_window >= 1 and self.eval_stride >= 1,
-             "eval window and stride must be >= 1"),
+            (self.eval_window >= 1, "eval_window must be >= 1"),
             (self.threads >= 1, "threads must be >= 1"),
         )
         for ok, message in rules:
@@ -154,12 +151,12 @@ def evaluate(model: Mlp, test: PartialDataset) -> float:
 
 def summarize(history, window: int) -> tuple[float, float]:
     """Mean and population std of test accuracy over the last ``window``
-    evaluated epochs; epochs that ``eval_stride`` skipped carry nan."""
-    accs = np.array([h.test_accuracy for h in history])
-    accs = accs[~np.isnan(accs)]
-    if window < 1 or window > len(accs):
-        raise ValueError("window must lie in 1..number of evaluated epochs")
-    accs = accs[-window:]
+    epochs; a history fit without a test set carries nan and is refused."""
+    if window < 1 or window > len(history):
+        raise ValueError("window must lie in 1..number of epochs")
+    accs = np.array([h.test_accuracy for h in history[-window:]])
+    if np.isnan(accs).any():
+        raise ValueError("the window holds epochs with no test accuracy")
     return float(np.mean(accs)), float(np.std(accs))
 
 
@@ -210,14 +207,14 @@ def fit(
     test: PartialDataset | None,
     config: TrainConfig,
     on_epoch=None,
-    progress=False,
 ) -> tuple[Mlp, list[EpochMetrics]]:
     """Train a classifier on a partial-label dataset.
 
     Both sets must pass ``check_datasets``.  The training view is
     truth-stripped before anything else runs, so the hidden labels cannot
-    leak into any gradient.  ``on_epoch`` (if given) receives (EpochMetrics,
-    model) after each epoch, e.g. to tail a CSV or write checkpoints.  A
+    leak into any gradient.  Each epoch is evaluated on ``test`` (if given;
+    otherwise its accuracy is nan), and ``on_epoch`` (if given) receives
+    (EpochMetrics, model) after it; that is the only report ``fit`` makes.  A
     non-finite batch loss stops the run with ``TrainingDiverged`` before
     that batch's optimizer step.  At lambda = 0 the count losses are only
     reported; they are computed after the epoch's last step, in one
@@ -292,63 +289,30 @@ def fit(
         mean_rg = sum_rg / view.n
         total = mean_rl + config.lam * mean_rg
 
-        acc = float("nan")
-        if test is not None and (
-            epoch % config.eval_stride == 0 or epoch == config.epochs - 1
-        ):
-            acc = evaluate(model, test)
         metrics = EpochMetrics(
             epoch=epoch,
             reweight_loss=mean_rl,
             count_loss=mean_rg,
             total_loss=total,
-            test_accuracy=acc,
+            test_accuracy=float("nan") if test is None else evaluate(model, test),
             seconds=time.perf_counter() - t0,
         )
         history.append(metrics)
         if on_epoch is not None:
             on_epoch(metrics, model)
-        if progress:
-            print(
-                f"epoch {epoch}: reweight={mean_rl:.6f} count={mean_rg:.6f} "
-                f"total={total:.6f} acc={acc:.4f} ({metrics.seconds:.2f}s)",
-                file=sys.stderr,
-            )
     return model, history
 
 
-CSV_HEADER = "epoch,reweight_loss,count_loss,total_loss,test_accuracy,seconds"
+CSV_HEADER = "epoch,reweight_loss,count_loss,total_loss,test_accuracy"
 
 
 def format_metrics_row(metrics: EpochMetrics) -> str:
     """One CSV row, 9 significant digits.
 
-    The ``seconds`` column is always 0: the CSV is a replayable data
-    artifact, and wall time is the one field a rerun cannot reproduce.
-    Per-epoch times print in the ``progress`` lines instead.
+    Wall time has no column: the CSV is a replayable data artifact, and
+    ``EpochMetrics.seconds`` is the one field a rerun cannot reproduce.
     """
     return (
         f"{metrics.epoch},{metrics.reweight_loss:.9g},{metrics.count_loss:.9g},"
-        f"{metrics.total_loss:.9g},{metrics.test_accuracy:.9g},0"
+        f"{metrics.total_loss:.9g},{metrics.test_accuracy:.9g}"
     )
-
-
-def read_metrics_csv(path) -> list[EpochMetrics]:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != CSV_HEADER:
-            raise ValueError(f"unexpected metrics header {header!r}")
-        out = []
-        for line in fh:
-            e, rl, rg, tot, acc, secs = line.rstrip("\n").split(",")
-            out.append(
-                EpochMetrics(
-                    epoch=int(e),
-                    reweight_loss=float(rl),
-                    count_loss=float(rg),
-                    total_loss=float(tot),
-                    test_accuracy=float(acc),
-                    seconds=float(secs),
-                )
-            )
-    return out

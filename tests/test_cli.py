@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -167,6 +168,33 @@ class TestTrain:
         assert (out_dir / "manifest.json").exists()
         assert "final accuracy over last 3 evaluated epochs" in capsys.readouterr().out
 
+    def test_progress_lines_match_the_csv_unless_quiet(self, tiny_dataset, tmp_path, capsys):
+        train, test = tiny_dataset
+        loud = [flag for flag in TINY_TRAIN_ARGS if flag != "--quiet"]
+        line = re.compile(r"epoch (\d+): reweight=(\S+) count=(\S+) total=(\S+) "
+                          r"acc=(\S+) \(\d+\.\d\ds\)")
+        for flags, quiet in ((loud, False), (TINY_TRAIN_ARGS, True)):
+            out_dir = tmp_path / ("quiet" if quiet else "loud")
+            code = run_cli(["train", "--train", train, "--test", test,
+                            "--out-dir", str(out_dir), "--seed", "7", *flags])
+            assert code == EXIT_OK
+            err = capsys.readouterr().err.splitlines()
+            assert err[0].startswith("training on ")
+            if quiet:
+                assert err[1:] == []
+                continue
+            rows = [row.split(",") for row in
+                    (out_dir / "metrics.csv").read_text().splitlines()[1:]]
+            assert len(err[1:]) == len(rows) == 3
+            for printed, row in zip(err[1:], rows):
+                match = line.fullmatch(printed)
+                assert match, printed
+                assert match[1] == row[0]
+                # the line rounds to 6 decimals (accuracy to 4), the CSV to 9 digits
+                for value, written, decimals in zip(match.groups()[1:], row[1:5], (6, 6, 6, 4)):
+                    assert float(value) == pytest.approx(float(written),
+                                                         abs=0.5 * 10.0**-decimals + 1e-12)
+
     def test_manifest_replay_is_byte_identical(self, tiny_dataset, tmp_path):
         train, test = tiny_dataset
         run_a = tmp_path / "a"
@@ -184,7 +212,7 @@ class TestTrain:
 
     def test_entropy_mode_column_matches_library(self, tiny_dataset, tmp_path):
         from cleanse.data import read_pll_file as rp
-        from cleanse.trainer import TrainConfig, fit, read_metrics_csv
+        from cleanse.trainer import TrainConfig, fit
 
         train, test = tiny_dataset
         out_dir = tmp_path / "ent"
@@ -192,12 +220,13 @@ class TestTrain:
                         "--out-dir", str(out_dir), "--seed", "3",
                         "--count-mode", "entropy", *TINY_TRAIN_ARGS])
         assert code == EXIT_OK
-        rows = read_metrics_csv(out_dir / "metrics.csv")
+        rows = [row.split(",") for row in
+                (out_dir / "metrics.csv").read_text().splitlines()[1:]]
         config = TrainConfig(epochs=3, batch_size=32, hidden=(8,), seed=3,
                              count_mode="entropy", eval_window=3)
         _, history = fit(rp(train), rp(test), config)
         assert [f"{h.count_loss:.9g}" for h in history] == [
-            f"{r.count_loss:.9g}" for r in rows
+            f"{float(r[2]):.9g}" for r in rows
         ]
 
     def test_missing_train_flag_is_usage_error(self, tiny_dataset):
@@ -324,22 +353,6 @@ class TestTrain:
         assert "--checkpoint-every" in capsys.readouterr().err
         assert not out_dir.exists()
 
-    def test_eval_stride_summary_averages_evaluated_epochs(self, tiny_dataset, tmp_path,
-                                                           capsys):
-        train, test = tiny_dataset
-        out_dir = tmp_path / "stride"
-        code = run_cli(["train", "--train", train, "--test", test,
-                        "--out-dir", str(out_dir), "--seed", "6", *TINY_TRAIN_ARGS,
-                        "--epochs", "6", "--eval-stride", "2", "--eval-window", "10"])
-        assert code == EXIT_OK
-        rows = (out_dir / "metrics.csv").read_text().splitlines()[1:]
-        accs = [float(row.split(",")[4]) for row in rows]
-        evaluated = [a for a in accs if not math.isnan(a)]
-        assert len(evaluated) == 4  # epochs 0, 2, 4 and the last
-        out = capsys.readouterr().out
-        assert f"final accuracy over last 4 evaluated epochs: {100 * np.mean(evaluated):.2f} ± " in out
-        assert "nan" not in out
-
 
 @pytest.fixture
 def recorded_run(tiny_dataset, tmp_path):
@@ -436,8 +449,9 @@ class TestReplay:
     def test_unknown_config_field_is_refused(self, recorded_run, tmp_path, capsys):
         manifest, _ = recorded_run
         recorded = manifest.read_text()
-        # precision: a field of older manifests, removed with the float32 mode
-        for field, value in (("bogus", 1), ("precision", "double")):
+        # fields of older manifests: precision went with the float32 mode,
+        # eval_stride (every manifest before 0.2.0) when fit began evaluating every epoch
+        for field, value in (("bogus", 1), ("precision", "double"), ("eval_stride", 1)):
             manifest.write_text(recorded)
             _edit_manifest(manifest, lambda loaded: loaded["config"].update({field: value}))
             code = run_cli(["train", "--manifest", str(manifest),
@@ -491,8 +505,7 @@ class TestTrainFlags:
         assert set(flags) == RUN_FLAGS | {
             "--epochs", "--batch-size", "--lr", "--weight-decay", "--k", "--temperature",
             "--lambda", "--count-mode", "--knn-scope", "--knn-features", "--vote-mode",
-            "--optimizer", "--hidden", "--seed", "--eval-window", "--eval-stride",
-            "--threads",
+            "--optimizer", "--hidden", "--seed", "--eval-window", "--threads",
         }
         config_dests = {a.dest for flag, a in flags.items() if flag not in RUN_FLAGS}
         assert config_dests == {f.name for f in dataclasses.fields(TrainConfig)}
@@ -625,10 +638,15 @@ class TestStats:
          (["--k", "3"], "need --cases"),
          (["--csv", "ACC", "--fixed-rank", "c=4", "--fixed-rank", "d=4"],
           "come from no ranking"),
-         (["--csv", "ACC", "--fixed-rank", "c=5"], "must be finite and lie in [1, 4]")],
+         (["--csv", "ACC", "--fixed-rank", "c=5"], "must be finite and lie in [1, 4]"),
+         (["--avg-ranks", "1,2,x", "--cases", "5"],
+          "--avg-ranks '1,2,x': rank 'x' is not a number; give comma-separated ranks"),
+         (["--avg-ranks", "1,,3", "--cases", "5"],
+          "--avg-ranks '1,,3': rank '' is not a number; give comma-separated ranks")],
         ids=["avg-ranks-sum", "avg-ranks-and-csv", "csv-and-cases", "csv-and-k",
              "avg-ranks-and-k", "k-and-fixed-rank", "avg-ranks-without-cases",
-             "k-without-cases", "fixed-ranks-no-ranking-gives", "fixed-rank-out-of-range"],
+             "k-without-cases", "fixed-ranks-no-ranking-gives", "fixed-rank-out-of-range",
+             "avg-ranks-letter", "avg-ranks-empty-token"],
     )
     def test_inputs_no_report_answers_are_refused(self, tmp_path, capsys, flags, message):
         path = tmp_path / "acc.csv"
