@@ -141,6 +141,8 @@ def _load_manifest(path: str):
     still have the recorded sha256."""
     with open(path, "r", encoding="utf-8") as fh:
         loaded = json.load(fh)
+    if not isinstance(loaded, dict):
+        raise ManifestError(f"{path}: the manifest is not a JSON object")
     try:
         config = TrainConfig(**loaded["config"])
         paths = loaded["train_path"], loaded["test_path"]
@@ -150,6 +152,9 @@ def _load_manifest(path: str):
         raise ManifestError(f"{path}: missing field {exc.args[0]!r}") from None
     except TypeError as exc:
         raise ManifestError(f"{path}: bad config: {exc}") from None
+    for name in ("train_path", "test_path", "out_dir"):
+        if not isinstance(loaded[name], str):
+            raise ManifestError(f"{path}: {name} must be a string, got {loaded[name]!r}")
     for file, digest in zip(paths, recorded):
         if _sha256(file) != digest:
             raise ManifestError(f"{path}: {file} differs from the file it recorded")
@@ -198,6 +203,10 @@ def cmd_train(args) -> int:
         fh.write("\n")
 
     _log(f"training on {train_path} (n={train.n}, m={train.m}), evaluating on {test_path}")
+    # epoch_batches merges the remainder, so no batch has fewer rows than this
+    rows = train.n if config.knn_scope == "global" else min(config.batch_size, train.n)
+    if config.k >= rows and not args.quiet:
+        _log(f"k={config.k} is clamped: a k-NN search over {rows} rows has {rows - 1} neighbours")
     csv_path = os.path.join(out_dir, "metrics.csv")
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")

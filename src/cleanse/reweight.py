@@ -9,14 +9,11 @@ while the remaining candidates keep weight 1, and the row is normalized.
 
 from __future__ import annotations
 
-import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-
-logger = logging.getLogger(__name__)
 
 # Returned by enhanced_label when no neighbor label intersects the
 # candidate set; the weight row falls back to uniform over candidates.
@@ -48,10 +45,10 @@ def knn_search(features: np.ndarray, k: int, threads: int = 1) -> list[NeighborL
 
     Self-matches are excluded and equal distances are broken by the lower
     instance index (stable sort on squared distances).  When k >= p the
-    neighbor count is clamped to p - 1 and a warning is logged; that is a
-    statistic of the run, not an error.  ``threads`` splits the query rows
-    over a thread pool with fixed block boundaries, so results are bitwise
-    identical for any thread count.
+    neighbor count is clamped to p - 1 without a notice: that is a statistic
+    of the run, not an error, and the caller reports it.  ``threads`` splits
+    the query rows over a thread pool with fixed block boundaries, so results
+    are bitwise identical for any thread count.
 
     A GEMM on mean-centred features picks each row's points within a roundoff
     bound of its k-th estimate (all points, if one is not finite); direct
@@ -66,8 +63,6 @@ def knn_search(features: np.ndarray, k: int, threads: int = 1) -> list[NeighborL
     if k < 1:
         raise ValueError("k must be >= 1")
     kk = min(k, p - 1)
-    if kk < k:
-        logger.warning("knn_search: k=%d clamped to %d (only %d instances)", k, kk, p)
 
     C = X - X.mean(axis=0)
     sq = np.sum(C * C, axis=1)

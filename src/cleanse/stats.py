@@ -67,12 +67,12 @@ def rank_results(accuracies: np.ndarray, fixed_ranks: dict[int, float] | None = 
     ranks = np.empty_like(acc)
     for col, rank in fixed.items():
         ranks[:, col] = rank
-    if free:
-        # imported here: scipy.stats costs about a second at import time
-        from scipy.stats import rankdata
-
-        # rank 1 = best, so rank the negated accuracies
-        ranks[:, free] = rankdata(-acc[:, free], method="average", axis=1)
+    # rank = free columns strictly better + (ties, itself included, + 1) / 2:
+    # the mean of the tied positions, exact in float64 (integers and halves)
+    for col in free:
+        better = np.sum(acc[:, free] > acc[:, [col]], axis=1)
+        tied = np.sum(acc[:, free] == acc[:, [col]], axis=1)
+        ranks[:, col] = better + (tied + 1) / 2
     return RankTable(k=k, n_cases=n_cases, avg_ranks=ranks.mean(axis=0))
 
 

@@ -195,6 +195,26 @@ class TestTrain:
                     assert float(value) == pytest.approx(float(written),
                                                          abs=0.5 * 10.0**-decimals + 1e-12)
 
+    @pytest.mark.parametrize("scope, k, notice", [
+        ("batch", "40", "k=40 is clamped: a k-NN search over 32 rows has 31 neighbours\n"),
+        ("batch", "31", None),  # every batch has 31 neighbours to give
+        ("global", "90", "k=90 is clamped: a k-NN search over 90 rows has 89 neighbours\n"),
+    ], ids=["batch", "batch-no-clamp", "global"])
+    def test_k_clamp_prints_one_line_unless_quiet(self, tiny_dataset, tmp_path, capsys,
+                                                  scope, k, notice):
+        # 90 train rows in batches of 32: the smallest k-NN search has 32 rows
+        train, test = tiny_dataset
+        loud = [flag for flag in TINY_TRAIN_ARGS if flag != "--quiet"]
+        for flags in (loud, TINY_TRAIN_ARGS):
+            code = run_cli(["train", "--train", train, "--test", test, "--knn-scope", scope,
+                            "--k", k, "--out-dir", str(tmp_path / scope), *flags])
+            assert code == EXIT_OK
+            err = capsys.readouterr().err
+            if notice and flags is loud:
+                assert err.count("clamp") == 1 and notice in err
+            else:
+                assert "clamp" not in err
+
     def test_manifest_replay_is_byte_identical(self, tiny_dataset, tmp_path):
         train, test = tiny_dataset
         run_a = tmp_path / "a"
@@ -445,6 +465,29 @@ class TestReplay:
                         "--out-dir", str(tmp_path / "b"), "--quiet"])
         assert code == EXIT_IO
         assert f"missing field {field!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [(lambda m: {**m, "train_path": None}, "train_path must be a string, got None"),
+         (lambda m: {**m, "test_path": None}, "test_path must be a string, got None"),
+         (lambda m: {**m, "out_dir": None}, "out_dir must be a string, got None"),
+         (lambda m: {**m, "out_dir": 5}, "out_dir must be a string, got 5"),
+         (lambda m: [m], "the manifest is not a JSON object")],
+        ids=["train-null", "test-null", "out-dir-null", "out-dir-number", "top-level-list"],
+    )
+    def test_malformed_manifest_writes_nothing(self, recorded_run, tmp_path, monkeypatch,
+                                               capsys, edit, message):
+        manifest, _ = recorded_run
+        manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
+        monkeypatch.chdir(tmp_path)
+
+        def tree():
+            return {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")}
+
+        before = tree()
+        assert run_cli(["train", "--manifest", str(manifest), "--quiet"]) == EXIT_IO
+        assert message in capsys.readouterr().err
+        assert tree() == before
 
     def test_unknown_config_field_is_refused(self, recorded_run, tmp_path, capsys):
         manifest, _ = recorded_run
@@ -729,9 +772,9 @@ class TestCheck:
         assert code == EXIT_OK
 
 
-def test_import_loads_no_scipy():
-    """scipy.stats costs about a second to import; only ``stats`` may load it,
-    when it ranks a table."""
+def test_import_loads_no_scipy(tmp_path):
+    """numpy is the only runtime dependency: importing the package loads no
+    scipy, and with scipy unimportable every subcommand still exits 0."""
     code = ("import sys, cleanse, cleanse.cli, cleanse.trainer; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     src = os.path.dirname(os.path.dirname(os.path.abspath(trainer_module.__file__)))
@@ -739,3 +782,20 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+    (tmp_path / "acc.csv").write_text("a,b,c,d\n0.9,0.8,0.8,0\n0.7,0.9,0.6,0\n0.5,0.5,0.5,0\n")
+    runs = [
+        ["stats", "--csv", "acc.csv", "--fixed-rank", "d=4"],
+        ["stats", "--avg-ranks", "3.56,3.00,3.16,5.36,6.24,6.52,7.08,1.12", "--cases", "25"],
+        ["check", "--n", "64"],
+        ["generate", "--gaussian", "--n", "80", "--seed", "3", "--test-fraction", "0.25",
+         "-o", "train.pll", "--test-out", "test.pll"],
+        ["train", "--train", "train.pll", "--test", "test.pll", "--epochs", "1",
+         "--hidden", "4", "--quiet"],
+    ]
+    code = ("import sys; sys.modules['scipy'] = None  # every scipy import now fails\n"
+            "from cleanse.cli import main\n"
+            f"print([main(argv) for argv in {runs!r}])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1] == str([0] * len(runs))

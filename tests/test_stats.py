@@ -155,6 +155,26 @@ class TestRankResults:
         with pytest.raises(ValueError):
             rank_results(np.array([[0.9, np.nan]]))
 
+    def test_matches_scipy_rankdata_bitwise(self):
+        from scipy.stats import rankdata
+
+        # few distinct levels, so most rows hold ties; -0.0 and 0.0 tie
+        levels = np.array([-np.inf, -0.0, 0.0, 0.25, 0.5, 1.0, np.inf])
+        rng = np.random.default_rng(12)
+        for _ in range(1500):
+            n, k = int(rng.integers(1, 7)), int(rng.integers(2, 9))
+            accs = rng.choice(levels, size=(n, k))
+            accs[rng.random(n) < 0.2] = rng.choice(levels)  # rows where every entry ties
+            # pinned columns settle at the mean of the last positions, as in
+            # test_fixed_rank_override; the free ones rank among themselves
+            pinned = rng.choice(k, size=int(rng.integers(0, k)), replace=False)
+            free = np.setdiff1d(np.arange(k), pinned)
+            settled = (2 * k - len(pinned) + 1) / 2
+            want = np.full((n, k), settled)
+            want[:, free] = rankdata(-accs[:, free], method="average", axis=1)
+            table = rank_results(accs, {int(c): settled for c in pinned} or None)
+            assert table.avg_ranks.tobytes() == want.mean(axis=0).tobytes()
+
     def test_sum_identity_for_complete_rankings(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
