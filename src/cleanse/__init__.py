@@ -1,5 +1,5 @@
-"""Partial-label learning toolkit: clean-sample k-NN reweighting, a
-log-space Poisson-binomial count loss, a from-scratch MLP trainer, and
+"""Partial-label learning toolkit: clean-sample k-NN reweighting, an exact
+Poisson-binomial count loss, a plain-numpy MLP trainer, and
 nonparametric rank statistics."""
 
 __version__ = "0.2.0"

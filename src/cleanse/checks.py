@@ -159,6 +159,43 @@ def check_count_loss_grad_at_scale(rng: np.random.Generator, n: int = 1000, m: i
     return CheckResult(f"count-loss-grad-vs-leave-one-out-n{n}", worst, 1e-9)
 
 
+def check_count_loss_log_fallback(rng: np.random.Generator, n: int = 1024,
+                                  m: int = 2) -> CheckResult:
+    """A batch far in the tail runs in log space and matches its closed form.
+
+    Every p_ij is near 0.45 and every interval is [0, 0], so
+    q_j = prod_i (1 - p_ij) is about e^-612: below ``MIN_PROB_SPACE_LOG``,
+    above the nll clamp.  In closed form the nll loss is
+    -sum_ij log1p(-p_ij) and d loss / d p_ij = 1 / (1 - p_ij).  The result
+    must say it fell back to log space, and the batch, stacked in
+    ``count_loss_values`` between two ordinary batches of the same n, must
+    keep the bits it has alone; a miss counts as an infinite deviation.
+    """
+    name = f"count-loss-log-fallback-n{n}"
+    probs = rng.uniform(0.44, 0.46, size=(n, m))
+    zeros = np.zeros(m, dtype=np.int64)
+    res = count_loss(probs, zeros, zeros, "nll")
+    if not res.log_space or res.saturated:
+        return CheckResult(name, math.inf, 1e-10)
+    worst = relative_error(res.loss, -float(np.sum(np.log1p(-probs))))
+    worst = max(worst, max(map(relative_error, res.grad.flat, (1.0 / (1.0 - probs)).flat)))
+
+    batches = []
+    for _ in range(2):
+        z = rng.standard_normal((n, m))
+        ordinary = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
+        mean = ordinary.sum(axis=0)
+        sd = np.sqrt(np.sum(ordinary * (1.0 - ordinary), axis=0))
+        batches.append((ordinary, (mean - 2.0 * sd).astype(np.int64),
+                        (mean + 2.0 * sd).astype(np.int64)))
+    batches.insert(1, (probs, zeros, zeros))
+    stacked = count_loss_values(batches, "nll")
+    alone = [count_loss_values([batch], "nll")[0] for batch in batches]
+    if stacked != alone or stacked[1] != res.loss:
+        return CheckResult(name, math.inf, 1e-10)
+    return CheckResult(name, worst, 1e-10)
+
+
 def total_objective(model: Mlp, X, weights, lo, hi, lam: float, mode: str) -> float:
     """Combined loss used by the trainer step, as a pure function of the model."""
     _, probs = forward(model, X)
@@ -352,4 +389,5 @@ def run_all_checks(seed: int = 0, stress_n: int = 1024) -> list[CheckResult]:
         check_knn_brute_force(rng),
         check_pll_roundtrip(rng),
         check_count_values(rng),
+        check_count_loss_log_fallback(rng),
     ]

@@ -139,8 +139,11 @@ def _sha256(path) -> str:
 def _load_manifest(path: str):
     """(config, train_path, test_path, out_dir) of a manifest whose inputs
     still have the recorded sha256."""
-    with open(path, "r", encoding="utf-8") as fh:
-        loaded = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            loaded = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ManifestError(f"{path}: the manifest is not JSON text: {exc}") from None
     if not isinstance(loaded, dict):
         raise ManifestError(f"{path}: the manifest is not a JSON object")
     try:
@@ -412,7 +415,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PllFormatError, ManifestError, OSError, json.JSONDecodeError) as exc:
+    except (PllFormatError, ManifestError, OSError) as exc:
         _log(f"error: {exc}")
         return EXIT_IO
     except ValueError as exc:

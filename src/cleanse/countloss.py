@@ -1,4 +1,4 @@
-"""Log-space Poisson-binomial count distribution and the interval count loss.
+"""Poisson-binomial count distribution and the interval count loss.
 
 Per-class label counts over a batch are sums of independent, non-identical
 Bernoulli variables.  Their exact distribution is built by the O(n^2)
@@ -6,17 +6,25 @@ convolution recurrence
 
     P(count_n = k) = P(count_{n-1} = k-1) * p_n + P(count_{n-1} = k) * (1 - p_n)
 
-carried out entirely in log space: products become additions and sums go
-through ``logaddexp``, so a batch of 1024 near-zero probabilities still
-produces finite log masses where the direct-space product would underflow.
-``logsumexp`` is a left fold of ``logaddexp``, which leaves a sum bitwise
-unchanged by ``-inf`` entries, so a pmf row sums to the same bits however
-far it is padded or cut.
+in one of two number systems.  The count losses run it on the probabilities
+themselves: each row is a pmf, its terms are nonnegative and sum to 1, so it
+needs no rescaling and each entry keeps a relative error of O(n eps); only
+entries below the smallest double lose bits, and those are too small to move
+any interval probability at or above ``MIN_PROB_SPACE_LOG`` (about 1e-250).
+A batch whose input is not a probability, or one of whose interval
+probabilities falls below that floor, is run again in log space, where
+products become additions and sums go through ``logaddexp``; so is every
+batch that saturates the nll clamp.  ``count_log_pmf`` always runs in log
+space, so a batch of 1024 near-zero probabilities still produces finite log
+masses where the direct-space product would underflow.  ``logsumexp`` is a
+left fold of ``logaddexp``, which leaves a sum bitwise unchanged by ``-inf``
+entries, so a pmf row sums to the same bits however far it is padded or cut.
 
-One forward pass (``_forward``) serves every caller, on all m classes at
-once: the pmf of one class, the value-only path that keeps a single row, and
-the gradient, which runs the items forward and reversed as 2m stacked class
-rows and reads its prefix and suffix pmfs off that one lattice.
+One forward pass (``_forward``), parameterised by its number system, serves
+every caller, on all m classes at once: the pmf of one class, the value-only
+path that keeps two rows, and the gradient, which runs the items forward
+and reversed as 2m stacked class rows and reads its prefix and suffix pmfs
+off that one lattice.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 LOG_ZERO = float("-inf")
 
@@ -34,6 +43,14 @@ COUNT_MODES = ("nll", "entropy")
 # Clamp floor for interval probabilities in nll mode: keeps the gradient
 # finite (1/q <= e^700, still inside float64 range) without changing its sign.
 MIN_LOG_PROB = -700.0
+
+# A batch whose interval log-probabilities are all at or above this floor
+# (e^-575 ~ 1e-250) keeps its probability-space DP; below it, the batch runs
+# in log space.  Underflow costs a DP entry at most about 5e-324, and the
+# recurrence never scales an error up, so even n * top such losses stay some
+# 65 orders of magnitude under any q the probability-space path keeps; every
+# q the nll clamp touches takes the log path.
+MIN_PROB_SPACE_LOG = -575.0
 
 _LOG_HALF = -math.log(2.0)
 
@@ -70,34 +87,48 @@ def logsumexp(xs):
     return np.logaddexp.reduce(xs, axis=-1)[()]
 
 
-def _forward(log_p: np.ndarray, log_q: np.ndarray, top: int, lattice: bool = False) -> np.ndarray:
+def _forward(p: np.ndarray, q: np.ndarray, top: int, lattice: bool = False,
+             log_space: bool = True) -> np.ndarray:
     """Run the count recurrence over all n items; return the last row.
 
-    ``log_p`` and ``log_q`` are (n, m, 1).  Column k + 1 of an (m, top + 2)
-    row holds log P(count == k) per class; column 0 is a ``-inf`` pad, so
+    ``p`` and ``q`` are (n, m, 1) arrays: log p and log(1 - p) in log space,
+    p and 1 - p in probability space.  Column k + 1 of an (m, top + 2) row
+    holds P(count == k) per class, or its log; column 0 is a zero pad, so
     count 0 needs no special case.  Row i is updated only over the counts
     0..min(i, top) it can reach.  Counts above ``top`` are never stored: a
     count never falls, so they feed no count at or below ``top``, and every
-    kept value has the bits of the full recurrence.  Without ``lattice`` one
-    row is updated in place (both operands are formed before anything is
-    written); with it, the (n + 1, m, top + 2) lattice is returned, whose
-    row i is the distribution over the first i items.
+    kept value has the bits of the full recurrence.  Without ``lattice`` two
+    rows take turns; with it, the (n + 1, m, top + 2) lattice is returned,
+    whose row i is the distribution over the first i items.
+
+    In probability space a step is one ``matmul`` of each count's two terms
+    (P(count - 1), P(count)) with (p_i, q_i).  numpy evaluates it with its
+    own loop for any number of class rows and counts, so neither stacking
+    nor the stop at ``top`` moves a bit.  A step over count 0 alone (top = 0)
+    may go to a BLAS dot product; its first term is the zero pad, so every
+    order of evaluation gives the same bits.
     """
-    n, m, _ = log_p.shape
-    rows = np.full((n + 1 if lattice else 1, m, top + 2), LOG_ZERO)
-    rows[0, :, 1] = 0.0
+    n, m, _ = p.shape
+    rows = np.full((n + 1 if lattice else 2, m, top + 2), LOG_ZERO if log_space else 0.0)
+    rows[0, :, 1] = 0.0 if log_space else 1.0
+    terms = sliding_window_view(rows, 2, axis=2)  # terms[r, :, k] = row r's counts k - 1 and k
+    weights = np.stack((p, q), axis=2)  # (n, m, 2, 1)
     for i in range(n):
-        prev, out = (rows[i], rows[i + 1]) if lattice else (rows[0], rows[0])
+        src, dst = (i, i + 1) if lattice else (i % 2, 1 - i % 2)
         end = min(i + 1, top) + 2
-        np.logaddexp(prev[:, : end - 1] + log_p[i], prev[:, 1:end] + log_q[i], out=out[:, 1:end])
-    return rows if lattice else rows[0]
+        if log_space:
+            prev = rows[src]
+            np.logaddexp(prev[:, : end - 1] + p[i], prev[:, 1:end] + q[i], out=rows[dst, :, 1:end])
+        else:
+            np.matmul(terms[src, :, : end - 1], weights[i], out=rows[dst, :, 1:end, None])
+    return rows if lattice else rows[n % 2]
 
 
 def count_log_pmf(log_p: np.ndarray) -> np.ndarray:
     """Log-pmf of the sum of independent Bernoullis with log-probs ``log_p``.
 
     Entry k of the (n + 1,) result is log P(count == k).  The recurrence
-    runs in place: O(n) working memory, O(n^2) time.
+    runs in log space on two rows: O(n) working memory, O(n^2) time.
     """
     log_p = np.asarray(log_p, dtype=np.float64)[:, None, None]
     return _forward(log_p, log1mexp(log_p), len(log_p))[0, 1:]
@@ -149,10 +180,11 @@ class CountLossResult:
     loss: float
     grad: np.ndarray  # d loss / d batch_probs[i][j]
     saturated: bool  # an interval probability hit the clamp floor
+    log_space: bool = False  # the batch fell back to the log-space DP
 
 
 def _batch_inputs(probs: np.ndarray, lo, hi, mode: str) -> tuple:
-    """Validated (n, m, 1) log p and log(1 - p), and the (m,) lo and hi."""
+    """Validated (n, m, 1) probabilities and the (m,) lo and hi."""
     if mode not in COUNT_MODES:
         raise ValueError(f"unknown count-loss mode {mode!r}")
     probs = np.asarray(probs, dtype=np.float64)
@@ -167,9 +199,37 @@ def _batch_inputs(probs: np.ndarray, lo, hi, mode: str) -> tuple:
                 f"got {bound.dtype} {bound.shape}"
             )
     _check_intervals(lo, hi, n)
+    return probs[:, :, None], lo, hi
+
+
+def _log_inputs(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log p and log(1 - p), the log-space DP's inputs; ``log1mexp`` refuses p > 1."""
     with np.errstate(divide="ignore"):
-        log_p = np.log(probs)[:, :, None]
-    return log_p, log1mexp(log_p), lo, hi
+        log_p = np.log(p)
+    return log_p, log1mexp(log_p)
+
+
+def _interval_dp(p: np.ndarray, lo, hi, log_space: bool, lattice: bool = False):
+    """``_forward`` over the (n, M, 1) probabilities ``p`` with rows stopped
+    at max(hi), and the interval log-probabilities of the first len(lo)
+    class rows of its last row.  A probability-space row reaches
+    ``interval_log_prob`` through ``np.log``: zeros become ``-inf``, which
+    the sum ignores.
+    """
+    dp_inputs = _log_inputs(p) if log_space else (p, 1.0 - p)
+    rows = _forward(*dp_inputs, int(hi.max()), lattice, log_space)
+    last = (rows[-1] if lattice else rows)[: len(lo), 1:]
+    if not log_space:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            last = np.log(last)
+    return rows, interval_log_prob(last, lo, hi)
+
+
+def _keeps_prob_space(p: np.ndarray, log_in: np.ndarray) -> bool:
+    """Whether every input is in [0, 1] and every interval log-probability at
+    or above ``MIN_PROB_SPACE_LOG`` (a nan is neither).  A batch that fails
+    runs in log space, which refuses p > 1 and carries a nan through."""
+    return bool(((p >= 0.0) & (p <= 1.0)).all() and (log_in >= MIN_PROB_SPACE_LOG).all())
 
 
 def _loss_terms(log_q: np.ndarray, mode: str) -> tuple[float, np.ndarray, bool]:
@@ -201,7 +261,8 @@ def _loss_terms(log_q: np.ndarray, mode: str) -> tuple[float, np.ndarray, bool]:
     return total, dloss_dq, saturated
 
 
-def _leave_one_out_grad(lattice: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _leave_one_out_grad(lattice: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                        log_space: bool) -> np.ndarray:
     """(n, m) matrix of d q_j / d p_ij from the stacked prefix/suffix lattice.
 
     ``lattice`` is ``_forward``'s over the items followed, as classes m..2m-1,
@@ -212,21 +273,26 @@ def _leave_one_out_grad(lattice: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> 
         dq/dp_i = P(S_{-i} = lo-1) - P(S_{-i} = hi),
         P(S_{-i} = c) = sum_k F_i[k] B_{i+1}[c-k],
 
-    two slice sums per class.  At lo = 0 the first slices are empty and its
-    term is 0.
+    two slice dot products per class.  At lo = 0 the first slices are empty
+    and its term is 0.
     """
+    multiply = np.add if log_space else np.multiply  # a product in the lattice's number system
     n = len(lattice) - 1
     m = lattice.shape[1] // 2
     fwd = lattice[:n, :m]  # F_i, i = 0..n-1
     bwd = lattice[n - 1 :: -1, m:]  # B_{i+1}, i = 0..n-1
     grad = np.empty((n, m))
     for j in range(m):
-        up, down = (fwd[:, j, 1 : c + 2] + bwd[:, j, c + 1 : 0 : -1] for c in (lo[j] - 1, hi[j]))
-        # one max-shift for both sums keeps their difference well scaled
-        shift = np.maximum(*(t.max(axis=1, initial=LOG_ZERO) for t in (up, down)))
-        shift = np.where(shift > LOG_ZERO, shift, 0.0)
-        up, down = (np.exp(t - shift[:, None]).sum(axis=1) for t in (up, down))
-        grad[:, j] = np.exp(shift) * (up - down)
+        up, down = (multiply(fwd[:, j, 1 : c + 2], bwd[:, j, c + 1 : 0 : -1])
+                    for c in (lo[j] - 1, hi[j]))
+        scale = 1.0
+        if log_space:
+            # one max-shift for both sums keeps their difference well scaled
+            shift = np.maximum(*(t.max(axis=1, initial=LOG_ZERO) for t in (up, down)))
+            shift = np.where(shift > LOG_ZERO, shift, 0.0)
+            up, down = (np.exp(t - shift[:, None]) for t in (up, down))
+            scale = np.exp(shift)
+        grad[:, j] = scale * (up.sum(axis=1) - down.sum(axis=1))
     return grad
 
 
@@ -241,18 +307,22 @@ def count_loss(batch_probs: np.ndarray, lo, hi, mode: str = "nll") -> CountLossR
       clamp raises the ``saturated`` flag instead of returning +inf).
     * ``entropy`` : sum_j -q_j log q_j with the 0*log 0 -> 0 convention.
 
-    All m classes, and the same items in reverse order, run through one DP;
-    the gradient comes from the leave-one-out identity evaluated on its
-    prefix and suffix pmfs (``_leave_one_out_grad``), O(n^2 m) in all.
+    All m classes, and the same items in reverse order, run through one DP,
+    in probability space unless the batch falls back to log space
+    (``_keeps_prob_space``); the gradient comes from the leave-one-out
+    identity evaluated on its prefix and suffix pmfs (``_leave_one_out_grad``),
+    O(n^2 m) in all.
     """
-    log_p, log_q, lo, hi = _batch_inputs(batch_probs, lo, hi, mode)
-    n, m, _ = log_p.shape
-    both_ways = [np.concatenate((x, x[::-1]), axis=1) for x in (log_p, log_q)]
-    lattice = _forward(*both_ways, int(hi.max()), lattice=True)
-    log_in = interval_log_prob(lattice[n, :m, 1:], lo, hi)
+    p, lo, hi = _batch_inputs(batch_probs, lo, hi, mode)
+    both_ways = np.concatenate((p, p[::-1]), axis=1)  # items reversed as classes m..2m-1
+    log_space = False
+    lattice, log_in = _interval_dp(both_ways, lo, hi, log_space, lattice=True)
+    if not _keeps_prob_space(p, log_in):
+        log_space = True
+        lattice, log_in = _interval_dp(both_ways, lo, hi, log_space, lattice=True)
     total, dloss_dq, saturated = _loss_terms(log_in, mode)
-    grad = _leave_one_out_grad(lattice, lo, hi) * dloss_dq
-    return CountLossResult(loss=total, grad=grad, saturated=saturated)
+    grad = _leave_one_out_grad(lattice, lo, hi, log_space) * dloss_dq
+    return CountLossResult(loss=total, grad=grad, saturated=saturated, log_space=log_space)
 
 
 def count_loss_values(batches, mode: str = "nll") -> list[float]:
@@ -260,24 +330,33 @@ def count_loss_values(batches, mode: str = "nll") -> list[float]:
 
     Value only: no lattice and no gradient, so memory is O(n m) per batch;
     used when the count loss is only reported (lambda = 0).  Batches of one
-    size n share one DP: their (n, m, 1) log-probabilities are stacked into
-    (n, B m, 1) class rows, which the recurrence treats independently, so
-    each batch's value has the bits it gets on its own.  Values come back in
-    batch order.
+    size n share one probability-space DP: their (n, m, 1) probabilities are
+    stacked into (n, B m, 1) class rows, which the recurrence treats
+    independently, so each batch's value has the bits it gets on its own.
+    The batches among them that fall back run again, stacked, in log space,
+    so a batch's bits do not depend on the others either way.  Values come
+    back in batch order.
     """
     inputs = [_batch_inputs(probs, lo, hi, mode) for probs, lo, hi in batches]
     by_size: dict[int, list[int]] = {}
-    for b, (log_p, _, _, _) in enumerate(inputs):
-        by_size.setdefault(log_p.shape[0], []).append(b)
+    for b, (p, _, _) in enumerate(inputs):
+        by_size.setdefault(p.shape[0], []).append(b)
     values = [0.0] * len(inputs)
     for group in by_size.values():
-        log_p, log_q, lo, hi = zip(*(inputs[b] for b in group))
-        log_p, log_q = np.concatenate(log_p, axis=1), np.concatenate(log_q, axis=1)
-        lo, hi = np.concatenate(lo), np.concatenate(hi)
-        last = _forward(log_p, log_q, int(hi.max()))
-        log_in = interval_log_prob(last[:, 1:], lo, hi)
-        ends = np.cumsum([len(inputs[b][2]) for b in group])
-        for b, log_q_b in zip(group, np.split(log_in, ends[:-1])):
-            values[b] = _loss_terms(log_q_b, mode)[0]
+        log_in = _stacked_interval_dp(inputs, group, log_space=False)
+        fallback = [b for b in group if not _keeps_prob_space(inputs[b][0], log_in[b])]
+        if fallback:
+            log_in.update(_stacked_interval_dp(inputs, fallback, log_space=True))
+        for b in group:
+            values[b] = _loss_terms(log_in[b], mode)[0]
     return values
 
+
+def _stacked_interval_dp(inputs: list, group: list[int], log_space: bool) -> dict:
+    """Interval log-probabilities of each batch b in ``group`` (all of one
+    size), keyed by b, from one value-only DP over their stacked class rows."""
+    p, lo, hi = zip(*(inputs[b] for b in group))
+    _, log_in = _interval_dp(np.concatenate(p, axis=1), np.concatenate(lo), np.concatenate(hi),
+                             log_space)
+    ends = np.cumsum([len(inputs[b][1]) for b in group])
+    return dict(zip(group, np.split(log_in, ends[:-1])))

@@ -489,6 +489,19 @@ class TestReplay:
         assert message in capsys.readouterr().err
         assert tree() == before
 
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"{\"config\": "],
+                             ids=["not-utf8", "truncated"])
+    def test_manifest_that_is_not_json_text_is_refused(self, recorded_run, tmp_path, capsys,
+                                                       content):
+        manifest, _ = recorded_run
+        manifest.write_bytes(content)
+        out_dir = tmp_path / "b"
+        code = run_cli(["train", "--manifest", str(manifest), "--out-dir", str(out_dir),
+                        "--quiet"])
+        assert code == EXIT_IO
+        assert f"{manifest}: the manifest is not JSON text" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_unknown_config_field_is_refused(self, recorded_run, tmp_path, capsys):
         manifest, _ = recorded_run
         recorded = manifest.read_text()
@@ -726,7 +739,7 @@ class TestCheck:
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "FAIL" not in out
-        assert out.count("PASS") == 10
+        assert out.count("PASS") == 11
 
     def test_injected_off_by_one_fails_named_check(self):
         def broken_pmf(log_p):

@@ -10,6 +10,7 @@ import pytest
 import cleanse.countloss as countloss_module
 from cleanse.countloss import (
     LOG_ZERO,
+    MIN_PROB_SPACE_LOG,
     batch_intervals,
     count_log_pmf,
     count_loss,
@@ -22,6 +23,7 @@ import cleanse.checks as checks_module
 from cleanse.data import generate_synthetic
 from cleanse.checks import (
     check_count_loss_grad_at_scale,
+    check_count_loss_log_fallback,
     pmf_by_enumeration,
     relative_error,
 )
@@ -29,6 +31,14 @@ from cleanse.checks import (
 
 def count_loss_value(probs, lo, hi, mode="nll"):
     return count_loss_values([(probs, lo, hi)], mode)[0]
+
+
+def on_log_path(fn, *args):
+    """``fn(*args)`` with every batch falling back to the log-space DP: no
+    interval log-probability reaches a floor of +inf."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(countloss_module, "MIN_PROB_SPACE_LOG", math.inf)
+        return fn(*args)
 
 
 class TestLog1mexp:
@@ -145,10 +155,12 @@ class TestLogsumexp:
 class TestTrainingRunsTheTestedPrimitives:
     """count_loss and count_loss_values call the log1mexp, logsumexp and
     interval_log_prob the tests above and ``cleanse check`` test, not private
-    copies of them."""
+    copies of them.  log1mexp makes the log-space DP's inputs, so its calls
+    are counted where batches fall back to it."""
 
     @pytest.mark.parametrize("name", ["log1mexp", "logsumexp", "interval_log_prob"])
     def test_both_paths_call_the_module_function(self, monkeypatch, name):
+        run = on_log_path if name == "log1mexp" else (lambda fn, *args: fn(*args))
         calls = []
         original = getattr(countloss_module, name)
 
@@ -159,15 +171,19 @@ class TestTrainingRunsTheTestedPrimitives:
         monkeypatch.setattr(countloss_module, name, counting)
         probs = np.array([[0.2, 0.8], [0.6, 0.4], [0.5, 0.5]])
         lo, hi = np.array([0, 1]), np.array([2, 3])
-        count_loss(probs, lo, hi)
+        run(count_loss, probs, lo, hi)
         assert len(calls) == 1
-        count_loss_values([(probs, lo, hi), (probs, lo, hi)])
-        assert len(calls) == (3 if name == "log1mexp" else 2)
+        # batches of one size share one DP, in either number system
+        run(count_loss_values, [(probs, lo, hi), (probs, lo, hi)])
+        assert len(calls) == 2
 
     def test_the_oracle_path_has_the_training_bits(self):
         # interval-prob-vs-enumeration sums count_log_pmf's array with this very
         # function; the count losses sum their DP rows, cut at max(hi), and the
-        # sum ignores the -inf masked counts, so both get the same bits
+        # sum ignores the -inf masked counts (zeros of a probability-space row
+        # included), so each path gets the bits of its full row: the log path
+        # those of count_log_pmf, the probability path those of the same
+        # recurrence run on p and 1 - p
         assert checks_module.interval_log_prob is countloss_module.interval_log_prob
         rng = np.random.default_rng(31)
         for _ in range(40):
@@ -177,6 +193,11 @@ class TestTrainingRunsTheTestedPrimitives:
             lo, hi = np.array([int(mean - sd)]), np.array([int(mean + 2.0 * sd)])
             log_q = interval_log_prob(count_log_pmf(np.log(probs[:, 0])), lo[0], hi[0])
             want = -min(log_q, 0.0)
+            assert on_log_path(count_loss, probs, lo, hi).loss == want
+            assert on_log_path(count_loss_value, probs, lo, hi) == want
+            p = probs[:, :, None]
+            row = countloss_module._forward(p, 1.0 - p, n, log_space=False)
+            want = -min(interval_log_prob(np.log(row[0, 1:]), lo[0], hi[0]), 0.0)
             assert count_loss(probs, lo, hi).loss == want
             assert count_loss_value(probs, lo, hi) == want
 
@@ -504,10 +525,16 @@ def _epoch_of_batches(rng, n_rows, m):
     ]
 
 
-def _full_row_value(probs, lo, hi, mode):
-    """The value-only DP with every count row kept (no stop at max(hi))."""
-    log_p, log_q, lo, hi = countloss_module._batch_inputs(probs, lo, hi, mode)
-    row = countloss_module._forward(log_p, log_q, len(log_p))
+def _full_row_value(probs, lo, hi, mode, log_space):
+    """The value-only DP with every count row kept (no stop at max(hi)), in
+    log space or in probability space."""
+    p, lo, hi = countloss_module._batch_inputs(probs, lo, hi, mode)
+    if log_space:
+        log_p, log_q = countloss_module._log_inputs(p)
+        row = countloss_module._forward(log_p, log_q, len(p))
+    else:
+        with np.errstate(divide="ignore"):
+            row = np.log(countloss_module._forward(p, 1.0 - p, len(p), log_space=False))
     return countloss_module._loss_terms(interval_log_prob(row[:, 1:], lo, hi), mode)[0]
 
 
@@ -518,11 +545,15 @@ class TestCountLossValues:
         for n_rows in (2, 5, 63, 64, 65, 160, 200):
             for m in (2, 3, 7, 10):
                 batches = _epoch_of_batches(rng, n_rows, m)
-                got = count_loss_values(batches, mode)
-                one_by_one = [count_loss_value(p, lo, hi, mode) for p, lo, hi in batches]
-                full_rows = [_full_row_value(p, lo, hi, mode) for p, lo, hi in batches]
-                assert np.array(got).tobytes() == np.array(one_by_one).tobytes()
-                assert np.array(got).tobytes() == np.array(full_rows).tobytes()
+                for log_space in (False, True):
+                    run = on_log_path if log_space else (lambda fn, *args: fn(*args))
+                    got = run(count_loss_values, batches, mode)
+                    one_by_one = [run(count_loss_value, p, lo, hi, mode) for p, lo, hi in batches]
+                    # each batch's full row in the number system its DP ran in
+                    full_rows = [_full_row_value(p, lo, hi, mode, run(count_loss, p, lo, hi).log_space)
+                                 for p, lo, hi in batches]
+                    assert np.array(got).tobytes() == np.array(one_by_one).tobytes()
+                    assert np.array(got).tobytes() == np.array(full_rows).tobytes()
 
     def test_mixed_sizes_come_back_in_batch_order(self):
         # batches of 64 and one merged 96-row tail interleaved with small ones
@@ -541,9 +572,35 @@ class TestCountLossValues:
         with pytest.raises(ValueError, match="of class 1 is outside"):
             count_loss_values([(probs, [0, 0], [3, 3]), (probs, [0, 2], [3, 1])], "nll")
 
+    @pytest.mark.parametrize("n", [1, 2, 64])
+    def test_batch_whose_intervals_stop_at_zero_keeps_its_bits_when_stacked(self, n):
+        # a DP stopped at count 0 steps over one count, where a stacked one
+        # steps over many; both must give the same bits
+        rng = np.random.default_rng(n + 70)
+        zero_top = (rng.uniform(0.0, 0.05, size=(n, 3)), np.zeros(3, dtype=np.int64),
+                    np.zeros(3, dtype=np.int64))
+        wide = (rng.dirichlet(np.ones(3), size=n), np.zeros(3, dtype=np.int64),
+                np.full(3, n, dtype=np.int64))
+        for mode in ("nll", "entropy"):
+            alone = count_loss(*zero_top, mode)
+            assert not alone.log_space
+            stacked = count_loss_values([wide, zero_top], mode)
+            assert stacked[1] == alone.loss == count_loss_value(*zero_top, mode)
+            assert stacked[0] == count_loss_value(*wide, mode)
+            with pytest.MonkeyPatch.context() as patch:
+                forward = countloss_module._forward
+                patch.setattr(countloss_module, "_forward",
+                              lambda p, q, top, lattice=False, log_space=True:
+                                  forward(p, q, len(p), lattice, log_space))
+                full = count_loss(*zero_top, mode)
+            assert full.loss == alone.loss
+            assert full.grad.tobytes() == alone.grad.tobytes()
+
     @pytest.mark.parametrize("n", [64, 1000])
     @pytest.mark.parametrize("mode", ["nll", "entropy"])
     def test_top_stop_keeps_count_loss_bits(self, monkeypatch, n, mode):
+        # both number systems: the probability-space DP this batch takes, and
+        # the log-space one it falls back to under a floor of +inf
         rng = np.random.default_rng(n)
         m = 4
         cands = generate_synthetic(rng.integers(0, m, size=n), m, 0.2, seed=n + 1)
@@ -551,13 +608,165 @@ class TestCountLossValues:
         probs = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
         lo, hi = batch_intervals(cands)
         assert hi.max() < n  # the stop drops counts
-        got = count_loss(probs, lo, hi, mode)
         forward = countloss_module._forward
-        monkeypatch.setattr(
-            countloss_module, "_forward",
-            lambda log_p, log_q, top, lattice=None: forward(log_p, log_q, len(log_p), lattice),
-        )
-        want = count_loss(probs, lo, hi, mode)
-        assert got.loss == want.loss
-        assert got.grad.tobytes() == want.grad.tobytes()
-        assert got.saturated == want.saturated
+        for log_space in (False, True):
+            with monkeypatch.context() as patch:
+                if log_space:
+                    patch.setattr(countloss_module, "MIN_PROB_SPACE_LOG", math.inf)
+                got = count_loss(probs, lo, hi, mode)
+                got_value = count_loss_value(probs, lo, hi, mode)
+                assert got.log_space == log_space
+                patch.setattr(
+                    countloss_module, "_forward",
+                    lambda p, q, top, lattice=False, log_space=True:
+                        forward(p, q, len(p), lattice, log_space),
+                )
+                want = count_loss(probs, lo, hi, mode)
+                assert want.log_space == log_space
+                assert got.loss == want.loss
+                assert got.grad.tobytes() == want.grad.tobytes()
+                assert got.saturated == want.saturated
+                assert got_value == count_loss_value(probs, lo, hi, mode)
+
+
+def _log_space_rows(monkeypatch):
+    """A list that gets the class-row count of every log-space ``_forward`` call."""
+    rows = []
+    forward = countloss_module._forward
+
+    def counting(p, q, top, lattice=False, log_space=True):
+        if log_space:
+            rows.append(p.shape[1])
+        return forward(p, q, top, lattice, log_space)
+
+    monkeypatch.setattr(countloss_module, "_forward", counting)
+    return rows
+
+
+def _far_tail_batch(rng, n=1024, m=2):
+    """p near 0.45 and intervals [0, 0]: q_j = prod_i (1 - p_ij) is about
+    e^-612, below the probability-space floor and above the nll clamp."""
+    return rng.uniform(0.44, 0.46, size=(n, m)), np.zeros(m, dtype=np.int64), np.zeros(m, dtype=np.int64)
+
+
+def _ordinary_batch(rng, n, m):
+    """Softmax predictions with each interval at the mean count +- 2 sd."""
+    z = rng.standard_normal((n, m))
+    probs = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
+    mean, sd = probs.sum(axis=0), np.sqrt(np.sum(probs * (1.0 - probs), axis=0))
+    return probs, (mean - 2.0 * sd).astype(np.int64), (mean + 2.0 * sd).astype(np.int64)
+
+
+class TestLogSpaceFallback:
+    def test_far_tail_batch_runs_in_log_space_and_matches_its_closed_form(self, monkeypatch):
+        probs, lo, hi = _far_tail_batch(np.random.default_rng(53))
+        log_q = np.log1p(-probs).sum(axis=0)
+        assert np.all((log_q < MIN_PROB_SPACE_LOG) & (log_q > countloss_module.MIN_LOG_PROB))
+        rows = _log_space_rows(monkeypatch)
+        res = count_loss(probs, lo, hi, "nll")
+        assert rows == [2 * probs.shape[1]]  # the stacked forward/reversed lattice
+        assert res.log_space and not res.saturated
+        assert res.loss == pytest.approx(-float(log_q.sum()), rel=1e-13)
+        np.testing.assert_allclose(res.grad, 1.0 / (1.0 - probs), rtol=1e-11)
+
+    @pytest.mark.parametrize("mode", ["nll", "entropy"])
+    def test_stacked_fallback_batch_keeps_its_lone_bits(self, monkeypatch, mode):
+        rng = np.random.default_rng(59)
+        tail = _far_tail_batch(rng)
+        batches = [_ordinary_batch(rng, 1024, 2), tail, _ordinary_batch(rng, 1024, 2),
+                   _ordinary_batch(rng, 64, 2)]
+        alone = [count_loss_value(*batch, mode) for batch in batches]
+        rows = _log_space_rows(monkeypatch)
+        got = count_loss_values(batches, mode)
+        # one log-space DP, over the tail batch's two class rows only
+        assert rows == [2]
+        assert np.array(got).tobytes() == np.array(alone).tobytes()
+        assert got[1] == count_loss(*tail, mode).loss
+
+    def test_ordinary_batches_stay_in_probability_space(self, monkeypatch):
+        rng = np.random.default_rng(61)
+        batches = [_ordinary_batch(rng, n, 3) for n in (64, 64, 96)]
+        rows = _log_space_rows(monkeypatch)
+        for batch in batches:
+            assert not count_loss(*batch).log_space
+        count_loss_values(batches)
+        assert rows == []
+
+    def test_saturated_batch_runs_in_log_space(self):
+        probs = np.array([[1.0, 0.0], [1.0, 0.0]])
+        res = count_loss(probs, np.array([0, 2]), np.array([0, 2]), "nll")
+        assert res.saturated and res.log_space
+
+    def test_input_that_is_not_a_probability_runs_in_log_space(self):
+        lo, hi = np.array([0, 0]), np.array([1, 2])
+        for bad in (math.nan, -0.5):
+            probs = np.array([[0.5, bad], [0.3, 0.7]])
+            with np.errstate(invalid="ignore"):
+                res = count_loss(probs, lo, hi, "nll")
+                value = count_loss_value(probs, lo, hi, "nll")
+            assert res.log_space and math.isnan(res.loss) and math.isnan(value)
+        for fn in (count_loss, count_loss_value):
+            with pytest.raises(ValueError, match="must be <= 0"):
+                fn(np.array([[1.5, 0.5]]), np.array([1, 0]), np.array([1, 1]), "nll")
+
+    def test_the_fallback_check_passes(self):
+        result = check_count_loss_log_fallback(np.random.default_rng(0))
+        assert result.passed, result
+
+
+class TestProbabilitySpaceMatchesLogSpace:
+    """The probability-space DP against the log-space one it replaces, on
+    batches whose intervals come from candidate sets drawn around the
+    predictions: random n and m, logit scales up to 30 (p down to about
+    1e-70), and the merged-tail batch sizes of a 64-row epoch."""
+
+    @pytest.mark.parametrize("mode", ["nll", "entropy"])
+    def test_values_and_gradients_agree(self, mode):
+        rng = np.random.default_rng(67)
+        batches = []
+        for case in range(120):
+            n = int(rng.choice([64, 88, 96])) if case % 3 == 0 else int(rng.integers(2, 131))
+            m = int(rng.integers(2, 11))
+            z = rng.uniform(1.0, 30.0) * rng.standard_normal((n, m))
+            probs = np.exp(z - z.max(axis=1, keepdims=True))
+            probs /= probs.sum(axis=1, keepdims=True)
+            truths = np.minimum((probs.cumsum(axis=1) < rng.random((n, 1))).sum(axis=1), m - 1)
+            cands = generate_synthetic(truths, m, 0.3, seed=int(rng.integers(1 << 30)))
+            batches.append((probs, *batch_intervals(cands)))
+            got = count_loss(*batches[-1], mode)
+            want = on_log_path(count_loss, *batches[-1], mode)
+            assert not got.log_space and want.log_space
+            assert abs(got.loss - want.loss) <= 1e-13 * max(1.0, abs(want.loss))
+            assert np.all(np.abs(got.grad - want.grad) <= 1e-13 * np.maximum(1.0, np.abs(want.grad)))
+        got = np.array(count_loss_values(batches, mode))
+        want = np.array(on_log_path(count_loss_values, batches, mode))
+        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+    def test_gradient_near_the_floor_against_mpmath(self):
+        # q is about e^-479, between the floor and 1: the probability-space
+        # DP stands and its gradient stays within 1e-13 of 60-digit mpmath,
+        # where the log-space DP's exponentiated shifts reach 2e-13
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 60
+        rng = np.random.default_rng(71)
+        n = 64
+        probs = 1.0 - 10.0 ** rng.uniform(-4.0, -3.0, size=(n, 1))
+        lo, hi = np.array([0]), np.array([3])
+        got = count_loss(probs, lo, hi)
+        assert not got.log_space
+
+        def pmf(ps):
+            row = [mp.mpf(1)]
+            for x in ps:
+                prev = row + [mp.mpf(0)]
+                row = [prev[k] * (1 - x) + (prev[k - 1] * x if k else 0) for k in range(len(prev))]
+            return row
+
+        ps = [mp.mpf(float(x)) for x in probs[:, 0]]
+        q = mp.fsum(pmf(ps)[: hi[0] + 1])
+        assert -479 < mp.log(q) < -478
+        assert abs(got.loss + mp.log(q)) <= 1e-15 * got.loss
+        for i in range(n):
+            rest = pmf(ps[:i] + ps[i + 1 :])
+            want = rest[hi[0]] / q  # -(1/q) * (P(S_-i = -1) - P(S_-i = hi))
+            assert abs(got.grad[i, 0] - want) <= 1e-13 * abs(want), i
