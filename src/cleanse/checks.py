@@ -1,5 +1,6 @@
 """Self-contained oracle checks: brute-force enumeration, brute-force k-NN,
-finite differences and a bitwise file round trip against the fast paths.
+finite differences and bitwise file round trips, parsed and through the
+parse cache, against the fast paths.
 The CLI `check` subcommand runs these in CI; the test suite reuses the same
 oracles.
 """
@@ -25,6 +26,7 @@ from .countloss import (
 )
 from .data import (
     _READ_ROWS,
+    CACHE_SUFFIX,
     PartialDataset,
     generate_synthetic,
     read_pll_file,
@@ -309,17 +311,12 @@ def check_logsumexp_identity() -> CheckResult:
     return CheckResult("logsumexp-shift-identity", dev, 1e-12)
 
 
-def check_pll_roundtrip(rng: np.random.Generator, n: int = 4 * _READ_ROWS, d: int = 8,
-                        m: int = 5) -> CheckResult:
-    """write_pll_file -> read_pll_file, bitwise, over several parsing blocks.
-
-    The first half of the rows are uniform 64-bit patterns (non-finite ones
-    replaced by -0.0), so subnormals and every exponent occur, and its first
-    eight features are the extremes.  The second half are standard normals:
-    whole blocks of values that a parser of narrower range still accepts.
-    The deviation counts features whose bits differ plus rows whose
-    candidates or truth differ.
-    """
+def _roundtrip_dataset(rng: np.random.Generator, n: int, d: int, m: int) -> PartialDataset:
+    """The first half of the rows are uniform 64-bit patterns (non-finite
+    ones replaced by -0.0), so subnormals and every exponent occur, and its
+    first eight features are the extremes.  The second half are standard
+    normals: whole blocks of values that a parser of narrower range still
+    accepts."""
     feats = rng.integers(0, 1 << 64, size=(n, d), dtype=np.uint64).view(np.float64)
     feats[~np.isfinite(feats)] = -0.0
     fi = np.finfo(np.float64)
@@ -328,15 +325,71 @@ def check_pll_roundtrip(rng: np.random.Generator, n: int = 4 * _READ_ROWS, d: in
     feats[n // 2 :] = rng.standard_normal((n - n // 2, d))
     truths = rng.integers(0, m, size=n)
     cands = generate_synthetic(truths, m, 0.5, seed=int(rng.integers(1 << 30)))
-    ds = PartialDataset(feats, cands, m, hidden_truth=truths)
+    return PartialDataset(feats, cands, m, hidden_truth=truths)
+
+
+def _bit_deviation(back: PartialDataset, ds: PartialDataset) -> int:
+    """Features whose bits differ plus rows whose candidates or truth differ."""
+    dev = np.count_nonzero(back.features.view(np.uint64) != ds.features.view(np.uint64))
+    dev += np.count_nonzero((back.candidates != ds.candidates).any(axis=1))
+    return int(dev + np.count_nonzero(back.hidden_truth != ds.hidden_truth))
+
+
+def check_pll_roundtrip(rng: np.random.Generator, n: int = 4 * _READ_ROWS, d: int = 8,
+                        m: int = 5) -> CheckResult:
+    """write_pll_file -> read_pll_file, bitwise, over several parsing blocks
+    of ``_roundtrip_dataset``'s extreme and ordinary values."""
+    ds = _roundtrip_dataset(rng, n, d, m)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "roundtrip.pll"
         write_pll_file(ds, path)
         back = read_pll_file(path)
-    dev = np.count_nonzero(back.features.view(np.uint64) != ds.features.view(np.uint64))
-    dev += np.count_nonzero((back.candidates != ds.candidates).any(axis=1))
-    dev += np.count_nonzero(back.hidden_truth != ds.hidden_truth)
-    return CheckResult("pll-roundtrip", float(dev), 0.0)
+    return CheckResult("pll-roundtrip", float(_bit_deviation(back, ds)), 0.0)
+
+
+def _inode(path: Path) -> int | None:
+    return path.stat().st_ino if path.exists() else None
+
+
+def check_pll_cache(rng: np.random.Generator, n: int = 2 * _READ_ROWS, d: int = 8,
+                    m: int = 5) -> CheckResult:
+    """The parse cache over four reads, each bitwise equal to the text's dataset.
+
+    A cold read writes the sidecar.  A warm read must come from it: a miss
+    would replace the sidecar with a new file, so its inode must not change.
+    A read after one feature digit is edited, at the same file size, must
+    miss and return the new value, and so must a read over a sidecar with
+    one corrupted byte.  The deviation is ``_bit_deviation`` summed over
+    the reads, plus one if the warm read rewrote the sidecar.
+    """
+    ds = _roundtrip_dataset(rng, n, d, m)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cache.pll"
+        cache = Path(f"{path}{CACHE_SUFFIX}")
+        write_pll_file(ds, path)
+        dev = _bit_deviation(read_pll_file(path), ds)
+        written = _inode(cache)
+        dev += _bit_deviation(read_pll_file(path), ds)
+        dev += written is None or _inode(cache) != written
+
+        # the leading digit of row n//2's first feature, a standard normal
+        lines = path.read_text(encoding="utf-8").split("\n")
+        labels, features = lines[n // 2 + 1].rsplit(";", 1)
+        tok, rest = features.split(" ", 1)
+        at = next(i for i, ch in enumerate(tok) if ch.isdigit())
+        tok = tok[:at] + str((int(tok[at]) + 1) % 10) + tok[at + 1 :]
+        lines[n // 2 + 1] = f"{labels};{tok} {rest}"
+        path.write_bytes("\n".join(lines).encode("utf-8"))
+        feats = ds.features.copy()
+        feats[n // 2, 0] = float(tok)
+        edited = PartialDataset(feats, ds.candidates, m, hidden_truth=ds.hidden_truth)
+        dev += _bit_deviation(read_pll_file(path), edited)
+
+        blob = bytearray(cache.read_bytes())
+        blob[len(blob) // 2] ^= 0xFF
+        cache.write_bytes(bytes(blob))
+        dev += _bit_deviation(read_pll_file(path), edited)
+    return CheckResult("pll-cache", float(dev), 0.0)
 
 
 def loss_by_enumeration(probs: np.ndarray, lo, hi, mode: str) -> float:
@@ -390,4 +443,5 @@ def run_all_checks(seed: int = 0, stress_n: int = 1024) -> list[CheckResult]:
         check_pll_roundtrip(rng),
         check_count_values(rng),
         check_count_loss_log_fallback(rng),
+        check_pll_cache(rng),
     ]

@@ -10,7 +10,7 @@ Subcommands:
 All configuration is flags, progress goes to stderr, data goes to files or
 stdout.  Every train run writes a manifest.json that replays the run exactly
 (`cleanse train --manifest <path>`); it records the sha256 of the input
-files, and a replay on changed files exits 3.
+bytes the run read, and a replay on changed files exits 3.
 
 Exit codes: 0 success, 1 check failure, 2 usage error, 3 I/O error,
 4 training diverged (a non-finite loss).
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import os
 import re
@@ -33,6 +32,8 @@ from .checks import run_all_checks
 from .data import (
     PartialDataset,
     PllFormatError,
+    _read_pll,
+    _sha256,
     compute_stats,
     gaussian_clusters,
     generate_synthetic,
@@ -131,11 +132,6 @@ class ManifestError(Exception):
     """A replay manifest that is malformed or whose input files changed."""
 
 
-def _sha256(path) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.file_digest(fh, "sha256").hexdigest()
-
-
 def _load_manifest(path: str):
     """(config, train_path, test_path, out_dir) of a manifest whose inputs
     still have the recorded sha256."""
@@ -159,6 +155,9 @@ def _load_manifest(path: str):
         if not isinstance(loaded[name], str):
             raise ManifestError(f"{path}: {name} must be a string, got {loaded[name]!r}")
     for file, digest in zip(paths, recorded):
+        if digest is None:  # what cmd_train records for a pipe
+            raise ManifestError(f"{path}: {file} was not a regular file, so no digest was "
+                                "recorded and the run cannot be replayed")
         if _sha256(file) != digest:
             raise ManifestError(f"{path}: {file} differs from the file it recorded")
     return config, *paths, out_dir
@@ -183,8 +182,9 @@ def cmd_train(args) -> int:
         train_path, test_path = args.train, args.test
         out_dir = args.out_dir if args.out_dir is not None else "run"
 
-    train = read_pll_file(train_path)
-    test = read_pll_file(test_path)
+    # the digests of the bytes read, so the manifest names what was trained on
+    train, train_sha256 = _read_pll(train_path)
+    test, test_sha256 = _read_pll(test_path)
     check_datasets(train, test)
     os.makedirs(out_dir, exist_ok=True)
     # no model.txt or model_epoch<N>.txt of an earlier run stays beside this manifest
@@ -196,8 +196,8 @@ def cmd_train(args) -> int:
         "toolkit_version": __version__,
         "train_path": train_path,
         "test_path": test_path,
-        "train_sha256": _sha256(train_path),
-        "test_sha256": _sha256(test_path),
+        "train_sha256": train_sha256,
+        "test_sha256": test_sha256,
         "out_dir": out_dir,
         "config": dataclasses.asdict(config),
     }

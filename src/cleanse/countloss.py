@@ -153,9 +153,15 @@ def interval_log_prob(log_pmf: np.ndarray, lo, hi):
     """
     log_pmf = np.asarray(log_pmf, dtype=np.float64)
     lo, hi = np.broadcast_arrays(lo, hi)
+    _check_intervals(lo, hi, log_pmf.shape[-1] - 1)
+    return _interval_sum(log_pmf, lo, hi)
+
+
+def _interval_sum(log_pmf: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """``interval_log_prob`` on bounds already checked, as the count losses'
+    are by ``_batch_inputs``: float64 rows and same-shape integer arrays."""
     counts = np.arange(log_pmf.shape[-1])
-    _check_intervals(lo, hi, len(counts) - 1)
-    inside = (counts >= np.expand_dims(lo, -1)) & (counts <= np.expand_dims(hi, -1))
+    inside = (counts >= lo[..., None]) & (counts <= hi[..., None])
     return logsumexp(np.where(inside, log_pmf, LOG_ZERO))
 
 
@@ -212,9 +218,9 @@ def _log_inputs(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _interval_dp(p: np.ndarray, lo, hi, log_space: bool, lattice: bool = False):
     """``_forward`` over the (n, M, 1) probabilities ``p`` with rows stopped
     at max(hi), and the interval log-probabilities of the first len(lo)
-    class rows of its last row.  A probability-space row reaches
-    ``interval_log_prob`` through ``np.log``: zeros become ``-inf``, which
-    the sum ignores.
+    class rows of its last row, from ``interval_log_prob``'s sum without its
+    checks (``_batch_inputs`` made them).  A probability-space row reaches
+    that sum through ``np.log``: zeros become ``-inf``, which it ignores.
     """
     dp_inputs = _log_inputs(p) if log_space else (p, 1.0 - p)
     rows = _forward(*dp_inputs, int(hi.max()), lattice, log_space)
@@ -222,7 +228,7 @@ def _interval_dp(p: np.ndarray, lo, hi, log_space: bool, lattice: bool = False):
     if not log_space:
         with np.errstate(divide="ignore", invalid="ignore"):
             last = np.log(last)
-    return rows, interval_log_prob(last, lo, hi)
+    return rows, _interval_sum(last, lo, hi)
 
 
 def _keeps_prob_space(p: np.ndarray, log_in: np.ndarray) -> bool:

@@ -9,9 +9,16 @@ code must work from a truth-stripped view.
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import hashlib
 import itertools
 import math
+import os
+import stat
+import tempfile
+import zipfile
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -237,6 +244,45 @@ def write_pll_file(dataset: PartialDataset, path) -> None:
 
 
 def read_pll_file(path) -> PartialDataset:
+    """The dataset a PLL text file holds.
+
+    A regular file's parse is cached in a sidecar beside it (see the parse
+    cache below); every read after the first of the same bytes loads the
+    sidecar instead of parsing, and returns the same bits.
+    """
+    return _read_pll(path)[0]
+
+
+def _read_pll(path) -> tuple[PartialDataset, str | None]:
+    """``read_pll_file``'s dataset and the sha256 of the bytes it holds.
+
+    A file that is not regular, such as a pipe, is parsed once, neither
+    hashed (that would consume it) nor cached, and its digest is None.  A
+    miss hashes the file again after the parse: bytes that changed meanwhile
+    fail the read, since its parse then matches no one version of the file.
+    """
+    mode = os.stat(path).st_mode
+    if not stat.S_ISREG(mode):
+        return _parse_pll(path), None
+    digest = _sha256(path)
+    cache = os.fspath(path) + CACHE_SUFFIX
+    key = f"{_CACHE_FORMAT}:{digest}"
+    dataset = _load_cache(cache, key)
+    if dataset is None:
+        dataset = _parse_pll(path)
+        if _sha256(path) != digest:
+            raise OSError(f"{path} changed while it was read")
+        _write_cache(cache, key, dataset, stat.S_IMODE(mode))
+    return dataset, digest
+
+
+def _sha256(path) -> str:
+    """Hex sha256 of a file's bytes, streamed."""
+    with open(path, "rb") as fh:
+        return hashlib.file_digest(fh, "sha256").hexdigest()
+
+
+def _parse_pll(path) -> PartialDataset:
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         n, d, m = _parse_header(header)
@@ -352,3 +398,86 @@ def _parse_line(line: str, d: int, m: int, lineno: int):
     if not all(math.isfinite(v) for v in feats):
         raise PllFormatError("non-finite feature value", lineno)
     return truth, labs, feats
+
+
+# ---------------------------------------------------------------------------
+# Parse cache
+#
+# The sidecar "<file>.cache.npz" holds the parse of one exact byte string,
+# keyed on its sha256 and _CACHE_FORMAT, as a hash-based .pyc is (PEP 552).
+# The text stays the only format a user writes: a sidecar that is stale,
+# damaged, or holds arrays the text parser could not have returned is a
+# miss, and the text is parsed again.  It is loaded without pickle.
+# ---------------------------------------------------------------------------
+
+CACHE_SUFFIX = ".cache.npz"
+_CACHE_FORMAT = 1  # bump when the sidecar's layout or the parse's output changes
+_CACHE_FIELDS = {"key", "features", "candidates", "m"}  # and hidden_truth, if the file has truth
+# what a damaged zip archive or .npy member raises on loading
+_CACHE_DAMAGE = (OSError, EOFError, ValueError, zipfile.BadZipFile, zlib.error,
+                 NotImplementedError)
+
+
+def _load_cache(cache: str, key: str) -> PartialDataset | None:
+    """The dataset the sidecar ``cache`` holds under ``key``, or None."""
+    try:
+        # opened here, not by np.load, which leaks its file when the zip is unreadable
+        with open(cache, "rb") as fh:
+            loaded = np.load(fh, allow_pickle=False)
+            if not isinstance(loaded, np.lib.npyio.NpzFile):
+                return None
+            fields = set(loaded.files)
+            if fields - {"hidden_truth"} != _CACHE_FIELDS or loaded["key"].tolist() != key:
+                return None
+            arrays = {name: loaded[name] for name in fields - {"key"}}
+    except _CACHE_DAMAGE:
+        return None
+    return _from_cache(**arrays)
+
+
+def _from_cache(features, candidates, m, hidden_truth=None) -> PartialDataset | None:
+    """Dataset over a sidecar's arrays, or None unless they pass every check
+    the text parser makes: a C-ordered float64 (n, d) matrix with d >= 1 of
+    finite features, a 0-d int64 m >= 1, an (n, m) bool mask with a
+    candidate in every row and, when present, an (n,) int64 truth with
+    n >= 1 and each label among its row's candidates."""
+    if not (features.dtype == np.float64 and features.ndim == 2 and features.shape[1] >= 1
+            and features.flags.c_contiguous and m.dtype == np.int64 and m.shape == () and m >= 1):
+        return None
+    # min and max propagate nan and reach any infinity, with no n x d temporary
+    if features.size and not (np.isfinite(features.min()) and np.isfinite(features.max())):
+        return None
+    if hidden_truth is not None and (hidden_truth.dtype != np.int64 or hidden_truth.size == 0):
+        return None
+    try:
+        dataset = PartialDataset._adopt(features, candidates, int(m), hidden_truth)
+    except ValueError:  # shapes, an empty row, truth outside [0, m)
+        return None
+    truth = dataset.hidden_truth
+    if truth is not None and not dataset.candidates[np.arange(dataset.n), truth].all():
+        return None
+    return dataset
+
+
+def _write_cache(cache: str, key: str, dataset: PartialDataset, mode: int) -> None:
+    """Write ``dataset``'s sidecar atomically, readable as the text it caches
+    (``mode``): a temp file in the same directory, then ``os.replace``.  A
+    write that fails leaves no file and is not an error; the next read
+    parses again."""
+    arrays = dict(key=np.array(key), features=dataset.features,
+                  candidates=dataset.candidates, m=np.int64(dataset.m))
+    if dataset.hidden_truth is not None:
+        arrays["hidden_truth"] = dataset.hidden_truth
+    directory, name = os.path.split(cache)
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory or ".")
+    except OSError:  # a directory this process cannot write
+        return
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            os.fchmod(fh.fileno(), mode & 0o666)
+            np.savez(fh, **arrays)
+        os.replace(tmp, cache)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)

@@ -3,6 +3,7 @@ report, the oracle check gate, and exit codes."""
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -230,6 +231,25 @@ class TestTrain:
         assert (run_b / "metrics.csv").read_bytes() == first
         assert (run_b / "model.txt").read_bytes() == model_first
 
+    def test_manifest_records_the_bytes_trained_on(self, tiny_dataset, tmp_path, monkeypatch):
+        # an edit landing after the read must not reach the recorded digest
+        train = tmp_path / "train.pll"
+        shutil.copyfile(tiny_dataset[0], train)
+        read = hashlib.sha256(train.read_bytes()).hexdigest()
+        check_datasets = cli_module.check_datasets
+
+        def check_then_edit(*datasets):
+            check_datasets(*datasets)
+            with open(train, "a", encoding="utf-8") as fh:
+                fh.write("\n")
+
+        monkeypatch.setattr(cli_module, "check_datasets", check_then_edit)
+        out_dir = tmp_path / "run"
+        code = run_cli(["train", "--train", str(train), "--test", tiny_dataset[1],
+                        "--out-dir", str(out_dir), *TINY_TRAIN_ARGS])
+        assert code == EXIT_OK
+        assert json.loads((out_dir / "manifest.json").read_text())["train_sha256"] == read
+
     def test_entropy_mode_column_matches_library(self, tiny_dataset, tmp_path):
         from cleanse.data import read_pll_file as rp
         from cleanse.trainer import TrainConfig, fit
@@ -455,6 +475,15 @@ class TestReplay:
                         "--out-dir", str(tmp_path / "b"), "--quiet"])
         assert code == EXIT_IO
         assert str(train) in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+
+    def test_run_recorded_from_a_pipe_is_refused(self, recorded_run, tmp_path, capsys):
+        manifest, train = recorded_run
+        _edit_manifest(manifest, lambda loaded: loaded.update(train_sha256=None))
+        code = run_cli(["train", "--manifest", str(manifest),
+                        "--out-dir", str(tmp_path / "b"), "--quiet"])
+        assert code == EXIT_IO
+        assert f"{train} was not a regular file" in capsys.readouterr().err
         assert not (tmp_path / "b").exists()
 
     @pytest.mark.parametrize("field", ["train_path", "train_sha256", "test_sha256"])
@@ -739,7 +768,7 @@ class TestCheck:
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "FAIL" not in out
-        assert out.count("PASS") == 11
+        assert out.count("PASS") == 12
 
     def test_injected_off_by_one_fails_named_check(self):
         def broken_pmf(log_p):

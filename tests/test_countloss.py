@@ -154,11 +154,14 @@ class TestLogsumexp:
 
 class TestTrainingRunsTheTestedPrimitives:
     """count_loss and count_loss_values call the log1mexp, logsumexp and
-    interval_log_prob the tests above and ``cleanse check`` test, not private
-    copies of them.  log1mexp makes the log-space DP's inputs, so its calls
-    are counted where batches fall back to it."""
+    interval sum the tests above and ``cleanse check`` test, not private
+    copies of them.  The interval sum is ``interval_log_prob`` without its
+    bounds check, which ``_batch_inputs`` has already made.  log1mexp makes
+    the log-space DP's inputs, so its calls are counted where batches fall
+    back to it."""
 
-    @pytest.mark.parametrize("name", ["log1mexp", "logsumexp", "interval_log_prob"])
+    @pytest.mark.parametrize("name", ["log1mexp", "logsumexp", "_interval_sum"],
+                             ids=["log1mexp", "logsumexp", "interval_sum"])
     def test_both_paths_call_the_module_function(self, monkeypatch, name):
         run = on_log_path if name == "log1mexp" else (lambda fn, *args: fn(*args))
         calls = []
@@ -176,6 +179,18 @@ class TestTrainingRunsTheTestedPrimitives:
         # batches of one size share one DP, in either number system
         run(count_loss_values, [(probs, lo, hi), (probs, lo, hi)])
         assert len(calls) == 2
+
+    def test_interval_log_prob_is_the_checked_interval_sum(self, monkeypatch):
+        calls = []
+        original = countloss_module._interval_sum
+        monkeypatch.setattr(countloss_module, "_interval_sum",
+                            lambda *args: calls.append(args) or original(*args))
+        log_pmf = np.log([0.25, 0.5, 0.25])
+        assert interval_log_prob(log_pmf, 0, 1) == logsumexp(log_pmf[:2])
+        assert len(calls) == 1
+        with pytest.raises(ValueError, match="outside 0 <= lo <= hi <= 2"):
+            interval_log_prob(log_pmf, 1, 3)
+        assert len(calls) == 1
 
     def test_the_oracle_path_has_the_training_bits(self):
         # interval-prob-vs-enumeration sums count_log_pmf's array with this very

@@ -1,13 +1,18 @@
 """Dataset model, synthetic candidate generation, splitting, file format."""
 
 import math
+import os
+import tempfile
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
+import cleanse.data as data_module
 from cleanse.data import (
     _READ_ROWS,
+    CACHE_SUFFIX,
     PartialDataset,
     PllFormatError,
     compute_stats,
@@ -328,8 +333,13 @@ class TestPllFile:
     def test_malformed_inputs_rejected(self, tmp_path, body, fragment):
         path = tmp_path / "bad.pll"
         path.write_text(body)
-        with pytest.raises(PllFormatError, match=fragment):
-            read_pll_file(path)
+        errors = []
+        for _ in range(2):  # a failed read caches nothing, so it fails alike again
+            with pytest.raises(PllFormatError, match=fragment) as caught:
+                read_pll_file(path)
+            errors.append((str(caught.value), caught.value.line))
+        assert errors[0] == errors[1]
+        assert os.listdir(tmp_path) == ["bad.pll"]
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
     def test_non_finite_feature_rejected(self, tmp_path, token):
@@ -401,6 +411,193 @@ class TestPllFile:
             warnings.simplefilter("error")  # loadtxt warns on input without data
             with pytest.raises(PllFormatError, match="^line 2: expected 2 features, got 0$"):
                 read_pll_file(path)
+
+
+def _bits(ds):
+    """A dataset's bits, and its feature layout, which BLAS results can depend on."""
+    truth = None if ds.hidden_truth is None else ds.hidden_truth.tobytes()
+    return (ds.features.shape, ds.features.flags.c_contiguous, ds.features.tobytes(),
+            ds.candidates.tobytes(), ds.m, truth)
+
+
+def _cached(path):
+    return path.with_name(path.name + CACHE_SUFFIX)
+
+
+class TestParseCache:
+    """The sidecar beside a PLL file caches its parse, keyed on its bytes."""
+
+    def _write(self, tmp_path, ds=None):
+        path = tmp_path / "data.pll"
+        write_pll_file(_synthetic_dataset(40, seed=21, d=3) if ds is None else ds, path)
+        return path
+
+    @pytest.mark.parametrize("truth", [True, False], ids=["truth", "question-marks"])
+    def test_hit_returns_the_parse_read_only(self, tmp_path, monkeypatch, truth):
+        ds = _synthetic_dataset(2 * _READ_ROWS + 5, seed=22, d=4)
+        path = self._write(tmp_path, ds if truth else ds.strip_truth())
+        parsed = _bits(read_pll_file(path))
+        assert sorted(os.listdir(tmp_path)) == ["data.pll", "data.pll" + CACHE_SUFFIX]
+
+        def no_parse(path):
+            raise AssertionError("a warm read parsed the text")
+
+        monkeypatch.setattr(data_module, "_parse_pll", no_parse)
+        warm = read_pll_file(path)
+        assert _bits(warm) == parsed
+        assert (warm.hidden_truth is None) == (not truth)
+        for arr in (warm.features, warm.candidates, warm.hidden_truth):
+            assert arr is None or not arr.flags.writeable
+
+    def test_edited_file_misses_and_refreshes_the_sidecar(self, tmp_path):
+        path = self._write(tmp_path)
+        read_pll_file(path)
+        text = path.read_text()
+        path.write_text(text.replace("0.", "1.", 1))  # same size, new value
+        assert len(path.read_text()) == len(text)
+        assert _bits(read_pll_file(path)) == _bits(data_module._parse_pll(path))
+        with np.load(_cached(path)) as npz:
+            assert npz["key"].tolist().endswith(data_module._sha256(path))
+
+    @pytest.mark.parametrize(
+        "damage",
+        [lambda blob: blob[: len(blob) // 2],
+         lambda blob: blob[: len(blob) // 2] + bytes([blob[len(blob) // 2] ^ 1])
+         + blob[len(blob) // 2 + 1 :],
+         lambda blob: b"",
+         lambda blob: b"\x93NUMPY not an archive"],
+        ids=["truncated", "bit-flip", "empty", "not-a-zip"],
+    )
+    def test_damaged_sidecar_is_a_miss(self, tmp_path, damage):
+        path = self._write(tmp_path)
+        want = _bits(read_pll_file(path))
+        _cached(path).write_bytes(damage(_cached(path).read_bytes()))
+        assert _bits(read_pll_file(path)) == want
+        assert _bits(read_pll_file(path)) == want  # the miss wrote a sound sidecar
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda a: a["features"].__setitem__((3, 1), np.nan),
+         lambda a: a["features"].__setitem__((0, 0), np.inf),
+         lambda a: a["candidates"].__setitem__((2, a["hidden_truth"][2]), False),
+         lambda a: a["candidates"].__setitem__(5, False),
+         lambda a: a.update(features=a["features"][:-1]),
+         lambda a: a.update(features=a["features"].ravel()),
+         lambda a: a.update(features=np.asfortranarray(a["features"])),
+         lambda a: a.update(candidates=a["candidates"][:, :-1]),
+         lambda a: a.update(hidden_truth=a["hidden_truth"][:-1]),
+         lambda a: a.update(hidden_truth=a["hidden_truth"] + a["m"]),
+         lambda a: a.update(features=a["features"].astype(np.float32)),
+         lambda a: a.update(m=np.array([a["m"]])),
+         lambda a: a.pop("candidates"),
+         lambda a: a.update(extra=np.zeros(1))],
+        ids=["nan", "inf", "truth-not-candidate", "no-candidate", "rows", "features-1d",
+             "fortran", "m-columns", "truth-rows", "truth-range", "float32", "m-shape",
+             "missing-field", "extra-field"],
+    )
+    def test_sidecar_breaking_an_invariant_is_a_miss(self, tmp_path, edit):
+        path = self._write(tmp_path)
+        want = _bits(read_pll_file(path))
+        with np.load(_cached(path)) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+        edit(arrays)
+        np.savez(_cached(path), **arrays)
+        assert _bits(read_pll_file(path)) == want
+
+    def test_pickled_sidecar_is_never_unpickled(self, tmp_path):
+        path = self._write(tmp_path)
+        want = _bits(read_pll_file(path))
+        with np.load(_cached(path)) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+        unpickled = []
+        arrays["features"] = np.array([_Spy(unpickled)], dtype=object)
+        np.savez(_cached(path), **arrays)
+        assert _bits(read_pll_file(path)) == want
+        assert unpickled == []
+
+    @pytest.mark.parametrize(
+        "module, name, error",
+        [(tempfile, "mkstemp", PermissionError(13, "Permission denied")),
+         (np, "savez", OSError(28, "No space left on device"))],
+        ids=["read-only-directory", "disk-full"],
+    )
+    def test_unwritable_sidecar_still_reads(self, tmp_path, monkeypatch, module, name, error):
+        path = self._write(tmp_path)
+        want = _bits(data_module._parse_pll(path))
+
+        def refuse(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(module, name, refuse)
+        assert _bits(read_pll_file(path)) == want
+        assert os.listdir(tmp_path) == ["data.pll"]
+
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root writes into read-only directories")
+    def test_read_only_directory_reads_without_a_sidecar(self, tmp_path):
+        path = self._write(tmp_path)
+        want = _bits(data_module._parse_pll(path))
+        tmp_path.chmod(0o555)
+        try:
+            assert _bits(read_pll_file(path)) == want
+            assert os.listdir(tmp_path) == ["data.pll"]
+        finally:
+            tmp_path.chmod(0o755)
+
+    def test_cold_read_leaves_only_the_sidecar(self, tmp_path):
+        path = self._write(tmp_path)
+        for _ in range(2):
+            read_pll_file(path)
+            assert sorted(os.listdir(tmp_path)) == ["data.pll", "data.pll" + CACHE_SUFFIX]
+        assert (_cached(path).stat().st_mode & 0o777) == (path.stat().st_mode & 0o666)
+
+    def test_pipe_is_read_but_not_cached(self, tmp_path):
+        ds = _synthetic_dataset(30, seed=23)
+        text_path = self._write(tmp_path, ds)
+        fifo = tmp_path / "fifo.pll"
+        os.mkfifo(fifo)
+
+        def feed():
+            with open(fifo, "wb") as fh:
+                fh.write(text_path.read_bytes())
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        back, digest = data_module._read_pll(fifo)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert digest is None
+        assert _bits(back) == _bits(read_pll_file(text_path))
+        assert not _cached(fifo).exists()
+
+    def test_file_changed_during_the_parse_fails_the_read(self, tmp_path, monkeypatch):
+        path = self._write(tmp_path)
+        parse = data_module._parse_pll
+
+        def parse_then_edit(p):
+            ds = parse(p)
+            with open(p, "a", encoding="utf-8") as fh:
+                fh.write("\n")
+            return ds
+
+        monkeypatch.setattr(data_module, "_parse_pll", parse_then_edit)
+        with pytest.raises(OSError, match="changed while it was read"):
+            read_pll_file(path)
+        assert os.listdir(tmp_path) == ["data.pll"]
+
+    def test_read_returns_the_digest_of_its_bytes(self, tmp_path):
+        path = self._write(tmp_path)
+        for _ in range(2):  # a miss, then a hit
+            assert data_module._read_pll(path)[1] == data_module._sha256(path)
+
+
+class _Spy:
+    """Records that it was unpickled."""
+
+    def __init__(self, calls):
+        self.calls = calls
+
+    def __reduce__(self):
+        return (self.calls.append, ("unpickled",))
 
 
 def _synthetic_dataset(n, seed, d=2, q=0.5, m=4):
