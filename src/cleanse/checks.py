@@ -207,7 +207,11 @@ def total_objective(model: Mlp, X, weights, lo, hi, lam: float, mode: str) -> fl
 
 def check_trainer_grad(rng: np.random.Generator, cases: int = 50, h: float = 1e-5) -> CheckResult:
     """The trainer's own parameter gradients (``batch_objective``, then
-    ``backward``) of the combined objective vs FD of ``total_objective``."""
+    ``backward``) of the combined objective vs FD of ``total_objective``.
+
+    The model is float64, where central differences resolve 1e-4; ``fit``
+    runs the same chain in float32, which the test suite compares with
+    float64 on equal inputs."""
     worst = 0.0
     for c in range(cases):
         n = int(rng.integers(3, 7))

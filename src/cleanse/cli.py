@@ -9,8 +9,10 @@ Subcommands:
 
 All configuration is flags, progress goes to stderr, data goes to files or
 stdout.  Every train run writes a manifest.json that replays the run exactly
-(`cleanse train --manifest <path>`); it records the sha256 of the input
-bytes the run read, and a replay on changed files exits 3.
+(`cleanse train --manifest <path>`, optionally with another --threads); it
+records the sha256 of the input bytes the run read, and a replay on changed
+files exits 3.  A successful run also records the sha256 of every file it
+wrote, and a replay whose files differ from those exits 1.
 
 Exit codes: 0 success, 1 check failure, 2 usage error, 3 I/O error,
 4 training diverged (a non-finite loss).
@@ -22,6 +24,7 @@ import argparse
 import dataclasses
 import json
 import os
+import platform
 import re
 import sys
 
@@ -132,9 +135,26 @@ class ManifestError(Exception):
     """A replay manifest that is malformed or whose input files changed."""
 
 
+# files every successful run writes; checkpoints come after them
+RUN_OUTPUTS = ("metrics.csv", "model.txt")
+
+
+def _platform() -> dict:
+    """What a run's output bytes depend on besides the toolkit, its inputs
+    and its config."""
+    return {"python": platform.python_version(), "numpy": np.__version__}
+
+
+def _write_manifest(out_dir: str, manifest: dict) -> None:
+    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _load_manifest(path: str):
-    """(config, train_path, test_path, out_dir) of a manifest whose inputs
-    still have the recorded sha256."""
+    """(config, train_path, test_path, out_dir, recorded) of a manifest whose
+    inputs still have the recorded sha256.  ``recorded`` is the manifest
+    itself, for ``_verify_replay``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
@@ -154,26 +174,65 @@ def _load_manifest(path: str):
     for name in ("train_path", "test_path", "out_dir"):
         if not isinstance(loaded[name], str):
             raise ManifestError(f"{path}: {name} must be a string, got {loaded[name]!r}")
+    for name, required in (("output_sha256", RUN_OUTPUTS), ("platform", ())):
+        value = loaded.get(name)
+        if value is not None and not (isinstance(value, dict)
+                                      and all(isinstance(v, str) for v in value.values())
+                                      and set(required) <= value.keys()):
+            raise ManifestError(f"{path}: {name} must map names to strings"
+                                + (f" and list {', '.join(required)}" if required else "")
+                                + f", got {value!r}")
     for file, digest in zip(paths, recorded):
         if digest is None:  # what cmd_train records for a pipe
             raise ManifestError(f"{path}: {file} was not a regular file, so no digest was "
                                 "recorded and the run cannot be replayed")
         if _sha256(file) != digest:
             raise ManifestError(f"{path}: {file} differs from the file it recorded")
-    return config, *paths, out_dir
+    return config, *paths, out_dir, loaded
+
+
+def _verify_replay(path: str, recorded: dict, written: dict) -> int:
+    """Compare ``written``, the digests of the files a replay wrote, with
+    those its manifest (``recorded``, loaded from ``path``) lists, in
+    ``written``'s order.  The first that differs fails the replay (exit 1),
+    and the message also names every platform field that differs.  A file
+    on one side only (another --checkpoint-every) is not compared."""
+    digests = recorded.get("output_sha256")
+    if digests is None:
+        _log(f"{path} records no output digests (manifests before 0.3.0 do not), "
+             "so this replay cannot be verified")
+        return EXIT_OK
+    checked = [name for name in written if name in digests]
+    for name in checked:
+        if written[name] != digests[name]:
+            now = {"toolkit_version": __version__, **_platform()}
+            was = {"toolkit_version": recorded.get("toolkit_version"),
+                   **(recorded.get("platform") or {})}
+            changed = [f"{key} {value} (recorded {was.get(key)})"
+                       for key, value in now.items() if was.get(key) != value]
+            _log(f"error: the replay of {path} differs: {name} has sha256 {written[name]}, "
+                 f"recorded {digests[name]}"
+                 + (f"; platform differs: {', '.join(changed)}" if changed else ""))
+            return EXIT_CHECK_FAILED
+    print(f"replay verified: {', '.join(checked)} match the digests in {path}")
+    return EXIT_OK
 
 
 def cmd_train(args) -> int:
     if args.checkpoint_every < 0:
         raise ValueError("--checkpoint-every must be >= 0 (0 disables checkpoints)")
+    recorded = None
     if args.manifest:
-        given = [_config_flag(name) for name in _given_config(args)]
+        # threads is the one setting replay guarantees cannot change the bytes
+        given = [_config_flag(name) for name in _given_config(args) if name != "threads"]
         given += [flag for flag, value in (("--train", args.train), ("--test", args.test))
                   if value is not None]
         if given:
             raise ValueError(f"--manifest replays the run it recorded; {', '.join(given)} "
                              "cannot be given with it")
-        config, train_path, test_path, out_dir = _load_manifest(args.manifest)
+        config, train_path, test_path, out_dir, recorded = _load_manifest(args.manifest)
+        if args.threads is not None:
+            config = dataclasses.replace(config, threads=args.threads)
         out_dir = args.out_dir if args.out_dir is not None else out_dir
     else:
         if not args.train or not args.test:
@@ -194,6 +253,7 @@ def cmd_train(args) -> int:
 
     manifest = {
         "toolkit_version": __version__,
+        "platform": _platform(),
         "train_path": train_path,
         "test_path": test_path,
         "train_sha256": train_sha256,
@@ -201,15 +261,14 @@ def cmd_train(args) -> int:
         "out_dir": out_dir,
         "config": dataclasses.asdict(config),
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_manifest(out_dir, manifest)
 
     _log(f"training on {train_path} (n={train.n}, m={train.m}), evaluating on {test_path}")
     # epoch_batches merges the remainder, so no batch has fewer rows than this
     rows = train.n if config.knn_scope == "global" else min(config.batch_size, train.n)
     if config.k >= rows and not args.quiet:
         _log(f"k={config.k} is clamped: a k-NN search over {rows} rows has {rows - 1} neighbours")
+    written = list(RUN_OUTPUTS)  # checkpoints follow, in epoch order
     csv_path = os.path.join(out_dir, "metrics.csv")
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
@@ -219,7 +278,8 @@ def cmd_train(args) -> int:
             fh.write(format_metrics_row(metrics) + "\n")
             fh.flush()
             if args.checkpoint_every and (metrics.epoch + 1) % args.checkpoint_every == 0:
-                save_mlp(model, os.path.join(out_dir, f"model_epoch{metrics.epoch}.txt"))
+                written.append(f"model_epoch{metrics.epoch}.txt")
+                save_mlp(model, os.path.join(out_dir, written[-1]))
             if not args.quiet:
                 _log(f"epoch {metrics.epoch}: reweight={metrics.reweight_loss:.6f} "
                      f"count={metrics.count_loss:.6f} total={metrics.total_loss:.6f} "
@@ -232,10 +292,14 @@ def cmd_train(args) -> int:
             return EXIT_DIVERGED
 
     save_mlp(model, os.path.join(out_dir, "model.txt"))
+    manifest["output_sha256"] = {name: _sha256(os.path.join(out_dir, name)) for name in written}
+    _write_manifest(out_dir, manifest)
     window = min(config.eval_window, len(history))
     mean, std = summarize(history, window)
     print(f"final accuracy over last {window} evaluated epochs: {100*mean:.2f} ± {100*std:.2f}%")
-    return EXIT_OK
+    if recorded is None:
+        return EXIT_OK
+    return _verify_replay(args.manifest, recorded, manifest["output_sha256"])
 
 
 def _rank_table_from_args(args) -> tuple[RankTable, list[str]]:

@@ -5,6 +5,11 @@ in mini-batches; per batch the weight matrix is rebuilt from the current
 neighbor structure, the count intervals are recounted, and the combined
 objective  total = reweight_loss + lambda * count_loss  is backpropagated.
 Runs are deterministic given the config seed.
+
+The network trains in float32 (``NETWORK_DTYPE``): its parameters, its
+activations and the optimizer's state.  Everything from the logits on is
+float64: the softmax, both losses and their logit gradient, the weights,
+the intervals and every k-NN search.
 """
 
 from __future__ import annotations
@@ -35,6 +40,10 @@ from .neural import (
     reweighted_ce,
 )
 from .reweight import VOTE_MODES, build_weight_matrix, enhanced_label, knn_search
+
+
+# dtype of the network fit trains; see the module docstring for the boundary
+NETWORK_DTYPE = np.float32
 
 
 def _one_of(*choices: str):
@@ -160,11 +169,29 @@ def summarize(history, window: int) -> tuple[float, float]:
     return float(np.mean(accs)), float(np.std(accs))
 
 
+def _check_network_range(name: str, features: np.ndarray) -> None:
+    """Refuse a feature outside the network dtype's finite range (the cast
+    would make it inf; nan fails the test too), naming its row and column."""
+    limit = float(np.finfo(NETWORK_DTYPE).max)
+    # two reductions allocate nothing; only a refusal looks for the entry
+    if features.size == 0 or (features.max() <= limit and features.min() >= -limit):
+        return
+    row, col = np.argwhere(~(np.abs(features) <= limit))[0]
+    raise ValueError(
+        f"the {name} set's feature at row {row}, column {col} is {float(features[row, col])!r}, "
+        f"outside the finite {np.dtype(NETWORK_DTYPE).name} range (magnitude <= {limit:.8g}) "
+        "the network trains in"
+    )
+
+
 def check_datasets(train: PartialDataset, test: PartialDataset | None) -> None:
     """Refuse a training set of fewer than 2 rows (k-NN needs a neighbour), and
-    a test set that is empty, has no truth labels, or another d or m than ``train``."""
+    a test set that is empty, has no truth labels, or another d or m than
+    ``train``.  In either set, refuse a feature beyond the finite range of
+    the network's dtype."""
     if train.n < 2:
         raise ValueError(f"the training set has {train.n} rows; training needs at least 2")
+    _check_network_range("training", train.features)
     if test is None:
         return
     if test.n == 0:
@@ -174,6 +201,7 @@ def check_datasets(train: PartialDataset, test: PartialDataset | None) -> None:
     if (test.d, test.m) != (train.d, train.m):
         raise ValueError(f"the test set has d={test.d}, m={test.m}; "
                          f"the training set has d={train.d}, m={train.m}")
+    _check_network_range("test", test.features)
 
 
 def _enhanced_labels(dataset: PartialDataset, neighbors, vote_mode: str) -> np.ndarray:
@@ -224,7 +252,7 @@ def fit(
     check_datasets(train, test)
     view = train.strip_truth()
     rng = np.random.default_rng(config.seed)
-    model = Mlp.init((view.d, *config.hidden, view.m), rng)
+    model = Mlp.init((view.d, *config.hidden, view.m), rng, dtype=NETWORK_DTYPE)
     opt = make_optimizer(config.optimizer, config.lr, config.weight_decay)
 
     embed = config.knn_features == "embedding" and len(config.hidden) > 0
@@ -248,11 +276,12 @@ def fit(
         batches = epoch_batches(perm, config.batch_size)
         for batch_no, batch_idx in enumerate(batches):
             batch = view.subset(batch_idx)
-            X = batch.features
+            # cast once: forward and backward both take this array as it is
+            X = batch.features.astype(NETWORK_DTYPE)
             hidden, probs = forward(model, X)
 
             if config.knn_scope == "batch":
-                feats = hidden[-1] if embed else X
+                feats = hidden[-1] if embed else batch.features
                 neighbors = knn_search(feats, config.k, threads=config.threads)
                 enhanced = _enhanced_labels(batch, neighbors, config.vote_mode)
             else:

@@ -7,6 +7,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import re
 import shutil
 import subprocess
@@ -19,6 +20,7 @@ import cleanse.cli as cli_module
 import cleanse.trainer as trainer_module
 from cleanse.checks import check_count_pmf, check_count_values, check_trainer_grad
 from cleanse.cli import (
+    EXIT_CHECK_FAILED,
     EXIT_DIVERGED,
     EXIT_IO,
     EXIT_OK,
@@ -29,6 +31,7 @@ from cleanse.cli import (
 )
 from cleanse.countloss import CountLossResult, count_log_pmf, count_loss_values
 from cleanse.data import PartialDataset, read_pll_file, write_pll_file
+from cleanse.neural import load_mlp
 from cleanse.stats import Q_ALPHA_05
 from cleanse.trainer import TrainConfig
 
@@ -165,8 +168,11 @@ class TestTrain:
                         "--out-dir", str(out_dir), "--seed", "1", *TINY_TRAIN_ARGS])
         assert code == EXIT_OK
         assert (out_dir / "metrics.csv").exists()
-        assert (out_dir / "model.txt").exists()
         assert (out_dir / "manifest.json").exists()
+        # fit trains in float32, and the checkpoint keeps that dtype
+        model_txt = (out_dir / "model.txt").read_text()
+        assert model_txt.startswith("#mlp widths=2,8,3 dtype=float32\n")
+        assert load_mlp(out_dir / "model.txt").dtype == np.float32
         assert "final accuracy over last 3 evaluated epochs" in capsys.readouterr().out
 
     def test_progress_lines_match_the_csv_unless_quiet(self, tiny_dataset, tmp_path, capsys):
@@ -303,7 +309,7 @@ class TestTrain:
         ds = read_pll_file(train)
         huge = tmp_path / "huge.pll"
         write_pll_file(
-            PartialDataset(features=ds.features * 1e200, candidates=ds.candidates,
+            PartialDataset(features=ds.features * 1e30, candidates=ds.candidates,
                            m=ds.m, hidden_truth=ds.hidden_truth),
             str(huge),
         )
@@ -339,6 +345,22 @@ class TestTrain:
         assert message in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("which", ["training", "test"])
+    def test_feature_beyond_float32_writes_nothing(self, tiny_dataset, tmp_path, capsys, which):
+        paths = dict(zip(("training", "test"), tiny_dataset))
+        ds = read_pll_file(paths[which])
+        feats = ds.features.copy()
+        feats[3, 0] = -1e39
+        paths[which] = str(tmp_path / "big.pll")
+        write_pll_file(PartialDataset(feats, ds.candidates, ds.m, ds.hidden_truth), paths[which])
+        out_dir = tmp_path / "big"
+        code = run_cli(["train", "--train", paths["training"], "--test", paths["test"],
+                        "--out-dir", str(out_dir), *TINY_TRAIN_ARGS])
+        assert code == EXIT_USAGE
+        assert (f"the {which} set's feature at row 3, column 0 is -1e+39, outside the finite "
+                "float32 range" in capsys.readouterr().err)
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("rows", [0, 1])
     def test_train_file_below_two_rows_writes_nothing(self, tiny_dataset, tmp_path, capsys,
                                                       rows):
@@ -362,7 +384,7 @@ class TestTrain:
         (out_dir / "notes.txt").write_text("kept\n")
         ds = read_pll_file(train)
         huge = tmp_path / "huge.pll"
-        write_pll_file(PartialDataset(ds.features * 1e200, ds.candidates, ds.m,
+        write_pll_file(PartialDataset(ds.features * 1e30, ds.candidates, ds.m,
                                       ds.hidden_truth), huge)
         with np.errstate(all="ignore"):
             code = run_cli(["train", "--train", str(huge), "--test", test,
@@ -462,6 +484,97 @@ class TestReplay:
             assert f"{named} cannot be given with it" in capsys.readouterr().err
         assert not out_dir.exists()
         assert {p.name: p.read_bytes() for p in manifest.parent.iterdir()} == recorded
+
+    def test_manifest_records_output_digests(self, tiny_dataset, tmp_path):
+        train, test = tiny_dataset
+        out_dir = tmp_path / "ck"
+        code = run_cli(["train", "--train", train, "--test", test, "--out-dir", str(out_dir),
+                        "--checkpoint-every", "2", *TINY_TRAIN_ARGS])
+        assert code == EXIT_OK
+        loaded = json.loads((out_dir / "manifest.json").read_text())
+        written = ["metrics.csv", "model.txt", "model_epoch1.txt"]
+        assert loaded["output_sha256"] == {
+            name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in written}
+        assert loaded["platform"] == {"python": platform.python_version(),
+                                      "numpy": np.__version__}
+
+    def test_replay_with_other_threads_verifies(self, recorded_run, tmp_path, capsys):
+        manifest, _ = recorded_run
+        out_dir = tmp_path / "b"
+        code = run_cli(["train", "--manifest", str(manifest), "--threads", "2",
+                        "--out-dir", str(out_dir), "--quiet"])
+        assert code == EXIT_OK
+        assert (f"replay verified: metrics.csv, model.txt match the digests in {manifest}"
+                in capsys.readouterr().out)
+        for name in ("metrics.csv", "model.txt"):
+            assert (out_dir / name).read_bytes() == (manifest.parent / name).read_bytes()
+        assert json.loads((out_dir / "manifest.json").read_text())["config"]["threads"] == 2
+
+    @pytest.mark.parametrize("name", ["metrics.csv", "model.txt"])
+    def test_changed_output_digest_fails_naming_the_file(self, recorded_run, tmp_path, capsys,
+                                                         name):
+        manifest, _ = recorded_run
+        recorded = json.loads(manifest.read_text())
+        digest = recorded["output_sha256"][name]
+        wrong = ("0" if digest[0] != "0" else "1") + digest[1:]
+        _edit_manifest(manifest, lambda loaded: loaded["output_sha256"].update({name: wrong}))
+        out_dir = tmp_path / "b"
+        code = run_cli(["train", "--manifest", str(manifest), "--out-dir", str(out_dir),
+                        "--quiet"])
+        assert code == EXIT_CHECK_FAILED
+        err = capsys.readouterr().err
+        assert f"{name} has sha256 {digest}, recorded {wrong}" in err
+        assert "platform differs" not in err
+        # the replay's own files stay, and its manifest lists their digests
+        assert json.loads((out_dir / "manifest.json").read_text())["output_sha256"] == \
+            recorded["output_sha256"]
+
+    def test_failed_verification_names_changed_platform_fields(self, recorded_run, tmp_path,
+                                                               capsys):
+        manifest, _ = recorded_run
+
+        def edit(loaded):
+            loaded["output_sha256"]["metrics.csv"] = "0" * 64
+            loaded["platform"]["numpy"] = "1.0.0"
+            loaded["toolkit_version"] = "0.2.0"
+
+        _edit_manifest(manifest, edit)
+        code = run_cli(["train", "--manifest", str(manifest), "--out-dir",
+                        str(tmp_path / "b"), "--quiet"])
+        assert code == EXIT_CHECK_FAILED
+        assert (f"; platform differs: toolkit_version {cli_module.__version__} (recorded 0.2.0), "
+                f"numpy {np.__version__} (recorded 1.0.0)" in capsys.readouterr().err)
+
+    def test_manifest_without_digests_replays_unverified(self, recorded_run, tmp_path, capsys):
+        # what manifests before output digests hold
+        manifest, _ = recorded_run
+        _edit_manifest(manifest, lambda loaded: [loaded.pop("output_sha256"),
+                                                 loaded.pop("platform")])
+        out_dir = tmp_path / "b"
+        code = run_cli(["train", "--manifest", str(manifest), "--out-dir", str(out_dir),
+                        "--quiet"])
+        assert code == EXIT_OK
+        captured = capsys.readouterr()
+        assert "records no output digests" in captured.err
+        assert "cannot be verified" in captured.err
+        assert "replay verified" not in captured.out
+        assert (out_dir / "metrics.csv").read_bytes() == (
+            manifest.parent / "metrics.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda d: d.pop("model.txt"), lambda d: d.update({"metrics.csv": 5})],
+        ids=["missing-model", "number"],
+    )
+    def test_malformed_output_digests_write_nothing(self, recorded_run, tmp_path, capsys, edit):
+        manifest, _ = recorded_run
+        _edit_manifest(manifest, lambda loaded: edit(loaded["output_sha256"]))
+        out_dir = tmp_path / "b"
+        code = run_cli(["train", "--manifest", str(manifest), "--out-dir", str(out_dir),
+                        "--quiet"])
+        assert code == EXIT_IO
+        assert "output_sha256 must map names to strings" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_changed_train_file_is_refused(self, recorded_run, tmp_path, capsys):
         manifest, train = recorded_run

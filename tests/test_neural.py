@@ -22,8 +22,8 @@ from cleanse.neural import (
 from cleanse.reweight import build_weight_matrix
 
 
-def _model(widths, seed=0):
-    return Mlp.init(widths, np.random.default_rng(seed))
+def _model(widths, seed=0, dtype=np.float64):
+    return Mlp.init(widths, np.random.default_rng(seed), dtype=dtype)
 
 
 class TestForward:
@@ -64,6 +64,49 @@ class TestForward:
         assert [h.shape for h in hidden] == [(4, 8), (4, 5)]
         assert probs.shape == (4, 2)
         assert forward(_model((3, 2)), np.zeros((4, 3)))[0] == []
+
+
+class TestFloat32:
+    """A float32 network: same draws, float32 inside, float64 probabilities."""
+
+    def test_init_casts_the_float64_draws(self):
+        rng64, rng32 = np.random.default_rng(3), np.random.default_rng(3)
+        m64 = Mlp.init((5, 7, 3), rng64)
+        m32 = Mlp.init((5, 7, 3), rng32, dtype=np.float32)
+        assert (m64.dtype, m32.dtype) == (np.float64, np.float32)
+        for a, b in zip(m64.parameters(), m32.parameters()):
+            assert b.dtype == np.float32
+            np.testing.assert_array_equal(a.astype(np.float32), b)
+        assert rng64.bit_generator.state == rng32.bit_generator.state
+
+    def test_activations_follow_the_model_probabilities_are_float64(self):
+        model = _model((4, 6, 3), dtype=np.float32)
+        X = np.random.default_rng(4).standard_normal((5, 4))
+        hidden, probs = forward(model, X)
+        assert hidden[0].dtype == np.float32 and probs.dtype == np.float64
+        grads = backward(model, X, hidden, probs - 1.0 / 3.0)
+        assert [g.dtype for g in grads] == [np.float32] * 4
+
+    def test_gradients_match_float64_on_the_same_inputs(self):
+        # float32 parameters and inputs, upcast exactly to float64: the two
+        # runs differ only in arithmetic.  At mnist-shape widths the
+        # norm-wise relative error measured about 5e-7 (float32's eps is
+        # 1.2e-7); 1e-5 leaves a 20x margin and still catches a wrong dtype
+        # in a matmul chain, which costs far more than float32 roundoff.
+        tol = 1e-5
+        rng = np.random.default_rng(5)
+        for widths in ((784, 300, 300, 10), (6, 9, 9, 4)):
+            m32 = _model(widths, seed=6, dtype=np.float32)
+            m64 = Mlp(widths=m32.widths, weights=[w.astype(np.float64) for w in m32.weights],
+                      biases=[b.astype(np.float64) for b in m32.biases])
+            X = rng.standard_normal((64, widths[0])).astype(np.float32)
+            weights = softmax(rng.standard_normal((64, widths[-1])))
+            grads = []
+            for model in (m32, m64):
+                hidden, probs = forward(model, X)
+                grads.append(backward(model, X, hidden, reweighted_ce(probs, weights)[1]))
+            for g32, g64 in zip(*grads):
+                assert np.linalg.norm(g32 - g64) <= tol * np.linalg.norm(g64)
 
 
 class TestReweightedCe:
@@ -228,23 +271,30 @@ class _TextbookAdam:
 
 class TestBlockedStep:
     @staticmethod
-    def _model():
+    def _model(dtype):
         # 784x300 spans several row blocks, a 40000-wide row exceeds one
         # block, the 1-D biases are single blocks, and the Fortran-ordered
         # weight makes every row slice a strided view
         rng = np.random.default_rng(12)
         weights = [
-            rng.standard_normal((784, 300)),
-            rng.standard_normal((3, 40000)),
-            np.asfortranarray(rng.standard_normal((70, 50))),
+            rng.standard_normal((784, 300)).astype(dtype),
+            rng.standard_normal((3, 40000)).astype(dtype),
+            np.asfortranarray(rng.standard_normal((70, 50)).astype(dtype)),
         ]
-        biases = [rng.standard_normal(300), rng.standard_normal(40000), rng.standard_normal(50)]
+        biases = [rng.standard_normal(n).astype(dtype) for n in (300, 40000, 50)]
         assert 784 * 300 > 2 * _STEP_BLOCK and 40000 > _STEP_BLOCK
         return Mlp(widths=(784, 300), weights=weights, biases=biases)
 
     @pytest.mark.parametrize("name", ["adam", "sgd"])
     def test_equals_textbook_update_in_place(self, name):
-        model = self._model()
+        self._check_textbook(name, np.float64)
+
+    @pytest.mark.parametrize("name", ["adam", "sgd"])
+    def test_float32_equals_textbook_update_in_place(self, name):
+        self._check_textbook(name, np.float32)
+
+    def _check_textbook(self, name, dtype):
+        model = self._model(dtype)
         params = model.parameters()
         want = [p.copy() for p in params]
         lr, wd = 1e-3, 1e-5
@@ -252,26 +302,69 @@ class TestBlockedStep:
         ref = _TextbookAdam(want, lr, wd) if name == "adam" else None
         rng = np.random.default_rng(13)
         for _ in range(5):
-            grads = [rng.standard_normal(p.shape) for p in params]
+            grads = [rng.standard_normal(p.shape).astype(dtype) for p in params]
             opt.step(model, grads)
             if ref is None:
                 _textbook_sgd_step(want, grads, lr, wd)
             else:
                 ref.step(want, grads)
             for p, q, w in zip(model.parameters(), params, want):
-                assert p is q
+                assert p is q and p.dtype == dtype
                 assert p.tobytes() == w.tobytes()
+        if ref is not None:
+            assert all(m.dtype == dtype for m in opt.m + opt.v)
 
 
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
-        model = _model((4, 7, 3), seed=11)
+        self._check_round_trip(tmp_path, np.float64)
+
+    def test_float32_round_trip_bitwise(self, tmp_path):
+        self._check_round_trip(tmp_path, np.float32)
+
+    @staticmethod
+    def _check_round_trip(tmp_path, dtype):
+        model = _model((4, 7, 3), seed=11, dtype=dtype)
+        # every finite bit pattern's range: subnormals, the extremes, -0.0
+        bits = np.random.default_rng(14).integers(0, 1 << 64, size=200, dtype=np.uint64)
+        values = bits.astype(np.uint32 if dtype == np.float32 else np.uint64).view(dtype)
+        values = values[np.isfinite(values)][:28]
+        fi = np.finfo(dtype)
+        values[:5] = [fi.max, -fi.max, fi.smallest_subnormal, -0.0, fi.tiny]
+        model.weights[1].reshape(-1)[:] = values[:21]
+        model.biases[0][:] = values[21:]
         path = tmp_path / "model.txt"
         save_mlp(model, path)
+        name = np.dtype(dtype).name
+        assert path.read_text().splitlines()[0] == f"#mlp widths=4,7,3 dtype={name}"
         back = load_mlp(path)
         assert back.widths == model.widths
         for a, b in zip(model.parameters(), back.parameters()):
-            np.testing.assert_array_equal(a, b)
+            assert b.dtype == dtype
+            assert a.tobytes() == b.tobytes()
+
+    def test_float32_values_are_written_shortest(self, tmp_path):
+        model = Mlp(widths=(1, 1), weights=[np.array([[0.1]], dtype=np.float32)],
+                    biases=[np.array([1e-8], dtype=np.float32)])
+        path = tmp_path / "model.txt"
+        save_mlp(model, path)
+        assert path.read_text() == "#mlp widths=1,1 dtype=float32\n0.1\n1e-08\n"
+
+    def test_header_without_dtype_loads_as_float64(self, tmp_path):
+        # the checkpoint format before dtypes were recorded
+        path = tmp_path / "old.txt"
+        path.write_text("#mlp widths=2,1\n0.1\n-2.5\n0.30000000000000004\n")
+        model = load_mlp(path)
+        assert model.dtype == np.float64
+        np.testing.assert_array_equal(model.weights[0], [[0.1], [-2.5]])
+        assert model.biases[0].tolist() == [0.30000000000000004]
+
+    @pytest.mark.parametrize("field", ["dtype=float16", "float32", "dtype=float32 x", "dtype="])
+    def test_unknown_dtype_field_rejected(self, tmp_path, field):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"#mlp widths=2,1 {field}\n0.1\n-2.5\n0.0\n")
+        with pytest.raises(ValueError, match="unknown checkpoint dtype field"):
+            load_mlp(path)
 
     def test_header_validation(self, tmp_path):
         path = tmp_path / "bad.txt"

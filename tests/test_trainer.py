@@ -2,6 +2,7 @@
 hidden-truth firewall, determinism, metrics identities."""
 
 import math
+import re
 import time
 
 import numpy as np
@@ -52,10 +53,11 @@ def cli_metrics_csv(tmp_path, train, test, flags):
 def baseline_fit(train, test, config):
     """Reference run: uniform-candidate cross entropy, no reweighting, no
     count loss.  Mirrors fit's RNG consumption (init, then one permutation
-    per epoch) so the degenerate configuration must match it exactly."""
+    per epoch) and its network dtype, so the degenerate configuration must
+    match it exactly."""
     view = train.strip_truth()
     rng = np.random.default_rng(config.seed)
-    model = Mlp.init((view.d, *config.hidden, view.m), rng)
+    model = Mlp.init((view.d, *config.hidden, view.m), rng, dtype=trainer_module.NETWORK_DTYPE)
     opt = make_optimizer(config.optimizer, config.lr, config.weight_decay)
     uniform = np.zeros((view.n, view.m))
     for i, row in enumerate(view.candidates):
@@ -179,6 +181,33 @@ class TestTestSetCheck:
         with pytest.raises(ValueError, match=message):
             fit(train, change(test), TrainConfig(epochs=1, batch_size=16, hidden=(4,)))
 
+
+    @pytest.mark.parametrize("which", ["training", "test"])
+    @pytest.mark.parametrize("value", [3.5e38, -1e300, math.nan])
+    def test_feature_beyond_float32_refused_before_any_work(self, monkeypatch, which, value):
+        train, test = split(make_dataset(n=60, seed=40), 0.2, seed=41)
+        target = train if which == "training" else test
+        feats = target.features.copy()
+        feats[5, 1] = value
+        changed = PartialDataset(feats, target.candidates, target.m, target.hidden_truth)
+        train, test = (changed, test) if which == "training" else (train, changed)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("fit started work on a refused dataset")
+
+        monkeypatch.setattr(trainer_module, "make_optimizer", no_work)
+        message = (f"the {which} set's feature at row 5, column 1 is {value!r}, "
+                   "outside the finite float32 range")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fit(train, test, TrainConfig(epochs=1, batch_size=16, hidden=(4,)))
+
+    def test_float32_maximum_is_accepted(self):
+        train, test = split(make_dataset(n=60, seed=40), 0.2, seed=41)
+        feats = train.features.copy()
+        feats[0, 0] = float(np.finfo(np.float32).max)
+        feats[1, 1] = -float(np.finfo(np.float32).max)
+        edge = PartialDataset(feats, train.candidates, train.m, train.hidden_truth)
+        trainer_module.check_datasets(edge, test)
 
     @pytest.mark.parametrize("rows", [0, 1])
     def test_train_set_below_two_rows_refused(self, rows):
@@ -395,10 +424,11 @@ class TestGlobalRawEnhancedLabels:
 
 class TestDivergence:
     def test_non_finite_loss_names_epoch_and_batch(self):
-        # features at 1e200 and SGD at lr=10 overflow the first update
+        # features at 1e30, inside float32's range, and SGD at lr=10 overflow
+        # the first update: the second batch's activations are inf
         feats, labels = gaussian_clusters(200, 3, seed=0)
         cands = generate_synthetic(labels, 3, q=0.5, seed=1)
-        ds = PartialDataset(features=feats * 1e200, candidates=cands, m=3, hidden_truth=labels)
+        ds = PartialDataset(features=feats * 1e30, candidates=cands, m=3, hidden_truth=labels)
         config = TrainConfig(epochs=5, batch_size=32, hidden=(8,), optimizer="sgd", lr=10.0, seed=0)
         epochs_done = []
         with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as err:
@@ -412,7 +442,7 @@ class TestDivergence:
         # non-finite reweight loss still stops the run at its own batch
         feats, labels = gaussian_clusters(200, 3, seed=0)
         cands = generate_synthetic(labels, 3, q=0.5, seed=1)
-        ds = PartialDataset(features=feats * 1e200, candidates=cands, m=3, hidden_truth=labels)
+        ds = PartialDataset(features=feats * 1e30, candidates=cands, m=3, hidden_truth=labels)
         config = TrainConfig(epochs=5, batch_size=32, hidden=(8,), optimizer="sgd", lr=10.0,
                              seed=0, lam=0.0)
         epochs_done = []
