@@ -30,6 +30,7 @@ from .reweight import (
     NeighborList,
     build_weight_matrix,
     enhanced_label,
+    enhanced_labels,
     knn_search,
 )
 from .stats import RankTable, bonferroni_dunn_cd, friedman, friedman_chi2, rank_results
@@ -49,6 +50,7 @@ __all__ = [
     "NO_ENHANCEMENT",
     "knn_search",
     "enhanced_label",
+    "enhanced_labels",
     "build_weight_matrix",
     "CountLossResult",
     "log1mexp",

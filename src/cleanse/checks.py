@@ -1,6 +1,7 @@
 """Self-contained oracle checks: brute-force enumeration, brute-force k-NN,
-finite differences and bitwise file round trips, parsed and through the
-parse cache, against the fast paths.
+case-by-case enhanced labels in exact fractions, finite differences and
+bitwise file round trips, parsed and through the parse cache, against the
+fast paths.
 The CLI `check` subcommand runs these in CI; the test suite reuses the same
 oracles.
 """
@@ -33,7 +34,7 @@ from .data import (
     write_pll_file,
 )
 from .neural import Mlp, backward, forward, reweighted_ce
-from .reweight import build_weight_matrix, knn_search
+from .reweight import NO_ENHANCEMENT, build_weight_matrix, enhanced_labels, knn_search
 from .trainer import batch_objective
 
 
@@ -297,6 +298,79 @@ def check_knn_brute_force(rng: np.random.Generator, p: int = 2000, d: int = 4, k
     return CheckResult("knn-vs-brute-force", worst, 0.0)
 
 
+def oracle_vote(candidates, i: int, indices, distances, vote_mode: str) -> int:
+    """Independent enhanced label of row i by direct case analysis.
+
+    ``candidates`` is the (n, m) mask, ``indices`` and ``distances`` row i's
+    neighbours, nearest first.  Votes are exact ``Fraction`` sums, and a
+    label's tie distance is the least distance among its voters.
+    """
+    # imported here: every cleanse command imports this module, and
+    # fractions loads decimal, about 0.4 MiB of RSS
+    from fractions import Fraction
+
+    def labels(row):
+        return [j for j in range(candidates.shape[1]) if candidates[row, j]]
+
+    ci = labels(i)
+    if len(ci) == 1:
+        return ci[0]
+    for idx in indices:
+        cn = labels(int(idx))
+        if len(cn) == 1 and cn[0] in ci:
+            return cn[0]
+    totals = {}
+    for lab in ci:
+        total = Fraction(0)
+        best_dist = None
+        for idx, dist in zip(indices, distances):
+            cs = labels(int(idx))
+            if lab in cs:
+                total += Fraction(1, len(cs)) if vote_mode == "fractional" else 1
+                if best_dist is None or dist < best_dist:
+                    best_dist = float(dist)
+        if total > 0:
+            totals[lab] = (total, best_dist)
+    if not totals:
+        return NO_ENHANCEMENT
+    return min(totals, key=lambda lab: (-totals[lab][0], totals[lab][1], lab))
+
+
+# neighbour set sizes whose lcm, about 3.3e19, is past int64
+_PRIMES_TO_53 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+
+
+def check_enhanced_labels(rng: np.random.Generator, cases: int = 20) -> CheckResult:
+    """enhanced_labels vs oracle_vote, row for row, in both vote modes.
+
+    Each case is a batch of grid points, so many neighbour distances tie,
+    with masks that mix clean rows and sets of up to m = 53 labels, at k up
+    to 20 (clamped when the batch is smaller).  One more batch, with a
+    neighbour of each prime set size 2..53, votes in Python ints.  Every
+    batch runs in both modes; the deviation is the number of rows that
+    differ.
+    """
+    batches = []
+    for _ in range(cases):
+        m = int(rng.integers(2, 54))
+        n = int(rng.integers(2, 41))
+        sizes = np.where(rng.random(n) < 0.3, 1, rng.integers(1, m + 1, size=n))
+        batches.append((np.round(rng.standard_normal((n, 2))), sizes, m, int(rng.integers(1, 21))))
+    sizes = np.array((5, *_PRIMES_TO_53))
+    batches.append((rng.standard_normal((len(sizes), 2)), sizes, 53, len(sizes) - 1))
+    wrong = 0
+    for feats, sizes, m, k in batches:
+        cands = np.zeros((len(sizes), m), dtype=bool)
+        for row, size in zip(cands, sizes):
+            row[rng.permutation(m)[:size]] = True
+        nb = knn_search(feats, k)
+        for mode in ("fractional", "multiset"):
+            got = enhanced_labels(cands, cands[nb.indices], nb.distances, mode)
+            for i, label in enumerate(got.tolist()):
+                wrong += label != oracle_vote(cands, i, nb.indices[i], nb.distances[i], mode)
+    return CheckResult("enhanced-labels", float(wrong), 0.0)
+
+
 def check_underflow_stress(n: int = 1024) -> CheckResult:
     """Large-n pmf stays finite and normalized where direct space underflows."""
     p = np.empty(n)
@@ -448,4 +522,5 @@ def run_all_checks(seed: int = 0, stress_n: int = 1024) -> list[CheckResult]:
         check_count_values(rng),
         check_count_loss_log_fallback(rng),
         check_pll_cache(rng),
+        check_enhanced_labels(rng),
     ]

@@ -15,12 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Returned by enhanced_label when no neighbor label intersects the
+# Returned by enhanced_labels when no neighbor label intersects the
 # candidate set; the weight row falls back to uniform over candidates.
 NO_ENHANCEMENT = -1
 
-# neighbour-vote modes of enhanced_label; the first is the default
+# neighbour-vote modes of enhanced_labels; the first is the default
 VOTE_MODES = ("fractional", "multiset")
+# fractional votes run in int64 while k * lcm(set sizes) is below this
+_INT64_VOTE_LIMIT = 2**63
 
 # elements per (rows, p) GEMM block
 _CHUNK_ELEMENTS = 1_000_000
@@ -31,7 +33,12 @@ _RERANK_ELEMENTS = 32_768
 
 @dataclass(frozen=True)
 class NeighborList:
-    """Neighbors of one query, nearest first, with the query itself excluded."""
+    """Neighbours nearest first, each query itself excluded.
+
+    ``knn_search`` returns one with (p, k) ``indices`` and ``distances``;
+    indexing it by row gives that query's (k,) list, and ``len`` and
+    iteration go by rows.
+    """
 
     indices: np.ndarray
     distances: np.ndarray
@@ -39,16 +46,23 @@ class NeighborList:
     def __len__(self) -> int:
         return len(self.indices)
 
+    def __getitem__(self, row) -> NeighborList:
+        return NeighborList(self.indices[row], self.distances[row])
 
-def knn_search(features: np.ndarray, k: int, threads: int = 1) -> list[NeighborList]:
+    def __iter__(self):
+        return (self[r] for r in range(len(self)))
+
+
+def knn_search(features: np.ndarray, k: int, threads: int = 1) -> NeighborList:
     """Exact Euclidean k nearest neighbors of every row among all rows.
 
-    Self-matches are excluded and equal distances are broken by the lower
-    instance index (stable sort on squared distances).  When k >= p the
-    neighbor count is clamped to p - 1 without a notice: that is a statistic
-    of the run, not an error, and the caller reports it.  ``threads`` splits
-    the query rows over a thread pool with fixed block boundaries, so results
-    are bitwise identical for any thread count.
+    Returns (p, k) neighbour indices and distances.  Self-matches are
+    excluded and equal distances are broken by the lower instance index
+    (stable sort on squared distances).  When k >= p the neighbor count is
+    clamped to p - 1 without a notice: that is a statistic of the run, not
+    an error, and the caller reports it.  ``threads`` splits the query rows
+    over a thread pool with fixed block boundaries, so results are bitwise
+    identical for any thread count.
 
     A GEMM on mean-centred features picks each row's points within a roundoff
     bound of its k-th estimate (all points, if one is not finite); direct
@@ -73,7 +87,7 @@ def knn_search(features: np.ndarray, k: int, threads: int = 1) -> list[NeighborL
     block = max(1, _CHUNK_ELEMENTS // p)
     pairs = max(1, _RERANK_ELEMENTS // d)
 
-    def work(start: int) -> list[NeighborList]:
+    def work(start: int) -> tuple[np.ndarray, np.ndarray]:
         rows = slice(start, min(start + block, p))
         est = sq[rows, None] + sq - 2.0 * (C[rows] @ C.T)
         finite = np.isfinite(est).all(axis=1)
@@ -90,12 +104,12 @@ def knn_search(features: np.ndarray, k: int, threads: int = 1) -> list[NeighborL
             np.sum(np.square(diff, out=diff), axis=1, out=d2[s : s + pairs])
         order = np.lexsort((d2, local))  # stable: ties keep index order
         pick = order[np.searchsorted(local, np.arange(len(est)))[:, None] + np.arange(kk)]
-        return [NeighborList(i, dist) for i, dist in zip(cols[pick], np.sqrt(d2[pick]))]
+        return cols[pick], np.sqrt(d2[pick])
 
     if threads > 1:
         errstate = np.geterr()  # pool threads start from numpy's default
 
-        def task(start: int) -> list[NeighborList]:
+        def task(start: int) -> tuple[np.ndarray, np.ndarray]:
             with np.errstate(**errstate):
                 return work(start)
 
@@ -103,61 +117,81 @@ def knn_search(features: np.ndarray, k: int, threads: int = 1) -> list[NeighborL
             blocks = list(pool.map(task, range(0, p, block)))
     else:
         blocks = [work(start) for start in range(0, p, block)]
-    return [nb for part in blocks for nb in part]
+    indices, distances = zip(*blocks)
+    return NeighborList(np.concatenate(indices), np.concatenate(distances))
+
+
+def enhanced_labels(own, neighbour_masks, distances, vote_mode: str = "fractional") -> np.ndarray:
+    """Most reliable candidate of each of n rows, or NO_ENHANCEMENT.
+
+    ``own`` is the rows' (n, m) candidate mask, ``neighbour_masks`` the
+    (n, k, m) masks of each row's neighbours, nearest first, and
+    ``distances`` their (n, k) distances.  Returns (n,) int64 labels.
+    Cases, in order, for each row:
+
+    1. the row is clean: its sole candidate, neighbors ignored.
+    2. the nearest clean neighbor whose label is one of the row's
+       candidates supplies that label directly.
+    3. neighbors vote over the row's candidates.  A neighbor contributes
+       each of its candidate labels with weight 1/|its set|
+       (``fractional``) or 1 (``multiset``); clean neighbors therefore cast
+       a full vote for their label either way.  Ties go to the label whose
+       nearest contributing neighbor is closest, then to the lowest class
+       index.  If no neighbor label lands in the row's candidate set the
+       sentinel is returned.
+    """
+    if vote_mode not in VOTE_MODES:
+        raise ValueError(f"unknown vote mode {vote_mode!r}")
+    own = np.asarray(own, dtype=bool)
+    masks = np.asarray(neighbour_masks, dtype=bool)
+    distances = np.asarray(distances, dtype=np.float64)
+    if not (masks.ndim == 3 and own.shape == (len(masks), masks.shape[2])
+            and distances.shape == masks.shape[:2]):
+        raise ValueError(f"shapes {own.shape}, {masks.shape} and {distances.shape} "
+                         "are not (n, m), (n, k, m) and (n, k)")
+    n, k, m = masks.shape
+    clean = own.sum(axis=1) == 1
+    if k == 0:
+        if not clean.all():
+            raise ValueError("enhanced_labels requires a nonempty neighbor list")
+        return own.argmax(axis=1)
+
+    hits = masks & own[:, None, :]  # neighbour labels that are the row's candidates
+    sizes = masks.sum(axis=2)
+    # Integer votes, every row's scaled by the same L, keep each ordering and
+    # each tie exact.  Python ints take over where k * L might overflow int64
+    # (lcm(1..43) > 2^63).
+    if vote_mode == "fractional":
+        present = np.zeros(m + 1, dtype=bool)
+        present[sizes] = True
+        if present[0]:
+            raise ValueError("every neighbor needs at least one candidate")
+        scale = math.lcm(*np.flatnonzero(present).tolist())
+        weights = scale // (sizes if k * scale < _INT64_VOTE_LIMIT else sizes.astype(object))
+    else:
+        weights = np.ones_like(sizes)
+    votes = (weights[:, None, :] @ hits)[:, 0]
+    top = votes.max(axis=1, keepdims=True)
+    tied = (votes == top) & (votes > 0)
+    # distance of each label's first (nearest) contributing neighbour
+    nearest = np.take_along_axis(distances, hits.argmax(axis=1), axis=1)
+    nearest = np.where(tied, nearest, np.inf)
+    best = tied & (nearest == nearest.min(axis=1, keepdims=True))
+    labels = np.where(top[:, 0] > 0, best.argmax(axis=1), NO_ENHANCEMENT)
+
+    clean_hits = (sizes == 1) & hits.any(axis=2)
+    first = clean_hits.argmax(axis=1)
+    labels = np.where(clean_hits.any(axis=1), hits[np.arange(n), first].argmax(axis=1), labels)
+    return np.where(clean, own.argmax(axis=1), labels)
 
 
 def enhanced_label(
     i: int, dataset, neighbors: NeighborList, vote_mode: str = "fractional"
 ) -> int:
-    """Most reliable candidate of instance i, or NO_ENHANCEMENT.
-
-    Cases, in order:
-
-    1. i is clean: its sole candidate, neighbors ignored.
-    2. the nearest clean neighbor whose label is one of i's candidates
-       supplies that label directly.
-    3. neighbors vote over i's candidates.  A neighbor contributes each of
-       its candidate labels with weight 1/|its set| (``fractional``) or 1
-       (``multiset``); clean neighbors therefore cast a full vote for their
-       label either way.  Ties go to the label whose nearest contributing
-       neighbor is closest, then to the lowest class index.  If no neighbor
-       label lands in i's candidate set the sentinel is returned.
-    """
-    if vote_mode not in VOTE_MODES:
-        raise ValueError(f"unknown vote mode {vote_mode!r}")
-    own = dataset.candidates[i].tolist()
-    labs = [j for j, mine in enumerate(own) if mine]
-    if len(labs) == 1:
-        return labs[0]
-    if len(neighbors) == 0:
-        raise ValueError("enhanced_label requires a nonempty neighbor list")
-
-    rows = dataset.candidates[neighbors.indices].tolist()
-    sizes = [row.count(True) for row in rows]
-    for size, row in zip(sizes, rows):
-        if size == 1 and own[row.index(True)]:
-            return row.index(True)
-
-    # Integer votes on a common denominator keep totals exact, so vote ties
-    # (and the tie-break rules) are exact too; Python ints never overflow,
-    # whatever the lcm of the set sizes (lcm(1..43) > 2^63).
-    if vote_mode == "fractional":
-        scale = math.lcm(*set(sizes))
-        weights = [scale // size for size in sizes]
-    else:
-        weights = [1] * len(sizes)
-    votes = dict.fromkeys(labs, 0)
-    nearest = {}  # label -> its nearest voter; neighbors arrive nearest-first
-    for t in range(len(rows) - 1, -1, -1):
-        row = rows[t]
-        for j in labs:
-            if row[j]:
-                votes[j] += weights[t]
-                nearest[j] = t
-    if not nearest:
-        return NO_ENHANCEMENT
-    dist = neighbors.distances.tolist()
-    return min(nearest, key=lambda j: (-votes[j], dist[nearest[j]], j))
+    """``enhanced_labels`` for row i of ``dataset`` and its (k,) neighbours."""
+    cands = dataset.candidates
+    return int(enhanced_labels(cands[i : i + 1], cands[neighbors.indices][None],
+                               neighbors.distances[None], vote_mode)[0])
 
 
 def build_weight_matrix(candidates, enhanced, temperature: float) -> np.ndarray:

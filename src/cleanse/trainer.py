@@ -20,8 +20,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-# count_log_pmf and interval_log_prob are unused here but stay bound:
-# perfbench/spans.py wraps every count-loss name on this module.
+# count_log_pmf, interval_log_prob and enhanced_label are unused here but stay
+# bound: perfbench/spans.py wraps each of them on this module by name.
 from .countloss import (  # noqa: F401
     COUNT_MODES,
     batch_intervals,
@@ -39,7 +39,13 @@ from .neural import (
     make_optimizer,
     reweighted_ce,
 )
-from .reweight import VOTE_MODES, build_weight_matrix, enhanced_label, knn_search
+from .reweight import (  # noqa: F401
+    VOTE_MODES,
+    build_weight_matrix,
+    enhanced_label,
+    enhanced_labels,
+    knn_search,
+)
 
 
 # dtype of the network fit trains; see the module docstring for the boundary
@@ -204,14 +210,6 @@ def check_datasets(train: PartialDataset, test: PartialDataset | None) -> None:
     _check_network_range("test", test.features)
 
 
-def _enhanced_labels(dataset: PartialDataset, neighbors, vote_mode: str) -> np.ndarray:
-    """(n,) int64 enhanced label of every row of ``dataset``, in row order."""
-    return np.array(
-        [enhanced_label(i, dataset, neighbors[i], vote_mode) for i in range(dataset.n)],
-        dtype=np.int64,
-    )
-
-
 def batch_objective(
     probs: np.ndarray, weights: np.ndarray, lo, hi, lam: float, mode: str
 ) -> tuple[float, float | None, np.ndarray]:
@@ -259,35 +257,39 @@ def fit(
     global_enhanced = None
     if config.knn_scope == "global" and not embed:
         # neighbours and enhanced labels of the raw view never change
-        neighbors = knn_search(view.features, config.k, threads=config.threads)
-        global_enhanced = _enhanced_labels(view, neighbors, config.vote_mode)
+        nb = knn_search(view.features, config.k, threads=config.threads)
+        global_enhanced = enhanced_labels(
+            view.candidates, view.candidates[nb.indices], nb.distances, config.vote_mode
+        )
 
     history: list[EpochMetrics] = []
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
         if config.knn_scope == "global" and embed:
             hidden, _ = forward(model, view.features)
-            neighbors = knn_search(hidden[-1], config.k, threads=config.threads)
-            global_enhanced = _enhanced_labels(view, neighbors, config.vote_mode)
+            nb = knn_search(hidden[-1], config.k, threads=config.threads)
+            global_enhanced = enhanced_labels(
+                view.candidates, view.candidates[nb.indices], nb.distances, config.vote_mode
+            )
 
         perm = rng.permutation(view.n)
         sum_rl = 0.0
         batch_rl, batch_rg, deferred = [], [], []  # deferred: lambda = 0 count inputs
         batches = epoch_batches(perm, config.batch_size)
         for batch_no, batch_idx in enumerate(batches):
-            batch = view.subset(batch_idx)
+            feats = view.features[batch_idx]
+            cands = view.candidates[batch_idx]
             # cast once: forward and backward both take this array as it is
-            X = batch.features.astype(NETWORK_DTYPE)
+            X = feats.astype(NETWORK_DTYPE)
             hidden, probs = forward(model, X)
 
             if config.knn_scope == "batch":
-                feats = hidden[-1] if embed else batch.features
-                neighbors = knn_search(feats, config.k, threads=config.threads)
-                enhanced = _enhanced_labels(batch, neighbors, config.vote_mode)
+                nb = knn_search(hidden[-1] if embed else feats, config.k, threads=config.threads)
+                enhanced = enhanced_labels(cands, cands[nb.indices], nb.distances, config.vote_mode)
             else:
                 enhanced = global_enhanced[batch_idx]
-            weights = build_weight_matrix(batch.candidates, enhanced, config.temperature)
-            lo, hi = batch_intervals(batch.candidates)
+            weights = build_weight_matrix(cands, enhanced, config.temperature)
+            lo, hi = batch_intervals(cands)
             rl, rg, grad_logits = batch_objective(
                 probs, weights, lo, hi, config.lam, config.count_mode
             )

@@ -881,7 +881,7 @@ class TestCheck:
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "FAIL" not in out
-        assert out.count("PASS") == 12
+        assert out.count("PASS") == 13
 
     def test_injected_off_by_one_fails_named_check(self):
         def broken_pmf(log_p):

@@ -52,7 +52,7 @@ def test_traced_worker_accounts_for_fit(tmp_path):
     assert result["error"] is None, result["error"]
     assert len(result["epochs"]) == 2
     names = {s["name"] for s in result["spans"]}
-    for name in ("data.subset", "reweight.enhanced_label", "reweight.build_weight_matrix",
+    for name in ("reweight.knn_search", "reweight.build_weight_matrix",
                  "countloss.batch_intervals", "countloss.count_loss", "trainer.fit"):
         assert name in names
     spans_module = _load_spans()

@@ -4,18 +4,20 @@ logic against an independent vote enumeration, and weight-matrix algebra."""
 import logging
 import math
 import warnings
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from cleanse.checks import brute_force_knn
+from cleanse import reweight
+from cleanse.checks import brute_force_knn, oracle_vote
 from cleanse.data import PartialDataset
 from cleanse.reweight import (
     _RERANK_ELEMENTS,
     NO_ENHANCEMENT,
+    NeighborList,
     build_weight_matrix,
     enhanced_label,
+    enhanced_labels,
     knn_search,
 )
 
@@ -126,6 +128,29 @@ class TestKnnSearch:
             assert a.indices.tobytes() == b.indices.tobytes()
             assert a.distances.tobytes() == b.distances.tobytes()
 
+    def test_arrays_equal_for_threads_1_and_2(self):
+        # 1500 points make three query blocks
+        X = np.round(2.0 * np.random.default_rng(12).standard_normal((1500, 3)))
+        seq = knn_search(X, 7, threads=1)
+        par = knn_search(X, 7, threads=2)
+        assert seq.indices.shape == seq.distances.shape == (1500, 7)
+        assert (seq.indices.dtype, seq.distances.dtype) == (np.int64, np.float64)
+        assert seq.indices.tobytes() == par.indices.tobytes()
+        assert seq.distances.tobytes() == par.distances.tobytes()
+
+    def test_rows_index_count_and_iterate(self):
+        X = np.random.default_rng(13).standard_normal((9, 2))
+        got = knn_search(X, 4)
+        assert len(got) == 9
+        rows = list(got)
+        assert len(rows) == 9
+        for r, (row, same) in enumerate(zip(rows, got)):
+            assert isinstance(row, NeighborList) and len(row) == 4
+            assert row.indices.tobytes() == got.indices[r].tobytes() == same.indices.tobytes()
+            assert row.distances.tobytes() == got[r].distances.tobytes()
+            assert r not in row.indices
+        assert got[-1].indices.tobytes() == got.indices[8].tobytes()
+
     def test_distances_nondecreasing(self):
         X = np.random.default_rng(4).standard_normal((40, 3))
         for n in knn_search(X, 9):
@@ -151,42 +176,10 @@ def _dataset(cand_lists, m, feats=None):
 
 
 def _neighbors(indices, distances):
-    from cleanse.reweight import NeighborList
-
     return NeighborList(
         indices=np.asarray(indices, dtype=np.int64),
         distances=np.asarray(distances, dtype=np.float64),
     )
-
-
-def oracle_vote(i, dataset, neighbors, vote_mode):
-    """Independent enhanced-label reimplementation by direct case analysis."""
-
-    def labels(row):
-        return [j for j in range(dataset.m) if dataset.candidates[row, j]]
-
-    ci = labels(i)
-    if len(ci) == 1:
-        return ci[0]
-    for idx in neighbors.indices:
-        cn = labels(int(idx))
-        if len(cn) == 1 and cn[0] in ci:
-            return cn[0]
-    totals = {}
-    for lab in ci:
-        total = Fraction(0)
-        best_dist = None
-        for idx, dist in zip(neighbors.indices, neighbors.distances):
-            cs = labels(int(idx))
-            if lab in cs:
-                total += Fraction(1, len(cs)) if vote_mode == "fractional" else 1
-                if best_dist is None or dist < best_dist:
-                    best_dist = float(dist)
-        if total > 0:
-            totals[lab] = (total, best_dist)
-    if not totals:
-        return NO_ENHANCEMENT
-    return min(totals, key=lambda lab: (-totals[lab][0], totals[lab][1], lab))
 
 
 def reference_enhanced_label(i, dataset, neighbors, vote_mode="fractional"):
@@ -218,20 +211,25 @@ def reference_enhanced_label(i, dataset, neighbors, vote_mode="fractional"):
     return min(zip((-votes[labs]).tolist(), nearest.tolist(), labs.tolist()))[2]
 
 
+def _random_batches(seed, count=60):
+    """(cand_lists, dataset, k) batches: k-NN of grid points (many distance
+    ties) over masks that mix clean rows, small sets and, at large m, sets
+    whose sizes have a big lcm; k above n - 1 is clamped by the search."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        m = int(rng.integers(2, 54))
+        n = int(rng.integers(2, 41))
+        k = int(rng.integers(1, 21))
+        sizes = np.where(rng.random(n) < 0.3, 1, rng.integers(1, m + 1, size=n))
+        cand_lists = [sorted(rng.permutation(m)[:size].tolist()) for size in sizes]
+        yield cand_lists, _dataset(cand_lists, m, feats=np.round(rng.standard_normal((n, 2)))), k
+
+
 class TestEnhancedLabel:
     @pytest.mark.parametrize("vote_mode", ["fractional", "multiset"])
     def test_matches_reference_on_random_batches(self, vote_mode):
-        # k-NN of grid points (many distance ties) over masks that mix clean
-        # rows, small sets and, at large m, sets whose sizes have a big lcm
-        rng = np.random.default_rng(31)
         cases = {"clean": 0, "partial": 0, "none": 0}
-        for _ in range(60):
-            m = int(rng.integers(2, 54))
-            n = int(rng.integers(2, 41))
-            k = int(rng.integers(1, 21))
-            sizes = np.where(rng.random(n) < 0.3, 1, rng.integers(1, m + 1, size=n))
-            cand_lists = [sorted(rng.permutation(m)[:size].tolist()) for size in sizes]
-            ds = _dataset(cand_lists, m, feats=np.round(rng.standard_normal((n, 2))))
+        for cand_lists, ds, k in _random_batches(31):
             for i, nb in enumerate(knn_search(ds.features, k)):
                 got = enhanced_label(i, ds, nb, vote_mode)
                 assert got == reference_enhanced_label(i, ds, nb, vote_mode)
@@ -322,7 +320,8 @@ class TestEnhancedLabel:
             idx = rng.permutation(others)[:k]
             dists = np.sort(rng.random(k))
             nb = _neighbors(idx, dists)
-            assert enhanced_label(0, ds, nb, vote_mode) == oracle_vote(0, ds, nb, vote_mode)
+            want = oracle_vote(ds.candidates, 0, nb.indices, nb.distances, vote_mode)
+            assert enhanced_label(0, ds, nb, vote_mode) == want
 
         # Partial neighbours whose set sizes are the primes 2..53: the
         # common vote denominator exceeds int64.
@@ -334,12 +333,47 @@ class TestEnhancedLabel:
             cand_lists += [sorted(rng.permutation(m)[:p].tolist()) for p in primes]
             ds = _dataset(cand_lists, m)
             nb = _neighbors(rng.permutation(np.arange(1, 17)), np.sort(rng.random(16)))
-            assert enhanced_label(0, ds, nb, vote_mode) == oracle_vote(0, ds, nb, vote_mode)
+            want = oracle_vote(ds.candidates, 0, nb.indices, nb.distances, vote_mode)
+            assert enhanced_label(0, ds, nb, vote_mode) == want
 
     def test_empty_neighbor_list_rejected_for_partial(self):
         ds = _dataset([[0, 1], [1]], m=2)
         with pytest.raises(ValueError):
             enhanced_label(0, ds, _neighbors([], []))
+
+
+class TestEnhancedLabels:
+    @pytest.mark.parametrize("vote_mode", ["fractional", "multiset"])
+    def test_matches_reference_and_oracle_row_for_row(self, vote_mode):
+        for _, ds, k in _random_batches(33):
+            nb = knn_search(ds.features, k)
+            cands = ds.candidates
+            got = enhanced_labels(cands, cands[nb.indices], nb.distances, vote_mode)
+            assert got.dtype == np.int64 and got.shape == (ds.n,)
+            for i, label in enumerate(got.tolist()):
+                assert label == reference_enhanced_label(i, ds, nb[i], vote_mode)
+                assert label == oracle_vote(cands, i, nb.indices[i], nb.distances[i], vote_mode)
+
+    def test_python_int_votes_agree_with_int64(self, monkeypatch):
+        batches = []
+        for _, ds, k in _random_batches(34):
+            nb = knn_search(ds.features, k)
+            sizes = ds.candidates[nb.indices].sum(axis=2)
+            if nb.indices.shape[1] * math.lcm(*set(sizes.flat)) < 2**63:
+                batches.append((ds.candidates, ds.candidates[nb.indices], nb.distances))
+        assert len(batches) > 30
+        int64 = [enhanced_labels(*batch) for batch in batches]
+        monkeypatch.setattr(reweight, "_INT64_VOTE_LIMIT", 0)
+        for batch, want in zip(batches, int64):
+            assert enhanced_labels(*batch).tobytes() == want.tobytes()
+
+    def test_shapes_checked(self):
+        own = np.array([[True, True], [True, False]])
+        masks = np.ones((2, 1, 2), dtype=bool)
+        for args in ((own[:1], masks, np.zeros((2, 1))), (own, masks, np.zeros((2, 2))),
+                     (own, masks[:, 0], np.zeros((2, 1)))):
+            with pytest.raises(ValueError, match="are not"):
+                enhanced_labels(*args)
 
 
 class TestWeightMatrix:

@@ -379,15 +379,15 @@ class TestEvaluateSummarize:
 
 @pytest.fixture
 def label_calls(monkeypatch):
-    """Row indices of every enhanced_label call fit makes, in call order."""
+    """Row indices that fit's enhanced_labels calls label, in call order."""
     calls = []
-    original = trainer_module.enhanced_label
+    original = trainer_module.enhanced_labels
 
-    def counting(i, dataset, neighbors, vote_mode):
-        calls.append(int(i))
-        return original(i, dataset, neighbors, vote_mode)
+    def counting(own, neighbour_masks, distances, vote_mode):
+        calls.extend(range(len(own)))
+        return original(own, neighbour_masks, distances, vote_mode)
 
-    monkeypatch.setattr(trainer_module, "enhanced_label", counting)
+    monkeypatch.setattr(trainer_module, "enhanced_labels", counting)
     return calls
 
 
