@@ -53,6 +53,7 @@ from .trainer import (
     check_datasets,
     fit,
     format_metrics_row,
+    smallest_knn_search,
     summarize,
 )
 
@@ -264,8 +265,7 @@ def cmd_train(args) -> int:
     _write_manifest(out_dir, manifest)
 
     _log(f"training on {train_path} (n={train.n}, m={train.m}), evaluating on {test_path}")
-    # epoch_batches merges the remainder, so no batch has fewer rows than this
-    rows = train.n if config.knn_scope == "global" else min(config.batch_size, train.n)
+    rows = smallest_knn_search(train.n, config)
     if config.k >= rows and not args.quiet:
         _log(f"k={config.k} is clamped: a k-NN search over {rows} rows has {rows - 1} neighbours")
     written = list(RUN_OUTPUTS)  # checkpoints follow, in epoch order
@@ -386,12 +386,11 @@ def cmd_stats(args) -> int:
 def cmd_check(args) -> int:
     if args.n < 1:
         raise ValueError(f"--n must be at least 1, got {args.n}")
-    results = run_all_checks(seed=args.seed, stress_n=args.n)
     failed = False
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
+    for r in run_all_checks(seed=args.seed, stress_n=args.n):
         failed = failed or not r.passed
-        print(f"{status} {r.name}: max deviation {r.max_deviation:.3e} (tol {r.tolerance:.0e})")
+        detail = r.error or f"max deviation {r.max_deviation:.3e} (tol {r.tolerance:.0e})"
+        print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {detail}", flush=True)
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 

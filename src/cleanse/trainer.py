@@ -144,15 +144,15 @@ def epoch_batches(perm: np.ndarray, batch_size: int) -> list[np.ndarray]:
     An incomplete final batch is merged into the previous one so every
     sample trains each epoch and no batch ever has fewer than 2 instances.
     """
-    n = len(perm)
-    full = n // batch_size
-    if full == 0:
-        return [perm]
-    batches = [perm[i * batch_size : (i + 1) * batch_size] for i in range(full)]
-    rest = n - full * batch_size
-    if rest:
-        batches[-1] = perm[(full - 1) * batch_size :]
-    return batches
+    return np.split(perm, list(range(batch_size, len(perm) - batch_size + 1, batch_size)))
+
+
+def smallest_knn_search(n: int, config: TrainConfig) -> int:
+    """Rows in the smallest k-NN search ``fit`` makes on an n-row training
+    set: all n at global scope, else its smallest batch."""
+    if config.knn_scope == "global":
+        return n
+    return min(map(len, epoch_batches(np.arange(n), config.batch_size)))
 
 
 def evaluate(model: Mlp, test: PartialDataset) -> float:
@@ -254,26 +254,25 @@ def fit(
     opt = make_optimizer(config.optimizer, config.lr, config.weight_decay)
 
     embed = config.knn_features == "embedding" and len(config.hidden) > 0
+
+    def labels_among(features, cands):
+        """Enhanced labels of ``cands``' rows from their k nearest in ``features``."""
+        nb = knn_search(features, config.k, threads=config.threads)
+        return enhanced_labels(cands, cands[nb.indices], nb.distances, config.vote_mode)
+
     global_enhanced = None
     if config.knn_scope == "global" and not embed:
         # neighbours and enhanced labels of the raw view never change
-        nb = knn_search(view.features, config.k, threads=config.threads)
-        global_enhanced = enhanced_labels(
-            view.candidates, view.candidates[nb.indices], nb.distances, config.vote_mode
-        )
+        global_enhanced = labels_among(view.features, view.candidates)
 
     history: list[EpochMetrics] = []
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
         if config.knn_scope == "global" and embed:
             hidden, _ = forward(model, view.features)
-            nb = knn_search(hidden[-1], config.k, threads=config.threads)
-            global_enhanced = enhanced_labels(
-                view.candidates, view.candidates[nb.indices], nb.distances, config.vote_mode
-            )
+            global_enhanced = labels_among(hidden[-1], view.candidates)
 
         perm = rng.permutation(view.n)
-        sum_rl = 0.0
         batch_rl, batch_rg, deferred = [], [], []  # deferred: lambda = 0 count inputs
         batches = epoch_batches(perm, config.batch_size)
         for batch_no, batch_idx in enumerate(batches):
@@ -284,8 +283,7 @@ def fit(
             hidden, probs = forward(model, X)
 
             if config.knn_scope == "batch":
-                nb = knn_search(hidden[-1] if embed else feats, config.k, threads=config.threads)
-                enhanced = enhanced_labels(cands, cands[nb.indices], nb.distances, config.vote_mode)
+                enhanced = labels_among(hidden[-1] if embed else feats, cands)
             else:
                 enhanced = global_enhanced[batch_idx]
             weights = build_weight_matrix(cands, enhanced, config.temperature)
@@ -297,10 +295,9 @@ def fit(
                 deferred.append((probs, lo, hi))
             if not (math.isfinite(rl) and (rg is None or math.isfinite(rg))):
                 if rg is None:
-                    rg = count_loss_values([(probs, lo, hi)], config.count_mode)[0]
+                    rg = count_loss_values(deferred[-1:], config.count_mode)[0]
                 raise TrainingDiverged(epoch, batch_no, rl, rg)
 
-            sum_rl += rl * len(batch_idx)
             batch_rl.append(rl)
             batch_rg.append(rg)
 
@@ -310,11 +307,11 @@ def fit(
         if deferred:
             batch_rg = count_loss_values(deferred, config.count_mode)
             deferred.clear()  # the epoch's probabilities, freed before evaluation
-            for batch_no, rg in enumerate(batch_rg):
-                if not math.isfinite(rg):
-                    raise TrainingDiverged(epoch, batch_no, batch_rl[batch_no], rg)
-        sum_rg = 0.0
-        for batch_idx, rg in zip(batches, batch_rg):
+        sum_rl = sum_rg = 0.0
+        for batch_no, (batch_idx, rl, rg) in enumerate(zip(batches, batch_rl, batch_rg)):
+            if not math.isfinite(rg):  # only if deferred: the batch loop checked the rest
+                raise TrainingDiverged(epoch, batch_no, rl, rg)
+            sum_rl += rl * len(batch_idx)
             sum_rg += rg * len(batch_idx)
         mean_rl = sum_rl / view.n
         mean_rg = sum_rg / view.n

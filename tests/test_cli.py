@@ -16,6 +16,7 @@ import sys
 import numpy as np
 import pytest
 
+import cleanse.checks as checks_module
 import cleanse.cli as cli_module
 import cleanse.trainer as trainer_module
 from cleanse.checks import check_count_pmf, check_count_values, check_trainer_grad
@@ -882,6 +883,26 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert out.count("PASS") == 13
+
+    @pytest.mark.parametrize("error", [OverflowError, ValueError])
+    def test_raising_check_fails_alone(self, monkeypatch, capsys, error):
+        # one check raising is one FAIL line and its traceback on stderr,
+        # not an abort or a usage error
+        def check_enhanced_labels(rng):
+            raise error("votes overflowed")
+
+        monkeypatch.setattr(checks_module, "check_enhanced_labels", check_enhanced_labels)
+        code = run_cli(["check", "--n", "64"])
+        out, err = capsys.readouterr()
+        lines = out.splitlines()
+        assert err.startswith("Traceback")
+        assert 'raise error("votes overflowed")' in err
+        assert code == EXIT_CHECK_FAILED
+        assert sum(line.startswith("PASS ") for line in lines) == 12
+        assert [line for line in lines if line.startswith("FAIL ")] == [
+            f"FAIL check_enhanced_labels: raised {error.__name__}: votes overflowed"
+        ]
+        assert len(lines) == 13
 
     def test_injected_off_by_one_fails_named_check(self):
         def broken_pmf(log_p):

@@ -182,35 +182,6 @@ def _neighbors(indices, distances):
     )
 
 
-def reference_enhanced_label(i, dataset, neighbors, vote_mode="fractional"):
-    """The array-based enhanced_label that the list-based one replaced, kept
-    verbatim as the reference it must match label for label."""
-    ci = dataset.candidates[i]
-    own = np.flatnonzero(ci)
-    if own.size == 1:
-        return int(own[0])
-    cands = dataset.candidates[neighbors.indices]
-    sizes = cands.sum(axis=1)
-    hits = cands & ci
-    clean_hits = np.flatnonzero((sizes == 1) & hits.any(axis=1))
-    if clean_hits.size:
-        return int(np.argmax(hits[clean_hits[0]]))
-    if vote_mode == "multiset":
-        w = np.ones_like(sizes)
-    else:
-        scale = math.lcm(*set(sizes.tolist()))
-        if scale * len(sizes) < 2**63:
-            w = scale // sizes
-        else:
-            w = np.array([scale // s for s in sizes.tolist()], dtype=object)
-    votes = w @ hits
-    labs = np.flatnonzero(votes)
-    if labs.size == 0:
-        return NO_ENHANCEMENT
-    nearest = neighbors.distances[np.argmax(hits[:, labs], axis=0)]
-    return min(zip((-votes[labs]).tolist(), nearest.tolist(), labs.tolist()))[2]
-
-
 def _random_batches(seed, count=60):
     """(cand_lists, dataset, k) batches: k-NN of grid points (many distance
     ties) over masks that mix clean rows, small sets and, at large m, sets
@@ -232,7 +203,7 @@ class TestEnhancedLabel:
         for cand_lists, ds, k in _random_batches(31):
             for i, nb in enumerate(knn_search(ds.features, k)):
                 got = enhanced_label(i, ds, nb, vote_mode)
-                assert got == reference_enhanced_label(i, ds, nb, vote_mode)
+                assert got == oracle_vote(ds.candidates, i, nb.indices, nb.distances, vote_mode)
                 if got == NO_ENHANCEMENT:
                     cases["none"] += 1
                 elif len(cand_lists[i]) > 1:
@@ -351,7 +322,6 @@ class TestEnhancedLabels:
             got = enhanced_labels(cands, cands[nb.indices], nb.distances, vote_mode)
             assert got.dtype == np.int64 and got.shape == (ds.n,)
             for i, label in enumerate(got.tolist()):
-                assert label == reference_enhanced_label(i, ds, nb[i], vote_mode)
                 assert label == oracle_vote(cands, i, nb.indices[i], nb.distances[i], vote_mode)
 
     def test_python_int_votes_agree_with_int64(self, monkeypatch):

@@ -27,6 +27,7 @@ from cleanse.trainer import (
     evaluate,
     fit,
     format_metrics_row,
+    smallest_knn_search,
     summarize,
 )
 
@@ -96,6 +97,22 @@ class TestEpochBatches:
         perm = np.random.default_rng(0).permutation(23)
         batches = epoch_batches(perm, 5)
         np.testing.assert_array_equal(np.concatenate(batches), perm)
+
+    def test_views_of_full_batches_with_the_rest_in_the_last(self):
+        for n in range(1, 140):
+            perm = np.arange(n)
+            for b in range(2, 70):
+                batches = epoch_batches(perm, b)
+                starts = list(range(0, n - b + 1, b)) or [0]
+                ends = starts[1:] + [n]
+                assert [(x[0], x[-1] + 1) for x in batches] == list(zip(starts, ends))
+                assert all(x.base is perm for x in batches)
+
+    @pytest.mark.parametrize("scope, n, want", [
+        ("batch", 100, 32), ("batch", 95, 32), ("batch", 20, 20), ("global", 100, 100),
+    ])
+    def test_smallest_knn_search_is_the_smallest_batch(self, scope, n, want):
+        assert smallest_knn_search(n, TrainConfig(batch_size=32, knn_scope=scope)) == want
 
 
 class TestConfigValidation:
@@ -291,6 +308,21 @@ class TestMetrics:
                     h.reweight_loss + lam * h.count_loss, abs=1e-9
                 )
 
+    def test_lambda0_counts_once_per_epoch(self, monkeypatch):
+        # the epoch's deferred count losses are one count_loss_values call
+        calls = []
+        original = trainer_module.count_loss_values
+
+        def counting(batches, mode):
+            calls.append(len(batches))
+            return original(batches, mode)
+
+        monkeypatch.setattr(trainer_module, "count_loss_values", counting)
+        train = make_dataset(n=100, seed=16)
+        config = TrainConfig(epochs=3, batch_size=32, hidden=(8,), lam=0.0, seed=18)
+        fit(train, None, config)
+        assert calls == [len(epoch_batches(np.arange(train.n), 32))] * config.epochs
+
     def test_csv_round_trip_and_final_accuracy_recompute(self, tmp_path):
         ds = make_dataset(n=140, seed=19)
         train, test = split(ds, 0.2, seed=20)
@@ -420,6 +452,18 @@ class TestGlobalRawEnhancedLabels:
             if knn_features == "embedding":
                 assert label_calls == list(range(train.n))
         assert runs["embedding"] == runs["raw"]
+
+    @pytest.mark.parametrize("knn_features", ["raw", "embedding"])
+    def test_batch_scope_labels_each_batch_every_epoch(self, label_calls, knn_features):
+        ds = make_dataset(n=100, seed=16)
+        train, test = split(ds, 0.2, seed=17)
+        config = TrainConfig(epochs=3, batch_size=32, hidden=(8,), knn_scope="batch",
+                             knn_features=knn_features, seed=18)
+        fit(train, test, config)
+        # labels are recomputed for each batch's rows, in batch order, each epoch
+        batches = epoch_batches(np.arange(train.n), 32)
+        assert [len(b) for b in batches] == [32, 48]
+        assert label_calls == [i for b in batches for i in range(len(b))] * config.epochs
 
 
 class TestDivergence:
