@@ -1,7 +1,6 @@
 """Self-contained oracle checks: brute-force enumeration, brute-force k-NN,
 case-by-case enhanced labels in exact fractions, finite differences and
-bitwise file round trips, parsed and through the parse cache, against the
-fast paths.
+bitwise file round trips through the parse cache, against the fast paths.
 The CLI `check` subcommand runs these in CI; the test suite reuses the same
 oracles.
 """
@@ -416,32 +415,23 @@ def _bit_deviation(back: PartialDataset, ds: PartialDataset) -> int:
     return int(dev + np.count_nonzero(back.hidden_truth != ds.hidden_truth))
 
 
-def check_pll_roundtrip(rng: np.random.Generator, n: int = 4 * _READ_ROWS, d: int = 8,
-                        m: int = 5) -> CheckResult:
-    """write_pll_file -> read_pll_file, bitwise, over several parsing blocks
-    of ``_roundtrip_dataset``'s extreme and ordinary values."""
-    ds = _roundtrip_dataset(rng, n, d, m)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "roundtrip.pll"
-        write_pll_file(ds, path)
-        back = read_pll_file(path)
-    return CheckResult("pll-roundtrip", float(_bit_deviation(back, ds)), 0.0)
-
-
 def _inode(path: Path) -> int | None:
     return path.stat().st_ino if path.exists() else None
 
 
-def check_pll_cache(rng: np.random.Generator, n: int = 2 * _READ_ROWS, d: int = 8,
+def check_pll_cache(rng: np.random.Generator, n: int = 4 * _READ_ROWS, d: int = 8,
                     m: int = 5) -> CheckResult:
-    """The parse cache over four reads, each bitwise equal to the text's dataset.
+    """write_pll_file, then four reads through the parse cache, each bitwise
+    equal to the dataset written: ``_roundtrip_dataset``'s extreme and
+    ordinary values over several parsing blocks.
 
-    A cold read writes the sidecar.  A warm read must come from it: a miss
-    would replace the sidecar with a new file, so its inode must not change.
-    A read after one feature digit is edited, at the same file size, must
-    miss and return the new value, and so must a read over a sidecar with
-    one corrupted byte.  The deviation is ``_bit_deviation`` summed over
-    the reads, plus one if the warm read rewrote the sidecar.
+    The cold read parses the text, so it is the write -> read round trip,
+    and writes the sidecar.  A warm read must come from the sidecar: a miss
+    would replace it with a new file, so its inode must not change.  A read
+    after one feature digit is edited, at the same file size, must miss and
+    return the new value, and so must a read over a sidecar with one
+    corrupted byte.  The deviation is ``_bit_deviation`` summed over the
+    reads, plus one if the warm read rewrote the sidecar.
     """
     ds = _roundtrip_dataset(rng, n, d, m)
     with tempfile.TemporaryDirectory() as tmp:
@@ -526,10 +516,9 @@ def run_all_checks(seed: int = 0, stress_n: int = 1024) -> Iterator[CheckResult]
         (check_underflow_stress, stress_n),
         (check_logsumexp_identity,),
         (check_knn_brute_force, rng),
-        (check_pll_roundtrip, rng),
+        (check_pll_cache, rng),
         (check_count_values, rng),
         (check_count_loss_log_fallback, rng),
-        (check_pll_cache, rng),
         (check_enhanced_labels, rng),
     ):
         try:

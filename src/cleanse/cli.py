@@ -153,9 +153,10 @@ def _write_manifest(out_dir: str, manifest: dict) -> None:
 
 
 def _load_manifest(path: str):
-    """(config, train_path, test_path, out_dir, recorded) of a manifest whose
-    inputs still have the recorded sha256.  ``recorded`` is the manifest
-    itself, for ``_verify_replay``."""
+    """(config, train_path, test_path, out_dir, recorded) of a well-formed
+    manifest that records a digest for each input.  ``recorded`` is the
+    manifest itself: ``cmd_train`` compares its input digests with those of
+    the bytes it reads, and ``_verify_replay`` its output digests."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
@@ -187,8 +188,6 @@ def _load_manifest(path: str):
         if digest is None:  # what cmd_train records for a pipe
             raise ManifestError(f"{path}: {file} was not a regular file, so no digest was "
                                 "recorded and the run cannot be replayed")
-        if _sha256(file) != digest:
-            raise ManifestError(f"{path}: {file} differs from the file it recorded")
     return config, *paths, out_dir, loaded
 
 
@@ -245,6 +244,11 @@ def cmd_train(args) -> int:
     # the digests of the bytes read, so the manifest names what was trained on
     train, train_sha256 = _read_pll(train_path)
     test, test_sha256 = _read_pll(test_path)
+    if recorded is not None:
+        for file, digest, key in ((train_path, train_sha256, "train_sha256"),
+                                  (test_path, test_sha256, "test_sha256")):
+            if digest != recorded[key]:
+                raise ManifestError(f"{args.manifest}: {file} differs from the file it recorded")
     check_datasets(train, test)
     os.makedirs(out_dir, exist_ok=True)
     # no model.txt or model_epoch<N>.txt of an earlier run stays beside this manifest
@@ -343,6 +347,8 @@ def _rank_table_from_args(args) -> tuple[RankTable, list[str]]:
 
 def _q_alpha(args, k: int) -> float:
     """--q-alpha, or the tabulated alpha = 0.05 value for k algorithms."""
+    if k < 2:
+        raise ValueError(f"the critical difference needs k >= 2 algorithms, got k={k}")
     if args.q_alpha is None and k not in Q_ALPHA_05:
         raise ValueError(f"no tabulated q_alpha for k={k}; pass --q-alpha")
     return Q_ALPHA_05[k] if args.q_alpha is None else args.q_alpha
@@ -396,7 +402,12 @@ def cmd_check(args) -> int:
 
 def _widths(text: str) -> tuple[int, ...]:
     """--hidden's comma list; an empty one means no hidden layer."""
-    return tuple(int(tok) for tok in text.split(",") if tok)
+    if not text:
+        return ()
+    toks = text.split(",")
+    if "" in toks:
+        raise argparse.ArgumentTypeError(f"{text!r} has an empty width")
+    return tuple(int(tok) for tok in toks)
 
 
 def _add_config_flags(parser) -> None:

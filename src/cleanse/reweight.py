@@ -136,9 +136,9 @@ def enhanced_labels(own, neighbour_masks, distances, vote_mode: str = "fractiona
        each of its candidate labels with weight 1/|its set|
        (``fractional``) or 1 (``multiset``); clean neighbors therefore cast
        a full vote for their label either way.  Ties go to the label whose
-       nearest contributing neighbor is closest, then to the lowest class
-       index.  If no neighbor label lands in the row's candidate set the
-       sentinel is returned.
+       nearest contributing neighbor is closest (a nan distance ranking
+       after every number), then to the lowest class index.  If no neighbor
+       label lands in the row's candidate set the sentinel is returned.
     """
     if vote_mode not in VOTE_MODES:
         raise ValueError(f"unknown vote mode {vote_mode!r}")
@@ -173,10 +173,12 @@ def enhanced_labels(own, neighbour_masks, distances, vote_mode: str = "fractiona
     votes = (weights[:, None, :] @ hits)[:, 0]
     top = votes.max(axis=1, keepdims=True)
     tied = (votes == top) & (votes > 0)
-    # distance of each label's first (nearest) contributing neighbour
+    # distance of each label's first (nearest) contributing neighbour; fmin
+    # skips nan, so a nan ranks after every number, as in knn_search's lexsort
     nearest = np.take_along_axis(distances, hits.argmax(axis=1), axis=1)
-    nearest = np.where(tied, nearest, np.inf)
-    best = tied & (nearest == nearest.min(axis=1, keepdims=True))
+    nearest = np.where(tied, nearest, np.nan)
+    low = np.fmin.reduce(nearest, axis=1, keepdims=True)
+    best = tied & ((nearest == low) | np.isnan(low))
     labels = np.where(top[:, 0] > 0, best.argmax(axis=1), NO_ENHANCEMENT)
 
     clean_hits = (sizes == 1) & hits.any(axis=2)

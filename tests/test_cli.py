@@ -591,6 +591,33 @@ class TestReplay:
         assert str(train) in capsys.readouterr().err
         assert not (tmp_path / "b").exists()
 
+    def test_replay_compares_the_digest_of_the_bytes_it_read(self, recorded_run, tmp_path,
+                                                               monkeypatch, capsys):
+        # as if the file changed after any earlier look and before the read
+        manifest, train = recorded_run
+        read_pll = cli_module._read_pll
+
+        def changed_train(path):
+            dataset, digest = read_pll(path)
+            return dataset, "0" * 64 if path == str(train) else digest
+
+        monkeypatch.setattr(cli_module, "_read_pll", changed_train)
+        code = run_cli(["train", "--manifest", str(manifest),
+                        "--out-dir", str(tmp_path / "b"), "--quiet"])
+        assert code == EXIT_IO
+        assert f"{train} differs from the file it recorded" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+
+    def test_replay_hashes_only_the_files_it_wrote(self, recorded_run, tmp_path, monkeypatch):
+        manifest, _ = recorded_run
+        hashed = []
+        sha256 = cli_module._sha256
+        monkeypatch.setattr(cli_module, "_sha256", lambda path: hashed.append(path) or sha256(path))
+        out_dir = tmp_path / "b"
+        code = run_cli(["train", "--manifest", str(manifest), "--out-dir", str(out_dir), "--quiet"])
+        assert code == EXIT_OK
+        assert hashed == [str(out_dir / name) for name in ("metrics.csv", "model.txt")]
+
     def test_run_recorded_from_a_pipe_is_refused(self, recorded_run, tmp_path, capsys):
         manifest, train = recorded_run
         _edit_manifest(manifest, lambda loaded: loaded.update(train_sha256=None))
@@ -729,6 +756,13 @@ class TestTrainFlags:
         args = _train_parser().parse_args(["--hidden", "16,8"])
         assert _config_from_args(args).hidden == (16, 8)
 
+    @pytest.mark.parametrize("value", ["3,,4", "8,", ","])
+    def test_empty_hidden_width_exits_through_argparse(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            _train_parser().parse_args([f"--hidden={value}"])
+        assert exc.value.code == EXIT_USAGE
+        assert f"argument --hidden: {value!r} has an empty width" in capsys.readouterr().err
+
     def test_bad_choice_exits_through_argparse(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(["train", "--optimizer", "foo"])
@@ -772,6 +806,14 @@ class TestStats:
         assert run_cli(["stats", "--k", "11", "--cases", "25"]) == EXIT_USAGE
         assert "--q-alpha" in capsys.readouterr().err
         assert run_cli(["stats", "--k", "11", "--cases", "25", "--q-alpha", "2.8"]) == EXIT_OK
+
+    @pytest.mark.parametrize("flags", [["--k", "1"], ["--avg-ranks", "1"]])
+    def test_one_algorithm_is_refused_before_q_alpha(self, capsys, flags):
+        # no q_alpha would help: the critical difference needs two algorithms
+        assert run_cli(["stats", *flags, "--cases", "5"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "k >= 2" in captured.err and "--q-alpha" not in captured.err
+        assert captured.out == ""
 
     def test_csv_equal_columns_give_zero(self, tmp_path, capsys):
         path = tmp_path / "acc.csv"
@@ -882,7 +924,7 @@ class TestCheck:
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "FAIL" not in out
-        assert out.count("PASS") == 13
+        assert out.count("PASS") == 12
 
     @pytest.mark.parametrize("error", [OverflowError, ValueError])
     def test_raising_check_fails_alone(self, monkeypatch, capsys, error):
@@ -898,11 +940,11 @@ class TestCheck:
         assert err.startswith("Traceback")
         assert 'raise error("votes overflowed")' in err
         assert code == EXIT_CHECK_FAILED
-        assert sum(line.startswith("PASS ") for line in lines) == 12
+        assert sum(line.startswith("PASS ") for line in lines) == 11
         assert [line for line in lines if line.startswith("FAIL ")] == [
             f"FAIL check_enhanced_labels: raised {error.__name__}: votes overflowed"
         ]
-        assert len(lines) == 13
+        assert len(lines) == 12
 
     def test_injected_off_by_one_fails_named_check(self):
         def broken_pmf(log_p):

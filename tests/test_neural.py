@@ -2,6 +2,7 @@
 optimizer update rules, checkpoint round-trip."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -313,6 +314,37 @@ class TestBlockedStep:
                 assert p.tobytes() == w.tobytes()
         if ref is not None:
             assert all(m.dtype == dtype for m in opt.m + opt.v)
+
+
+class TestStepMemory:
+    # Python objects of the block lists and their views, beyond the scratch
+    # buffers themselves (about 14 KB at these widths)
+    SLACK = 32 * 1024
+
+    @pytest.mark.parametrize("name, scratch_blocks", [("adam", 2), ("sgd", 1)])
+    def test_scratch_is_row_blocks_not_parameters(self, name, scratch_blocks):
+        # at mnist widths in float32 the largest parameter holds 940800 bytes,
+        # so scratch the size of a parameter would break the first bound
+        model = _model((784, 300, 300, 10), dtype=np.float32)
+        params = model.parameters()
+        rng = np.random.default_rng(3)
+        grads = [rng.standard_normal(p.shape).astype(np.float32) for p in params]
+        opt = Adam(weight_decay=1e-5) if name == "adam" else Sgd(weight_decay=1e-5)
+        moments = 2 * sum(p.nbytes for p in params) if name == "adam" else 0
+        block = _STEP_BLOCK * np.dtype(np.float32).itemsize
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            opt.step(model, grads)
+            first = tracemalloc.get_traced_memory()[1] - base - moments
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            opt.step(model, grads)
+            second = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert first <= scratch_blocks * block + self.SLACK
+        assert second < block
 
 
 class TestCheckpoint:

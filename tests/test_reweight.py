@@ -337,6 +337,21 @@ class TestEnhancedLabels:
         for batch, want in zip(batches, int64):
             assert enhanced_labels(*batch).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("vote_mode", ["fractional", "multiset"])
+    def test_nan_distances_rank_last_and_stay_in_the_candidate_set(self, vote_mode):
+        # knn_search gives row 3 of these features nan distances to both of
+        # its neighbours; the tie-break must still pick one of its candidates
+        nb = knn_search(np.array([[0.0, 1.0], [np.inf, 0.0], [1.0, 1.0], [np.nan, 2.0]]), 2)
+        assert np.isnan(nb[3].distances).all()
+        own = np.array([[False, True, True]])
+        masks = np.array([[[False, True, True], [False, True, True]]])
+        assert enhanced_labels(own, masks, nb[3].distances[None], vote_mode).tolist() == [1]
+        # a tied label at a number beats one at nan, even at inf
+        masks = np.array([[[True, False, True], [True, True, False]]])
+        for dist, want in (([np.nan, 2.0], 1), ([np.nan, np.inf], 1), ([1.0, np.nan], 2)):
+            got = enhanced_labels(own, masks, np.array([dist]), vote_mode)
+            assert got.tolist() == [want]
+
     def test_shapes_checked(self):
         own = np.array([[True, True], [True, False]])
         masks = np.ones((2, 1, 2), dtype=bool)
