@@ -11,8 +11,8 @@ All configuration is flags, progress goes to stderr, data goes to files or
 stdout.  Every train run writes a manifest.json that replays the run exactly
 (`cleanse train --manifest <path>`, optionally with another --threads); it
 records the sha256 of the input bytes the run read, and a replay on changed
-files exits 3.  A successful run also records the sha256 of every file it
-wrote, and a replay whose files differ from those exits 1.
+files exits 3.  A finished run also records the sha256 of every file it
+wrote: a replay whose files differ exits 1, and one without them exits 3.
 
 Exit codes: 0 success, 1 check failure, 2 usage error, 3 I/O error,
 4 training diverged (a non-finite loss).
@@ -138,6 +138,9 @@ class ManifestError(Exception):
 
 # files every successful run writes; checkpoints come after them
 RUN_OUTPUTS = ("metrics.csv", "model.txt")
+# every field of a finished run's manifest; output_sha256, written only at its end, first
+MANIFEST_FIELDS = ("output_sha256", "platform", "toolkit_version", "config", "train_path",
+                   "test_path", "train_sha256", "test_sha256", "out_dir")
 
 
 def _platform() -> dict:
@@ -153,10 +156,10 @@ def _write_manifest(out_dir: str, manifest: dict) -> None:
 
 
 def _load_manifest(path: str):
-    """(config, train_path, test_path, out_dir, recorded) of a well-formed
-    manifest that records a digest for each input.  ``recorded`` is the
-    manifest itself: ``cmd_train`` compares its input digests with those of
-    the bytes it reads, and ``_verify_replay`` its output digests."""
+    """(config, train_path, test_path, out_dir, recorded) of the manifest of
+    a finished run, with every field ``cmd_train`` writes.  ``recorded`` is
+    the manifest itself: ``cmd_train`` compares its input digests with those
+    of the bytes it reads, and ``_verify_replay`` its output digests."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
@@ -164,31 +167,33 @@ def _load_manifest(path: str):
         raise ManifestError(f"{path}: the manifest is not JSON text: {exc}") from None
     if not isinstance(loaded, dict):
         raise ManifestError(f"{path}: the manifest is not a JSON object")
+    missing = [name for name in MANIFEST_FIELDS if name not in loaded]
+    if missing:
+        raise ManifestError(f"{path}: missing field {missing[0]!r}" + (
+            ", so the replay cannot be verified: the run predates 0.3.0, or it diverged or "
+            "was stopped before it wrote its outputs" if missing[0] == "output_sha256" else ""))
     try:
         config = TrainConfig(**loaded["config"])
-        paths = loaded["train_path"], loaded["test_path"]
-        recorded = loaded["train_sha256"], loaded["test_sha256"]
-        out_dir = loaded["out_dir"]
-    except KeyError as exc:
-        raise ManifestError(f"{path}: missing field {exc.args[0]!r}") from None
     except TypeError as exc:
         raise ManifestError(f"{path}: bad config: {exc}") from None
-    for name in ("train_path", "test_path", "out_dir"):
+    for name in ("train_path", "test_path", "out_dir", "toolkit_version"):
         if not isinstance(loaded[name], str):
             raise ManifestError(f"{path}: {name} must be a string, got {loaded[name]!r}")
-    for name, required in (("output_sha256", RUN_OUTPUTS), ("platform", ())):
-        value = loaded.get(name)
-        if value is not None and not (isinstance(value, dict)
-                                      and all(isinstance(v, str) for v in value.values())
-                                      and set(required) <= value.keys()):
-            raise ManifestError(f"{path}: {name} must map names to strings"
-                                + (f" and list {', '.join(required)}" if required else "")
-                                + f", got {value!r}")
-    for file, digest in zip(paths, recorded):
+    for name, required in (("output_sha256", RUN_OUTPUTS), ("platform", tuple(_platform()))):
+        value = loaded[name]
+        if not (isinstance(value, dict) and all(isinstance(v, str) for v in value.values())
+                and set(required) <= value.keys()):
+            raise ManifestError(f"{path}: {name} must map names to strings and list "
+                                f"{', '.join(required)}, got {value!r}")
+    for file in ("train", "test"):
+        digest = loaded[f"{file}_sha256"]
         if digest is None:  # what cmd_train records for a pipe
-            raise ManifestError(f"{path}: {file} was not a regular file, so no digest was "
-                                "recorded and the run cannot be replayed")
-    return config, *paths, out_dir, loaded
+            raise ManifestError(f"{path}: {loaded[f'{file}_path']} was not a regular file, so "
+                                "no digest was recorded and the run cannot be replayed")
+        if not isinstance(digest, str):
+            raise ManifestError(f"{path}: {file}_sha256 must be a string or null, "
+                                f"got {digest!r}")
+    return config, loaded["train_path"], loaded["test_path"], loaded["out_dir"], loaded
 
 
 def _verify_replay(path: str, recorded: dict, written: dict) -> int:
@@ -197,19 +202,14 @@ def _verify_replay(path: str, recorded: dict, written: dict) -> int:
     ``written``'s order.  The first that differs fails the replay (exit 1),
     and the message also names every platform field that differs.  A file
     on one side only (another --checkpoint-every) is not compared."""
-    digests = recorded.get("output_sha256")
-    if digests is None:
-        _log(f"{path} records no output digests (manifests before 0.3.0 do not), "
-             "so this replay cannot be verified")
-        return EXIT_OK
+    digests = recorded["output_sha256"]
     checked = [name for name in written if name in digests]
     for name in checked:
         if written[name] != digests[name]:
             now = {"toolkit_version": __version__, **_platform()}
-            was = {"toolkit_version": recorded.get("toolkit_version"),
-                   **(recorded.get("platform") or {})}
-            changed = [f"{key} {value} (recorded {was.get(key)})"
-                       for key, value in now.items() if was.get(key) != value]
+            was = {"toolkit_version": recorded["toolkit_version"], **recorded["platform"]}
+            changed = [f"{key} {value} (recorded {was[key]})"
+                       for key, value in now.items() if was[key] != value]
             _log(f"error: the replay of {path} differs: {name} has sha256 {written[name]}, "
                  f"recorded {digests[name]}"
                  + (f"; platform differs: {', '.join(changed)}" if changed else ""))
@@ -390,10 +390,8 @@ def cmd_stats(args) -> int:
 
 
 def cmd_check(args) -> int:
-    if args.n < 1:
-        raise ValueError(f"--n must be at least 1, got {args.n}")
     failed = False
-    for r in run_all_checks(seed=args.seed, stress_n=args.n):
+    for r in run_all_checks(seed=args.seed):
         failed = failed or not r.passed
         detail = r.error or f"max deviation {r.max_deviation:.3e} (tol {r.tolerance:.0e})"
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {detail}", flush=True)
@@ -404,10 +402,14 @@ def _widths(text: str) -> tuple[int, ...]:
     """--hidden's comma list; an empty one means no hidden layer."""
     if not text:
         return ()
-    toks = text.split(",")
-    if "" in toks:
-        raise argparse.ArgumentTypeError(f"{text!r} has an empty width")
-    return tuple(int(tok) for tok in toks)
+    widths = []
+    for tok in text.split(","):
+        try:
+            widths.append(int(tok))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} has an empty width" if not tok
+                                             else f"{tok!r} is not an integer width") from None
+    return tuple(widths)
 
 
 def _add_config_flags(parser) -> None:
@@ -469,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     ranks.add_argument("--avg-ranks", help="comma-separated average ranks (skip ranking)")
     ranks.add_argument("--k", type=int, default=None,
                        help="algorithm count (critical difference only, no rank table)")
-    s.add_argument("--cases", "--n", type=int, default=None,
+    s.add_argument("--cases", type=int, default=None,
                    help="case count N (with --avg-ranks or --k)")
     s.add_argument("--q-alpha", type=float, default=None,
                    help="critical value (default: the alpha = 0.05 value for k)")
@@ -477,9 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pin a CSV column at a fixed rank in every case (with --csv)")
     s.set_defaults(func=cmd_stats)
 
-    c = sub.add_parser("check", aliases=["countloss-check"], help="run the oracle suite")
+    c = sub.add_parser("check", help="run the oracle suite")
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--n", type=int, default=1024, help="underflow stress size")
     c.set_defaults(func=cmd_check)
     return parser
 

@@ -233,9 +233,23 @@ _READ_ROWS = 256
 
 
 def write_pll_file(dataset: PartialDataset, path) -> None:
+    """Write ``dataset`` as PLL text; what ``read_pll_file`` would refuse
+    raises ``ValueError`` before ``path`` is opened."""
+    if dataset.d < 1 or dataset.m < 1:
+        raise ValueError(f"a PLL file needs d >= 1 and m >= 1, got d={dataset.d}, m={dataset.m}")
+    bad = np.argwhere(~np.isfinite(dataset.features))
+    if bad.size:
+        row, col = bad[0]
+        raise ValueError(f"row {row}, column {col}: non-finite feature value "
+                         f"{dataset.features[row, col]}")
+    truth = dataset.hidden_truth
+    if truth is not None:
+        outside = np.flatnonzero(~dataset.candidates[np.arange(dataset.n), truth])
+        if outside.size:
+            row = outside[0]
+            raise ValueError(f"row {row}: truth label {truth[row]} is not among its candidates")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"#pll n={dataset.n} d={dataset.d} m={dataset.m}\n")
-        truth = dataset.hidden_truth
         for i in range(dataset.n):
             t = "?" if truth is None else str(int(truth[i]))
             cands = ",".join(str(j) for j in np.flatnonzero(dataset.candidates[i]))

@@ -546,21 +546,31 @@ class TestReplay:
         assert (f"; platform differs: toolkit_version {cli_module.__version__} (recorded 0.2.0), "
                 f"numpy {np.__version__} (recorded 1.0.0)" in capsys.readouterr().err)
 
-    def test_manifest_without_digests_replays_unverified(self, recorded_run, tmp_path, capsys):
-        # what manifests before output digests hold
+    @pytest.mark.parametrize(
+        "edit, message",
+        [(lambda m: m.pop("output_sha256"), "missing field 'output_sha256', so the replay "
+          "cannot be verified: the run predates 0.3.0, or it diverged or was stopped"),
+         (lambda m: m.pop("platform"), "missing field 'platform'"),
+         # what manifests before 0.3.0 hold
+         (lambda m: [m.pop("output_sha256"), m.pop("platform"),
+                     m.update(toolkit_version="0.2.0")], "missing field 'output_sha256'")],
+        ids=["no-output-digests", "no-platform", "before-0.3.0"],
+    )
+    def test_manifest_without_digests_is_refused(self, recorded_run, tmp_path, monkeypatch,
+                                                 capsys, edit, message):
         manifest, _ = recorded_run
-        _edit_manifest(manifest, lambda loaded: [loaded.pop("output_sha256"),
-                                                 loaded.pop("platform")])
+        _edit_manifest(manifest, edit)
+
+        def read_pll(path):
+            raise AssertionError(f"read {path}")
+
+        monkeypatch.setattr(cli_module, "_read_pll", read_pll)
         out_dir = tmp_path / "b"
         code = run_cli(["train", "--manifest", str(manifest), "--out-dir", str(out_dir),
                         "--quiet"])
-        assert code == EXIT_OK
-        captured = capsys.readouterr()
-        assert "records no output digests" in captured.err
-        assert "cannot be verified" in captured.err
-        assert "replay verified" not in captured.out
-        assert (out_dir / "metrics.csv").read_bytes() == (
-            manifest.parent / "metrics.csv").read_bytes()
+        assert code == EXIT_IO
+        assert message in capsys.readouterr().err
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize(
         "edit",
@@ -642,8 +652,13 @@ class TestReplay:
          (lambda m: {**m, "test_path": None}, "test_path must be a string, got None"),
          (lambda m: {**m, "out_dir": None}, "out_dir must be a string, got None"),
          (lambda m: {**m, "out_dir": 5}, "out_dir must be a string, got 5"),
+         (lambda m: {**m, "toolkit_version": None}, "toolkit_version must be a string"),
+         (lambda m: {**m, "train_sha256": 5}, "train_sha256 must be a string or null, got 5"),
+         (lambda m: {**m, "platform": {"python": m["platform"]["python"]}},
+          "platform must map names to strings and list python, numpy"),
          (lambda m: [m], "the manifest is not a JSON object")],
-        ids=["train-null", "test-null", "out-dir-null", "out-dir-number", "top-level-list"],
+        ids=["train-null", "test-null", "out-dir-null", "out-dir-number", "version-null",
+             "train-digest-number", "platform-without-numpy", "top-level-list"],
     )
     def test_malformed_manifest_writes_nothing(self, recorded_run, tmp_path, monkeypatch,
                                                capsys, edit, message):
@@ -762,6 +777,14 @@ class TestTrainFlags:
             _train_parser().parse_args([f"--hidden={value}"])
         assert exc.value.code == EXIT_USAGE
         assert f"argument --hidden: {value!r} has an empty width" in capsys.readouterr().err
+
+    def test_width_that_is_not_an_integer_exits_through_argparse(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["train", "--hidden", "8,x"])
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "argument --hidden: 'x' is not an integer width" in err
+        assert "_widths" not in err
 
     def test_bad_choice_exits_through_argparse(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -920,7 +943,7 @@ class TestStats:
 
 class TestCheck:
     def test_fresh_build_passes(self, capsys):
-        code = run_cli(["check", "--n", "256"])
+        code = run_cli(["check"])
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "FAIL" not in out
@@ -934,7 +957,7 @@ class TestCheck:
             raise error("votes overflowed")
 
         monkeypatch.setattr(checks_module, "check_enhanced_labels", check_enhanced_labels)
-        code = run_cli(["check", "--n", "64"])
+        code = run_cli(["check"])
         out, err = capsys.readouterr()
         lines = out.splitlines()
         assert err.startswith("Traceback")
@@ -946,19 +969,21 @@ class TestCheck:
         ]
         assert len(lines) == 12
 
-    def test_injected_off_by_one_fails_named_check(self):
+    def test_injected_off_by_one_fails_named_check(self, monkeypatch):
         def broken_pmf(log_p):
             return np.roll(count_log_pmf(log_p), 1)
 
-        result = check_count_pmf(np.random.default_rng(0), cases=20, pmf_fn=broken_pmf)
+        monkeypatch.setattr(checks_module, "count_log_pmf", broken_pmf)
+        result = check_count_pmf(np.random.default_rng(0), cases=20)
         assert result.name == "count-pmf-vs-enumeration"
         assert not result.passed
 
-    def test_values_out_of_batch_order_fail_named_check(self):
+    def test_values_out_of_batch_order_fail_named_check(self, monkeypatch):
         def reversed_values(batches, mode):
             return count_loss_values(batches, mode)[::-1]
 
-        result = check_count_values(np.random.default_rng(0), values_fn=reversed_values)
+        monkeypatch.setattr(checks_module, "count_loss_values", reversed_values)
+        result = check_count_values(np.random.default_rng(0))
         assert result.name == "count-values-vs-enumeration"
         assert not result.passed
 
@@ -976,18 +1001,17 @@ class TestCheck:
         assert result.name == "trainer-grad-vs-fd"
         assert not result.passed
 
-    @pytest.mark.parametrize("n", ["0", "-3"])
-    def test_stress_size_below_one_is_refused(self, monkeypatch, capsys, n):
-        ran = []
-        monkeypatch.setattr(cli_module, "run_all_checks", lambda **kw: ran.append(kw) or [])
-        assert run_cli(["check", "--n", n]) == EXIT_USAGE
-        captured = capsys.readouterr()
-        assert "--n must be at least 1" in captured.err
-        assert captured.out == "" and ran == []
 
-    def test_check_subcommand_alias(self, capsys):
-        code = run_cli(["countloss-check", "--n", "64"])
-        assert code == EXIT_OK
+@pytest.mark.parametrize(
+    "argv",
+    [["countloss-check"], ["check", "--n", "64"], ["stats", "--n", "25", "--k", "3"]],
+    ids=["check-alias", "check-n", "stats-n"],
+)
+def test_removed_names_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == EXIT_USAGE
+    assert capsys.readouterr().out == ""
 
 
 def test_import_loads_no_scipy(tmp_path):
@@ -1005,7 +1029,7 @@ def test_import_loads_no_scipy(tmp_path):
     runs = [
         ["stats", "--csv", "acc.csv", "--fixed-rank", "d=4"],
         ["stats", "--avg-ranks", "3.56,3.00,3.16,5.36,6.24,6.52,7.08,1.12", "--cases", "25"],
-        ["check", "--n", "64"],
+        ["check"],
         ["generate", "--gaussian", "--n", "80", "--seed", "3", "--test-fraction", "0.25",
          "-o", "train.pll", "--test-out", "test.pll"],
         ["train", "--train", "train.pll", "--test", "test.pll", "--epochs", "1",

@@ -314,6 +314,22 @@ class TestPllFile:
         np.testing.assert_array_equal(back.features, ds.features)
 
     @pytest.mark.parametrize(
+        "features, truth, message",
+        [(np.zeros((2, 2)), [0, 1], "row 1: truth label 1 is not among its candidates"),
+         (np.array([[0.0, 1.0], [2.0, np.nan]]), [0, 0],
+          "row 1, column 1: non-finite feature value nan"),
+         (np.zeros((2, 0)), [0, 0], "a PLL file needs d >= 1 and m >= 1, got d=0, m=2")],
+        ids=["truth-not-candidate", "nan-feature", "no-features"],
+    )
+    def test_writer_refuses_what_the_reader_refuses(self, tmp_path, features, truth, message):
+        cands = np.array([[True, False], [True, False]])
+        ds = PartialDataset(features, cands, 2, hidden_truth=np.array(truth))
+        path = tmp_path / "bad.pll"
+        with pytest.raises(ValueError, match=message):
+            write_pll_file(ds, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
         "body,fragment",
         [
             ("#pll n=1 d=1 m=3\n0;0\n", "expected"),
