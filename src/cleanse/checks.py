@@ -98,7 +98,7 @@ def check_count_loss_grad(rng: np.random.Generator, cases: int = 50, max_n: int 
                           h: float = 1e-6) -> CheckResult:
     """Analytic count-loss gradient vs central finite differences."""
     worst = 0.0
-    for c in range(cases):
+    for _ in range(cases):
         n = int(rng.integers(2, max_n + 1))
         m = int(rng.integers(2, 5))
         z = rng.standard_normal((n, m))
@@ -107,16 +107,14 @@ def check_count_loss_grad(rng: np.random.Generator, cases: int = 50, max_n: int 
         for j in range(m):
             lo[j] = rng.integers(0, n)
             hi[j] = rng.integers(lo[j], n + 1)
-        mode = "nll" if c % 2 == 0 else "entropy"
-        res = count_loss(probs, lo, hi, mode)
+        res = count_loss(probs, lo, hi)
         for i in range(n):
             for j in range(m):
                 plus = probs.copy()
                 plus[i, j] += h
                 minus = probs.copy()
                 minus[i, j] -= h
-                fd = (count_loss(plus, lo, hi, mode).loss
-                      - count_loss(minus, lo, hi, mode).loss) / (2.0 * h)
+                fd = (count_loss(plus, lo, hi).loss - count_loss(minus, lo, hi).loss) / (2.0 * h)
                 worst = max(worst, relative_error(res.grad[i, j], fd))
     return CheckResult("count-loss-grad-vs-fd", worst, 1e-6)
 
@@ -149,7 +147,7 @@ def check_count_loss_grad_at_scale(rng: np.random.Generator, n: int = 1000, m: i
     bounds[0] = (0, int(mean[0]))
     bounds[-1] = (int(mean[-1] - 2.0 * sd[-1]), n)
     lo, hi = np.array(bounds).T
-    res = count_loss(probs, lo, hi, "nll")
+    res = count_loss(probs, lo, hi)
 
     sample = np.concatenate(([0, n - 1], 1 + rng.choice(n - 2, rows - 2, replace=False)))
     log_probs = np.log(probs)
@@ -169,7 +167,7 @@ def check_count_loss_log_fallback(rng: np.random.Generator, n: int = 1024,
 
     Every p_ij is near 0.45 and every interval is [0, 0], so
     q_j = prod_i (1 - p_ij) is about e^-612: below ``MIN_PROB_SPACE_LOG``,
-    above the nll clamp.  In closed form the nll loss is
+    above the loss clamp.  In closed form the loss is
     -sum_ij log1p(-p_ij) and d loss / d p_ij = 1 / (1 - p_ij).  The result
     must say it fell back to log space, and the batch, stacked in
     ``count_loss_values`` between two ordinary batches of the same n, must
@@ -178,7 +176,7 @@ def check_count_loss_log_fallback(rng: np.random.Generator, n: int = 1024,
     name = f"count-loss-log-fallback-n{n}"
     probs = rng.uniform(0.44, 0.46, size=(n, m))
     zeros = np.zeros(m, dtype=np.int64)
-    res = count_loss(probs, zeros, zeros, "nll")
+    res = count_loss(probs, zeros, zeros)
     if not res.log_space or res.saturated:
         return CheckResult(name, math.inf, 1e-10)
     worst = relative_error(res.loss, -float(np.sum(np.log1p(-probs))))
@@ -193,18 +191,18 @@ def check_count_loss_log_fallback(rng: np.random.Generator, n: int = 1024,
         batches.append((ordinary, (mean - 2.0 * sd).astype(np.int64),
                         (mean + 2.0 * sd).astype(np.int64)))
     batches.insert(1, (probs, zeros, zeros))
-    stacked = count_loss_values(batches, "nll")
-    alone = [count_loss_values([batch], "nll")[0] for batch in batches]
+    stacked = count_loss_values(batches)
+    alone = [count_loss_values([batch])[0] for batch in batches]
     if stacked != alone or stacked[1] != res.loss:
         return CheckResult(name, math.inf, 1e-10)
     return CheckResult(name, worst, 1e-10)
 
 
-def total_objective(model: Mlp, X, weights, lo, hi, lam: float, mode: str) -> float:
+def total_objective(model: Mlp, X, weights, lo, hi, lam: float) -> float:
     """Combined loss used by the trainer step, as a pure function of the model."""
     _, probs = forward(model, X)
     rl, _, _ = reweighted_ce(probs, weights)
-    return rl + lam * count_loss(probs, lo, hi, mode).loss
+    return rl + lam * count_loss(probs, lo, hi).loss
 
 
 def check_trainer_grad(rng: np.random.Generator, cases: int = 50, h: float = 1e-5) -> CheckResult:
@@ -215,7 +213,7 @@ def check_trainer_grad(rng: np.random.Generator, cases: int = 50, h: float = 1e-
     runs the same chain in float32, which the test suite compares with
     float64 on equal inputs."""
     worst = 0.0
-    for c in range(cases):
+    for _ in range(cases):
         n = int(rng.integers(3, 7))
         m = int(rng.integers(2, 4))
         d = int(rng.integers(2, 4))
@@ -231,10 +229,9 @@ def check_trainer_grad(rng: np.random.Generator, cases: int = 50, h: float = 1e-
         weights = build_weight_matrix(candidates, enhanced, temperature=2.0)
         lo, hi = batch_intervals(candidates)
         lam = 0.7
-        mode = "nll" if c % 2 == 0 else "entropy"
 
         hidden, probs = forward(model, X)
-        _, _, grad_logits = batch_objective(probs, weights, lo, hi, lam, mode)
+        _, _, grad_logits = batch_objective(probs, weights, lo, hi, lam)
         grads = backward(model, X, hidden, grad_logits)
 
         for p, g in zip(model.parameters(), grads):
@@ -243,9 +240,9 @@ def check_trainer_grad(rng: np.random.Generator, cases: int = 50, h: float = 1e-
             for idx in range(flat.size):
                 orig = flat[idx]
                 flat[idx] = orig + h
-                up = total_objective(model, X, weights, lo, hi, lam, mode)
+                up = total_objective(model, X, weights, lo, hi, lam)
                 flat[idx] = orig - h
-                down = total_objective(model, X, weights, lo, hi, lam, mode)
+                down = total_objective(model, X, weights, lo, hi, lam)
                 flat[idx] = orig
                 worst = max(worst, relative_error(gflat[idx], (up - down) / (2.0 * h)))
     return CheckResult("trainer-grad-vs-fd", worst, 1e-4)
@@ -299,7 +296,7 @@ def check_knn_brute_force(rng: np.random.Generator, p: int = 2000, d: int = 4, k
     return CheckResult("knn-vs-brute-force", worst, 0.0)
 
 
-def oracle_vote(candidates, i: int, indices, distances, vote_mode: str) -> int:
+def oracle_vote(candidates, i: int, indices, distances) -> int:
     """Independent enhanced label of row i by direct case analysis.
 
     ``candidates`` is the (n, m) mask, ``indices`` and ``distances`` row i's
@@ -327,7 +324,7 @@ def oracle_vote(candidates, i: int, indices, distances, vote_mode: str) -> int:
         for idx, dist in zip(indices, distances):
             cs = labels(int(idx))
             if lab in cs:
-                total += Fraction(1, len(cs)) if vote_mode == "fractional" else 1
+                total += Fraction(1, len(cs))
                 if best_dist is None or dist < best_dist:
                     best_dist = float(dist)
         if total > 0:
@@ -342,14 +339,13 @@ _PRIMES_TO_53 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
 
 def check_enhanced_labels(rng: np.random.Generator, cases: int = 20) -> CheckResult:
-    """enhanced_labels vs oracle_vote, row for row, in both vote modes.
+    """enhanced_labels vs oracle_vote, row for row.
 
     Each case is a batch of grid points, so many neighbour distances tie,
     with masks that mix clean rows and sets of up to m = 53 labels, at k up
     to 20 (clamped when the batch is smaller).  One more batch, with a
-    neighbour of each prime set size 2..53, votes in Python ints.  Every
-    batch runs in both modes; the deviation is the number of rows that
-    differ.
+    neighbour of each prime set size 2..53, votes in Python ints.  The
+    deviation is the number of rows that differ.
     """
     batches = []
     for _ in range(cases):
@@ -365,10 +361,9 @@ def check_enhanced_labels(rng: np.random.Generator, cases: int = 20) -> CheckRes
         for row, size in zip(cands, sizes):
             row[rng.permutation(m)[:size]] = True
         nb = knn_search(feats, k)
-        for mode in ("fractional", "multiset"):
-            got = enhanced_labels(cands, cands[nb.indices], nb.distances, mode)
-            for i, label in enumerate(got.tolist()):
-                wrong += label != oracle_vote(cands, i, nb.indices[i], nb.distances[i], mode)
+        got = enhanced_labels(cands, cands[nb.indices], nb.distances)
+        for i, label in enumerate(got.tolist()):
+            wrong += label != oracle_vote(cands, i, nb.indices[i], nb.distances[i])
     return CheckResult("enhanced-labels", float(wrong), 0.0)
 
 
@@ -462,15 +457,12 @@ def check_pll_cache(rng: np.random.Generator, n: int = 4 * _READ_ROWS, d: int = 
     return CheckResult("pll-cache", float(dev), 0.0)
 
 
-def loss_by_enumeration(probs: np.ndarray, lo, hi, mode: str) -> float:
+def loss_by_enumeration(probs: np.ndarray, lo, hi) -> float:
     """Count loss from per-class enumerated pmfs, clamped as ``count_loss`` is."""
     total = 0.0
     for j in range(probs.shape[1]):
         q = min(float(np.sum(pmf_by_enumeration(probs[:, j])[lo[j] : hi[j] + 1])), 1.0)
-        if mode == "nll":
-            total -= max(math.log(q) if q > 0.0 else -math.inf, MIN_LOG_PROB)
-        elif q > 0.0:
-            total -= q * math.log(q)
+        total -= max(math.log(q) if q > 0.0 else -math.inf, MIN_LOG_PROB)
     return total
 
 
@@ -481,7 +473,7 @@ def check_count_values(rng: np.random.Generator, cases: int = 20, max_n: int = 1
     into one DP per size and values must come back in batch order.
     """
     worst = 0.0
-    for c in range(cases):
+    for _ in range(cases):
         m = int(rng.integers(2, 5))
         sizes = rng.integers(1, max_n + 1, size=3)
         batches = []
@@ -491,10 +483,9 @@ def check_count_values(rng: np.random.Generator, cases: int = 20, max_n: int = 1
             lo = rng.integers(0, n + 1, size=m)
             hi = lo + rng.integers(0, n + 1 - lo)
             batches.append((probs, lo, hi))
-        mode = "nll" if c % 2 == 0 else "entropy"
-        got = count_loss_values(batches, mode)
+        got = count_loss_values(batches)
         for value, (probs, lo, hi) in zip(got, batches):
-            worst = max(worst, relative_error(value, loss_by_enumeration(probs, lo, hi, mode)))
+            worst = max(worst, relative_error(value, loss_by_enumeration(probs, lo, hi)))
     return CheckResult("count-values-vs-enumeration", worst, 1e-10)
 
 

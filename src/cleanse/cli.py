@@ -141,6 +141,8 @@ RUN_OUTPUTS = ("metrics.csv", "model.txt")
 # every field of a finished run's manifest; output_sha256, written only at its end, first
 MANIFEST_FIELDS = ("output_sha256", "platform", "toolkit_version", "config", "train_path",
                    "test_path", "train_sha256", "test_sha256", "out_dir")
+# config fields removed in 0.4.0, each with the one value whose runs still replay
+RETIRED_MODES = {"count_mode": "nll", "vote_mode": "fractional"}
 
 
 def _platform() -> dict:
@@ -159,7 +161,9 @@ def _load_manifest(path: str):
     """(config, train_path, test_path, out_dir, recorded) of the manifest of
     a finished run, with every field ``cmd_train`` writes.  ``recorded`` is
     the manifest itself: ``cmd_train`` compares its input digests with those
-    of the bytes it reads, and ``_verify_replay`` its output digests."""
+    of the bytes it reads, and ``_verify_replay`` its output digests.  A
+    field of ``RETIRED_MODES`` is dropped when it holds its kept value, the
+    one every 0.3.0 manifest records, and refused otherwise."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
@@ -172,8 +176,15 @@ def _load_manifest(path: str):
         raise ManifestError(f"{path}: missing field {missing[0]!r}" + (
             ", so the replay cannot be verified: the run predates 0.3.0, or it diverged or "
             "was stopped before it wrote its outputs" if missing[0] == "output_sha256" else ""))
+    config = loaded["config"]
+    if isinstance(config, dict):
+        for name, kept in RETIRED_MODES.items():
+            if config.get(name, kept) != kept:
+                raise ManifestError(f"{path}: config {name} {config[name]!r} names a mode "
+                                    "removed in 0.4.0, so the run cannot be replayed")
+        config = {name: value for name, value in config.items() if name not in RETIRED_MODES}
     try:
-        config = TrainConfig(**loaded["config"])
+        config = TrainConfig(**config)
     except TypeError as exc:
         raise ManifestError(f"{path}: bad config: {exc}") from None
     for name in ("train_path", "test_path", "out_dir", "toolkit_version"):
@@ -319,6 +330,9 @@ def _rank_table_from_args(args) -> tuple[RankTable, list[str]]:
         return table, [f"alg{i}" for i in range(table.k)]
     with open(args.csv, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split(",")
+        repeated = [name for i, name in enumerate(header) if name in header[:i]]
+        if repeated:
+            raise ValueError(f"{args.csv}: the header names column {repeated[0]!r} twice")
         rows = []
         for lineno, line in enumerate(fh, start=2):
             toks = line.rstrip("\n").split(",")
@@ -331,6 +345,8 @@ def _rank_table_from_args(args) -> tuple[RankTable, list[str]]:
                 except ValueError:
                     raise ValueError(f"{args.csv}:{lineno}: bad accuracy value {tok!r}") from None
             rows.append(row)
+    if not rows:
+        raise ValueError(f"{args.csv}: the CSV has no rows below its header")
     fixed = {}
     for spec in args.fixed_rank or []:
         name, _, value = spec.partition("=")  # no "=" leaves value empty

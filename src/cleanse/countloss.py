@@ -14,7 +14,7 @@ any interval probability at or above ``MIN_PROB_SPACE_LOG`` (about 1e-250).
 A batch whose input is not a probability, or one of whose interval
 probabilities falls below that floor, is run again in log space, where
 products become additions and sums go through ``logaddexp``; so is every
-batch that saturates the nll clamp.  ``count_log_pmf`` always runs in log
+batch that saturates the loss clamp.  ``count_log_pmf`` always runs in log
 space, so a batch of 1024 near-zero probabilities still produces finite log
 masses where the direct-space product would underflow.  ``logsumexp`` is a
 left fold of ``logaddexp``, which leaves a sum bitwise unchanged by ``-inf``
@@ -37,11 +37,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 LOG_ZERO = float("-inf")
 
-# count-loss modes; the first is the default
-COUNT_MODES = ("nll", "entropy")
-
-# Clamp floor for interval probabilities in nll mode: keeps the gradient
-# finite (1/q <= e^700, still inside float64 range) without changing its sign.
+# Clamp floor for interval log-probabilities: keeps the gradient finite
+# (1/q <= e^700, still inside float64 range) without changing its sign.
 MIN_LOG_PROB = -700.0
 
 # A batch whose interval log-probabilities are all at or above this floor
@@ -49,7 +46,7 @@ MIN_LOG_PROB = -700.0
 # in log space.  Underflow costs a DP entry at most about 5e-324, and the
 # recurrence never scales an error up, so even n * top such losses stay some
 # 65 orders of magnitude under any q the probability-space path keeps; every
-# q the nll clamp touches takes the log path.
+# q the loss clamp touches takes the log path.
 MIN_PROB_SPACE_LOG = -575.0
 
 _LOG_HALF = -math.log(2.0)
@@ -189,10 +186,8 @@ class CountLossResult:
     log_space: bool = False  # the batch fell back to the log-space DP
 
 
-def _batch_inputs(probs: np.ndarray, lo, hi, mode: str) -> tuple:
+def _batch_inputs(probs: np.ndarray, lo, hi) -> tuple:
     """Validated (n, m, 1) probabilities and the (m,) lo and hi."""
-    if mode not in COUNT_MODES:
-        raise ValueError(f"unknown count-loss mode {mode!r}")
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 2:
         raise ValueError("batch_probs must be a 2-D matrix")
@@ -238,32 +233,23 @@ def _keeps_prob_space(p: np.ndarray, log_in: np.ndarray) -> bool:
     return bool(((p >= 0.0) & (p <= 1.0)).all() and (log_in >= MIN_PROB_SPACE_LOG).all())
 
 
-def _loss_terms(log_q: np.ndarray, mode: str) -> tuple[float, np.ndarray, bool]:
+def _loss_terms(log_q: np.ndarray) -> tuple[float, np.ndarray, bool]:
     """Loss value, d loss / d q_j and the saturation flag from per-class log q.
 
     Roundoff can push log q a hair above 0; it is clamped there so no
-    per-class term goes negative.  ``nll`` also clamps at ``MIN_LOG_PROB``
-    (raising ``saturated``); ``entropy`` uses 0 log 0 = 0 for value and
-    gradient alike.
+    per-class term goes negative.  It is also clamped at ``MIN_LOG_PROB``,
+    which raises ``saturated``.
     """
     log_q = np.minimum(log_q, 0.0)
-    saturated = False
-    if mode == "nll":
-        saturated = bool(np.any(log_q < MIN_LOG_PROB))
-        log_q = np.maximum(log_q, MIN_LOG_PROB)
-        terms = -log_q
-        dloss_dq = -1.0 / np.exp(log_q)
-    else:
-        possible = log_q > LOG_ZERO
-        safe = np.where(possible, log_q, 0.0)
-        terms = np.where(possible, -np.exp(safe) * safe, 0.0)
-        dloss_dq = np.where(possible, -(safe + 1.0), 0.0)
+    saturated = bool(np.any(log_q < MIN_LOG_PROB))
+    log_q = np.maximum(log_q, MIN_LOG_PROB)
+    dloss_dq = -1.0 / np.exp(log_q)
     # summed class by class, left to right, so the value depends neither on
     # numpy's reduction strategy for m nor on the Python version (sum() of
     # floats is compensated from 3.12 on)
     total = 0.0
-    for term in terms.tolist():
-        total += term
+    for log_qj in log_q.tolist():
+        total -= log_qj
     return total, dloss_dq, saturated
 
 
@@ -302,16 +288,15 @@ def _leave_one_out_grad(lattice: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     return grad
 
 
-def count_loss(batch_probs: np.ndarray, lo, hi, mode: str = "nll") -> CountLossResult:
+def count_loss(batch_probs: np.ndarray, lo, hi) -> CountLossResult:
     """Count objective and its exact gradient w.r.t. the prediction matrix.
 
     Per class j the batch column is treated as independent Bernoulli
-    probabilities, q_j = P(lo[j] <= count_j <= hi[j]) comes out of the DP,
-    and the per-class terms are summed:
-
-    * ``nll``     : sum_j -log q_j (clamped at ``MIN_LOG_PROB``; hitting the
-      clamp raises the ``saturated`` flag instead of returning +inf).
-    * ``entropy`` : sum_j -q_j log q_j with the 0*log 0 -> 0 convention.
+    probabilities, and q_j = P(lo[j] <= count_j <= hi[j]) comes out of the
+    DP.  The objective is the negative log-likelihood of the intervals,
+    -sum_j log q_j, the differentiable count loss of Shukla et al. (NeurIPS
+    2023).  Each log q_j is clamped at ``MIN_LOG_PROB``: a q_j below it
+    raises the ``saturated`` flag instead of returning +inf.
 
     All m classes, and the same items in reverse order, run through one DP,
     in probability space unless the batch falls back to log space
@@ -319,20 +304,20 @@ def count_loss(batch_probs: np.ndarray, lo, hi, mode: str = "nll") -> CountLossR
     identity evaluated on its prefix and suffix pmfs (``_leave_one_out_grad``),
     O(n^2 m) in all.
     """
-    p, lo, hi = _batch_inputs(batch_probs, lo, hi, mode)
+    p, lo, hi = _batch_inputs(batch_probs, lo, hi)
     both_ways = np.concatenate((p, p[::-1]), axis=1)  # items reversed as classes m..2m-1
     log_space = False
     lattice, log_in = _interval_dp(both_ways, lo, hi, log_space, lattice=True)
     if not _keeps_prob_space(p, log_in):
         log_space = True
         lattice, log_in = _interval_dp(both_ways, lo, hi, log_space, lattice=True)
-    total, dloss_dq, saturated = _loss_terms(log_in, mode)
+    total, dloss_dq, saturated = _loss_terms(log_in)
     grad = _leave_one_out_grad(lattice, lo, hi, log_space) * dloss_dq
     return CountLossResult(loss=total, grad=grad, saturated=saturated, log_space=log_space)
 
 
-def count_loss_values(batches, mode: str = "nll") -> list[float]:
-    """``count_loss(probs, lo, hi, mode).loss`` of each ``(probs, lo, hi)`` batch.
+def count_loss_values(batches) -> list[float]:
+    """``count_loss(probs, lo, hi).loss`` of each ``(probs, lo, hi)`` batch.
 
     Value only: no lattice and no gradient, so memory is O(n m) per batch;
     used when the count loss is only reported (lambda = 0).  Batches of one
@@ -343,7 +328,7 @@ def count_loss_values(batches, mode: str = "nll") -> list[float]:
     so a batch's bits do not depend on the others either way.  Values come
     back in batch order.
     """
-    inputs = [_batch_inputs(probs, lo, hi, mode) for probs, lo, hi in batches]
+    inputs = [_batch_inputs(probs, lo, hi) for probs, lo, hi in batches]
     by_size: dict[int, list[int]] = {}
     for b, (p, _, _) in enumerate(inputs):
         by_size.setdefault(p.shape[0], []).append(b)
@@ -354,7 +339,7 @@ def count_loss_values(batches, mode: str = "nll") -> list[float]:
         if fallback:
             log_in.update(_stacked_interval_dp(inputs, fallback, log_space=True))
         for b in group:
-            values[b] = _loss_terms(log_in[b], mode)[0]
+            values[b] = _loss_terms(log_in[b])[0]
     return values
 
 

@@ -19,9 +19,7 @@ import numpy as np
 # candidate set; the weight row falls back to uniform over candidates.
 NO_ENHANCEMENT = -1
 
-# neighbour-vote modes of enhanced_labels; the first is the default
-VOTE_MODES = ("fractional", "multiset")
-# fractional votes run in int64 while k * lcm(set sizes) is below this
+# votes run in int64 while k * lcm(set sizes) is below this
 _INT64_VOTE_LIMIT = 2**63
 
 # elements per (rows, p) GEMM block
@@ -121,7 +119,7 @@ def knn_search(features: np.ndarray, k: int, threads: int = 1) -> NeighborList:
     return NeighborList(np.concatenate(indices), np.concatenate(distances))
 
 
-def enhanced_labels(own, neighbour_masks, distances, vote_mode: str = "fractional") -> np.ndarray:
+def enhanced_labels(own, neighbour_masks, distances) -> np.ndarray:
     """Most reliable candidate of each of n rows, or NO_ENHANCEMENT.
 
     ``own`` is the rows' (n, m) candidate mask, ``neighbour_masks`` the
@@ -133,15 +131,13 @@ def enhanced_labels(own, neighbour_masks, distances, vote_mode: str = "fractiona
     2. the nearest clean neighbor whose label is one of the row's
        candidates supplies that label directly.
     3. neighbors vote over the row's candidates.  A neighbor contributes
-       each of its candidate labels with weight 1/|its set|
-       (``fractional``) or 1 (``multiset``); clean neighbors therefore cast
-       a full vote for their label either way.  Ties go to the label whose
-       nearest contributing neighbor is closest (a nan distance ranking
-       after every number), then to the lowest class index.  If no neighbor
-       label lands in the row's candidate set the sentinel is returned.
+       each of its candidate labels with weight 1/|its set|, so a clean
+       neighbor casts a full vote for its label and a large set spreads one
+       vote thin.  Ties go to the label whose nearest contributing neighbor
+       is closest (a nan distance ranking after every number), then to the
+       lowest class index.  If no neighbor label lands in the row's
+       candidate set the sentinel is returned.
     """
-    if vote_mode not in VOTE_MODES:
-        raise ValueError(f"unknown vote mode {vote_mode!r}")
     own = np.asarray(own, dtype=bool)
     masks = np.asarray(neighbour_masks, dtype=bool)
     distances = np.asarray(distances, dtype=np.float64)
@@ -161,15 +157,12 @@ def enhanced_labels(own, neighbour_masks, distances, vote_mode: str = "fractiona
     # Integer votes, every row's scaled by the same L, keep each ordering and
     # each tie exact.  Python ints take over where k * L might overflow int64
     # (lcm(1..43) > 2^63).
-    if vote_mode == "fractional":
-        present = np.zeros(m + 1, dtype=bool)
-        present[sizes] = True
-        if present[0]:
-            raise ValueError("every neighbor needs at least one candidate")
-        scale = math.lcm(*np.flatnonzero(present).tolist())
-        weights = scale // (sizes if k * scale < _INT64_VOTE_LIMIT else sizes.astype(object))
-    else:
-        weights = np.ones_like(sizes)
+    present = np.zeros(m + 1, dtype=bool)
+    present[sizes] = True
+    if present[0]:
+        raise ValueError("every neighbor needs at least one candidate")
+    scale = math.lcm(*np.flatnonzero(present).tolist())
+    weights = scale // (sizes if k * scale < _INT64_VOTE_LIMIT else sizes.astype(object))
     votes = (weights[:, None, :] @ hits)[:, 0]
     top = votes.max(axis=1, keepdims=True)
     tied = (votes == top) & (votes > 0)
@@ -187,13 +180,11 @@ def enhanced_labels(own, neighbour_masks, distances, vote_mode: str = "fractiona
     return np.where(clean, own.argmax(axis=1), labels)
 
 
-def enhanced_label(
-    i: int, dataset, neighbors: NeighborList, vote_mode: str = "fractional"
-) -> int:
+def enhanced_label(i: int, dataset, neighbors: NeighborList) -> int:
     """``enhanced_labels`` for row i of ``dataset`` and its (k,) neighbours."""
     cands = dataset.candidates
     return int(enhanced_labels(cands[i : i + 1], cands[neighbors.indices][None],
-                               neighbors.distances[None], vote_mode)[0])
+                               neighbors.distances[None])[0])
 
 
 def build_weight_matrix(candidates, enhanced, temperature: float) -> np.ndarray:

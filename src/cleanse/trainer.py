@@ -23,7 +23,6 @@ import numpy as np
 # count_log_pmf, interval_log_prob and enhanced_label are unused here but stay
 # bound: perfbench/spans.py wraps each of them on this module by name.
 from .countloss import (  # noqa: F401
-    COUNT_MODES,
     batch_intervals,
     count_log_pmf,
     count_loss,
@@ -40,7 +39,6 @@ from .neural import (
     reweighted_ce,
 )
 from .reweight import (  # noqa: F401
-    VOTE_MODES,
     build_weight_matrix,
     enhanced_label,
     enhanced_labels,
@@ -62,7 +60,7 @@ class TrainConfig:
     """Every setting of a training run.
 
     ``cleanse train`` has one flag per field (``lam`` is ``--lambda``), with
-    the field's default and, for the string modes, its choices.
+    the field's default and, for the string settings, its choices.
     """
 
     epochs: int = 250
@@ -72,10 +70,8 @@ class TrainConfig:
     k: int = 10
     temperature: float = 3.0
     lam: float = 1e-3
-    count_mode: str = _one_of(*COUNT_MODES)
     knn_scope: str = _one_of("batch", "global")
     knn_features: str = _one_of("raw", "embedding")
-    vote_mode: str = _one_of(*VOTE_MODES)
     optimizer: str = _one_of(*OPTIMIZERS)
     hidden: tuple[int, ...] = (300, 300)
     seed: int = 0
@@ -211,7 +207,7 @@ def check_datasets(train: PartialDataset, test: PartialDataset | None) -> None:
 
 
 def batch_objective(
-    probs: np.ndarray, weights: np.ndarray, lo, hi, lam: float, mode: str
+    probs: np.ndarray, weights: np.ndarray, lo, hi, lam: float
 ) -> tuple[float, float | None, np.ndarray]:
     """Reweighted CE, count loss and d(CE + lam * count) / d logits for one batch.
 
@@ -222,7 +218,7 @@ def batch_objective(
     rl, grad_logits, _ = reweighted_ce(probs, weights)
     if lam == 0.0:
         return rl, None, grad_logits
-    cres = count_loss(probs, lo, hi, mode)
+    cres = count_loss(probs, lo, hi)
     # route the prob-space gradient through the softmax Jacobian
     gdotp = np.sum(cres.grad * probs, axis=1, keepdims=True)
     return rl, cres.loss, grad_logits + lam * probs * (cres.grad - gdotp)
@@ -258,7 +254,7 @@ def fit(
     def labels_among(features, cands):
         """Enhanced labels of ``cands``' rows from their k nearest in ``features``."""
         nb = knn_search(features, config.k, threads=config.threads)
-        return enhanced_labels(cands, cands[nb.indices], nb.distances, config.vote_mode)
+        return enhanced_labels(cands, cands[nb.indices], nb.distances)
 
     global_enhanced = None
     if config.knn_scope == "global" and not embed:
@@ -288,14 +284,12 @@ def fit(
                 enhanced = global_enhanced[batch_idx]
             weights = build_weight_matrix(cands, enhanced, config.temperature)
             lo, hi = batch_intervals(cands)
-            rl, rg, grad_logits = batch_objective(
-                probs, weights, lo, hi, config.lam, config.count_mode
-            )
+            rl, rg, grad_logits = batch_objective(probs, weights, lo, hi, config.lam)
             if rg is None:  # lambda = 0: computed after the epoch's last step
                 deferred.append((probs, lo, hi))
             if not (math.isfinite(rl) and (rg is None or math.isfinite(rg))):
                 if rg is None:
-                    rg = count_loss_values(deferred[-1:], config.count_mode)[0]
+                    rg = count_loss_values(deferred[-1:])[0]
                 raise TrainingDiverged(epoch, batch_no, rl, rg)
 
             batch_rl.append(rl)
@@ -305,7 +299,7 @@ def fit(
             opt.step(model, grads)
 
         if deferred:
-            batch_rg = count_loss_values(deferred, config.count_mode)
+            batch_rg = count_loss_values(deferred)
             deferred.clear()  # the epoch's probabilities, freed before evaluation
         sum_rl = sum_rg = 0.0
         for batch_no, (batch_idx, rl, rg) in enumerate(zip(batches, batch_rl, batch_rg)):

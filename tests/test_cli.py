@@ -257,25 +257,6 @@ class TestTrain:
         assert code == EXIT_OK
         assert json.loads((out_dir / "manifest.json").read_text())["train_sha256"] == read
 
-    def test_entropy_mode_column_matches_library(self, tiny_dataset, tmp_path):
-        from cleanse.data import read_pll_file as rp
-        from cleanse.trainer import TrainConfig, fit
-
-        train, test = tiny_dataset
-        out_dir = tmp_path / "ent"
-        code = run_cli(["train", "--train", train, "--test", test,
-                        "--out-dir", str(out_dir), "--seed", "3",
-                        "--count-mode", "entropy", *TINY_TRAIN_ARGS])
-        assert code == EXIT_OK
-        rows = [row.split(",") for row in
-                (out_dir / "metrics.csv").read_text().splitlines()[1:]]
-        config = TrainConfig(epochs=3, batch_size=32, hidden=(8,), seed=3,
-                             count_mode="entropy", eval_window=3)
-        _, history = fit(rp(train), rp(test), config)
-        assert [f"{h.count_loss:.9g}" for h in history] == [
-            f"{float(r[2]):.9g}" for r in rows
-        ]
-
     def test_missing_train_flag_is_usage_error(self, tiny_dataset):
         _, test = tiny_dataset
         assert run_cli(["train", "--test", test]) == EXIT_USAGE
@@ -572,6 +553,39 @@ class TestReplay:
         assert message in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_retired_modes_at_their_kept_values_replay(self, recorded_run, tmp_path, capsys):
+        # every 0.3.0 manifest records these two fields, at these values
+        manifest, _ = recorded_run
+        _edit_manifest(manifest, lambda loaded: loaded["config"].update(
+            count_mode="nll", vote_mode="fractional"))
+        out_dir = tmp_path / "b"
+        code = run_cli(["train", "--manifest", str(manifest), "--out-dir", str(out_dir),
+                        "--quiet"])
+        assert code == EXIT_OK
+        assert "replay verified: metrics.csv, model.txt" in capsys.readouterr().out
+        config = json.loads((out_dir / "manifest.json").read_text())["config"]
+        assert "count_mode" not in config and "vote_mode" not in config
+
+    @pytest.mark.parametrize("field, value", [("count_mode", "entropy"),
+                                              ("vote_mode", "multiset")])
+    def test_retired_mode_is_refused_before_any_read(self, recorded_run, tmp_path, monkeypatch,
+                                                      capsys, field, value):
+        manifest, _ = recorded_run
+        _edit_manifest(manifest, lambda loaded: loaded["config"].update(
+            {"count_mode": "nll", "vote_mode": "fractional", field: value}))
+
+        def read_pll(path):
+            raise AssertionError(f"read {path}")
+
+        monkeypatch.setattr(cli_module, "_read_pll", read_pll)
+        out_dir = tmp_path / "b"
+        code = run_cli(["train", "--manifest", str(manifest), "--out-dir", str(out_dir),
+                        "--quiet"])
+        assert code == EXIT_IO
+        assert (f"{manifest}: config {field} {value!r} names a mode removed in 0.4.0"
+                in capsys.readouterr().err)
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize(
         "edit",
         [lambda d: d.pop("model.txt"), lambda d: d.update({"metrics.csv": 5})],
@@ -745,17 +759,15 @@ class TestTrainFlags:
         assert all(len(a.option_strings) == 1 for a in actions)
         assert set(flags) == RUN_FLAGS | {
             "--epochs", "--batch-size", "--lr", "--weight-decay", "--k", "--temperature",
-            "--lambda", "--count-mode", "--knn-scope", "--knn-features", "--vote-mode",
-            "--optimizer", "--hidden", "--seed", "--eval-window", "--threads",
+            "--lambda", "--knn-scope", "--knn-features", "--optimizer", "--hidden", "--seed",
+            "--eval-window", "--threads",
         }
         config_dests = {a.dest for flag, a in flags.items() if flag not in RUN_FLAGS}
         assert config_dests == {f.name for f in dataclasses.fields(TrainConfig)}
         choices = {flag: list(a.choices) for flag, a in flags.items() if a.choices}
         assert choices == {
-            "--count-mode": ["nll", "entropy"],
             "--knn-scope": ["batch", "global"],
             "--knn-features": ["raw", "embedding"],
-            "--vote-mode": ["fractional", "multiset"],
             "--optimizer": ["adam", "sgd"],
         }
 
@@ -879,6 +891,22 @@ class TestStats:
         assert message in captured.err
         assert "chi2=" not in captured.out
 
+    def test_repeated_column_is_refused(self, tmp_path, capsys):
+        # a repeated name would rank twice and --fixed-rank would pin only the first
+        path = tmp_path / "acc.csv"
+        path.write_text("a,b,a\n0.9,0.8,0.7\n0.7,0.8,0.6\n0.9,0.6,0.8\n")
+        for flags in ([], ["--fixed-rank", "a=3"]):
+            assert run_cli(["stats", "--csv", str(path), *flags]) == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert f"{path}: the header names column 'a' twice" in captured.err
+            assert "CD=" not in captured.out
+
+    def test_csv_without_rows_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "acc.csv"
+        path.write_text("a,b\n")
+        assert run_cli(["stats", "--csv", str(path)]) == EXIT_USAGE
+        assert f"{path}: the CSV has no rows below its header" in capsys.readouterr().err
+
     def test_malformed_csv_reports_location(self, tmp_path, capsys):
         path = tmp_path / "acc.csv"
         path.write_text("a,b\n0.9,oops\n")
@@ -979,8 +1007,8 @@ class TestCheck:
         assert not result.passed
 
     def test_values_out_of_batch_order_fail_named_check(self, monkeypatch):
-        def reversed_values(batches, mode):
-            return count_loss_values(batches, mode)[::-1]
+        def reversed_values(batches):
+            return count_loss_values(batches)[::-1]
 
         monkeypatch.setattr(checks_module, "count_loss_values", reversed_values)
         result = check_count_values(np.random.default_rng(0))
@@ -1004,8 +1032,9 @@ class TestCheck:
 
 @pytest.mark.parametrize(
     "argv",
-    [["countloss-check"], ["check", "--n", "64"], ["stats", "--n", "25", "--k", "3"]],
-    ids=["check-alias", "check-n", "stats-n"],
+    [["countloss-check"], ["check", "--n", "64"], ["stats", "--n", "25", "--k", "3"],
+     ["train", "--count-mode", "nll"], ["train", "--vote-mode", "fractional"]],
+    ids=["check-alias", "check-n", "stats-n", "count-mode", "vote-mode"],
 )
 def test_removed_names_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:

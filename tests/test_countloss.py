@@ -29,8 +29,8 @@ from cleanse.checks import (
 )
 
 
-def count_loss_value(probs, lo, hi, mode="nll"):
-    return count_loss_values([(probs, lo, hi)], mode)[0]
+def count_loss_value(probs, lo, hi):
+    return count_loss_values([(probs, lo, hi)])[0]
 
 
 def on_log_path(fn, *args):
@@ -361,71 +361,63 @@ def _random_instance(rng, max_n=8):
 class TestCountLoss:
     def test_certain_interval_zero_loss_zero_grad(self):
         probs = np.full((3, 2), 0.5)
-        for mode in ("nll", "entropy"):
-            res = count_loss(probs, np.full(2, 0), np.full(2, 3), mode)
-            assert res.loss == pytest.approx(0.0, abs=1e-12)
-            np.testing.assert_allclose(res.grad, 0.0, atol=1e-12)
-            assert not res.saturated
+        res = count_loss(probs, np.full(2, 0), np.full(2, 3))
+        assert res.loss == pytest.approx(0.0, abs=1e-12)
+        np.testing.assert_allclose(res.grad, 0.0, atol=1e-12)
+        assert not res.saturated
 
     def test_nll_two_fair_coins(self):
         probs = np.full((2, 2), 0.5)
-        res = count_loss(probs, np.full(2, 1), np.full(2, 2), "nll")
+        res = count_loss(probs, np.full(2, 1), np.full(2, 2))
         assert res.loss == pytest.approx(2.0 * -math.log(0.75), abs=1e-12)
-
-    def test_entropy_literal_form(self):
-        probs = np.full((2, 2), 0.5)
-        res = count_loss(probs, np.full(2, 1), np.full(2, 2), "entropy")
-        q = 0.75
-        assert res.loss == pytest.approx(2.0 * (-q * math.log(q)), abs=1e-12)
 
     def test_nll_loss_nonnegative_zero_iff_certain(self):
         rng = np.random.default_rng(21)
         for _ in range(30):
             probs, lo, hi = _random_instance(rng)
-            res = count_loss(probs, lo, hi, "nll")
+            res = count_loss(probs, lo, hi)
             assert res.loss >= 0.0
         certain = np.full(3, 0), np.full(3, 4)
-        assert count_loss(np.full((4, 3), 1 / 3), *certain, "nll").loss == pytest.approx(
+        assert count_loss(np.full((4, 3), 1 / 3), *certain).loss == pytest.approx(
             0.0, abs=1e-12
         )
 
-    @pytest.mark.parametrize("mode", ["nll", "entropy"])
-    def test_grad_matches_finite_differences(self, mode):
+    def test_grad_matches_finite_differences(self):
         rng = np.random.default_rng(13)
         h = 1e-6
         for _ in range(20):
             probs, lo, hi = _random_instance(rng)
-            res = count_loss(probs, lo, hi, mode)
+            res = count_loss(probs, lo, hi)
             for i in range(probs.shape[0]):
                 for j in range(probs.shape[1]):
                     plus = probs.copy()
                     plus[i, j] += h
                     minus = probs.copy()
                     minus[i, j] -= h
-                    fd = (
-                        count_loss(plus, lo, hi, mode).loss
-                        - count_loss(minus, lo, hi, mode).loss
-                    ) / (2 * h)
+                    fd = (count_loss(plus, lo, hi).loss - count_loss(minus, lo, hi).loss) / (2 * h)
                     assert relative_error(res.grad[i, j], fd) <= 1e-6
 
     def test_saturation_flag_and_finite_grad(self):
         # both instances predict class 0 with certainty but the interval
         # demands count 0: interval probability is exactly zero
         probs = np.array([[1.0, 0.0], [1.0, 0.0]])
-        res = count_loss(probs, np.array([0, 2]), np.array([0, 2]), "nll")
+        res = count_loss(probs, np.array([0, 2]), np.array([0, 2]))
         assert res.saturated
         assert math.isfinite(res.loss)
         assert np.all(np.isfinite(res.grad))
 
     def test_unknown_mode_rejected(self):
-        for fn in (count_loss, count_loss_value):
-            with pytest.raises(ValueError):
-                fn(np.full((2, 2), 0.5), np.full(2, 0), np.full(2, 2), "kl")
+        # no mode parameter since 0.4.0: -sum_j log q_j is the one objective
+        probs, lo, hi = np.full((2, 2), 0.5), np.full(2, 0), np.full(2, 2)
+        with pytest.raises(TypeError):
+            count_loss(probs, lo, hi, "entropy")
+        with pytest.raises(TypeError):
+            count_loss_values([(probs, lo, hi)], "entropy")
 
     def test_interval_beyond_batch_rejected(self):
         for fn in (count_loss, count_loss_value):
             with pytest.raises(ValueError):
-                fn(np.full((2, 2), 0.5), np.full(2, 0), np.full(2, 3), "nll")
+                fn(np.full((2, 2), 0.5), np.full(2, 0), np.full(2, 3))
 
     @pytest.mark.parametrize("fn", [count_loss, count_loss_value])
     @pytest.mark.parametrize(
@@ -438,7 +430,7 @@ class TestCountLoss:
     )
     def test_malformed_bounds_name_the_class(self, fn, lo, hi, bad):
         with pytest.raises(ValueError, match=f"of class {bad} is outside"):
-            fn(np.full((3, 3), 1 / 3), np.array(lo), np.array(hi), "nll")
+            fn(np.full((3, 3), 1 / 3), np.array(lo), np.array(hi))
 
     @pytest.mark.parametrize("fn", [count_loss, count_loss_value])
     def test_bounds_of_wrong_shape_or_type_rejected(self, fn):
@@ -450,8 +442,9 @@ class TestCountLoss:
             (np.full(2, 0.0), np.full(2, 2.0)),
         ]:
             with pytest.raises(ValueError, match=r"integer arrays of shape \(2,\)"):
-                fn(probs, lo, hi, "nll")
-        # the old call shape, a list of (lo, hi) pairs, must not be misread at m = 2
+                fn(probs, lo, hi)
+        # the old call shape, a list of (lo, hi) pairs and a mode, must not be
+        # misread at m = 2
         with pytest.raises(ValueError, match=r"shape \(2,\)"):
             fn(probs, [(0, 2), (1, 2)], "nll")
 
@@ -464,7 +457,7 @@ class TestCountLoss:
             m = int(rng.integers(2, 6))
             z = rng.standard_normal((n, m))
             probs = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
-            res = count_loss(probs, np.full(m, 0), np.full(m, n), "nll")
+            res = count_loss(probs, np.full(m, 0), np.full(m, n))
             assert res.loss >= 0.0
 
     def test_grad_matches_leave_one_out_at_scale(self):
@@ -472,8 +465,7 @@ class TestCountLoss:
         result = check_count_loss_grad_at_scale(np.random.default_rng(0))
         assert result.passed, result
 
-    @pytest.mark.parametrize("mode", ["nll", "entropy"])
-    def test_grad_of_a_wide_interval_against_mpmath(self, mode):
+    def test_grad_of_a_wide_interval_against_mpmath(self):
         # 1 - q is 7e-6 and 1e-6: dq/dp_i is a difference of two point masses
         # near 1e-7, which a difference of two interval sums near 1 gets only
         # to 4e-10 relative here
@@ -484,7 +476,7 @@ class TestCountLoss:
         p1 = rng.uniform(0.35, 0.65, size=n)
         probs = np.stack([p1, 1.0 - p1], axis=1)
         lo, hi = np.array([7, 6]), np.array([33, 34])
-        got = count_loss(probs, lo, hi, mode).grad
+        got = count_loss(probs, lo, hi).grad
 
         def pmfs(ps):
             """Exact pmfs of the first 0..len(ps) items."""
@@ -500,7 +492,6 @@ class TestCountLoss:
             pre, suf = pmfs(ps), pmfs(ps[::-1])
             q = mp.fsum(pre[n][lo[j] : hi[j] + 1])
             assert 1e-7 < 1 - q < 1e-5
-            dloss_dq = -1 / q if mode == "nll" else -(mp.log(q) + 1)
             for i in range(n):
                 before, after = pre[i], suf[n - 1 - i]
 
@@ -508,22 +499,21 @@ class TestCountLoss:
                     return mp.fsum(before[k] * after[c - k] for k in range(len(before))
                                    if 0 <= c - k < len(after))
 
-                want = dloss_dq * (mass(lo[j] - 1) - mass(hi[j]))
+                want = -(mass(lo[j] - 1) - mass(hi[j])) / q
                 assert abs(got[i, j] - want) <= 1e-11 * abs(want), (i, j)
 
-    @pytest.mark.parametrize("mode", ["nll", "entropy"])
-    def test_value_path_matches_count_loss(self, mode):
+    def test_value_path_matches_count_loss(self):
         rng = np.random.default_rng(17)
         for max_n in (8, 8, 8, 200, 1000):
             probs, lo, hi = _random_instance(rng, max_n)
-            want = count_loss(probs, lo, hi, mode).loss
-            got = count_loss_value(probs, lo, hi, mode)
+            want = count_loss(probs, lo, hi).loss
+            got = count_loss_value(probs, lo, hi)
             assert abs(got - want) <= 1e-15 * max(1.0, abs(want))
 
     def test_terms_are_summed_left_to_right(self):
         # 1 + 1e-16 rounds back to 1 each time; a compensated sum (Python's
         # sum() of floats from 3.12 on) would return 1.0000000000000002
-        total, _, _ = countloss_module._loss_terms(np.array([-1.0, -1e-16, -1e-16]), "nll")
+        total, _, _ = countloss_module._loss_terms(np.array([-1.0, -1e-16, -1e-16]))
         assert total == 1.0
 
 
@@ -540,32 +530,31 @@ def _epoch_of_batches(rng, n_rows, m):
     ]
 
 
-def _full_row_value(probs, lo, hi, mode, log_space):
+def _full_row_value(probs, lo, hi, log_space):
     """The value-only DP with every count row kept (no stop at max(hi)), in
     log space or in probability space."""
-    p, lo, hi = countloss_module._batch_inputs(probs, lo, hi, mode)
+    p, lo, hi = countloss_module._batch_inputs(probs, lo, hi)
     if log_space:
         log_p, log_q = countloss_module._log_inputs(p)
         row = countloss_module._forward(log_p, log_q, len(p))
     else:
         with np.errstate(divide="ignore"):
             row = np.log(countloss_module._forward(p, 1.0 - p, len(p), log_space=False))
-    return countloss_module._loss_terms(interval_log_prob(row[:, 1:], lo, hi), mode)[0]
+    return countloss_module._loss_terms(interval_log_prob(row[:, 1:], lo, hi))[0]
 
 
 class TestCountLossValues:
-    @pytest.mark.parametrize("mode", ["nll", "entropy"])
-    def test_stacked_values_equal_per_batch_values_bitwise(self, mode):
+    def test_stacked_values_equal_per_batch_values_bitwise(self):
         rng = np.random.default_rng(23)
         for n_rows in (2, 5, 63, 64, 65, 160, 200):
             for m in (2, 3, 7, 10):
                 batches = _epoch_of_batches(rng, n_rows, m)
                 for log_space in (False, True):
                     run = on_log_path if log_space else (lambda fn, *args: fn(*args))
-                    got = run(count_loss_values, batches, mode)
-                    one_by_one = [run(count_loss_value, p, lo, hi, mode) for p, lo, hi in batches]
+                    got = run(count_loss_values, batches)
+                    one_by_one = [run(count_loss_value, p, lo, hi) for p, lo, hi in batches]
                     # each batch's full row in the number system its DP ran in
-                    full_rows = [_full_row_value(p, lo, hi, mode, run(count_loss, p, lo, hi).log_space)
+                    full_rows = [_full_row_value(p, lo, hi, run(count_loss, p, lo, hi).log_space)
                                  for p, lo, hi in batches]
                     assert np.array(got).tobytes() == np.array(one_by_one).tobytes()
                     assert np.array(got).tobytes() == np.array(full_rows).tobytes()
@@ -577,15 +566,15 @@ class TestCountLossValues:
         batches += _epoch_of_batches(rng, 7, 3) + _epoch_of_batches(rng, 64, 4)
         order = rng.permutation(len(batches))
         shuffled = [batches[b] for b in order]
-        got = count_loss_values(shuffled, "nll")
+        got = count_loss_values(shuffled)
         for value, b in zip(got, order):
-            assert value == count_loss_value(*batches[b], "nll")
+            assert value == count_loss_value(*batches[b])
 
     def test_empty_list_and_bad_batch(self):
-        assert count_loss_values([], "nll") == []
+        assert count_loss_values([]) == []
         probs = np.full((3, 2), 0.5)
         with pytest.raises(ValueError, match="of class 1 is outside"):
-            count_loss_values([(probs, [0, 0], [3, 3]), (probs, [0, 2], [3, 1])], "nll")
+            count_loss_values([(probs, [0, 0], [3, 3]), (probs, [0, 2], [3, 1])])
 
     @pytest.mark.parametrize("n", [1, 2, 64])
     def test_batch_whose_intervals_stop_at_zero_keeps_its_bits_when_stacked(self, n):
@@ -596,24 +585,22 @@ class TestCountLossValues:
                     np.zeros(3, dtype=np.int64))
         wide = (rng.dirichlet(np.ones(3), size=n), np.zeros(3, dtype=np.int64),
                 np.full(3, n, dtype=np.int64))
-        for mode in ("nll", "entropy"):
-            alone = count_loss(*zero_top, mode)
-            assert not alone.log_space
-            stacked = count_loss_values([wide, zero_top], mode)
-            assert stacked[1] == alone.loss == count_loss_value(*zero_top, mode)
-            assert stacked[0] == count_loss_value(*wide, mode)
-            with pytest.MonkeyPatch.context() as patch:
-                forward = countloss_module._forward
-                patch.setattr(countloss_module, "_forward",
-                              lambda p, q, top, lattice=False, log_space=True:
-                                  forward(p, q, len(p), lattice, log_space))
-                full = count_loss(*zero_top, mode)
-            assert full.loss == alone.loss
-            assert full.grad.tobytes() == alone.grad.tobytes()
+        alone = count_loss(*zero_top)
+        assert not alone.log_space
+        stacked = count_loss_values([wide, zero_top])
+        assert stacked[1] == alone.loss == count_loss_value(*zero_top)
+        assert stacked[0] == count_loss_value(*wide)
+        with pytest.MonkeyPatch.context() as patch:
+            forward = countloss_module._forward
+            patch.setattr(countloss_module, "_forward",
+                          lambda p, q, top, lattice=False, log_space=True:
+                              forward(p, q, len(p), lattice, log_space))
+            full = count_loss(*zero_top)
+        assert full.loss == alone.loss
+        assert full.grad.tobytes() == alone.grad.tobytes()
 
     @pytest.mark.parametrize("n", [64, 1000])
-    @pytest.mark.parametrize("mode", ["nll", "entropy"])
-    def test_top_stop_keeps_count_loss_bits(self, monkeypatch, n, mode):
+    def test_top_stop_keeps_count_loss_bits(self, monkeypatch, n):
         # both number systems: the probability-space DP this batch takes, and
         # the log-space one it falls back to under a floor of +inf
         rng = np.random.default_rng(n)
@@ -628,20 +615,20 @@ class TestCountLossValues:
             with monkeypatch.context() as patch:
                 if log_space:
                     patch.setattr(countloss_module, "MIN_PROB_SPACE_LOG", math.inf)
-                got = count_loss(probs, lo, hi, mode)
-                got_value = count_loss_value(probs, lo, hi, mode)
+                got = count_loss(probs, lo, hi)
+                got_value = count_loss_value(probs, lo, hi)
                 assert got.log_space == log_space
                 patch.setattr(
                     countloss_module, "_forward",
                     lambda p, q, top, lattice=False, log_space=True:
                         forward(p, q, len(p), lattice, log_space),
                 )
-                want = count_loss(probs, lo, hi, mode)
+                want = count_loss(probs, lo, hi)
                 assert want.log_space == log_space
                 assert got.loss == want.loss
                 assert got.grad.tobytes() == want.grad.tobytes()
                 assert got.saturated == want.saturated
-                assert got_value == count_loss_value(probs, lo, hi, mode)
+                assert got_value == count_loss_value(probs, lo, hi)
 
 
 def _log_space_rows(monkeypatch):
@@ -660,7 +647,7 @@ def _log_space_rows(monkeypatch):
 
 def _far_tail_batch(rng, n=1024, m=2):
     """p near 0.45 and intervals [0, 0]: q_j = prod_i (1 - p_ij) is about
-    e^-612, below the probability-space floor and above the nll clamp."""
+    e^-612, below the probability-space floor and above the loss clamp."""
     return rng.uniform(0.44, 0.46, size=(n, m)), np.zeros(m, dtype=np.int64), np.zeros(m, dtype=np.int64)
 
 
@@ -678,25 +665,24 @@ class TestLogSpaceFallback:
         log_q = np.log1p(-probs).sum(axis=0)
         assert np.all((log_q < MIN_PROB_SPACE_LOG) & (log_q > countloss_module.MIN_LOG_PROB))
         rows = _log_space_rows(monkeypatch)
-        res = count_loss(probs, lo, hi, "nll")
+        res = count_loss(probs, lo, hi)
         assert rows == [2 * probs.shape[1]]  # the stacked forward/reversed lattice
         assert res.log_space and not res.saturated
         assert res.loss == pytest.approx(-float(log_q.sum()), rel=1e-13)
         np.testing.assert_allclose(res.grad, 1.0 / (1.0 - probs), rtol=1e-11)
 
-    @pytest.mark.parametrize("mode", ["nll", "entropy"])
-    def test_stacked_fallback_batch_keeps_its_lone_bits(self, monkeypatch, mode):
+    def test_stacked_fallback_batch_keeps_its_lone_bits(self, monkeypatch):
         rng = np.random.default_rng(59)
         tail = _far_tail_batch(rng)
         batches = [_ordinary_batch(rng, 1024, 2), tail, _ordinary_batch(rng, 1024, 2),
                    _ordinary_batch(rng, 64, 2)]
-        alone = [count_loss_value(*batch, mode) for batch in batches]
+        alone = [count_loss_value(*batch) for batch in batches]
         rows = _log_space_rows(monkeypatch)
-        got = count_loss_values(batches, mode)
+        got = count_loss_values(batches)
         # one log-space DP, over the tail batch's two class rows only
         assert rows == [2]
         assert np.array(got).tobytes() == np.array(alone).tobytes()
-        assert got[1] == count_loss(*tail, mode).loss
+        assert got[1] == count_loss(*tail).loss
 
     def test_ordinary_batches_stay_in_probability_space(self, monkeypatch):
         rng = np.random.default_rng(61)
@@ -709,7 +695,7 @@ class TestLogSpaceFallback:
 
     def test_saturated_batch_runs_in_log_space(self):
         probs = np.array([[1.0, 0.0], [1.0, 0.0]])
-        res = count_loss(probs, np.array([0, 2]), np.array([0, 2]), "nll")
+        res = count_loss(probs, np.array([0, 2]), np.array([0, 2]))
         assert res.saturated and res.log_space
 
     def test_input_that_is_not_a_probability_runs_in_log_space(self):
@@ -717,12 +703,12 @@ class TestLogSpaceFallback:
         for bad in (math.nan, -0.5):
             probs = np.array([[0.5, bad], [0.3, 0.7]])
             with np.errstate(invalid="ignore"):
-                res = count_loss(probs, lo, hi, "nll")
-                value = count_loss_value(probs, lo, hi, "nll")
+                res = count_loss(probs, lo, hi)
+                value = count_loss_value(probs, lo, hi)
             assert res.log_space and math.isnan(res.loss) and math.isnan(value)
         for fn in (count_loss, count_loss_value):
             with pytest.raises(ValueError, match="must be <= 0"):
-                fn(np.array([[1.5, 0.5]]), np.array([1, 0]), np.array([1, 1]), "nll")
+                fn(np.array([[1.5, 0.5]]), np.array([1, 0]), np.array([1, 1]))
 
     def test_the_fallback_check_passes(self):
         result = check_count_loss_log_fallback(np.random.default_rng(0))
@@ -735,8 +721,7 @@ class TestProbabilitySpaceMatchesLogSpace:
     predictions: random n and m, logit scales up to 30 (p down to about
     1e-70), and the merged-tail batch sizes of a 64-row epoch."""
 
-    @pytest.mark.parametrize("mode", ["nll", "entropy"])
-    def test_values_and_gradients_agree(self, mode):
+    def test_values_and_gradients_agree(self):
         rng = np.random.default_rng(67)
         batches = []
         for case in range(120):
@@ -748,13 +733,13 @@ class TestProbabilitySpaceMatchesLogSpace:
             truths = np.minimum((probs.cumsum(axis=1) < rng.random((n, 1))).sum(axis=1), m - 1)
             cands = generate_synthetic(truths, m, 0.3, seed=int(rng.integers(1 << 30)))
             batches.append((probs, *batch_intervals(cands)))
-            got = count_loss(*batches[-1], mode)
-            want = on_log_path(count_loss, *batches[-1], mode)
+            got = count_loss(*batches[-1])
+            want = on_log_path(count_loss, *batches[-1])
             assert not got.log_space and want.log_space
             assert abs(got.loss - want.loss) <= 1e-13 * max(1.0, abs(want.loss))
             assert np.all(np.abs(got.grad - want.grad) <= 1e-13 * np.maximum(1.0, np.abs(want.grad)))
-        got = np.array(count_loss_values(batches, mode))
-        want = np.array(on_log_path(count_loss_values, batches, mode))
+        got = np.array(count_loss_values(batches))
+        want = np.array(on_log_path(count_loss_values, batches))
         assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
 
     def test_gradient_near_the_floor_against_mpmath(self):

@@ -197,13 +197,12 @@ def _random_batches(seed, count=60):
 
 
 class TestEnhancedLabel:
-    @pytest.mark.parametrize("vote_mode", ["fractional", "multiset"])
-    def test_matches_reference_on_random_batches(self, vote_mode):
+    def test_matches_reference_on_random_batches(self):
         cases = {"clean": 0, "partial": 0, "none": 0}
         for cand_lists, ds, k in _random_batches(31):
             for i, nb in enumerate(knn_search(ds.features, k)):
-                got = enhanced_label(i, ds, nb, vote_mode)
-                assert got == oracle_vote(ds.candidates, i, nb.indices, nb.distances, vote_mode)
+                got = enhanced_label(i, ds, nb)
+                assert got == oracle_vote(ds.candidates, i, nb.indices, nb.distances)
                 if got == NO_ENHANCEMENT:
                     cases["none"] += 1
                 elif len(cand_lists[i]) > 1:
@@ -241,21 +240,18 @@ class TestEnhancedLabel:
         nb = _neighbors([1, 2, 3], [0.1, 0.2, 0.3])
         assert enhanced_label(0, ds, nb) == 2
 
-    def test_multiset_mode_counts_labels_plainly(self):
-        # fractional: 1 -> 1/3, 2 -> 1/3+1/2 = 5/6 -> label 2
-        # multiset:   1 -> 1, 2 -> 2 -> label 2
+    def test_votes_sum_over_overlapping_sets(self):
+        # 1 -> 1/3, 2 -> 1/3 + 1/2 = 5/6 -> label 2
         ds = _dataset([[1, 2], [1, 2, 3], [2, 3]], m=4)
         nb = _neighbors([1, 2], [0.5, 1.5])
-        assert enhanced_label(0, ds, nb, "fractional") == 2
-        assert enhanced_label(0, ds, nb, "multiset") == 2
+        assert enhanced_label(0, ds, nb) == 2
 
-    def test_vote_modes_diverge_on_large_sets(self):
-        # one small set votes 1, two five-label sets vote 2:
-        # fractional 1 -> 1/2 beats 2 -> 2/5; multiset 2 -> 2 beats 1 -> 1
+    def test_large_sets_vote_thin(self):
+        # one small set votes 1, two five-label sets vote 2: 1 -> 1/2 beats
+        # 2 -> 2/5, where a plain count of voters would pick 2
         ds = _dataset([[1, 2], [1, 3], [2, 3, 4, 5, 9], [2, 6, 7, 8, 9]], m=10)
         nb = _neighbors([1, 2, 3], [0.5, 1.0, 1.5])
-        assert enhanced_label(0, ds, nb, "fractional") == 1
-        assert enhanced_label(0, ds, nb, "multiset") == 2
+        assert enhanced_label(0, ds, nb) == 1
 
     def test_no_intersection_returns_sentinel(self):
         ds = _dataset([[0, 1], [2, 3], [4, 5]], m=6)
@@ -275,8 +271,7 @@ class TestEnhancedLabel:
         nb2 = _neighbors([1, 2], [0.4, 0.4])
         assert enhanced_label(0, ds2, nb2) == 0
 
-    @pytest.mark.parametrize("vote_mode", ["fractional", "multiset"])
-    def test_matches_enumeration_oracle(self, vote_mode):
+    def test_matches_enumeration_oracle(self):
         rng = np.random.default_rng(19)
         for _ in range(300):
             m = int(rng.integers(2, 7))
@@ -291,8 +286,8 @@ class TestEnhancedLabel:
             idx = rng.permutation(others)[:k]
             dists = np.sort(rng.random(k))
             nb = _neighbors(idx, dists)
-            want = oracle_vote(ds.candidates, 0, nb.indices, nb.distances, vote_mode)
-            assert enhanced_label(0, ds, nb, vote_mode) == want
+            want = oracle_vote(ds.candidates, 0, nb.indices, nb.distances)
+            assert enhanced_label(0, ds, nb) == want
 
         # Partial neighbours whose set sizes are the primes 2..53: the
         # common vote denominator exceeds int64.
@@ -304,8 +299,8 @@ class TestEnhancedLabel:
             cand_lists += [sorted(rng.permutation(m)[:p].tolist()) for p in primes]
             ds = _dataset(cand_lists, m)
             nb = _neighbors(rng.permutation(np.arange(1, 17)), np.sort(rng.random(16)))
-            want = oracle_vote(ds.candidates, 0, nb.indices, nb.distances, vote_mode)
-            assert enhanced_label(0, ds, nb, vote_mode) == want
+            want = oracle_vote(ds.candidates, 0, nb.indices, nb.distances)
+            assert enhanced_label(0, ds, nb) == want
 
     def test_empty_neighbor_list_rejected_for_partial(self):
         ds = _dataset([[0, 1], [1]], m=2)
@@ -314,15 +309,14 @@ class TestEnhancedLabel:
 
 
 class TestEnhancedLabels:
-    @pytest.mark.parametrize("vote_mode", ["fractional", "multiset"])
-    def test_matches_reference_and_oracle_row_for_row(self, vote_mode):
+    def test_matches_reference_and_oracle_row_for_row(self):
         for _, ds, k in _random_batches(33):
             nb = knn_search(ds.features, k)
             cands = ds.candidates
-            got = enhanced_labels(cands, cands[nb.indices], nb.distances, vote_mode)
+            got = enhanced_labels(cands, cands[nb.indices], nb.distances)
             assert got.dtype == np.int64 and got.shape == (ds.n,)
             for i, label in enumerate(got.tolist()):
-                assert label == oracle_vote(cands, i, nb.indices[i], nb.distances[i], vote_mode)
+                assert label == oracle_vote(cands, i, nb.indices[i], nb.distances[i])
 
     def test_python_int_votes_agree_with_int64(self, monkeypatch):
         batches = []
@@ -337,19 +331,18 @@ class TestEnhancedLabels:
         for batch, want in zip(batches, int64):
             assert enhanced_labels(*batch).tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("vote_mode", ["fractional", "multiset"])
-    def test_nan_distances_rank_last_and_stay_in_the_candidate_set(self, vote_mode):
+    def test_nan_distances_rank_last_and_stay_in_the_candidate_set(self):
         # knn_search gives row 3 of these features nan distances to both of
         # its neighbours; the tie-break must still pick one of its candidates
         nb = knn_search(np.array([[0.0, 1.0], [np.inf, 0.0], [1.0, 1.0], [np.nan, 2.0]]), 2)
         assert np.isnan(nb[3].distances).all()
         own = np.array([[False, True, True]])
         masks = np.array([[[False, True, True], [False, True, True]]])
-        assert enhanced_labels(own, masks, nb[3].distances[None], vote_mode).tolist() == [1]
+        assert enhanced_labels(own, masks, nb[3].distances[None]).tolist() == [1]
         # a tied label at a number beats one at nan, even at inf
         masks = np.array([[[True, False, True], [True, True, False]]])
         for dist, want in (([np.nan, 2.0], 1), ([np.nan, np.inf], 1), ([1.0, np.nan], 2)):
-            got = enhanced_labels(own, masks, np.array([dist]), vote_mode)
+            got = enhanced_labels(own, masks, np.array([dist]))
             assert got.tolist() == [want]
 
     def test_shapes_checked(self):

@@ -124,9 +124,9 @@ class TestConfigValidation:
             {"temperature": 0.9},
             {"lam": -0.1},
             {"k": 0},
-            {"count_mode": "kl"},
+            {"knn_scope": None},
             {"knn_scope": "window"},
-            {"vote_mode": "borda"},
+            {"knn_features": "Raw"},
             {"knn_features": "pca"},
             {"eval_window": 0},
             {"threads": 0},
@@ -169,6 +169,13 @@ class TestConfigValidation:
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
+
+    @pytest.mark.parametrize("field, value", [("count_mode", "nll"), ("vote_mode", "fractional")])
+    def test_removed_modes_are_not_fields(self, field, value):
+        # removed in 0.4.0, even at the values that ran the kept code; only a
+        # manifest replay still reads them
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{field}'"):
+            TrainConfig(**{field: value})
 
     def test_boundary_values_accepted(self):
         config = TrainConfig(temperature=1.0, lam=0.0, weight_decay=0.0, lr=1e-300,
@@ -313,9 +320,9 @@ class TestMetrics:
         calls = []
         original = trainer_module.count_loss_values
 
-        def counting(batches, mode):
+        def counting(batches):
             calls.append(len(batches))
-            return original(batches, mode)
+            return original(batches)
 
         monkeypatch.setattr(trainer_module, "count_loss_values", counting)
         train = make_dataset(n=100, seed=16)
@@ -415,9 +422,9 @@ def label_calls(monkeypatch):
     calls = []
     original = trainer_module.enhanced_labels
 
-    def counting(own, neighbour_masks, distances, vote_mode):
+    def counting(own, neighbour_masks, distances):
         calls.extend(range(len(own)))
-        return original(own, neighbour_masks, distances, vote_mode)
+        return original(own, neighbour_masks, distances)
 
     monkeypatch.setattr(trainer_module, "enhanced_labels", counting)
     return calls
@@ -519,15 +526,15 @@ class TestDivergence:
                 on_epoch=lambda metrics, model: epochs_done.append(metrics))
         assert (err.value.epoch, err.value.batch) == (0, 1)
         assert epochs_done == []
-        want = trainer_module.count_loss_values([(seen[1], *intervals[1])], "nll")[0]
+        want = trainer_module.count_loss_values([(seen[1], *intervals[1])])[0]
         assert math.isfinite(want)
         assert str(err.value).endswith(f"reweight loss nan, count loss {want}")
 
     def test_non_finite_deferred_count_value_names_its_batch(self, monkeypatch):
         count_loss_values = trainer_module.count_loss_values
 
-        def nan_at_batch_2(batches, mode):
-            values = count_loss_values(batches, mode)
+        def nan_at_batch_2(batches):
+            values = count_loss_values(batches)
             values[2] = float("inf")
             return values
 
