@@ -3,7 +3,7 @@
 Subcommands:
 
   generate   write a synthetic partial-label dataset (PLL text format)
-  train      run the training loop; emits metrics CSV, checkpoint, manifest
+  train      run the training loop; writes metrics.csv, model.txt, manifest.json
   stats      Friedman / critical-difference report over an accuracy CSV
   check      run the built-in oracle suite (CI gate)
 
@@ -11,8 +11,10 @@ All configuration is flags, progress goes to stderr, data goes to files or
 stdout.  Every train run writes a manifest.json that replays the run exactly
 (`cleanse train --manifest <path>`, optionally with another --threads); it
 records the sha256 of the input bytes the run read, and a replay on changed
-files exits 3.  A finished run also records the sha256 of every file it
-wrote: a replay whose files differ exits 1, and one without them exits 3.
+files exits 3.  A finished run also records the sha256 of metrics.csv and
+model.txt: a replay whose files differ exits 1, and one without them exits 3.
+A replay into the directory it replays leaves the manifest untouched until
+it writes its own at the end, so an interrupted one can be run again.
 
 Exit codes: 0 success, 1 check failure, 2 usage error, 3 I/O error,
 4 training diverged (a non-finite loss).
@@ -93,7 +95,7 @@ def cmd_generate(args) -> int:
         if source.hidden_truth is None:
             raise ValueError("source file carries no truth labels to regenerate from")
         features, labels, m = source.features, source.hidden_truth, source.m
-    candidates = generate_synthetic(labels, m, args.q, seed=args.seed + 1, mode=args.mode)
+    candidates = generate_synthetic(labels, m, args.q, seed=args.seed + 1)
     dataset = PartialDataset(
         features=features, candidates=candidates, m=m, hidden_truth=labels
     )
@@ -136,7 +138,7 @@ class ManifestError(Exception):
     """A replay manifest that is malformed or whose input files changed."""
 
 
-# files every successful run writes; checkpoints come after them
+# files every successful run writes, in the order a replay compares them
 RUN_OUTPUTS = ("metrics.csv", "model.txt")
 # every field of a finished run's manifest; output_sha256, written only at its end, first
 MANIFEST_FIELDS = ("output_sha256", "platform", "toolkit_version", "config", "train_path",
@@ -208,14 +210,14 @@ def _load_manifest(path: str):
 
 
 def _verify_replay(path: str, recorded: dict, written: dict) -> int:
-    """Compare ``written``, the digests of the files a replay wrote, with
-    those its manifest (``recorded``, loaded from ``path``) lists, in
-    ``written``'s order.  The first that differs fails the replay (exit 1),
-    and the message also names every platform field that differs.  A file
-    on one side only (another --checkpoint-every) is not compared."""
+    """Compare ``written``, the digests of the ``RUN_OUTPUTS`` a replay
+    wrote, with those its manifest (``recorded``, loaded from ``path``)
+    lists.  The first that differs fails the replay (exit 1), and the
+    message also names every platform field that differs.  Any other file a
+    manifest lists (0.4.0 runs could record model_epoch<N>.txt) is not
+    compared."""
     digests = recorded["output_sha256"]
-    checked = [name for name in written if name in digests]
-    for name in checked:
+    for name in RUN_OUTPUTS:
         if written[name] != digests[name]:
             now = {"toolkit_version": __version__, **_platform()}
             was = {"toolkit_version": recorded["toolkit_version"], **recorded["platform"]}
@@ -225,13 +227,11 @@ def _verify_replay(path: str, recorded: dict, written: dict) -> int:
                  f"recorded {digests[name]}"
                  + (f"; platform differs: {', '.join(changed)}" if changed else ""))
             return EXIT_CHECK_FAILED
-    print(f"replay verified: {', '.join(checked)} match the digests in {path}")
+    print(f"replay verified: {', '.join(RUN_OUTPUTS)} match the digests in {path}")
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
-    if args.checkpoint_every < 0:
-        raise ValueError("--checkpoint-every must be >= 0 (0 disables checkpoints)")
     recorded = None
     if args.manifest:
         # threads is the one setting replay guarantees cannot change the bytes
@@ -262,7 +262,8 @@ def cmd_train(args) -> int:
                 raise ManifestError(f"{args.manifest}: {file} differs from the file it recorded")
     check_datasets(train, test)
     os.makedirs(out_dir, exist_ok=True)
-    # no model.txt or model_epoch<N>.txt of an earlier run stays beside this manifest
+    # no model.txt of an earlier run, nor a model_epoch<N>.txt that 0.4.0 wrote,
+    # stays beside this manifest
     for name in os.listdir(out_dir):
         if re.fullmatch(r"model(_epoch\d+)?\.txt", name):
             os.remove(os.path.join(out_dir, name))
@@ -277,24 +278,24 @@ def cmd_train(args) -> int:
         "out_dir": out_dir,
         "config": dataclasses.asdict(config),
     }
-    _write_manifest(out_dir, manifest)
+    # a replay in place keeps the manifest it replays until the run is done,
+    # so one stopped on the way can be replayed again
+    started = os.path.realpath(os.path.join(out_dir, "manifest.json"))
+    if recorded is None or started != os.path.realpath(args.manifest):
+        _write_manifest(out_dir, manifest)
 
     _log(f"training on {train_path} (n={train.n}, m={train.m}), evaluating on {test_path}")
     rows = smallest_knn_search(train.n, config)
     if config.k >= rows and not args.quiet:
         _log(f"k={config.k} is clamped: a k-NN search over {rows} rows has {rows - 1} neighbours")
-    written = list(RUN_OUTPUTS)  # checkpoints follow, in epoch order
     csv_path = os.path.join(out_dir, "metrics.csv")
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
 
-        def on_epoch(metrics, model):
+        def on_epoch(metrics, _model):
             # streamed row by row so a concurrent reader can tail the file
             fh.write(format_metrics_row(metrics) + "\n")
             fh.flush()
-            if args.checkpoint_every and (metrics.epoch + 1) % args.checkpoint_every == 0:
-                written.append(f"model_epoch{metrics.epoch}.txt")
-                save_mlp(model, os.path.join(out_dir, written[-1]))
             if not args.quiet:
                 _log(f"epoch {metrics.epoch}: reweight={metrics.reweight_loss:.6f} "
                      f"count={metrics.count_loss:.6f} total={metrics.total_loss:.6f} "
@@ -307,7 +308,7 @@ def cmd_train(args) -> int:
             return EXIT_DIVERGED
 
     save_mlp(model, os.path.join(out_dir, "model.txt"))
-    manifest["output_sha256"] = {name: _sha256(os.path.join(out_dir, name)) for name in written}
+    manifest["output_sha256"] = {name: _sha256(os.path.join(out_dir, name)) for name in RUN_OUTPUTS}
     _write_manifest(out_dir, manifest)
     window = min(config.eval_window, len(history))
     mean, std = summarize(history, window)
@@ -371,21 +372,14 @@ def _q_alpha(args, k: int) -> float:
 
 
 def cmd_stats(args) -> int:
-    # argparse lets exactly one of --csv, --avg-ranks and --k through
+    # argparse lets exactly one of --csv and --avg-ranks through
     if args.csv is not None and args.cases is not None:
         raise ValueError("--cases cannot be given with --csv: the CSV's rows are the cases")
     if args.csv is None and args.cases is None:
-        raise ValueError("--avg-ranks and --k need --cases, the case count N")
+        raise ValueError("--avg-ranks needs --cases, the case count N")
     if args.csv is None and args.fixed_rank:
         raise ValueError("--fixed-rank pins a CSV column, so it needs --csv "
-                         "and cannot be used with --avg-ranks or --k")
-    if args.k is not None:
-        # critical-difference-only mode: just k, N and q_alpha
-        q_alpha = _q_alpha(args, args.k)
-        cd = bonferroni_dunn_cd(q_alpha, args.k, args.cases)
-        print(f"CD={cd:.6g} (q_alpha={q_alpha}, k={args.k}, N={args.cases})")
-        return EXIT_OK
-
+                         "and cannot be used with --avg-ranks")
     table, names = _rank_table_from_args(args)
     q_alpha = _q_alpha(args, table.k)
     chi2, f_f = friedman(table)
@@ -462,7 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--n", type=int, default=None,
                    help=f"instance count of --gaussian (default {GAUSSIAN_N})")
     g.add_argument("--q", type=float, default=0.5, help="false-label flip probability")
-    g.add_argument("--mode", choices=["binomial", "uniform-size"], default="binomial")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("-o", "--out", required=True)
     g.add_argument("--test-fraction", type=float, default=None)
@@ -476,8 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--out-dir", default=None,
                    help="output directory (default: run, or the manifest's on replay)")
     _add_config_flags(t)
-    t.add_argument("--checkpoint-every", type=int, default=0, metavar="E",
-                   help="also write model_epoch<N>.txt every E epochs")
     t.add_argument("--quiet", action="store_true")
     t.set_defaults(func=cmd_train)
 
@@ -485,10 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     ranks = s.add_mutually_exclusive_group(required=True)
     ranks.add_argument("--csv", help="accuracy CSV: header = algorithm names, one row per case")
     ranks.add_argument("--avg-ranks", help="comma-separated average ranks (skip ranking)")
-    ranks.add_argument("--k", type=int, default=None,
-                       help="algorithm count (critical difference only, no rank table)")
-    s.add_argument("--cases", type=int, default=None,
-                   help="case count N (with --avg-ranks or --k)")
+    s.add_argument("--cases", type=int, default=None, help="case count N (with --avg-ranks)")
     s.add_argument("--q-alpha", type=float, default=None,
                    help="critical value (default: the alpha = 0.05 value for k)")
     s.add_argument("--fixed-rank", action="append", metavar="NAME=RANK",

@@ -132,39 +132,22 @@ class DatasetStats:
     clean_rate: float
 
 
-def generate_synthetic(
-    true_labels, m: int, q: float, seed: int, mode: str = "binomial"
-) -> np.ndarray:
+def generate_synthetic(true_labels, m: int, q: float, seed: int) -> np.ndarray:
     """(n, m) bool candidate mask around known true labels.
 
-    ``binomial`` (the default) includes each of the m-1 false labels
-    independently with probability q, so set sizes follow 1 + Binomial(m-1, q).
-    ``uniform-size`` instead draws the set size uniformly from 1..m and fills
-    it with false labels sampled without replacement (q is ignored); it
-    exists for sensitivity studies against the binomial assumption.
-    The true label is always a member.
+    Each of the m-1 false labels is included independently with probability
+    q, so set sizes follow 1 + Binomial(m-1, q).  The true label is always a
+    member.
     """
     if m < 2:
         raise ValueError("class count must be >= 2")
     if not 0.0 <= q <= 1.0:
         raise ValueError("flip probability q must lie in [0, 1]")
-    if mode not in ("binomial", "uniform-size"):
-        raise ValueError(f"unknown generation mode {mode!r}")
     labels = np.asarray(true_labels, dtype=np.int64)
     if labels.size and (labels.min() < 0 or labels.max() >= m):
         raise ValueError("true labels outside [0, m)")
-    rng = np.random.default_rng(seed)
     n = len(labels)
-
-    if mode == "binomial":
-        mask = rng.random((n, m)) < q
-    else:
-        mask = np.zeros((n, m), dtype=bool)
-        sizes = rng.integers(1, m + 1, size=n)
-        for i, t in enumerate(labels):
-            # a permutation of the m-1 false labels, numbered skipping t
-            extra = rng.permutation(m - 1)[: sizes[i] - 1]
-            mask[i, extra + (extra >= t)] = True
+    mask = np.random.default_rng(seed).random((n, m)) < q
     mask[np.arange(n), labels] = True
     return mask
 

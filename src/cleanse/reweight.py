@@ -34,21 +34,14 @@ class NeighborList:
     """Neighbours nearest first, each query itself excluded.
 
     ``knn_search`` returns one with (p, k) ``indices`` and ``distances``;
-    indexing it by row gives that query's (k,) list, and ``len`` and
-    iteration go by rows.
+    indexing it by row gives that query's (k,) list.
     """
 
     indices: np.ndarray
     distances: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.indices)
-
     def __getitem__(self, row) -> NeighborList:
         return NeighborList(self.indices[row], self.distances[row])
-
-    def __iter__(self):
-        return (self[r] for r in range(len(self)))
 
 
 def knn_search(features: np.ndarray, k: int, threads: int = 1) -> NeighborList:

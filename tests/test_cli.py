@@ -32,9 +32,9 @@ from cleanse.cli import (
 )
 from cleanse.countloss import CountLossResult, count_log_pmf, count_loss_values
 from cleanse.data import PartialDataset, read_pll_file, write_pll_file
-from cleanse.neural import load_mlp
+from cleanse.neural import load_mlp, save_mlp
 from cleanse.stats import Q_ALPHA_05
-from cleanse.trainer import TrainConfig
+from cleanse.trainer import TrainConfig, fit
 
 
 def run_cli(args):
@@ -360,9 +360,10 @@ class TestTrain:
         train, test = tiny_dataset
         out_dir = tmp_path / "rerun"
         code = run_cli(["train", "--train", train, "--test", test, "--out-dir", str(out_dir),
-                        "--checkpoint-every", "1", *TINY_TRAIN_ARGS])
+                        *TINY_TRAIN_ARGS])
         assert code == EXIT_OK
-        assert {"model.txt", "model_epoch0.txt"} <= set(os.listdir(out_dir))
+        # what 0.4.0's --checkpoint-every 1 left beside model.txt
+        shutil.copyfile(out_dir / "model.txt", out_dir / "model_epoch0.txt")
         (out_dir / "notes.txt").write_text("kept\n")
         ds = read_pll_file(train)
         huge = tmp_path / "huge.pll"
@@ -376,26 +377,28 @@ class TestTrain:
         assert sorted(os.listdir(out_dir)) == ["manifest.json", "metrics.csv", "notes.txt"]
         assert json.loads((out_dir / "manifest.json").read_text())["train_path"] == str(huge)
 
-    def test_periodic_checkpoints(self, tiny_dataset, tmp_path):
+    def test_model_after_epoch_n_is_the_model_of_an_n_epoch_run(self, tiny_dataset, tmp_path):
+        # what a checkpoint after epoch 1 of a 3-epoch run held is model.txt
+        # of the same run with --epochs 2, whose metrics.csv is a prefix
         train, test = tiny_dataset
-        out_dir = tmp_path / "ck"
-        code = run_cli(["train", "--train", train, "--test", test,
-                        "--out-dir", str(out_dir), "--seed", "4",
-                        "--checkpoint-every", "2", *TINY_TRAIN_ARGS])
-        assert code == EXIT_OK
-        assert (out_dir / "model_epoch1.txt").exists()
-        assert not (out_dir / "model_epoch2.txt").exists()
-        assert (out_dir / "model.txt").exists()
+        runs = {}
+        for epochs in ("2", "3"):
+            runs[epochs] = tmp_path / epochs
+            code = run_cli(["train", "--train", train, "--test", test, "--out-dir",
+                            str(runs[epochs]), "--seed", "4", *TINY_TRAIN_ARGS, "--epochs", epochs])
+            assert code == EXIT_OK
+        short = (runs["2"] / "metrics.csv").read_text().splitlines()
+        assert short == (runs["3"] / "metrics.csv").read_text().splitlines()[:3]
+        config = TrainConfig(**json.loads((runs["3"] / "manifest.json").read_text())["config"])
+        saved = {}
 
-    def test_negative_checkpoint_interval_is_usage_error(self, tiny_dataset, tmp_path, capsys):
-        train, test = tiny_dataset
-        out_dir = tmp_path / "ck"
-        code = run_cli(["train", "--train", train, "--test", test,
-                        "--out-dir", str(out_dir), "--checkpoint-every", "-1",
-                        *TINY_TRAIN_ARGS])
-        assert code == EXIT_USAGE
-        assert "--checkpoint-every" in capsys.readouterr().err
-        assert not out_dir.exists()
+        def save(metrics, model):
+            saved[metrics.epoch] = tmp_path / f"epoch{metrics.epoch}.txt"
+            save_mlp(model, saved[metrics.epoch])
+
+        fit(read_pll_file(train), read_pll_file(test), config, on_epoch=save)
+        assert saved[1].read_bytes() == (runs["2"] / "model.txt").read_bytes()
+        assert saved[2].read_bytes() == (runs["3"] / "model.txt").read_bytes()
 
 
 @pytest.fixture
@@ -414,6 +417,11 @@ def _edit_manifest(path, edit):
     loaded = json.loads(path.read_text())
     edit(loaded)
     path.write_text(json.dumps(loaded))
+
+
+def _stopped(*args, **kwargs):
+    """A ``fit`` stopped before its first epoch, as by Ctrl-C."""
+    raise KeyboardInterrupt
 
 
 class TestReplay:
@@ -435,16 +443,49 @@ class TestReplay:
         for name, content in recorded.items():
             assert (out_dir / name).read_bytes() == content
 
-    def test_checkpoints_combine_with_replay(self, recorded_run, tmp_path):
+    def test_interrupted_replay_in_place_keeps_the_manifest(self, recorded_run, monkeypatch,
+                                                            capsys):
         manifest, _ = recorded_run
-        out_dir = tmp_path / "b"
-        code = run_cli(["train", "--manifest", str(manifest), "--out-dir", str(out_dir),
-                        "--checkpoint-every", "1", "--quiet"])
-        assert code == EXIT_OK
-        assert (out_dir / "model_epoch2.txt").read_bytes() == (out_dir / "model.txt").read_bytes()
-        assert (out_dir / "metrics.csv").read_bytes() == (
-            manifest.parent / "metrics.csv"
-        ).read_bytes()
+        out_dir = manifest.parent
+        recorded = {name: (out_dir / name).read_bytes()
+                    for name in ("manifest.json", "metrics.csv", "model.txt")}
+
+        def stopped(train, test, config, on_epoch):
+            fit(train, test, dataclasses.replace(config, epochs=1), on_epoch=on_epoch)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli_module, "fit", stopped)
+        with pytest.raises(KeyboardInterrupt):
+            run_cli(["train", "--manifest", str(manifest), "--quiet"])
+        assert (out_dir / "manifest.json").read_bytes() == recorded["manifest.json"]
+        assert not (out_dir / "model.txt").exists()
+        monkeypatch.undo()
+        assert run_cli(["train", "--manifest", str(manifest), "--quiet"]) == EXIT_OK
+        assert "replay verified: metrics.csv, model.txt" in capsys.readouterr().out
+        for name, content in recorded.items():
+            assert (out_dir / name).read_bytes() == content
+
+    def test_replay_through_another_path_to_the_manifest_keeps_it(self, recorded_run,
+                                                                   monkeypatch):
+        # the out dir is compared by real path, so ./a/../a is the same directory
+        manifest, _ = recorded_run
+        monkeypatch.chdir(manifest.parent.parent)
+        recorded = manifest.read_bytes()
+        monkeypatch.setattr(cli_module, "fit", _stopped)
+        with pytest.raises(KeyboardInterrupt):
+            run_cli(["train", "--manifest", "a/manifest.json", "--out-dir", "./a/../a", "--quiet"])
+        assert manifest.read_bytes() == recorded
+
+    def test_replay_elsewhere_writes_its_manifest_before_training(self, recorded_run, tmp_path,
+                                                                  monkeypatch):
+        manifest, _ = recorded_run
+        monkeypatch.setattr(cli_module, "fit", _stopped)
+        with pytest.raises(KeyboardInterrupt):
+            run_cli(["train", "--manifest", str(manifest), "--out-dir", str(tmp_path / "b"),
+                     "--quiet"])
+        started = json.loads((tmp_path / "b" / "manifest.json").read_text())
+        assert "output_sha256" not in started
+        assert started["config"] == json.loads(manifest.read_text())["config"]
 
     @pytest.mark.parametrize(
         "flags, named",
@@ -471,10 +512,11 @@ class TestReplay:
         train, test = tiny_dataset
         out_dir = tmp_path / "ck"
         code = run_cli(["train", "--train", train, "--test", test, "--out-dir", str(out_dir),
-                        "--checkpoint-every", "2", *TINY_TRAIN_ARGS])
+                        *TINY_TRAIN_ARGS])
         assert code == EXIT_OK
+        assert sorted(os.listdir(out_dir)) == ["manifest.json", "metrics.csv", "model.txt"]
         loaded = json.loads((out_dir / "manifest.json").read_text())
-        written = ["metrics.csv", "model.txt", "model_epoch1.txt"]
+        written = ["metrics.csv", "model.txt"]
         assert loaded["output_sha256"] == {
             name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in written}
         assert loaded["platform"] == {"python": platform.python_version(),
@@ -552,6 +594,22 @@ class TestReplay:
         assert code == EXIT_IO
         assert message in capsys.readouterr().err
         assert not out_dir.exists()
+
+    def test_checkpoint_digest_of_a_0_4_0_run_is_not_compared(self, recorded_run, tmp_path,
+                                                              capsys):
+        # 0.4.0's --checkpoint-every recorded each model_epoch<N>.txt it wrote
+        manifest, _ = recorded_run
+        _edit_manifest(manifest, lambda loaded: loaded["output_sha256"].update(
+            {"model_epoch1.txt": "0" * 64}))
+        out_dir = tmp_path / "b"
+        code = run_cli(["train", "--manifest", str(manifest), "--out-dir", str(out_dir),
+                        "--quiet"])
+        assert code == EXIT_OK
+        assert (f"replay verified: metrics.csv, model.txt match the digests in {manifest}"
+                in capsys.readouterr().out)
+        assert sorted(os.listdir(out_dir)) == ["manifest.json", "metrics.csv", "model.txt"]
+        assert set(json.loads((out_dir / "manifest.json").read_text())["output_sha256"]) == {
+            "metrics.csv", "model.txt"}
 
     def test_retired_modes_at_their_kept_values_replay(self, recorded_run, tmp_path, capsys):
         # every 0.3.0 manifest records these two fields, at these values
@@ -747,7 +805,7 @@ def _train_parser() -> argparse.ArgumentParser:
     return sub.choices["train"]
 
 
-RUN_FLAGS = {"--manifest", "--train", "--test", "--out-dir", "--checkpoint-every", "--quiet"}
+RUN_FLAGS = {"--manifest", "--train", "--test", "--out-dir", "--quiet"}
 
 
 class TestTrainFlags:
@@ -805,6 +863,11 @@ class TestTrainFlags:
         assert "invalid choice: 'foo'" in capsys.readouterr().err
 
 
+def _tied(k: int) -> str:
+    """--avg-ranks of k algorithms tied in every case."""
+    return ",".join([str((k + 1) / 2)] * k)
+
+
 class TestStats:
     def test_avg_ranks_reproduce_reference_statistics(self, capsys):
         code = run_cli(["stats", "--avg-ranks",
@@ -817,17 +880,11 @@ class TestStats:
         assert abs(f_f - 69.4) <= 0.2
         assert abs(cd - 1.864) <= 0.001
 
-    def test_cd_only_mode(self, capsys):
-        code = run_cli(["stats", "--q-alpha", "2.690", "--k", "8", "--cases", "25"])
-        assert code == EXIT_OK
-        cd = float(capsys.readouterr().out.split("CD=")[1].split()[0])
-        assert abs(cd - 1.864) <= 0.001
-
     @pytest.mark.parametrize("k", [2, 3, 10])
     def test_default_q_alpha_is_the_one_for_k(self, capsys, k):
-        assert run_cli(["stats", "--k", str(k), "--cases", "25"]) == EXIT_OK
+        assert run_cli(["stats", "--avg-ranks", _tied(k), "--cases", "25"]) == EXIT_OK
         out = capsys.readouterr().out
-        assert f"q_alpha={Q_ALPHA_05[k]}," in out
+        assert f"(q_alpha={Q_ALPHA_05[k]})" in out
         want = Q_ALPHA_05[k] * math.sqrt(k * (k + 1) / (6.0 * 25))
         assert float(out.split("CD=")[1].split()[0]) == pytest.approx(want, rel=1e-5)
 
@@ -838,14 +895,18 @@ class TestStats:
         assert f"(q_alpha={Q_ALPHA_05[3]})" in capsys.readouterr().out
 
     def test_k_outside_the_table_needs_q_alpha(self, capsys):
-        assert run_cli(["stats", "--k", "11", "--cases", "25"]) == EXIT_USAGE
+        assert run_cli(["stats", "--avg-ranks", _tied(11), "--cases", "25"]) == EXIT_USAGE
         assert "--q-alpha" in capsys.readouterr().err
-        assert run_cli(["stats", "--k", "11", "--cases", "25", "--q-alpha", "2.8"]) == EXIT_OK
+        assert run_cli(["stats", "--avg-ranks", _tied(11), "--cases", "25",
+                        "--q-alpha", "2.8"]) == EXIT_OK
 
-    @pytest.mark.parametrize("flags", [["--k", "1"], ["--avg-ranks", "1"]])
-    def test_one_algorithm_is_refused_before_q_alpha(self, capsys, flags):
+    @pytest.mark.parametrize("flags", [["--csv", "ONE"], ["--avg-ranks", "1", "--cases", "5"]])
+    def test_one_algorithm_is_refused_before_q_alpha(self, tmp_path, capsys, flags):
         # no q_alpha would help: the critical difference needs two algorithms
-        assert run_cli(["stats", *flags, "--cases", "5"]) == EXIT_USAGE
+        path = tmp_path / "one.csv"
+        path.write_text("a\n0.9\n0.7\n")
+        flags = [str(path) if flag == "ONE" else flag for flag in flags]
+        assert run_cli(["stats", *flags]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert "k >= 2" in captured.err and "--q-alpha" not in captured.err
         assert captured.out == ""
@@ -923,11 +984,10 @@ class TestStats:
         [(["--avg-ranks", "1.9,2.0,2.3", "--cases", "50"], "come from no ranking"),
          (["--avg-ranks", "1.5,1.5,3", "--cases", "5", "--csv", "ACC"], "not allowed with"),
          (["--csv", "ACC", "--cases", "99"], "--cases cannot be given with --csv"),
-         (["--csv", "ACC", "--k", "7"], "not allowed with"),
-         (["--avg-ranks", "1.5,1.5,3", "--cases", "5", "--k", "9"], "not allowed with"),
-         (["--k", "3", "--cases", "5", "--fixed-rank", "a=1"], "--fixed-rank pins a CSV column"),
-         (["--avg-ranks", "1.5,1.5,3"], "need --cases"),
-         (["--k", "3"], "need --cases"),
+         (["--csv", "ACC", "--k", "7"], "unrecognized arguments: --k 7"),
+         (["--avg-ranks", "1.5,1.5,3", "--cases", "5", "--k", "9"],
+          "unrecognized arguments: --k 9"),
+         (["--avg-ranks", "1.5,1.5,3"], "--avg-ranks needs --cases"),
          (["--csv", "ACC", "--fixed-rank", "c=4", "--fixed-rank", "d=4"],
           "come from no ranking"),
          (["--csv", "ACC", "--fixed-rank", "c=5"], "must be finite and lie in [1, 4]"),
@@ -936,8 +996,8 @@ class TestStats:
          (["--avg-ranks", "1,,3", "--cases", "5"],
           "--avg-ranks '1,,3': rank '' is not a number; give comma-separated ranks")],
         ids=["avg-ranks-sum", "avg-ranks-and-csv", "csv-and-cases", "csv-and-k",
-             "avg-ranks-and-k", "k-and-fixed-rank", "avg-ranks-without-cases",
-             "k-without-cases", "fixed-ranks-no-ranking-gives", "fixed-rank-out-of-range",
+             "avg-ranks-and-k", "avg-ranks-without-cases",
+             "fixed-ranks-no-ranking-gives", "fixed-rank-out-of-range",
              "avg-ranks-letter", "avg-ranks-empty-token"],
     )
     def test_inputs_no_report_answers_are_refused(self, tmp_path, capsys, flags, message):
@@ -955,11 +1015,13 @@ class TestStats:
 
     @pytest.mark.parametrize(
         "flags, message",
-        [(["--k", "3", "--cases", "0"], "N >= 1"),
-         (["--k", "3", "--cases", "-5"], "N >= 1"),
-         (["--k", "3", "--cases", "25", "--q-alpha", "nan"], "q_alpha must be finite"),
-         (["--k", "3", "--cases", "25", "--q-alpha", "inf"], "q_alpha must be finite"),
-         (["--k", "1", "--cases", "25", "--q-alpha", "2.0"], "k >= 2")],
+        [(["--avg-ranks", "2,2,2", "--cases", "0"], "Friedman test needs >= 2 cases"),
+         (["--avg-ranks", "2,2,2", "--cases", "-5"], "Friedman test needs >= 2 cases"),
+         (["--avg-ranks", "2,2,2", "--cases", "25", "--q-alpha", "nan"],
+          "q_alpha must be finite"),
+         (["--avg-ranks", "2,2,2", "--cases", "25", "--q-alpha", "inf"],
+          "q_alpha must be finite"),
+         (["--avg-ranks", "1", "--cases", "25", "--q-alpha", "2.0"], "k >= 2")],
         ids=["cases-0", "cases-negative", "q-nan", "q-inf", "k-1"],
     )
     def test_bad_cd_inputs_are_usage_errors(self, capsys, flags, message):
@@ -1033,14 +1095,21 @@ class TestCheck:
 @pytest.mark.parametrize(
     "argv",
     [["countloss-check"], ["check", "--n", "64"], ["stats", "--n", "25", "--k", "3"],
-     ["train", "--count-mode", "nll"], ["train", "--vote-mode", "fractional"]],
-    ids=["check-alias", "check-n", "stats-n", "count-mode", "vote-mode"],
+     ["train", "--count-mode", "nll"], ["train", "--vote-mode", "fractional"],
+     ["train", "--train", "TRAIN", "--test", "TEST", "--checkpoint-every", "1"],
+     ["generate", "--gaussian", "-o", "x.pll", "--mode", "binomial"],
+     ["stats", "--k", "3", "--cases", "25"]],
+    ids=["check-alias", "check-n", "stats-n", "count-mode", "vote-mode", "checkpoint-every",
+         "generate-mode", "stats-k"],
 )
-def test_removed_names_are_usage_errors(capsys, argv):
+def test_removed_names_are_usage_errors(tiny_dataset, tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    files = dict(zip(("TRAIN", "TEST"), tiny_dataset))
     with pytest.raises(SystemExit) as exc:
-        run_cli(argv)
+        run_cli([files.get(arg, arg) for arg in argv])
     assert exc.value.code == EXIT_USAGE
     assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_import_loads_no_scipy(tmp_path):

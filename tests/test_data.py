@@ -85,15 +85,6 @@ class TestGenerator:
         c = generate_synthetic(labels, 4, q=0.5, seed=10)
         assert not np.array_equal(a, c)
 
-    def test_uniform_size_mode(self):
-        labels = np.random.default_rng(7).integers(0, 6, size=6000)
-        cands = generate_synthetic(labels, 6, q=0.5, seed=8, mode="uniform-size")
-        sizes = cands.sum(axis=1)
-        assert cands[np.arange(len(labels)), labels].all()
-        assert sizes.min() == 1 and sizes.max() == 6
-        # uniform over 1..6 has mean 3.5
-        assert abs(sizes.mean() - 3.5) < 0.1
-
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             generate_synthetic([0], 1, q=0.5, seed=0)
@@ -101,8 +92,6 @@ class TestGenerator:
             generate_synthetic([0], 3, q=1.5, seed=0)
         with pytest.raises(ValueError):
             generate_synthetic([3], 3, q=0.5, seed=0)
-        with pytest.raises(ValueError):
-            generate_synthetic([0], 3, q=0.5, seed=0, mode="gauss")
 
 
 class TestStatsAndSplit:

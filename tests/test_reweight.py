@@ -26,7 +26,7 @@ class TestKnnSearch:
     def test_three_points_on_a_line(self):
         X = np.array([[0.0], [1.0], [3.0]])
         nb = knn_search(X, k=1)
-        assert [int(n.indices[0]) for n in nb] == [1, 0, 1]
+        assert nb.indices.tolist() == [[1], [0], [1]]
 
     def test_duplicates_pick_each_other_at_distance_zero(self):
         X = np.array([[2.0, 2.0], [2.0, 2.0], [9.0, 9.0]])
@@ -48,16 +48,15 @@ class TestKnnSearch:
         X = rng.standard_normal((p, d))
         got = knn_search(X, k)
         want = brute_force_knn(X, k)
-        for g, (w_idx, w_dist) in zip(got, want):
-            np.testing.assert_array_equal(g.indices, w_idx)
-            np.testing.assert_array_equal(g.distances, w_dist)
+        np.testing.assert_array_equal(got.indices, [w_idx for w_idx, _ in want])
+        np.testing.assert_array_equal(got.distances, [w_dist for _, w_dist in want])
 
     def test_k_clamped_to_population(self, caplog):
         # the clamp is silent here; `cleanse train` reports it once per run
         X = np.random.default_rng(0).standard_normal((4, 2))
         with caplog.at_level(logging.DEBUG):
             nb = knn_search(X, k=10)
-        assert all(len(n) == 3 for n in nb)
+        assert nb.indices.shape == nb.distances.shape == (4, 3)
         assert caplog.records == []
 
     def test_thread_count_does_not_change_results(self):
@@ -65,9 +64,8 @@ class TestKnnSearch:
         X = rng.standard_normal((200, 4))
         seq = knn_search(X, 6, threads=1)
         par = knn_search(X, 6, threads=8)
-        for a, b in zip(seq, par):
-            np.testing.assert_array_equal(a.indices, b.indices)
-            np.testing.assert_array_equal(a.distances, b.distances)
+        np.testing.assert_array_equal(seq.indices, par.indices)
+        np.testing.assert_array_equal(seq.distances, par.distances)
 
     def test_gemm_path_matches_direct_differences(self):
         # 4200 points span several query blocks, beyond the small-p oracle
@@ -85,9 +83,9 @@ class TestKnnSearch:
                 want = np.argsort(d2, kind="stable")[:k]
                 assert got[r].indices.tobytes() == want.tobytes()
                 assert got[r].distances.tobytes() == np.sqrt(d2[want]).tobytes()
-            for a, b in zip(got, knn_search(X, k, threads=2)):
-                assert a.indices.tobytes() == b.indices.tobytes()
-                assert a.distances.tobytes() == b.distances.tobytes()
+            par = knn_search(X, k, threads=2)
+            assert got.indices.tobytes() == par.indices.tobytes()
+            assert got.distances.tobytes() == par.distances.tobytes()
 
     def test_overflowing_features_match_oracle(self):
         # squared distances overflow to inf, so every point joins the band
@@ -96,11 +94,11 @@ class TestKnnSearch:
         with np.errstate(over="ignore", invalid="ignore"):
             got = knn_search(X, 6)
             want = brute_force_knn(X, 6)
-        for r, (g, (w_idx, w_dist)) in enumerate(zip(got, want)):
-            assert np.all(np.isinf(g.distances))
-            assert r not in g.indices
-            np.testing.assert_array_equal(g.indices, w_idx)
-            np.testing.assert_array_equal(g.distances, w_dist)
+        assert np.all(np.isinf(got.distances))
+        for r, (w_idx, w_dist) in enumerate(want):
+            assert r not in got.indices[r]
+            np.testing.assert_array_equal(got.indices[r], w_idx)
+            np.testing.assert_array_equal(got.distances[r], w_dist)
 
     def test_rerank_spanning_several_difference_blocks(self):
         # each row's band holds at least k points, so p * k band pairs exceed
@@ -124,9 +122,8 @@ class TestKnnSearch:
                 par = knn_search(X, 3, threads=2)
                 seq = knn_search(X, 3, threads=1)
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
-        for a, b in zip(par, seq):
-            assert a.indices.tobytes() == b.indices.tobytes()
-            assert a.distances.tobytes() == b.distances.tobytes()
+        assert par.indices.tobytes() == seq.indices.tobytes()
+        assert par.distances.tobytes() == seq.distances.tobytes()
 
     def test_arrays_equal_for_threads_1_and_2(self):
         # 1500 points make three query blocks
@@ -138,23 +135,21 @@ class TestKnnSearch:
         assert seq.indices.tobytes() == par.indices.tobytes()
         assert seq.distances.tobytes() == par.distances.tobytes()
 
-    def test_rows_index_count_and_iterate(self):
+    def test_rows_index(self):
         X = np.random.default_rng(13).standard_normal((9, 2))
         got = knn_search(X, 4)
-        assert len(got) == 9
-        rows = list(got)
-        assert len(rows) == 9
-        for r, (row, same) in enumerate(zip(rows, got)):
-            assert isinstance(row, NeighborList) and len(row) == 4
-            assert row.indices.tobytes() == got.indices[r].tobytes() == same.indices.tobytes()
-            assert row.distances.tobytes() == got[r].distances.tobytes()
+        assert got.indices.shape == got.distances.shape == (9, 4)
+        for r in range(9):
+            row = got[r]
+            assert isinstance(row, NeighborList) and row.indices.shape == (4,)
+            assert row.indices.tobytes() == got.indices[r].tobytes()
+            assert row.distances.tobytes() == got.distances[r].tobytes()
             assert r not in row.indices
         assert got[-1].indices.tobytes() == got.indices[8].tobytes()
 
     def test_distances_nondecreasing(self):
         X = np.random.default_rng(4).standard_normal((40, 3))
-        for n in knn_search(X, 9):
-            assert np.all(np.diff(n.distances) >= 0.0)
+        assert np.all(np.diff(knn_search(X, 9).distances, axis=1) >= 0.0)
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
@@ -200,7 +195,9 @@ class TestEnhancedLabel:
     def test_matches_reference_on_random_batches(self):
         cases = {"clean": 0, "partial": 0, "none": 0}
         for cand_lists, ds, k in _random_batches(31):
-            for i, nb in enumerate(knn_search(ds.features, k)):
+            nbs = knn_search(ds.features, k)
+            for i in range(ds.n):
+                nb = nbs[i]
                 got = enhanced_label(i, ds, nb)
                 assert got == oracle_vote(ds.candidates, i, nb.indices, nb.distances)
                 if got == NO_ENHANCEMENT:

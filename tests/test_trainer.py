@@ -1,6 +1,7 @@
 """Training-loop contracts: degeneracy to the uniform-candidate baseline,
 hidden-truth firewall, determinism, metrics identities."""
 
+import dataclasses
 import math
 import re
 import time
@@ -301,6 +302,28 @@ class TestFirewallAndDeterminism:
         _, h1 = fit(train, test, config)
         _, h2 = fit(train, test, config)
         assert [x.reweight_loss for x in h1] == [x.reweight_loss for x in h2]
+
+    @pytest.mark.parametrize("scope,feats,lam", [("batch", "raw", 1e-3), ("global", "raw", 0.0),
+                                                 ("batch", "embedding", 0.0),
+                                                 ("global", "embedding", 1e-3)])
+    def test_epoch_n_of_a_longer_run_is_an_n_epoch_run(self, scope, feats, lam):
+        # the parameters after epoch N-1 of a run are those of the same run
+        # with epochs=N, and its history is a prefix
+        ds = make_dataset(n=100, seed=16)
+        train, test = split(ds, 0.2, seed=17)
+        config = TrainConfig(epochs=4, batch_size=32, hidden=(8,), knn_scope=scope,
+                             knn_features=feats, lam=lam, seed=18)
+        after = []
+        _, history = fit(train, test, config, on_epoch=lambda metrics, model: after.append(
+            [p.copy() for p in model.parameters()]))
+        for epochs in (1, 3):
+            model, short = fit(train, test, dataclasses.replace(config, epochs=epochs))
+            assert ([format_metrics_row(x) for x in short]
+                    == [format_metrics_row(x) for x in history[:epochs]])
+            params = model.parameters()
+            assert len(params) == len(after[epochs - 1])
+            for got, want in zip(params, after[epochs - 1]):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestMetrics:
