@@ -279,11 +279,11 @@ def check_knn_brute_force(rng: np.random.Generator, p: int = 2000, d: int = 4, k
                           queries: int = 50) -> CheckResult:
     """knn_search vs brute_force_knn on queries sampled from every row block.
 
-    2000 points make four of knn_search's query blocks.  A half-unit grid
-    offset by 1e4 gives duplicates and distance ties whose GEMM estimates
-    differ in the last bits, so a band without its roundoff margin drops
-    tied neighbours.  The tolerance is 0: a wrong index counts as an
-    infinite deviation.
+    2000 points make sixteen of knn_search's 128-row query blocks.  A
+    half-unit grid offset by 1e4 gives duplicates and distance ties whose
+    GEMM estimates differ in the last bits, so a band without its roundoff
+    margin drops tied neighbours.  The tolerance is 0: a wrong index counts
+    as an infinite deviation.
     """
     X = np.round(2.0 * rng.standard_normal((p, d))) / 2.0 + 1e4
     got = knn_search(X, k)

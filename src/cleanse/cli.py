@@ -281,7 +281,8 @@ def cmd_train(args) -> int:
     # a replay in place keeps the manifest it replays until the run is done,
     # so one stopped on the way can be replayed again
     started = os.path.realpath(os.path.join(out_dir, "manifest.json"))
-    if recorded is None or started != os.path.realpath(args.manifest):
+    in_place = recorded is not None and started == os.path.realpath(args.manifest)
+    if not in_place:
         _write_manifest(out_dir, manifest)
 
     _log(f"training on {train_path} (n={train.n}, m={train.m}), evaluating on {test_path}")
@@ -309,13 +310,15 @@ def cmd_train(args) -> int:
 
     save_mlp(model, os.path.join(out_dir, "model.txt"))
     manifest["output_sha256"] = {name: _sha256(os.path.join(out_dir, name)) for name in RUN_OUTPUTS}
-    _write_manifest(out_dir, manifest)
     window = min(config.eval_window, len(history))
     mean, std = summarize(history, window)
     print(f"final accuracy over last {window} evaluated epochs: {100*mean:.2f} ± {100*std:.2f}%")
-    if recorded is None:
-        return EXIT_OK
-    return _verify_replay(args.manifest, recorded, manifest["output_sha256"])
+    status = EXIT_OK if recorded is None else _verify_replay(
+        args.manifest, recorded, manifest["output_sha256"])
+    # an in-place replay that fails keeps the digests it was checked against
+    if status == EXIT_OK or not in_place:
+        _write_manifest(out_dir, manifest)
+    return status
 
 
 def _rank_table_from_args(args) -> tuple[RankTable, list[str]]:

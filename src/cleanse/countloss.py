@@ -166,14 +166,14 @@ def batch_intervals(candidates) -> tuple[np.ndarray, np.ndarray]:
     """Per-class count bounds ``lo, hi`` from a batch's (n, m) bool candidate mask.
 
     For class j, ``lo[j]`` counts the clean samples labeled j (those counts
-    are certain) and ``hi[j]`` adds every partial sample that still lists j
-    as a candidate.  Both are (m,) int64 arrays.
+    are certain) and ``hi[j]`` every sample that lists j as a candidate: a
+    clean sample lists only its own label, so that is ``lo[j]`` plus the
+    partial samples that still list j.  Both are (m,) int64 arrays.
     """
     if len(candidates) == 0:
         raise ValueError("batch_intervals requires a nonempty batch")
     clean = candidates.sum(axis=1) == 1
-    lo = candidates[clean].sum(axis=0, dtype=np.int64)
-    return lo, lo + candidates[~clean].sum(axis=0, dtype=np.int64)
+    return candidates[clean].sum(axis=0, dtype=np.int64), candidates.sum(axis=0, dtype=np.int64)
 
 
 @dataclass(frozen=True)

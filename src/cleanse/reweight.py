@@ -10,7 +10,6 @@ while the remaining candidates keep weight 1, and the row is normalized.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +21,11 @@ NO_ENHANCEMENT = -1
 # votes run in int64 while k * lcm(set sizes) is below this
 _INT64_VOTE_LIMIT = 2**63
 
-# elements per (rows, p) GEMM block
-_CHUNK_ELEMENTS = 1_000_000
+# float64 elements per (rows, p) estimate block, 1 MiB; blocks keep at
+# least 128 rows (for GEMM efficiency) while that stays within 10^6 elements
+_BLOCK_ELEMENTS = 2**17
+_MIN_BLOCK_ROWS = 128
+_MAX_BLOCK_ELEMENTS = 1_000_000
 # elements per (pairs, d) re-rank difference block, a cache-sized 256 KiB
 # temporary: on 64 x 784 batches 16k-32k ran fastest and 1M a third slower
 _RERANK_ELEMENTS = 32_768
@@ -44,6 +46,11 @@ class NeighborList:
         return NeighborList(self.indices[row], self.distances[row])
 
 
+def _block_rows(p: int) -> int:
+    """Query rows per (rows, p) estimate block of a search over p points."""
+    return max(_BLOCK_ELEMENTS // p, min(_MIN_BLOCK_ROWS, _MAX_BLOCK_ELEMENTS // p), 1)
+
+
 def knn_search(features: np.ndarray, k: int, threads: int = 1) -> NeighborList:
     """Exact Euclidean k nearest neighbors of every row among all rows.
 
@@ -55,9 +62,20 @@ def knn_search(features: np.ndarray, k: int, threads: int = 1) -> NeighborList:
     over a thread pool with fixed block boundaries, so results are bitwise
     identical for any thread count.
 
-    A GEMM on mean-centred features picks each row's points within a roundoff
-    bound of its k-th estimate (all points, if one is not finite); direct
-    differences re-rank them, so results equal a full stable sort bit for bit.
+    A GEMM on mean-centred features C picks each row's points within a
+    roundoff bound of its k-th estimate; direct differences re-rank them, so
+    results equal a full stable sort bit for bit.  Query q's estimate of
+    point j is est_j = sq_j - 2 C_q.C_j: the squared distance d2_j less the
+    row constant sq_q, which reorders nothing.  margin[q] bounds
+    |est_j - (d2_j - sq_q)| about twice over: the rounding of centring,
+    norms, GEMM, subtraction and direct sum, and (`tiny`) subnormals.
+    Leaving sq_q out removes one rounding and no term of that bound.  So the
+    k-th estimate is at least the k-th d2 - sq_q less one margin, and every
+    point whose d2 is at most the k-th d2 has est_j <= k-th estimate + 2
+    margins: the band keeps each neighbour and each tie of the k-th.  By
+    Cauchy-Schwarz |C_q.C_j| <= max(sq), so |est_j| <= 3 max(sq) and every
+    estimate is finite when 4 max(sq) is; otherwise every point joins every
+    band.
     """
     X = np.ascontiguousarray(np.asarray(features, dtype=np.float64))
     if X.ndim != 2:
@@ -71,33 +89,38 @@ def knn_search(features: np.ndarray, k: int, threads: int = 1) -> NeighborList:
 
     C = X - X.mean(axis=0)
     sq = np.sum(C * C, axis=1)
-    # margin[q] bounds |estimate - direct d2| for query q about twice over: the
-    # rounding of centring, norms, GEMM and direct sum, and (`tiny`) subnormals.
     fp = np.finfo(np.float64)
+    finite = bool(np.isfinite(sq).all() and 4.0 * sq.max() < fp.max)
     margin = 8.0 * (d + 4) * fp.eps * (sq + sq.max() + fp.tiny)
-    block = max(1, _CHUNK_ELEMENTS // p)
+    block = _block_rows(p)
     pairs = max(1, _RERANK_ELEMENTS // d)
 
     def work(start: int) -> tuple[np.ndarray, np.ndarray]:
         rows = slice(start, min(start + block, p))
-        est = sq[rows, None] + sq - 2.0 * (C[rows] @ C.T)
-        finite = np.isfinite(est).all(axis=1)
-        np.fill_diagonal(est[:, start:], np.inf)  # exclude self
-        # the k-th direct d2 is at most kth + margin: 2 margins keep its ties
-        bound = np.partition(est, kk - 1, axis=1)[:, kk - 1] + 2.0 * margin[rows]
-        band = (est <= bound[:, None]) | ~(finite & np.isfinite(bound))[:, None]
-        np.fill_diagonal(band[:, start:], False)
-        local, cols = np.nonzero(band)  # row-major: each band in index order
+        if finite:
+            est = C[rows] @ C.T
+            est *= -2.0
+            est += sq
+            np.fill_diagonal(est[:, start:], np.inf)  # exclude self
+            # a new bound array frees the partitioned copy before the compare
+            bound = np.partition(est, kk - 1, axis=1)[:, kk - 1] + 2.0 * margin[rows]
+            band = est <= bound[:, None]
+        else:
+            band = np.ones((rows.stop - start, p), dtype=bool)
+            np.fill_diagonal(band[:, start:], False)
+        local, cols = np.divmod(np.flatnonzero(band), p)  # each band in index order
         d2 = np.empty(len(cols))
         for s in range(0, len(cols), pairs):
             diff = X[start + local[s : s + pairs]]
             diff -= X[cols[s : s + pairs]]
             np.sum(np.square(diff, out=diff), axis=1, out=d2[s : s + pairs])
         order = np.lexsort((d2, local))  # stable: ties keep index order
-        pick = order[np.searchsorted(local, np.arange(len(est)))[:, None] + np.arange(kk)]
+        pick = order[np.searchsorted(local, np.arange(len(band)))[:, None] + np.arange(kk)]
         return cols[pick], np.sqrt(d2[pick])
 
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         errstate = np.geterr()  # pool threads start from numpy's default
 
         def task(start: int) -> tuple[np.ndarray, np.ndarray]:

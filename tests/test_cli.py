@@ -553,6 +553,18 @@ class TestReplay:
         assert json.loads((out_dir / "manifest.json").read_text())["output_sha256"] == \
             recorded["output_sha256"]
 
+    def test_failed_replay_in_place_keeps_the_recorded_digests(self, recorded_run, capsys):
+        # the manifest a failed replay was checked against stays, so an
+        # identical replay fails again instead of verifying its own digests
+        manifest, _ = recorded_run
+        _edit_manifest(manifest, lambda loaded: loaded["output_sha256"].update(
+            {"metrics.csv": "0" * 64}))
+        recorded = manifest.read_bytes()
+        for _ in range(2):
+            assert run_cli(["train", "--manifest", str(manifest), "--quiet"]) == EXIT_CHECK_FAILED
+            assert "metrics.csv has sha256 " in capsys.readouterr().err
+            assert manifest.read_bytes() == recorded
+
     def test_failed_verification_names_changed_platform_fields(self, recorded_run, tmp_path,
                                                                capsys):
         manifest, _ = recorded_run

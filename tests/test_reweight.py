@@ -3,11 +3,16 @@ logic against an independent vote enumeration, and weight-matrix algebra."""
 
 import logging
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+import cleanse
 from cleanse import reweight
 from cleanse.checks import brute_force_knn, oracle_vote
 from cleanse.data import PartialDataset
@@ -15,6 +20,7 @@ from cleanse.reweight import (
     _RERANK_ELEMENTS,
     NO_ENHANCEMENT,
     NeighborList,
+    _block_rows,
     build_weight_matrix,
     enhanced_label,
     enhanced_labels,
@@ -126,14 +132,58 @@ class TestKnnSearch:
         assert par.distances.tobytes() == seq.distances.tobytes()
 
     def test_arrays_equal_for_threads_1_and_2(self):
-        # 1500 points make three query blocks
+        # an integer grid (many tied distances) over several query blocks
         X = np.round(2.0 * np.random.default_rng(12).standard_normal((1500, 3)))
-        seq = knn_search(X, 7, threads=1)
-        par = knn_search(X, 7, threads=2)
-        assert seq.indices.shape == seq.distances.shape == (1500, 7)
+        self._assert_threads_1_and_2_equal(X, 7)
+
+    def test_arrays_equal_for_threads_1_and_2_at_desk_shape(self):
+        X = np.random.default_rng(12).standard_normal((600, 2))
+        self._assert_threads_1_and_2_equal(X, 20)
+
+    @staticmethod
+    def _assert_threads_1_and_2_equal(X, k):
+        p = len(X)
+        assert math.ceil(p / _block_rows(p)) >= 3  # so the two threads share blocks
+        seq = knn_search(X, k, threads=1)
+        par = knn_search(X, k, threads=2)
+        assert seq.indices.shape == seq.distances.shape == (p, k)
         assert (seq.indices.dtype, seq.distances.dtype) == (np.int64, np.float64)
         assert seq.indices.tobytes() == par.indices.tobytes()
         assert seq.distances.tobytes() == par.distances.tobytes()
+
+    @pytest.mark.parametrize("p", [2, 64, 600, 1500, 2400, 5120, 7812, 7813, 10**4, 10**6,
+                                   2 * 10**6])
+    def test_estimate_blocks_stay_within_a_million_elements(self, p):
+        # a block holds one row at least, so only p > 10^6 exceeds the bound
+        rows = _block_rows(p)
+        assert rows >= 1 and rows * p <= max(10**6, p)
+        assert rows >= min(128, 10**6 // p)  # wide searches keep their GEMM rows
+
+    def test_peak_traced_memory_at_desk_shape(self):
+        # 600 points make three 1 MiB estimate blocks; the estimate and its
+        # partitioned copy are the only block-sized arrays alive at once
+        X = np.random.default_rng(0).standard_normal((600, 2))
+        tracemalloc.start()
+        try:
+            knn_search(X, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2**20
+
+    def test_one_thread_never_imports_the_thread_pool(self):
+        # the pool and the logging it imports load only for threads > 1
+        code = ("import sys, numpy as np, cleanse, cleanse.trainer\n"
+                "pool = ('concurrent.futures', 'logging')\n"
+                "cleanse.reweight.knn_search(np.eye(5), 2)\n"
+                "print([name in sys.modules for name in pool])\n"
+                "cleanse.reweight.knn_search(np.eye(5), 2, threads=2)\n"
+                "print('concurrent.futures' in sys.modules)")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cleanse.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.splitlines() == ["[False, False]", "True"]
 
     def test_rows_index(self):
         X = np.random.default_rng(13).standard_normal((9, 2))
