@@ -84,41 +84,70 @@ def logsumexp(xs):
     return np.logaddexp.reduce(xs, axis=-1)[()]
 
 
-def _forward(p: np.ndarray, q: np.ndarray, top: int, lattice: bool = False,
+def _forward(weights: np.ndarray, top: int, lattice: bool = False,
              log_space: bool = True) -> np.ndarray:
     """Run the count recurrence over all n items; return the last row.
 
-    ``p`` and ``q`` are (n, m, 1) arrays: log p and log(1 - p) in log space,
-    p and 1 - p in probability space.  Column k + 1 of an (m, top + 2) row
-    holds P(count == k) per class, or its log; column 0 is a zero pad, so
-    count 0 needs no special case.  Row i is updated only over the counts
-    0..min(i, top) it can reach.  Counts above ``top`` are never stored: a
-    count never falls, so they feed no count at or below ``top``, and every
-    kept value has the bits of the full recurrence.  Without ``lattice`` two
-    rows take turns; with it, the (n + 1, m, top + 2) lattice is returned,
-    whose row i is the distribution over the first i items.
+    ``weights`` is the (n, M, 2, 1) array of each item's step weights per
+    class row: log p and log(1 - p) in log space, p and 1 - p in probability
+    space.  Column k + 1 of an (M, top + 2) row holds P(count == k) per
+    class, or its log; column 0 is a zero pad, so count 0 needs no special
+    case.  Row i is updated only over the counts 0..min(i, top) it can
+    reach.  Counts above ``top`` are never stored: a count never falls, so
+    they feed no count at or below ``top``, and every kept value has the
+    bits of the full recurrence.  Without ``lattice`` two rows take turns;
+    with it, the (n + 1, M, top + 2) lattice is returned, whose row i is the
+    distribution over the first i items.
 
     In probability space a step is one ``matmul`` of each count's two terms
     (P(count - 1), P(count)) with (p_i, q_i).  numpy evaluates it with its
     own loop for any number of class rows and counts, so neither stacking
     nor the stop at ``top`` moves a bit.  A step over count 0 alone (top = 0)
     may go to a BLAS dot product; its first term is the zero pad, so every
-    order of evaluation gives the same bits.
+    order of evaluation gives the same bits.  The steps at and past ``top``
+    cover every stored count, so they read and write views built once,
+    picked by an integer index.
     """
-    n, m, _ = p.shape
+    n, m = weights.shape[:2]
     rows = np.full((n + 1 if lattice else 2, m, top + 2), LOG_ZERO if log_space else 0.0)
     rows[0, :, 1] = 0.0 if log_space else 1.0
-    terms = sliding_window_view(rows, 2, axis=2)  # terms[r, :, k] = row r's counts k - 1 and k
-    weights = np.stack((p, q), axis=2)  # (n, m, 2, 1)
-    for i in range(n):
-        src, dst = (i, i + 1) if lattice else (i % 2, 1 - i % 2)
-        end = min(i + 1, top) + 2
-        if log_space:
+    steps = [(i, i + 1) if lattice else (i % 2, 1 - i % 2) for i in range(n)]
+    if log_space:
+        p, q = weights[:, :, 0], weights[:, :, 1]
+        for i, (src, dst) in enumerate(steps):
+            end = min(i + 1, top) + 2
             prev = rows[src]
             np.logaddexp(prev[:, : end - 1] + p[i], prev[:, 1:end] + q[i], out=rows[dst, :, 1:end])
-        else:
-            np.matmul(terms[src, :, : end - 1], weights[i], out=rows[dst, :, 1:end, None])
+    else:
+        terms = sliding_window_view(rows, 2, axis=2)  # terms[r, :, k] = row r's counts k - 1 and k
+        for i, (src, dst) in enumerate(steps[:top]):
+            np.matmul(terms[src, :, : i + 2], weights[i], out=rows[dst, :, 1 : i + 3, None])
+        full_terms, full_rows = terms[:, :, : top + 1], rows[..., 1:, None]
+        for i, (src, dst) in enumerate(steps[top:], top):
+            np.matmul(full_terms[src], weights[i], out=full_rows[dst])
     return rows if lattice else rows[n % 2]
+
+
+def _prob_weights(parts) -> np.ndarray:
+    """Probability-space step weights (p, 1 - p) of the (n, M_b, 1)
+    probabilities in ``parts``, stacked in order as the class rows of one
+    (n, sum M_b, 2, 1) array, which is the only one written."""
+    weights = np.empty((len(parts[0]), sum(p.shape[1] for p in parts), 2, 1))
+    col = 0
+    for p in parts:
+        weights[:, col : col + p.shape[1], 0] = p
+        col += p.shape[1]
+    np.subtract(1.0, weights[:, :, 0], out=weights[:, :, 1])
+    return weights
+
+
+def _log_weights(log_p: np.ndarray) -> np.ndarray:
+    """Log-space step weights (log p, log(1 - p)) from the (n, M, 1) log p;
+    ``log1mexp`` refuses log p > 0."""
+    weights = np.empty((*log_p.shape[:2], 2, 1))
+    weights[:, :, 0] = log_p
+    weights[:, :, 1] = log1mexp(log_p)
+    return weights
 
 
 def count_log_pmf(log_p: np.ndarray) -> np.ndarray:
@@ -128,7 +157,7 @@ def count_log_pmf(log_p: np.ndarray) -> np.ndarray:
     runs in log space on two rows: O(n) working memory, O(n^2) time.
     """
     log_p = np.asarray(log_p, dtype=np.float64)[:, None, None]
-    return _forward(log_p, log1mexp(log_p), len(log_p))[0, 1:]
+    return _forward(_log_weights(log_p), len(log_p))[0, 1:]
 
 
 def _check_intervals(lo: np.ndarray, hi: np.ndarray, n: int) -> None:
@@ -203,22 +232,19 @@ def _batch_inputs(probs: np.ndarray, lo, hi) -> tuple:
     return probs[:, :, None], lo, hi
 
 
-def _log_inputs(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """log p and log(1 - p), the log-space DP's inputs; ``log1mexp`` refuses p > 1."""
-    with np.errstate(divide="ignore"):
-        log_p = np.log(p)
-    return log_p, log1mexp(log_p)
-
-
-def _interval_dp(p: np.ndarray, lo, hi, log_space: bool, lattice: bool = False):
-    """``_forward`` over the (n, M, 1) probabilities ``p`` with rows stopped
-    at max(hi), and the interval log-probabilities of the first len(lo)
-    class rows of its last row, from ``interval_log_prob``'s sum without its
-    checks (``_batch_inputs`` made them).  A probability-space row reaches
-    that sum through ``np.log``: zeros become ``-inf``, which it ignores.
+def _interval_dp(weights: np.ndarray, lo, hi, log_space: bool, lattice: bool = False):
+    """``_forward`` over the (n, M, 2, 1) probability-space step weights
+    ``weights`` with rows stopped at max(hi), and the interval
+    log-probabilities of the first len(lo) class rows of its last row, from
+    ``interval_log_prob``'s sum without its checks (``_batch_inputs`` made
+    them).  In log space the DP runs on the logs of ``weights[:, :, 0]``.  A
+    probability-space row reaches that sum through ``np.log``: zeros become
+    ``-inf``, which it ignores.
     """
-    dp_inputs = _log_inputs(p) if log_space else (p, 1.0 - p)
-    rows = _forward(*dp_inputs, int(hi.max()), lattice, log_space)
+    if log_space:
+        with np.errstate(divide="ignore"):
+            weights = _log_weights(np.log(weights[:, :, 0]))
+    rows = _forward(weights, int(hi.max()), lattice, log_space)
     last = (rows[-1] if lattice else rows)[: len(lo), 1:]
     if not log_space:
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -305,7 +331,7 @@ def count_loss(batch_probs: np.ndarray, lo, hi) -> CountLossResult:
     O(n^2 m) in all.
     """
     p, lo, hi = _batch_inputs(batch_probs, lo, hi)
-    both_ways = np.concatenate((p, p[::-1]), axis=1)  # items reversed as classes m..2m-1
+    both_ways = _prob_weights((p, p[::-1]))  # items reversed as classes m..2m-1
     log_space = False
     lattice, log_in = _interval_dp(both_ways, lo, hi, log_space, lattice=True)
     if not _keeps_prob_space(p, log_in):
@@ -347,7 +373,6 @@ def _stacked_interval_dp(inputs: list, group: list[int], log_space: bool) -> dic
     """Interval log-probabilities of each batch b in ``group`` (all of one
     size), keyed by b, from one value-only DP over their stacked class rows."""
     p, lo, hi = zip(*(inputs[b] for b in group))
-    _, log_in = _interval_dp(np.concatenate(p, axis=1), np.concatenate(lo), np.concatenate(hi),
-                             log_space)
+    _, log_in = _interval_dp(_prob_weights(p), np.concatenate(lo), np.concatenate(hi), log_space)
     ends = np.cumsum([len(inputs[b][1]) for b in group])
     return dict(zip(group, np.split(log_in, ends[:-1])))

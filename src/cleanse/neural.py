@@ -10,7 +10,7 @@ so probabilities and everything computed from them are float64 either way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,7 +18,7 @@ import numpy as np
 # loss clamp so saturated losses stay finite with the descent direction intact.
 MIN_PROB = math.exp(-700.0)
 
-# elements per row block of an optimizer step: its scratch rows stay in cache
+# elements per block of an optimizer step: its scratch stays in cache
 _STEP_BLOCK = 16384
 
 
@@ -30,13 +30,47 @@ def _checked_widths(widths) -> tuple[int, ...]:
     return widths
 
 
+def _views(buffer: np.ndarray, shapes) -> list[np.ndarray]:
+    """C-ordered views of consecutive segments of the 1-D ``buffer``, one per shape."""
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(buffer[start : start + size].reshape(shape))
+        start += size
+    return views
+
+
+def _zero_parameters(widths: tuple[int, ...], dtype) -> tuple[list, list]:
+    """(weights, biases) of ``widths``, all zero, as zero-stride arrays: the
+    ``Mlp`` built from them allocates only its own buffer."""
+    zero = np.zeros((), dtype=dtype)
+    pairs = list(zip(widths, widths[1:]))
+    return ([np.broadcast_to(zero, pair) for pair in pairs],
+            [np.broadcast_to(zero, (fan_out,)) for _, fan_out in pairs])
+
+
 @dataclass
 class Mlp:
-    """Fully connected ReLU net; weights[l] maps width l to width l+1."""
+    """Fully connected ReLU net; weights[l] maps width l to width l+1.
+
+    Every parameter is a C-ordered view of one contiguous buffer, ``flat``,
+    in ``parameters()`` order.  The constructor copies the arrays it is given
+    into a new buffer of their common dtype; the optimizers step that buffer,
+    so a parameter is changed in place, never replaced.
+    """
 
     widths: tuple[int, ...]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        given = self.parameters()
+        self.flat = np.empty(sum(p.size for p in given), dtype=np.result_type(*given))
+        views = _views(self.flat, [p.shape for p in given])
+        for view, p in zip(views, given):
+            view[...] = p
+        self.weights, self.biases = views[0::2], views[1::2]
 
     @classmethod
     def init(cls, widths, rng: np.random.Generator, dtype=np.float64) -> "Mlp":
@@ -46,18 +80,16 @@ class Mlp:
         consumes the same draws from ``rng``.
         """
         widths = _checked_widths(widths)
-        weights, biases = [], []
-        for fan_in, fan_out in zip(widths, widths[1:]):
-            bound = math.sqrt(6.0 / fan_in)
-            w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-            weights.append(w.astype(dtype, copy=False))
-            biases.append(np.zeros(fan_out, dtype=dtype))
-        return cls(widths=widths, weights=weights, biases=biases)
+        model = cls(widths, *_zero_parameters(widths, dtype))
+        for w in model.weights:
+            bound = math.sqrt(6.0 / len(w))
+            w[...] = rng.uniform(-bound, bound, size=w.shape)
+        return model
 
     @property
     def dtype(self) -> np.dtype:
         """The dtype of every parameter and activation."""
-        return self.weights[0].dtype
+        return self.flat.dtype
 
     def parameters(self) -> list[np.ndarray]:
         out = []
@@ -137,77 +169,102 @@ def backward(
     return grads
 
 
-def _step_blocks(params, count: int) -> list[list[tuple]]:
-    """Per parameter, its row blocks as (row slice, ``count`` scratch views).
+class _FlatStep:
+    """The blocks of ``_STEP_BLOCK`` elements (the last may be shorter) an
+    optimizer steps a model's flat buffer in, with ``count`` scratch views
+    per block.
 
-    A block holds about _STEP_BLOCK elements (at least one row).  The scratch
-    rows are allocated once, in the parameters' dtype, to the size of the
-    largest block, and every block's views share them.
+    The scratch is allocated once, in the parameters' dtype, to the size of
+    the largest block; every block's views share it.  ``blocks`` lists
+    (buffer slice, scratch views..., segments).  A segment (j, src, dst)
+    says that the block's part ``dst`` of the first scratch view takes the
+    raveled elements ``src`` of gradient j.
     """
-    slices = []
-    for p in params:
-        rows = max(1, _STEP_BLOCK // (p.size // len(p)))
-        slices.append([slice(r, r + rows) for r in range(0, len(p), rows)])
-    size = max(p[b[0]].size for p, b in zip(params, slices))
-    bufs = [np.empty(size, dtype=params[0].dtype) for _ in range(count)]
 
-    def views(block: np.ndarray) -> tuple:
-        return tuple(buf[: block.size].reshape(block.shape) for buf in bufs)
+    def __init__(self, model: Mlp, count: int):
+        params = model.parameters()
+        self.size = len(params)
+        starts = np.cumsum([0, *(p.size for p in params)]).tolist()
+        bufs = [np.empty(min(starts[-1], _STEP_BLOCK), dtype=model.dtype) for _ in range(count)]
+        self.blocks = []
+        for lo in range(0, starts[-1], _STEP_BLOCK):
+            hi = min(lo + _STEP_BLOCK, starts[-1])
+            scratch = tuple(buf[: hi - lo] for buf in bufs)
+            segments = []
+            for j, (first, end) in enumerate(zip(starts, starts[1:])):
+                a, b = max(lo, first), min(hi, end)
+                if a < b:
+                    segments.append((j, slice(a - first, b - first), scratch[0][a - lo : b - lo]))
+            self.blocks.append((slice(lo, hi), *scratch, segments))
 
-    return [[(rows, *views(p[rows])) for rows in b] for p, b in zip(params, slices)]
+    def gradients(self, grads) -> list[np.ndarray]:
+        """``grads`` raveled (views when C-ordered), one per parameter."""
+        if len(grads) != self.size:
+            raise ValueError(f"expected {self.size} gradients, got {len(grads)}")
+        return [g.reshape(-1) for g in grads]
+
+    @staticmethod
+    def gradient_into(flat_grads, segments) -> None:
+        """Add each segment's gradient elements into its scratch part in place:
+        one ``np.add`` per parameter the block covers."""
+        for j, src, dst in segments:
+            np.add(flat_grads[j][src], dst, out=dst)
 
 
-def _scalars(params, *values: float) -> tuple:
-    """``values`` as scalars of the parameters' dtype.
+def _scalars(dtype, *values: float) -> tuple:
+    """``values`` as scalars of ``dtype``.
 
     A ufunc rounds a Python float operand to a float32 array's dtype anyway,
     so the results are the same bits; but it checks that conversion on every
     call, which costs more than the arithmetic on a small block.
     """
-    cast = params[0].dtype.type
+    cast = dtype.type
     return tuple(cast(v) for v in values)
 
 
 class Sgd:
     """Plain gradient descent; weight decay enters as an L2 gradient term.
 
-    A step evaluates ``p -= lr * (g + wd * p)`` in place, one row block at a
-    time through one scratch row, so no step after the first allocates, and
-    the parameters are bitwise equal to the plain expression.
+    A step evaluates ``p -= lr * (g + wd * p)`` in place over the model's
+    flat buffer, one block at a time through one scratch block, so no step
+    after the first allocates, and the parameters are bitwise equal to the
+    plain expression.
     """
 
     def __init__(self, lr: float = 1e-3, weight_decay: float = 0.0):
         self.lr = lr
         self.weight_decay = weight_decay
-        self._blocks: list[list[tuple]] | None = None
+        self._plan: _FlatStep | None = None
 
     def step(self, model: Mlp, grads) -> Mlp:
-        params = model.parameters()
-        if self._blocks is None:
-            self._blocks = _step_blocks(params, 1)
-        wd, lr = _scalars(params, self.weight_decay, self.lr)
-        for p, g, blocks in zip(params, grads, self._blocks, strict=True):
-            for rows, a in blocks:
-                pb = p[rows]
-                np.multiply(pb, wd, out=a)
-                np.add(g[rows], a, out=a)
-                np.multiply(a, lr, out=a)
-                np.subtract(pb, a, out=pb)
+        if self._plan is None:
+            self._plan = _FlatStep(model, 1)
+        flat_grads = self._plan.gradients(grads)
+        wd, lr = _scalars(model.dtype, self.weight_decay, self.lr)
+        for rows, a, segments in self._plan.blocks:
+            pb = model.flat[rows]
+            np.multiply(pb, wd, out=a)
+            _FlatStep.gradient_into(flat_grads, segments)
+            np.multiply(a, lr, out=a)
+            np.subtract(pb, a, out=pb)
         return model
 
 
 class Adam:
     """First/second-moment adaptive update with bias correction.
 
-    A step evaluates the textbook update below in place, one row block at a
-    time through a pair of scratch rows, with the same operations in the same
-    order.  No step after the first allocates, and the parameters are
-    bitwise equal to the expressions::
+    A step evaluates the textbook update below in place over the model's
+    flat buffer and flat moment buffers, one block at a time through a pair
+    of scratch blocks, with the same operations in the same order.  No step
+    after the first allocates, and the parameters are bitwise equal to the
+    expressions::
 
         g = g + wd * p
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * (g * g)
         p -= lr * (m / c1) / (sqrt(v / c2) + eps)   # c = 1 - beta ** t
+
+    ``m`` and ``v`` list the moments per parameter, as views of those buffers.
     """
 
     def __init__(
@@ -224,39 +281,41 @@ class Adam:
         self.t = 0
         self.m: list[np.ndarray] | None = None
         self.v: list[np.ndarray] | None = None
-        self._blocks: list[list[tuple]] | None = None
+        self._moments: np.ndarray | None = None
+        self._plan: _FlatStep | None = None
 
     def step(self, model: Mlp, grads) -> Mlp:
-        params = model.parameters()
-        if self.m is None:
-            self.m = [np.zeros_like(p) for p in params]
-            self.v = [np.zeros_like(p) for p in params]
-            self._blocks = _step_blocks(params, 2)
+        if self._plan is None:
+            self._moments = np.zeros((2, model.flat.size), dtype=model.dtype)
+            shapes = [p.shape for p in model.parameters()]
+            self.m, self.v = (_views(row, shapes) for row in self._moments)
+            self._plan = _FlatStep(model, 2)
+        flat_grads = self._plan.gradients(grads)
         self.t += 1
         b1, b2 = self.betas
         wd, lr, eps, b1, b2, d1, d2, c1, c2 = _scalars(
-            params, self.weight_decay, self.lr, self.eps, b1, b2, 1.0 - b1, 1.0 - b2,
+            model.dtype, self.weight_decay, self.lr, self.eps, b1, b2, 1.0 - b1, 1.0 - b2,
             1.0 - b1**self.t, 1.0 - b2**self.t,
         )
-        for p, g, m, v, blocks in zip(params, grads, self.m, self.v, self._blocks, strict=True):
-            for rows, a, b in blocks:
-                pb, mb, vb = p[rows], m[rows], v[rows]
-                np.multiply(pb, wd, out=a)
-                np.add(g[rows], a, out=a)  # a = g
-                np.multiply(mb, b1, out=mb)
-                np.multiply(a, d1, out=b)
-                np.add(mb, b, out=mb)
-                np.multiply(a, a, out=a)
-                np.multiply(a, d2, out=a)
-                np.multiply(vb, b2, out=vb)
-                np.add(vb, a, out=vb)
-                np.divide(mb, c1, out=a)
-                np.multiply(a, lr, out=a)  # a = lr * m_hat
-                np.divide(vb, c2, out=b)
-                np.sqrt(b, out=b)
-                np.add(b, eps, out=b)
-                np.divide(a, b, out=a)
-                np.subtract(pb, a, out=pb)
+        m, v = self._moments
+        for rows, a, b, segments in self._plan.blocks:
+            pb, mb, vb = model.flat[rows], m[rows], v[rows]
+            np.multiply(pb, wd, out=a)
+            _FlatStep.gradient_into(flat_grads, segments)  # a = g
+            np.multiply(mb, b1, out=mb)
+            np.multiply(a, d1, out=b)
+            np.add(mb, b, out=mb)
+            np.multiply(a, a, out=a)
+            np.multiply(a, d2, out=a)
+            np.multiply(vb, b2, out=vb)
+            np.add(vb, a, out=vb)
+            np.divide(mb, c1, out=a)
+            np.multiply(a, lr, out=a)  # a = lr * m_hat
+            np.divide(vb, c2, out=b)
+            np.sqrt(b, out=b)
+            np.add(b, eps, out=b)
+            np.divide(a, b, out=a)
+            np.subtract(pb, a, out=pb)
         return model
 
 
@@ -306,19 +365,17 @@ def load_mlp(path) -> Mlp:
         dtype = _CHECKPOINT_DTYPES.get(dtype_field or "dtype=float64")
         if dtype is None:
             raise ValueError(f"unknown checkpoint dtype field {dtype_field!r}")
-        weights, biases = [], []
-        for fan_in, fan_out in zip(widths, widths[1:]):
-            w = np.empty((fan_in, fan_out), dtype=dtype)
-            for r in range(fan_in):
+        model = Mlp(widths, *_zero_parameters(widths, dtype))
+        for w, b in zip(model.weights, model.biases):
+            for r in range(len(w)):
                 row = [float(tok) for tok in fh.readline().split()]
-                if len(row) != fan_out:
+                if len(row) != w.shape[1]:
                     raise ValueError("checkpoint row width mismatch")
                 w[r] = row
-            b = [float(tok) for tok in fh.readline().split()]
-            if len(b) != fan_out:
+            row = [float(tok) for tok in fh.readline().split()]
+            if len(row) != len(b):
                 raise ValueError("checkpoint bias width mismatch")
-            weights.append(w)
-            biases.append(np.array(b, dtype=dtype))
+            b[:] = row
         if fh.readline() != "":
             raise ValueError("trailing content after checkpoint parameters")
-    return Mlp(widths=widths, weights=weights, biases=biases)
+    return model

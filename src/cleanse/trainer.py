@@ -1,10 +1,13 @@
 """End-to-end training loop: reweighted CE plus count-loss regularizer.
 
 Each epoch shuffles the training set with the run's seeded RNG and walks it
-in mini-batches; per batch the weight matrix is rebuilt from the current
-neighbor structure, the count intervals are recounted, and the combined
-objective  total = reweight_loss + lambda * count_loss  is backpropagated.
-Runs are deterministic given the config seed.
+in mini-batches; per batch the count intervals are recounted, and the
+combined objective  total = reweight_loss + lambda * count_loss  is
+backpropagated.  Its weight rows come from the enhanced labels of the
+current neighbor structure, built once per label set: once per run at
+global scope over raw features, once per epoch at global scope over the
+embedding, and per batch at batch scope; global scope gathers each batch's
+rows.  Runs are deterministic given the config seed.
 
 The network trains in float32 (``NETWORK_DTYPE``): its parameters, its
 activations and the optimizer's state.  Everything from the logits on is
@@ -251,22 +254,24 @@ def fit(
 
     embed = config.knn_features == "embedding" and len(config.hidden) > 0
 
-    def labels_among(features, cands):
-        """Enhanced labels of ``cands``' rows from their k nearest in ``features``."""
+    def weight_rows(features, cands):
+        """Weight rows of ``cands``' rows, from their enhanced labels among
+        their k nearest in ``features``."""
         nb = knn_search(features, config.k, threads=config.threads)
-        return enhanced_labels(cands, cands[nb.indices], nb.distances)
+        enhanced = enhanced_labels(cands, cands[nb.indices], nb.distances)
+        return build_weight_matrix(cands, enhanced, config.temperature)
 
-    global_enhanced = None
+    global_weights = None
     if config.knn_scope == "global" and not embed:
-        # neighbours and enhanced labels of the raw view never change
-        global_enhanced = labels_among(view.features, view.candidates)
+        # neighbours, enhanced labels and weight rows of the raw view never change
+        global_weights = weight_rows(view.features, view.candidates)
 
     history: list[EpochMetrics] = []
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
         if config.knn_scope == "global" and embed:
             hidden, _ = forward(model, view.features)
-            global_enhanced = labels_among(hidden[-1], view.candidates)
+            global_weights = weight_rows(hidden[-1], view.candidates)
 
         perm = rng.permutation(view.n)
         batch_rl, batch_rg, deferred = [], [], []  # deferred: lambda = 0 count inputs
@@ -279,10 +284,9 @@ def fit(
             hidden, probs = forward(model, X)
 
             if config.knn_scope == "batch":
-                enhanced = labels_among(hidden[-1] if embed else feats, cands)
+                weights = weight_rows(hidden[-1] if embed else feats, cands)
             else:
-                enhanced = global_enhanced[batch_idx]
-            weights = build_weight_matrix(cands, enhanced, config.temperature)
+                weights = global_weights[batch_idx]
             lo, hi = batch_intervals(cands)
             rl, rg, grad_logits = batch_objective(probs, weights, lo, hi, config.lam)
             if rg is None:  # lambda = 0: computed after the epoch's last step

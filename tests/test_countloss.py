@@ -211,7 +211,8 @@ class TestTrainingRunsTheTestedPrimitives:
             assert on_log_path(count_loss, probs, lo, hi).loss == want
             assert on_log_path(count_loss_value, probs, lo, hi) == want
             p = probs[:, :, None]
-            row = countloss_module._forward(p, 1.0 - p, n, log_space=False)
+            row = countloss_module._forward(countloss_module._prob_weights((p,)), n,
+                                            log_space=False)
             want = -min(interval_log_prob(np.log(row[0, 1:]), lo[0], hi[0]), 0.0)
             assert count_loss(probs, lo, hi).loss == want
             assert count_loss_value(probs, lo, hi) == want
@@ -535,11 +536,13 @@ def _full_row_value(probs, lo, hi, log_space):
     log space or in probability space."""
     p, lo, hi = countloss_module._batch_inputs(probs, lo, hi)
     if log_space:
-        log_p, log_q = countloss_module._log_inputs(p)
-        row = countloss_module._forward(log_p, log_q, len(p))
-    else:
         with np.errstate(divide="ignore"):
-            row = np.log(countloss_module._forward(p, 1.0 - p, len(p), log_space=False))
+            log_p = np.log(p)
+        row = countloss_module._forward(countloss_module._log_weights(log_p), len(p))
+    else:
+        weights = countloss_module._prob_weights((p,))
+        with np.errstate(divide="ignore"):
+            row = np.log(countloss_module._forward(weights, len(p), log_space=False))
     return countloss_module._loss_terms(interval_log_prob(row[:, 1:], lo, hi))[0]
 
 
@@ -593,8 +596,8 @@ class TestCountLossValues:
         with pytest.MonkeyPatch.context() as patch:
             forward = countloss_module._forward
             patch.setattr(countloss_module, "_forward",
-                          lambda p, q, top, lattice=False, log_space=True:
-                              forward(p, q, len(p), lattice, log_space))
+                          lambda weights, top, lattice=False, log_space=True:
+                              forward(weights, len(weights), lattice, log_space))
             full = count_loss(*zero_top)
         assert full.loss == alone.loss
         assert full.grad.tobytes() == alone.grad.tobytes()
@@ -620,8 +623,8 @@ class TestCountLossValues:
                 assert got.log_space == log_space
                 patch.setattr(
                     countloss_module, "_forward",
-                    lambda p, q, top, lattice=False, log_space=True:
-                        forward(p, q, len(p), lattice, log_space),
+                    lambda weights, top, lattice=False, log_space=True:
+                        forward(weights, len(weights), lattice, log_space),
                 )
                 want = count_loss(probs, lo, hi)
                 assert want.log_space == log_space
@@ -636,10 +639,10 @@ def _log_space_rows(monkeypatch):
     rows = []
     forward = countloss_module._forward
 
-    def counting(p, q, top, lattice=False, log_space=True):
+    def counting(weights, top, lattice=False, log_space=True):
         if log_space:
-            rows.append(p.shape[1])
-        return forward(p, q, top, lattice, log_space)
+            rows.append(weights.shape[1])
+        return forward(weights, top, lattice, log_space)
 
     monkeypatch.setattr(countloss_module, "_forward", counting)
     return rows

@@ -79,6 +79,12 @@ class TestFloat32:
             assert b.dtype == np.float32
             np.testing.assert_array_equal(a.astype(np.float32), b)
         assert rng64.bit_generator.state == rng32.bit_generator.state
+        # the weights are fan-in uniforms drawn layer by layer; biases are 0
+        rng = np.random.default_rng(3)
+        for w, b in zip(m64.weights, m64.biases):
+            bound = math.sqrt(6.0 / len(w))
+            assert w.tobytes() == rng.uniform(-bound, bound, size=w.shape).tobytes()
+            assert not b.any()
 
     def test_activations_follow_the_model_probabilities_are_float64(self):
         model = _model((4, 6, 3), dtype=np.float32)
@@ -271,11 +277,17 @@ class _TextbookAdam:
 
 
 class TestBlockedStep:
+    # widths of the Mlp.init models; the flat buffer lays each out as
+    # weights[0], biases[0], weights[1], ...
+    DESK = (2, 32, 32, 3)  # one block holds every parameter
+    # 100 x 150 = 15000 weights, 150 biases, then 150 x 40: the first block
+    # ends inside the second weight matrix, which the second block finishes
+    BOUNDARY = (100, 150, 40)
+
     @staticmethod
-    def _model(dtype):
-        # 784x300 spans several row blocks, a 40000-wide row exceeds one
-        # block, the 1-D biases are single blocks, and the Fortran-ordered
-        # weight makes every row slice a strided view
+    def _mnist_like(dtype):
+        # 784x300 spans several blocks, and a block ends inside the 3x40000
+        # weight; the Fortran-ordered weight is copied into its C-ordered view
         rng = np.random.default_rng(12)
         weights = [
             rng.standard_normal((784, 300)).astype(dtype),
@@ -286,24 +298,40 @@ class TestBlockedStep:
         assert 784 * 300 > 2 * _STEP_BLOCK and 40000 > _STEP_BLOCK
         return Mlp(widths=(784, 300), weights=weights, biases=biases)
 
+    def _model(self, shape, dtype):
+        if shape == "mnist-like":
+            return self._mnist_like(dtype)
+        widths = self.DESK if shape == "desk" else self.BOUNDARY
+        if shape == "boundary":
+            assert 100 * 150 + 150 < _STEP_BLOCK < 100 * 150 + 150 + 150 * 40
+        return _model(widths, seed=12, dtype=dtype)
+
     @pytest.mark.parametrize("name", ["adam", "sgd"])
     def test_equals_textbook_update_in_place(self, name):
-        self._check_textbook(name, np.float64)
+        self._check_textbook(name, "mnist-like", np.float64)
 
     @pytest.mark.parametrize("name", ["adam", "sgd"])
     def test_float32_equals_textbook_update_in_place(self, name):
-        self._check_textbook(name, np.float32)
+        self._check_textbook(name, "mnist-like", np.float32)
 
-    def _check_textbook(self, name, dtype):
-        model = self._model(dtype)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    @pytest.mark.parametrize("shape", ["desk", "boundary"])
+    @pytest.mark.parametrize("name", ["adam", "sgd"])
+    def test_init_models_equal_textbook_update_in_place(self, name, shape, dtype):
+        self._check_textbook(name, shape, dtype)
+
+    def _check_textbook(self, name, shape, dtype):
+        model = self._model(shape, dtype)
         params = model.parameters()
         want = [p.copy() for p in params]
         lr, wd = 1e-3, 1e-5
         opt = Adam(lr=lr, weight_decay=wd) if name == "adam" else Sgd(lr=lr, weight_decay=wd)
         ref = _TextbookAdam(want, lr, wd) if name == "adam" else None
         rng = np.random.default_rng(13)
-        for _ in range(5):
+        for step in range(5):
             grads = [rng.standard_normal(p.shape).astype(dtype) for p in params]
+            if step == 1:  # a gradient that is not C-ordered enters as a copy
+                grads[0] = np.asfortranarray(grads[0])
             opt.step(model, grads)
             if ref is None:
                 _textbook_sgd_step(want, grads, lr, wd)
@@ -315,10 +343,44 @@ class TestBlockedStep:
         if ref is not None:
             assert all(m.dtype == dtype for m in opt.m + opt.v)
 
+    def test_gradient_count_is_checked(self):
+        model = self._model("desk", np.float32)
+        grads = [np.zeros_like(p) for p in model.parameters()]
+        for opt in (Adam(), Sgd()):
+            with pytest.raises(ValueError, match="expected 6 gradients, got 5"):
+                opt.step(model, grads[:5])
+
+
+class TestFlatParameters:
+    @staticmethod
+    def _check_layout(model, dtype):
+        params = model.parameters()
+        assert model.flat.dtype == model.dtype == dtype
+        assert model.flat.flags.c_contiguous
+        assert model.flat.size == sum(p.size for p in params)
+        start = 0
+        for p in params:
+            assert p.flags.c_contiguous and p.base is model.flat
+            assert p.__array_interface__["data"][0] == (
+                model.flat.__array_interface__["data"][0] + start * p.itemsize)
+            start += p.size
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_init_load_and_constructor_build_one_buffer(self, tmp_path, dtype):
+        model = _model((4, 7, 5, 3), seed=3, dtype=dtype)
+        self._check_layout(model, dtype)
+        save_mlp(model, tmp_path / "model.txt")
+        self._check_layout(load_mlp(tmp_path / "model.txt"), dtype)
+        weights = [np.asfortranarray(w) for w in model.weights]
+        copy = Mlp(widths=model.widths, weights=weights, biases=model.biases)
+        self._check_layout(copy, dtype)
+        for a, b in zip(copy.parameters(), model.parameters()):
+            assert a.tobytes() == b.tobytes() and not np.shares_memory(a, b)
+
 
 class TestStepMemory:
     # Python objects of the block lists and their views, beyond the scratch
-    # buffers themselves (about 14 KB at these widths)
+    # buffers themselves (16-23 KB at these widths)
     SLACK = 32 * 1024
 
     @pytest.mark.parametrize("name, scratch_blocks", [("adam", 2), ("sgd", 1)])

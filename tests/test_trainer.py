@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from cleanse.cli import EXIT_OK, main
+from cleanse.countloss import batch_intervals, count_loss
 from cleanse.data import (
     PartialDataset,
     gaussian_clusters,
@@ -18,6 +19,7 @@ from cleanse.data import (
     write_pll_file,
 )
 from cleanse.neural import Mlp, backward, forward, make_optimizer, reweighted_ce
+from cleanse.reweight import build_weight_matrix, enhanced_labels, knn_search
 import cleanse.trainer as trainer_module
 from cleanse.trainer import (
     CSV_HEADER,
@@ -31,6 +33,7 @@ from cleanse.trainer import (
     smallest_knn_search,
     summarize,
 )
+from test_neural import _TextbookAdam
 
 
 def make_dataset(n=240, m=3, q=0.5, seed=0, spread=1.0):
@@ -79,6 +82,89 @@ def baseline_fit(train, test, config):
             total += loss * len(batch_idx)
         losses.append(total / view.n)
     return model, losses, evaluate(model, test)
+
+
+def reference_fit(train, test, config):
+    """Reference run of lambda > 0 training, batch by batch, through the
+    public stage functions: at every scope, ``build_weight_matrix`` on the
+    batch's own rows and their enhanced labels, then ``batch_intervals``,
+    ``reweighted_ce`` and ``count_loss`` chained through the softmax by
+    hand, and a textbook Adam on parameter arrays of its own.  Mirrors fit's
+    RNG consumption; returns the parameters and, per epoch, (reweight loss,
+    count loss, total loss, test accuracy)."""
+    assert config.lam > 0.0 and config.optimizer == "adam"
+    view = train.strip_truth()
+    rng = np.random.default_rng(config.seed)
+    widths = (view.d, *config.hidden, view.m)
+    params = Mlp.init(widths, rng, dtype=trainer_module.NETWORK_DTYPE).parameters()
+    params = [p.copy() for p in params]
+    adam = _TextbookAdam(params, config.lr, config.weight_decay)
+    embed = config.knn_features == "embedding"
+
+    def network():
+        return Mlp(widths, params[0::2], params[1::2])
+
+    def labels(features, cands):
+        nb = knn_search(features, config.k, threads=config.threads)
+        return enhanced_labels(cands, cands[nb.indices], nb.distances)
+
+    if config.knn_scope == "global" and not embed:
+        enhanced = labels(view.features, view.candidates)
+    history = []
+    for _ in range(config.epochs):
+        if config.knn_scope == "global" and embed:
+            enhanced = labels(forward(network(), view.features)[0][-1], view.candidates)
+        sum_rl = sum_rg = 0.0
+        for batch_idx in epoch_batches(rng.permutation(view.n), config.batch_size):
+            feats, cands = view.features[batch_idx], view.candidates[batch_idx]
+            X = feats.astype(trainer_module.NETWORK_DTYPE)
+            net = network()
+            hidden, probs = forward(net, X)
+            if config.knn_scope == "batch":
+                batch_enhanced = labels(hidden[-1] if embed else feats, cands)
+            else:
+                batch_enhanced = enhanced[batch_idx]
+            weights = build_weight_matrix(cands, batch_enhanced, config.temperature)
+            rl, grad_logits, _ = reweighted_ce(probs, weights)
+            cres = count_loss(probs, *batch_intervals(cands))
+            gdotp = np.sum(cres.grad * probs, axis=1, keepdims=True)
+            grad_logits = grad_logits + config.lam * probs * (cres.grad - gdotp)
+            adam.step(params, backward(net, X, hidden, grad_logits))
+            sum_rl += rl * len(batch_idx)
+            sum_rg += cres.loss * len(batch_idx)
+        mean_rl, mean_rg = sum_rl / view.n, sum_rg / view.n
+        history.append((mean_rl, mean_rg, mean_rl + config.lam * mean_rg,
+                        evaluate(network(), test)))
+    return params, history
+
+
+class TestReferenceFit:
+    # desk's shape (600 training rows, m=3, global raw scope), global
+    # embedding scope, and batch scope at m=10
+    CASES = {
+        "desk": (dict(n=800, m=3, seed=50), dict(
+            epochs=3, batch_size=64, hidden=(32, 32), k=20, knn_scope="global", lam=1e-3)),
+        "global-embedding": (dict(n=200, m=3, seed=52), dict(
+            epochs=3, batch_size=32, hidden=(8, 8), k=5, knn_scope="global",
+            knn_features="embedding", lam=0.1)),
+        "batch-m10": (dict(n=300, m=10, seed=54, q=0.3), dict(
+            epochs=2, batch_size=64, hidden=(16,), k=10, knn_scope="batch", lam=0.1)),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_fit_equals_the_per_batch_reference(self, case):
+        data, settings = self.CASES[case]
+        train, test = split(make_dataset(**data), 0.25, seed=data["seed"] + 1)
+        config = TrainConfig(temperature=3.0, seed=data["seed"] + 2, **settings)
+        model, history = fit(train, test, config)
+        ref_params, ref_history = reference_fit(train, test, config)
+        assert [h.epoch for h in history] == list(range(config.epochs))
+        assert [(h.reweight_loss, h.count_loss, h.total_loss, h.test_accuracy)
+                for h in history] == ref_history
+        got = model.parameters()
+        assert len(got) == len(ref_params)
+        for a, b in zip(got, ref_params):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestEpochBatches:
