@@ -67,6 +67,8 @@ EXIT_DIVERGED = 4
 
 # `generate --gaussian` sizes; --source takes both from its file
 GAUSSIAN_N, GAUSSIAN_CLASSES = 600, 3
+# epochs the final accuracy line averages (fewer if the run is shorter)
+EVAL_WINDOW = 10
 
 
 def _log(msg: str) -> None:
@@ -145,6 +147,8 @@ MANIFEST_FIELDS = ("output_sha256", "platform", "toolkit_version", "config", "tr
                    "test_path", "train_sha256", "test_sha256", "out_dir")
 # config fields removed in 0.4.0, each with the one value whose runs still replay
 RETIRED_MODES = {"count_mode": "nll", "vote_mode": "fractional"}
+# config fields removed in 0.6.0 that reached no output file, so any value replays
+RETIRED_SETTINGS = ("eval_window",)
 
 
 def _platform() -> dict:
@@ -165,7 +169,8 @@ def _load_manifest(path: str):
     the manifest itself: ``cmd_train`` compares its input digests with those
     of the bytes it reads, and ``_verify_replay`` its output digests.  A
     field of ``RETIRED_MODES`` is dropped when it holds its kept value, the
-    one every 0.3.0 manifest records, and refused otherwise."""
+    one every 0.3.0 manifest records, and refused otherwise; a field of
+    ``RETIRED_SETTINGS`` is dropped at any value."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
@@ -184,7 +189,8 @@ def _load_manifest(path: str):
             if config.get(name, kept) != kept:
                 raise ManifestError(f"{path}: config {name} {config[name]!r} names a mode "
                                     "removed in 0.4.0, so the run cannot be replayed")
-        config = {name: value for name, value in config.items() if name not in RETIRED_MODES}
+        config = {name: value for name, value in config.items()
+                  if name not in RETIRED_MODES and name not in RETIRED_SETTINGS}
     try:
         config = TrainConfig(**config)
     except TypeError as exc:
@@ -310,7 +316,7 @@ def cmd_train(args) -> int:
 
     save_mlp(model, os.path.join(out_dir, "model.txt"))
     manifest["output_sha256"] = {name: _sha256(os.path.join(out_dir, name)) for name in RUN_OUTPUTS}
-    window = min(config.eval_window, len(history))
+    window = min(EVAL_WINDOW, len(history))
     mean, std = summarize(history, window)
     print(f"final accuracy over last {window} evaluated epochs: {100*mean:.2f} ± {100*std:.2f}%")
     status = EXIT_OK if recorded is None else _verify_replay(
@@ -351,18 +357,7 @@ def _rank_table_from_args(args) -> tuple[RankTable, list[str]]:
             rows.append(row)
     if not rows:
         raise ValueError(f"{args.csv}: the CSV has no rows below its header")
-    fixed = {}
-    for spec in args.fixed_rank or []:
-        name, _, value = spec.partition("=")  # no "=" leaves value empty
-        try:
-            rank = float(value)
-        except ValueError:
-            raise ValueError(f"--fixed-rank {spec!r} is not of the form NAME=RANK "
-                             "with a numeric RANK") from None
-        if name not in header:
-            raise ValueError(f"--fixed-rank column {name!r} not in CSV header")
-        fixed[header.index(name)] = rank
-    return rank_results(np.array(rows), fixed_ranks=fixed or None), header
+    return rank_results(np.array(rows)), header
 
 
 def _q_alpha(args, k: int) -> float:
@@ -380,9 +375,6 @@ def cmd_stats(args) -> int:
         raise ValueError("--cases cannot be given with --csv: the CSV's rows are the cases")
     if args.csv is None and args.cases is None:
         raise ValueError("--avg-ranks needs --cases, the case count N")
-    if args.csv is None and args.fixed_rank:
-        raise ValueError("--fixed-rank pins a CSV column, so it needs --csv "
-                         "and cannot be used with --avg-ranks")
     table, names = _rank_table_from_args(args)
     q_alpha = _q_alpha(args, table.k)
     chi2, f_f = friedman(table)
@@ -404,7 +396,7 @@ def cmd_stats(args) -> int:
 
 def cmd_check(args) -> int:
     failed = False
-    for r in run_all_checks(seed=args.seed):
+    for r in run_all_checks():
         failed = failed or not r.passed
         detail = r.error or f"max deviation {r.max_deviation:.3e} (tol {r.tolerance:.0e})"
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {detail}", flush=True)
@@ -482,13 +474,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--cases", type=int, default=None, help="case count N (with --avg-ranks)")
     s.add_argument("--q-alpha", type=float, default=None,
                    help="critical value (default: the alpha = 0.05 value for k)")
-    s.add_argument("--fixed-rank", action="append", metavar="NAME=RANK",
-                   help="pin a CSV column at a fixed rank in every case (with --csv)")
     s.set_defaults(func=cmd_stats)
 
-    c = sub.add_parser("check", help="run the oracle suite")
-    c.add_argument("--seed", type=int, default=0)
-    c.set_defaults(func=cmd_check)
+    sub.add_parser("check", help="run the oracle suite").set_defaults(func=cmd_check)
     return parser
 
 

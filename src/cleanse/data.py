@@ -341,7 +341,8 @@ def _parse_header(header: str) -> tuple[int, int, int]:
     vals = {}
     for part in parts[1:]:
         key, _, val = part.partition("=")
-        if key not in ("n", "d", "m") or not val.isdigit():
+        # isdigit alone passes '²' (int() refuses it) and '٣' (int() reads 3)
+        if key not in ("n", "d", "m") or not (val.isascii() and val.isdigit()):
             raise PllFormatError(f"bad header field {part!r}", 1)
         vals[key] = int(val)
     if set(vals) != {"n", "d", "m"} or vals["d"] < 1 or vals["m"] < 1:

@@ -43,36 +43,23 @@ class RankTable:
         object.__setattr__(self, "avg_ranks", ranks)
 
 
-def rank_results(accuracies: np.ndarray, fixed_ranks: dict[int, float] | None = None) -> RankTable:
+def rank_results(accuracies: np.ndarray) -> RankTable:
     """Average ranks from an N x k accuracy matrix (higher accuracy = rank 1).
 
-    Ties share the averaged rank.  ``fixed_ranks`` pins chosen columns at a
-    constant rank in every case (e.g. algorithms with unavailable results
-    settled at a fixed position); the remaining columns are ranked among
-    themselves, so pins that no ranking gives (two columns both at rank k)
-    are refused with the table.
+    Ties share the averaged rank.  Every accuracy must be finite: nan has no
+    place in the order, and inf would outrank every real accuracy.
     """
     acc = np.asarray(accuracies, dtype=np.float64)
     if acc.ndim != 2 or acc.shape[0] < 1 or acc.shape[1] < 2:
         raise ValueError("accuracies must be an N x k matrix with k >= 2")
-    if np.any(np.isnan(acc)):
-        raise ValueError("missing accuracy entries are not allowed")
+    if not np.all(np.isfinite(acc)):
+        raise ValueError("accuracies must be finite; nan, inf and missing entries are refused")
     n_cases, k = acc.shape
-    fixed = fixed_ranks or {}
-    for col in fixed:
-        if not 0 <= col < k:
-            raise ValueError(f"fixed-rank column {col} out of range")
-    free = [j for j in range(k) if j not in fixed]
-
-    ranks = np.empty_like(acc)
-    for col, rank in fixed.items():
-        ranks[:, col] = rank
-    # rank = free columns strictly better + (ties, itself included, + 1) / 2:
+    # rank = columns strictly better + (ties, itself included, + 1) / 2:
     # the mean of the tied positions, exact in float64 (integers and halves)
-    for col in free:
-        better = np.sum(acc[:, free] > acc[:, [col]], axis=1)
-        tied = np.sum(acc[:, free] == acc[:, [col]], axis=1)
-        ranks[:, col] = better + (tied + 1) / 2
+    better = np.sum(acc[:, None, :] > acc[:, :, None], axis=2)
+    tied = np.sum(acc[:, None, :] == acc[:, :, None], axis=2)
+    ranks = better + (tied + 1) / 2
     return RankTable(k=k, n_cases=n_cases, avg_ranks=ranks.mean(axis=0))
 
 

@@ -78,7 +78,6 @@ class TrainConfig:
     optimizer: str = _one_of(*OPTIMIZERS)
     hidden: tuple[int, ...] = (300, 300)
     seed: int = 0
-    eval_window: int = 10
     threads: int = 1
 
     def __post_init__(self):
@@ -107,7 +106,6 @@ class TrainConfig:
             (0.0 <= self.lam < math.inf, "lambda must be finite and >= 0"),
             (all(h >= 1 for h in self.hidden), "hidden widths must be >= 1"),
             (self.seed >= 0, "seed must be >= 0"),
-            (self.eval_window >= 1, "eval_window must be >= 1"),
             (self.threads >= 1, "threads must be >= 1"),
         )
         for ok, message in rules:

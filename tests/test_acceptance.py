@@ -169,8 +169,8 @@ def test_criterion_7_determinism_across_runs_and_threads(tmp_path):
             out = tmp_path / name
             cmd = [sys.executable, "-m", "cleanse", "train", "--train", str(train),
                    "--test", str(test), "--out-dir", str(out), "--epochs", "3",
-                   "--batch-size", "32", "--hidden", "8", "--eval-window", "3",
-                   "--seed", "9", "--threads", str(threads), "--quiet"]
+                   "--batch-size", "32", "--hidden", "8", "--seed", "9",
+                   "--threads", str(threads), "--quiet"]
             subprocess.run(cmd, check=True, capture_output=True)
             return (out / "metrics.csv").read_bytes()
 

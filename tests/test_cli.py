@@ -157,8 +157,7 @@ def tiny_dataset(tmp_path_factory):
     return str(train), str(test)
 
 
-TINY_TRAIN_ARGS = ["--epochs", "3", "--batch-size", "32", "--hidden", "8",
-                   "--eval-window", "3", "--quiet"]
+TINY_TRAIN_ARGS = ["--epochs", "3", "--batch-size", "32", "--hidden", "8", "--quiet"]
 
 
 class TestTrain:
@@ -636,6 +635,21 @@ class TestReplay:
         config = json.loads((out_dir / "manifest.json").read_text())["config"]
         assert "count_mode" not in config and "vote_mode" not in config
 
+    @pytest.mark.parametrize("window", [3, 10])
+    def test_recorded_eval_window_replays_at_any_value(self, recorded_run, tmp_path, capsys,
+                                                       window):
+        # every 0.5.0 manifest records eval_window; it set only the summary line
+        manifest, _ = recorded_run
+        _edit_manifest(manifest, lambda loaded: loaded["config"].update(eval_window=window))
+        out_dir = tmp_path / "b"
+        code = run_cli(["train", "--manifest", str(manifest), "--out-dir", str(out_dir),
+                        "--quiet"])
+        assert code == EXIT_OK
+        assert "replay verified: metrics.csv, model.txt" in capsys.readouterr().out
+        for name in ("metrics.csv", "model.txt"):
+            assert (out_dir / name).read_bytes() == (manifest.parent / name).read_bytes()
+        assert "eval_window" not in json.loads((out_dir / "manifest.json").read_text())["config"]
+
     @pytest.mark.parametrize("field, value", [("count_mode", "entropy"),
                                               ("vote_mode", "multiset")])
     def test_retired_mode_is_refused_before_any_read(self, recorded_run, tmp_path, monkeypatch,
@@ -830,7 +844,7 @@ class TestTrainFlags:
         assert set(flags) == RUN_FLAGS | {
             "--epochs", "--batch-size", "--lr", "--weight-decay", "--k", "--temperature",
             "--lambda", "--knn-scope", "--knn-features", "--optimizer", "--hidden", "--seed",
-            "--eval-window", "--threads",
+            "--threads",
         }
         config_dests = {a.dest for flag, a in flags.items() if flag not in RUN_FLAGS}
         assert config_dests == {f.name for f in dataclasses.fields(TrainConfig)}
@@ -931,31 +945,6 @@ class TestStats:
         out = capsys.readouterr().out
         assert float(out.split("F_F=")[1].splitlines()[0]) == 0.0
 
-    def test_csv_with_fixed_rank_override(self, tmp_path, capsys):
-        path = tmp_path / "acc.csv"
-        path.write_text("a,b,c,d\n0.9,0.8,0,0\n0.7,0.8,0,0\n0.9,0.6,0,0\n")
-        code = run_cli(["stats", "--csv", str(path),
-                        "--fixed-rank", "c=3.5", "--fixed-rank", "d=3.5"])
-        assert code == EXIT_OK
-        assert "ranking (best first):" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("spec", ["a", "a=", "a=x"])
-    def test_malformed_fixed_rank_names_the_flag_and_form(self, tmp_path, capsys, spec):
-        path = tmp_path / "acc.csv"
-        path.write_text("a,b,c\n0.9,0.8,0.7\n0.7,0.8,0.6\n")
-        assert run_cli(["stats", "--csv", str(path), "--fixed-rank", spec]) == EXIT_USAGE
-        captured = capsys.readouterr()
-        assert "--fixed-rank" in captured.err and "NAME=RANK" in captured.err
-        assert "CD=" not in captured.out
-
-    def test_fixed_rank_with_avg_ranks_is_refused(self, capsys):
-        code = run_cli(["stats", "--avg-ranks", "1.5,1.5,3", "--cases", "5",
-                        "--fixed-rank", "zzz=9"])
-        assert code == EXIT_USAGE
-        captured = capsys.readouterr()
-        assert "--fixed-rank" in captured.err and "--avg-ranks" in captured.err
-        assert "CD=" not in captured.out
-
     @pytest.mark.parametrize("ranks, message", [("1.5,nan,3", "must be finite"),
                                                 ("1,1,1", "come from no ranking")])
     def test_avg_ranks_from_no_ranking_are_refused(self, capsys, ranks, message):
@@ -965,14 +954,23 @@ class TestStats:
         assert "chi2=" not in captured.out
 
     def test_repeated_column_is_refused(self, tmp_path, capsys):
-        # a repeated name would rank twice and --fixed-rank would pin only the first
+        # a repeated name would rank twice
         path = tmp_path / "acc.csv"
         path.write_text("a,b,a\n0.9,0.8,0.7\n0.7,0.8,0.6\n0.9,0.6,0.8\n")
-        for flags in ([], ["--fixed-rank", "a=3"]):
-            assert run_cli(["stats", "--csv", str(path), *flags]) == EXIT_USAGE
-            captured = capsys.readouterr()
-            assert f"{path}: the header names column 'a' twice" in captured.err
-            assert "CD=" not in captured.out
+        assert run_cli(["stats", "--csv", str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert f"{path}: the header names column 'a' twice" in captured.err
+        assert "CD=" not in captured.out
+
+    @pytest.mark.parametrize("token", ["inf", "1e999", "-inf", "nan"])
+    def test_non_finite_accuracy_is_refused(self, tmp_path, capsys, token):
+        # inf (1e999 parses to it) would otherwise rank as the best entry
+        path = tmp_path / "acc.csv"
+        path.write_text(f"a,b,c\n0.9,0.8,0.7\n0.7,{token},0.6\n0.9,0.6,0.8\n")
+        assert run_cli(["stats", "--csv", str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "accuracies must be finite" in captured.err
+        assert "chi2=" not in captured.out and "CD=" not in captured.out
 
     def test_csv_without_rows_is_refused(self, tmp_path, capsys):
         path = tmp_path / "acc.csv"
@@ -1000,17 +998,13 @@ class TestStats:
          (["--avg-ranks", "1.5,1.5,3", "--cases", "5", "--k", "9"],
           "unrecognized arguments: --k 9"),
          (["--avg-ranks", "1.5,1.5,3"], "--avg-ranks needs --cases"),
-         (["--csv", "ACC", "--fixed-rank", "c=4", "--fixed-rank", "d=4"],
-          "come from no ranking"),
-         (["--csv", "ACC", "--fixed-rank", "c=5"], "must be finite and lie in [1, 4]"),
          (["--avg-ranks", "1,2,x", "--cases", "5"],
           "--avg-ranks '1,2,x': rank 'x' is not a number; give comma-separated ranks"),
          (["--avg-ranks", "1,,3", "--cases", "5"],
           "--avg-ranks '1,,3': rank '' is not a number; give comma-separated ranks")],
         ids=["avg-ranks-sum", "avg-ranks-and-csv", "csv-and-cases", "csv-and-k",
-             "avg-ranks-and-k", "avg-ranks-without-cases",
-             "fixed-ranks-no-ranking-gives", "fixed-rank-out-of-range",
-             "avg-ranks-letter", "avg-ranks-empty-token"],
+             "avg-ranks-and-k", "avg-ranks-without-cases", "avg-ranks-letter",
+             "avg-ranks-empty-token"],
     )
     def test_inputs_no_report_answers_are_refused(self, tmp_path, capsys, flags, message):
         path = tmp_path / "acc.csv"
@@ -1110,9 +1104,12 @@ class TestCheck:
      ["train", "--count-mode", "nll"], ["train", "--vote-mode", "fractional"],
      ["train", "--train", "TRAIN", "--test", "TEST", "--checkpoint-every", "1"],
      ["generate", "--gaussian", "-o", "x.pll", "--mode", "binomial"],
-     ["stats", "--k", "3", "--cases", "25"]],
+     ["stats", "--k", "3", "--cases", "25"],
+     ["train", "--train", "TRAIN", "--test", "TEST", "--eval-window", "3"],
+     ["check", "--seed", "1"],
+     ["stats", "--csv", "acc.csv", "--fixed-rank", "a=1"]],
     ids=["check-alias", "check-n", "stats-n", "count-mode", "vote-mode", "checkpoint-every",
-         "generate-mode", "stats-k"],
+         "generate-mode", "stats-k", "eval-window", "check-seed", "stats-fixed-rank"],
 )
 def test_removed_names_are_usage_errors(tiny_dataset, tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
@@ -1137,7 +1134,7 @@ def test_import_loads_no_scipy(tmp_path):
 
     (tmp_path / "acc.csv").write_text("a,b,c,d\n0.9,0.8,0.8,0\n0.7,0.9,0.6,0\n0.5,0.5,0.5,0\n")
     runs = [
-        ["stats", "--csv", "acc.csv", "--fixed-rank", "d=4"],
+        ["stats", "--csv", "acc.csv"],
         ["stats", "--avg-ranks", "3.56,3.00,3.16,5.36,6.24,6.52,7.08,1.12", "--cases", "25"],
         ["check"],
         ["generate", "--gaussian", "--n", "80", "--seed", "3", "--test-fraction", "0.25",

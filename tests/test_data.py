@@ -333,11 +333,14 @@ class TestPllFile:
             ("#pll n=1 d=1 m=3\nx;0;1.0\n", "bad truth"),
             ("#pll n=2 d=1 m=3\n0;0;1.0\n?;1;1.0\n", "mix"),
             ("#wrong header\n", "header"),
+            # str.isdigit passes both; int() refuses the first and reads the second as 3
+            ("#pll n=\u00b2 d=1 m=2\n0;0;1.0\n", "^line 1: bad header field 'n=\u00b2'$"),
+            ("#pll n=1 d=1 m=\u0663\n0;0;1.0\n", "^line 1: bad header field 'm=\u0663'$"),
         ],
     )
     def test_malformed_inputs_rejected(self, tmp_path, body, fragment):
         path = tmp_path / "bad.pll"
-        path.write_text(body)
+        path.write_text(body, encoding="utf-8")
         errors = []
         for _ in range(2):  # a failed read caches nothing, so it fails alike again
             with pytest.raises(PllFormatError, match=fragment) as caught:

@@ -137,43 +137,28 @@ class TestRankResults:
         table = rank_results(accs)
         np.testing.assert_array_equal(table.avg_ranks, [1.5, 1.5])
 
-    def test_fixed_rank_override(self):
-        # two columns lack results and sit at a settled rank of 3.5 ( (3+4)/2 )
-        # out of 4; the other two are ranked among themselves
-        accs = np.array([[0.9, 0.8, 0.0, 0.0], [0.7, 0.8, 0.0, 0.0]])
-        table = rank_results(accs, fixed_ranks={2: 3.5, 3: 3.5})
-        np.testing.assert_array_equal(table.avg_ranks, [1.5, 1.5, 3.5, 3.5])
-
-    def test_override_validated(self):
-        accs = np.array([[0.9, 0.8]])
-        with pytest.raises(ValueError):
-            rank_results(accs, fixed_ranks={5: 1.0})
-        with pytest.raises(ValueError):
-            rank_results(accs, fixed_ranks={0: 3.0})
-
     def test_missing_entries_rejected(self):
         with pytest.raises(ValueError):
             rank_results(np.array([[0.9, np.nan]]))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf])
+    def test_infinite_accuracies_refused(self, bad):
+        # inf would otherwise outrank every finite accuracy
+        with pytest.raises(ValueError, match="accuracies must be finite"):
+            rank_results(np.array([[0.9, 0.8], [0.7, bad]]))
 
     def test_matches_scipy_rankdata_bitwise(self):
         from scipy.stats import rankdata
 
         # few distinct levels, so most rows hold ties; -0.0 and 0.0 tie
-        levels = np.array([-np.inf, -0.0, 0.0, 0.25, 0.5, 1.0, np.inf])
+        levels = np.array([-1.0, -0.0, 0.0, 0.25, 0.5, 1.0, 2.0])
         rng = np.random.default_rng(12)
         for _ in range(1500):
             n, k = int(rng.integers(1, 7)), int(rng.integers(2, 9))
             accs = rng.choice(levels, size=(n, k))
             accs[rng.random(n) < 0.2] = rng.choice(levels)  # rows where every entry ties
-            # pinned columns settle at the mean of the last positions, as in
-            # test_fixed_rank_override; the free ones rank among themselves
-            pinned = rng.choice(k, size=int(rng.integers(0, k)), replace=False)
-            free = np.setdiff1d(np.arange(k), pinned)
-            settled = (2 * k - len(pinned) + 1) / 2
-            want = np.full((n, k), settled)
-            want[:, free] = rankdata(-accs[:, free], method="average", axis=1)
-            table = rank_results(accs, {int(c): settled for c in pinned} or None)
-            assert table.avg_ranks.tobytes() == want.mean(axis=0).tobytes()
+            want = rankdata(-accs, method="average", axis=1)
+            assert rank_results(accs).avg_ranks.tobytes() == want.mean(axis=0).tobytes()
 
     def test_sum_identity_for_complete_rankings(self):
         rng = np.random.default_rng(4)
@@ -206,11 +191,8 @@ class TestRankTable:
         for _ in range(50):
             n, k = int(rng.integers(1, 30)), int(rng.integers(2, 9))
             # coarse accuracies, so ties are common
-            accs = rng.integers(0, 4, size=(n, k)).astype(float)
-            four = rng.integers(0, 4, size=(n, 4)).astype(float)
-            # the last two of four settled at (3 + 4) / 2
-            for table in (rank_results(accs), rank_results(four, fixed_ranks={2: 3.5, 3: 3.5})):
-                RankTable(k=table.k, n_cases=n, avg_ranks=table.avg_ranks)
+            table = rank_results(rng.integers(0, 4, size=(n, k)).astype(float))
+            RankTable(k=table.k, n_cases=n, avg_ranks=table.avg_ranks)
 
     @pytest.mark.parametrize(
         "ranks",

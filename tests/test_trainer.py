@@ -215,7 +215,7 @@ class TestConfigValidation:
             {"knn_scope": "window"},
             {"knn_features": "Raw"},
             {"knn_features": "pca"},
-            {"eval_window": 0},
+            {"optimizer": "Adam"},
             {"threads": 0},
             # non-finite numbers: NaN fails every comparison, inf every bound
             {"lam": math.nan},
@@ -240,7 +240,7 @@ class TestConfigValidation:
             {"k": 2.5},
             {"threads": 1.5},
             {"seed": True},
-            {"eval_window": 10.0},
+            {"epochs": 3.0},
             {"hidden": (2.7,)},
             {"hidden": (8, True)},
             # float fields: numbers only, no bools; wrong types before ranges
