@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import platform
 import re
@@ -354,6 +355,9 @@ def _rank_table_from_args(args) -> tuple[RankTable, list[str]]:
                     row.append(float(tok))
                 except ValueError:
                     raise ValueError(f"{args.csv}:{lineno}: bad accuracy value {tok!r}") from None
+                if not math.isfinite(row[-1]):
+                    raise ValueError(f"{args.csv}:{lineno}: accuracy {tok!r} is not finite; "
+                                     "accuracies must be finite")
             rows.append(row)
     if not rows:
         raise ValueError(f"{args.csv}: the CSV has no rows below its header")

@@ -98,6 +98,11 @@ class Mlp:
             out.append(b)
         return out
 
+    def gradient_buffer(self) -> list[np.ndarray]:
+        """Uninitialized arrays laid out like ``parameters()``: views of one
+        new buffer of ``flat``'s size and dtype, for ``backward``'s ``out``."""
+        return _views(np.empty_like(self.flat), [p.shape for p in self.parameters()])
+
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row softmax with max-shift, safe for logits of any magnitude."""
@@ -150,20 +155,27 @@ def reweighted_ce(probs: np.ndarray, weights: np.ndarray) -> tuple[float, np.nda
 
 
 def backward(
-    model: Mlp, X: np.ndarray, hidden: list[np.ndarray], grad_logits: np.ndarray
+    model: Mlp,
+    X: np.ndarray,
+    hidden: list[np.ndarray],
+    grad_logits: np.ndarray,
+    out: list[np.ndarray] | None = None,
 ) -> list[np.ndarray]:
     """Parameter gradients (same layout and dtype as model.parameters()).
 
     ``hidden`` is the activation list ``forward`` returned for this ``X``.
     ``X`` and the float64 ``grad_logits`` are cast to the model's dtype; an
-    ``X`` that has it already is used as it is, not copied.
+    ``X`` that has it already is used as it is, not copied.  Given ``out``,
+    arrays laid out like ``model.parameters()`` (``Mlp.gradient_buffer``
+    makes them), each gradient is written into its array, with the same
+    bits, and ``out`` is returned; otherwise new arrays are.
     """
     inputs = [np.asarray(X, dtype=model.dtype), *hidden]
     delta = np.asarray(grad_logits, dtype=model.dtype)
-    grads: list[np.ndarray] = [None] * (2 * len(model.weights))
+    grads = [None] * (2 * len(model.weights)) if out is None else out
     for l in range(len(model.weights) - 1, -1, -1):
-        grads[2 * l] = inputs[l].T @ delta
-        grads[2 * l + 1] = delta.sum(axis=0)
+        grads[2 * l] = np.matmul(inputs[l].T, delta, out=grads[2 * l])
+        grads[2 * l + 1] = delta.sum(axis=0, out=grads[2 * l + 1])
         if l > 0:
             delta = np.where(inputs[l] > 0.0, delta @ model.weights[l].T, 0.0)
     return grads

@@ -969,6 +969,7 @@ class TestStats:
         path.write_text(f"a,b,c\n0.9,0.8,0.7\n0.7,{token},0.6\n0.9,0.6,0.8\n")
         assert run_cli(["stats", "--csv", str(path)]) == EXIT_USAGE
         captured = capsys.readouterr()
+        assert f"{path}:3: accuracy {token!r} is not finite" in captured.err
         assert "accuracies must be finite" in captured.err
         assert "chi2=" not in captured.out and "CD=" not in captured.out
 

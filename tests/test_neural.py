@@ -213,6 +213,23 @@ class TestBackward:
         for a, b in zip(g1, g2):
             np.testing.assert_allclose(2.0 * a, b, atol=1e-14)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_out_gets_the_bits_of_new_arrays(self, dtype):
+        # wide enough that the weight gradients take the BLAS GEMM
+        rng = np.random.default_rng(11)
+        model = _model((40, 33, 17, 5), seed=12, dtype=dtype)
+        out = model.gradient_buffer()
+        assert [(g.shape, g.dtype) for g in out] == [(p.shape, p.dtype) for p in model.parameters()]
+        assert out[0].base is out[-1].base and out[0].base.size == model.flat.size
+        for _ in range(2):  # the second call writes over the first one's gradients
+            X = rng.standard_normal((70, 40)).astype(dtype)
+            hidden, _ = forward(model, X)
+            grad_logits = rng.standard_normal((70, 5))
+            got = backward(model, X, hidden, grad_logits, out=out)
+            assert got is out
+            for g, want in zip(got, backward(model, X, hidden, grad_logits)):
+                assert g.dtype == want.dtype and g.tobytes() == want.tobytes()
+
 
 class TestOptimizers:
     def test_zero_lr_leaves_model_unchanged(self):

@@ -5,6 +5,7 @@ import dataclasses
 import math
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from cleanse.reweight import build_weight_matrix, enhanced_labels, knn_search
 import cleanse.trainer as trainer_module
 from cleanse.trainer import (
     CSV_HEADER,
+    FORWARD_BLOCK,
     EpochMetrics,
     TrainConfig,
     TrainingDiverged,
@@ -30,6 +32,7 @@ from cleanse.trainer import (
     evaluate,
     fit,
     format_metrics_row,
+    row_blocks,
     smallest_knn_search,
     summarize,
 )
@@ -492,6 +495,13 @@ class TestEvaluateSummarize:
         with pytest.raises(ValueError):
             evaluate(model, ds)
 
+    def test_empty_set_rejected(self):
+        ds = PartialDataset(features=np.zeros((0, 2)), candidates=np.zeros((0, 3), dtype=bool),
+                            m=3, hidden_truth=np.zeros(0, dtype=np.int64))
+        model = Mlp.init((2, 3, 3), np.random.default_rng(0))
+        with pytest.raises(ValueError, match="non-empty"):
+            evaluate(model, ds)
+
     def test_summarize_constant_window(self):
         history = [
             EpochMetrics(i, 0.0, 0.0, 0.0, 0.9, 0.0) for i in range(20)
@@ -523,6 +533,85 @@ class TestEvaluateSummarize:
             summarize(history, 2)
         with pytest.raises(ValueError):
             summarize(history, 0)
+
+
+def wide_dataset(n, d=30, m=4, seed=0):
+    """Gaussian features of width d, wide enough that forward takes the BLAS
+    GEMM, with uniform-flip candidates that list the truth."""
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, m, size=n)
+    feats = rng.standard_normal((n, d)) + 0.5 * np.eye(m, d)[labels]
+    cands = generate_synthetic(labels, m, q=0.5, seed=seed + 1)
+    return PartialDataset(features=feats, candidates=cands, m=m, hidden_truth=labels)
+
+
+B = FORWARD_BLOCK
+
+
+class TestForwardBlocks:
+    @pytest.mark.parametrize("n", [1, 2, B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 5 * B + 7])
+    def test_row_blocks_cut_like_epoch_batches(self, n):
+        blocks = row_blocks(n)
+        batches = epoch_batches(np.arange(n), B)
+        assert [list(range(n))[rows] for rows in blocks] == [b.tolist() for b in batches]
+        # no one-row block of many rows: its forward would take numpy's
+        # matrix-vector path, whose bits differ
+        assert all(rows.stop - rows.start > 1 for rows in blocks) or n == 1
+
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 1])
+    def test_blocked_evaluation_equals_whole_set(self, n):
+        ds = wide_dataset(n, seed=n)
+        model = Mlp.init((ds.d, 16, ds.m), np.random.default_rng(n), dtype=trainer_module.NETWORK_DTYPE)
+        _, probs = forward(model, ds.features)
+        whole = float(np.mean(np.argmax(probs, axis=1) == ds.hidden_truth))
+        got = evaluate(model, ds)
+        assert type(got) is float and got == whole
+        assert 0.0 < whole < 1.0 or n == 1  # the check is not on a constant prediction
+
+    def test_global_embedding_weight_rows_equal_whole_set_forward(self, monkeypatch):
+        # 2B + 1 training rows: blocks of B and B + 1, the tail merged
+        ds = wide_dataset(int(math.ceil((2 * B + 1) / 0.8)), seed=41)
+        train, test = split(ds, 0.2, seed=42)
+        assert train.n == 2 * B + 1
+        config = TrainConfig(epochs=3, batch_size=32, hidden=(24, 12), knn_scope="global",
+                             knn_features="embedding", seed=43)
+        runs = {}
+        for block in (B, train.n):  # the second covers each set in one forward
+            monkeypatch.setattr(trainer_module, "FORWARD_BLOCK", block)
+            rows = []
+
+            def recording(cands, enhanced, temperature):
+                rows.append(build_weight_matrix(cands, enhanced, temperature))
+                return rows[-1]
+
+            monkeypatch.setattr(trainer_module, "build_weight_matrix", recording)
+            model, history = fit(train, test, config)
+            runs[block] = ([w.tobytes() for w in rows], model.flat.tobytes(),
+                           [(h.reweight_loss, h.count_loss, h.test_accuracy) for h in history])
+            assert len(rows) == config.epochs
+        assert runs[B] == runs[train.n]
+
+
+class TestEvaluateMemory:
+    # the Python objects of 50 row slices, beyond the blocks' arrays
+    SLACK = 16 * 1024
+
+    def test_traced_peak_does_not_grow_with_the_test_set(self):
+        # both sets end in a merged block of 1.5 B rows; a whole-set forward
+        # of the larger would hold 50 blocks' float32 features at once
+        model = Mlp.init((256, 64, 10), np.random.default_rng(0), dtype=trainer_module.NETWORK_DTYPE)
+        small, large = 5 * B + B // 2, 50 * B + B // 2
+        peaks = {}
+        for n in (small, large):
+            ds = wide_dataset(n, d=256, m=10, seed=n)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                evaluate(model, ds)
+                peaks[n] = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        assert peaks[large] <= peaks[small] + self.SLACK
 
 
 @pytest.fixture
