@@ -69,7 +69,7 @@ def relative_error(a: float, b: float) -> float:
 
 
 def check_count_pmf(rng: np.random.Generator, cases: int = 200, max_n: int = 12) -> CheckResult:
-    """DP pmf vs exhaustive enumeration, random probability vectors."""
+    """Product-tree pmf vs exhaustive enumeration, random probability vectors."""
     worst = 0.0
     for _ in range(cases):
         n = int(rng.integers(1, max_n + 1))
@@ -136,8 +136,8 @@ def check_count_loss_grad_at_scale(rng: np.random.Generator, n: int = 1000, m: i
         dq/dp_i = P(S_{-i} in [lo-1, hi-1]) - P(S_{-i} in [lo, hi]),
 
     evaluated with ``count_log_pmf`` on the other n - 1 items, independently
-    of the prefix/suffix lattice ``count_loss`` reads the same identity off;
-    the intervals touch lo = 0 and hi = n.
+    of the point masses ``count_loss`` carries down its product tree for the
+    same identity; the intervals touch lo = 0 and hi = n.
     """
     z = rng.standard_normal((n, m))
     probs = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
@@ -470,7 +470,7 @@ def check_count_values(rng: np.random.Generator, cases: int = 20, max_n: int = 1
     """``count_loss_values`` over mixed-size batches vs enumerated losses.
 
     Each case is a list of batches of a few sizes, so batches are stacked
-    into one DP per size and values must come back in batch order.
+    into one tree per size and values must come back in batch order.
     """
     worst = 0.0
     for _ in range(cases):

@@ -1,39 +1,53 @@
 """Poisson-binomial count distribution and the interval count loss.
 
 Per-class label counts over a batch are sums of independent, non-identical
-Bernoulli variables.  Their exact distribution is built by the O(n^2)
-convolution recurrence
+Bernoulli variables.  The count's generating function is the product of
+the items' polynomials (1 - p_i) + p_i z, whose coefficient k is
+P(count == k).  Every count distribution here is that product, built as a
+product tree: the leaves are the items, and each level multiplies
+neighbouring nodes pairwise, so n items take ceil(log2 n) levels.  An odd
+node out is paired with the polynomial 1, which changes no bit.
+Coefficients above ``top`` are never stored: a count never falls, so they
+feed no count at or below ``top``, and every kept one has the bits of the
+full product.
 
-    P(count_n = k) = P(count_{n-1} = k-1) * p_n + P(count_{n-1} = k) * (1 - p_n)
+A level is one batched window product over all its class rows and node
+pairs: coefficient k of a pair's product is one window of the right node's
+zero-padded coefficients against the left node's, reversed.  In
+probability space that is one ``matmul``; the windows overlap and the
+reversed operand runs backwards, so numpy never hands them to BLAS, and
+each dot product is its own sequential loop.  So no bit depends on the
+thread count, on how many rows are stacked or on where rows stop.
 
-in one of two number systems.  The count losses run it on the probabilities
-themselves: each row is a pmf, its terms are nonnegative and sum to 1, so it
-needs no rescaling and each entry keeps a relative error of O(n eps); only
-entries below the smallest double lose bits, and those are too small to move
-any interval probability at or above ``MIN_PROB_SPACE_LOG`` (about 1e-250).
-A batch whose input is not a probability, or one of whose interval
-probabilities falls below that floor, is run again in log space, where
-products become additions and sums go through ``logaddexp``; so is every
+The count losses run the tree on the probabilities themselves: every node
+is a pmf, each coefficient a sum of nonnegative products, so it needs no
+rescaling and keeps a relative error of O(n eps); only entries below the
+smallest double lose bits, and a product with a pmf never scales such a
+loss up, so they are too small to move any interval probability at or
+above ``MIN_PROB_SPACE_LOG`` (about 1e-250).  A batch whose input is not a
+probability, or one of whose interval probabilities falls below that
+floor, is run again in log space, where products become additions and each
+window is summed by ``logsumexp``, in blocks of output counts; so is every
 batch that saturates the loss clamp.  ``count_log_pmf`` always runs in log
-space, so a batch of 1024 near-zero probabilities still produces finite log
-masses where the direct-space product would underflow.  ``logsumexp`` is a
-left fold of ``logaddexp``, which leaves a sum bitwise unchanged by ``-inf``
-entries, so a pmf row sums to the same bits however far it is padded or cut.
+space, so a batch of 1024 near-zero probabilities still produces finite
+log masses where the direct-space product would underflow.  ``logsumexp``
+is a left fold of ``logaddexp``, which leaves a sum bitwise unchanged by
+``-inf`` entries, so a pmf row sums to the same bits however far it is
+padded or cut.
 
-One forward pass (``_forward``), parameterised by its number system, serves
-every caller, on all m classes at once: the pmf of one class, the value-only
-path that keeps two rows, and the gradient, which runs the items forward
-and reversed as 2m stacked class rows and reads its prefix and suffix pmfs
-off that one lattice.
+The gradient needs each item's leave-one-out masses P(S_{-i} = lo - 1) and
+P(S_{-i} = hi).  They come from one pass down the same levels, which
+carries two point functionals of the root, its coefficients at lo and at
+hi, by correlating each parent's functional with the node's sibling
+(``_point_masses``).  One tree serves every caller, on all m classes at
+once.
 """
-
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 LOG_ZERO = float("-inf")
 
@@ -42,14 +56,25 @@ LOG_ZERO = float("-inf")
 MIN_LOG_PROB = -700.0
 
 # A batch whose interval log-probabilities are all at or above this floor
-# (e^-575 ~ 1e-250) keeps its probability-space DP; below it, the batch runs
-# in log space.  Underflow costs a DP entry at most about 5e-324, and the
-# recurrence never scales an error up, so even n * top such losses stay some
-# 65 orders of magnitude under any q the probability-space path keeps; every
-# q the loss clamp touches takes the log path.
+# (e^-575 ~ 1e-250) keeps its probability-space tree; below it, the batch
+# runs in log space.  Underflow costs a tree coefficient at most about
+# 5e-324, and a product with a pmf never scales an error up, so even such a
+# loss in every coefficient of the tree stays some 65 orders of magnitude
+# under any q the probability-space path keeps; every q the loss clamp
+# touches takes the log path.
 MIN_PROB_SPACE_LOG = -575.0
 
 _LOG_HALF = -math.log(2.0)
+
+# A log-space window product sums its windows in blocks of output counts of
+# at most this many float64 elements (1 MiB).
+_LOG_BLOCK_ELEMENTS = 1 << 17
+
+# A value-only tree takes at most this many items (class rows x batch
+# size), so its two live levels stay near 128 KiB however many batches
+# ``count_loss_values`` stacks: at mnist-shape's epoch this ran faster than
+# one tree of 2^13 items and kept the traced peak at 0.4 MiB, not 1.1.
+_VALUE_TREE_ITEMS = 1 << 11
 
 
 def log1mexp(x):
@@ -84,80 +109,158 @@ def logsumexp(xs):
     return np.logaddexp.reduce(xs, axis=-1)[()]
 
 
-def _forward(weights: np.ndarray, top: int, lattice: bool = False,
-             log_space: bool = True) -> np.ndarray:
-    """Run the count recurrence over all n items; return the last row.
+def _window_dot(windows: np.ndarray, column: np.ndarray, out: np.ndarray,
+                log_space: bool) -> None:
+    """out[..., k, 0] = sum_t windows[..., k, t] * column[..., t, 0],
+    broadcast over the leading axes; in log space, the ``logsumexp`` over t
+    of windows + column, in blocks of output counts k.
 
-    ``weights`` is the (n, M, 2, 1) array of each item's step weights per
-    class row: log p and log(1 - p) in log space, p and 1 - p in probability
-    space.  Column k + 1 of an (M, top + 2) row holds P(count == k) per
-    class, or its log; column 0 is a zero pad, so count 0 needs no special
-    case.  Row i is updated only over the counts 0..min(i, top) it can
-    reach.  Counts above ``top`` are never stored: a count never falls, so
-    they feed no count at or below ``top``, and every kept value has the
-    bits of the full recurrence.  Without ``lattice`` two rows take turns;
-    with it, the (n + 1, M, top + 2) lattice is returned, whose row i is the
-    distribution over the first i items.
-
-    In probability space a step is one ``matmul`` of each count's two terms
-    (P(count - 1), P(count)) with (p_i, q_i).  numpy evaluates it with its
-    own loop for any number of class rows and counts, so neither stacking
-    nor the stop at ``top`` moves a bit.  A step over count 0 alone (top = 0)
-    may go to a BLAS dot product; its first term is the zero pad, so every
-    order of evaluation gives the same bits.  The steps at and past ``top``
-    cover every stored count, so they read and write views built once,
-    picked by an integer index.
+    In probability space this is one matrix-vector ``matmul``.  No matrix
+    the tree passes is one BLAS takes (windows overlap; the leaves' sibling
+    pairs run backwards) unless it holds one term, so numpy runs its own
+    loop, which adds the terms in order from t = 0.  (numpy copies the
+    strided operands of a matrix-matrix product and hands them to BLAS, so
+    a product of more than one column would not keep that order.)
     """
-    n, m = weights.shape[:2]
-    rows = np.full((n + 1 if lattice else 2, m, top + 2), LOG_ZERO if log_space else 0.0)
-    rows[0, :, 1] = 0.0 if log_space else 1.0
-    steps = [(i, i + 1) if lattice else (i % 2, 1 - i % 2) for i in range(n)]
+    if not log_space:
+        np.matmul(windows, column, out=out)
+        return
+    row = column.swapaxes(-1, -2)
+    counts, width = windows.shape[-2:]
+    step = max(_LOG_BLOCK_ELEMENTS // (out.size // counts * width), 1)
+    for k in range(0, counts, step):
+        out[..., k : k + step, 0] = logsumexp(windows[..., k : k + step, :] + row)
+
+
+def _blank(shape: tuple, log_space: bool) -> np.ndarray:
+    """An array of zero masses: 0, or -inf in log space."""
+    return np.full(shape, LOG_ZERO) if log_space else np.zeros(shape)
+
+
+def _leaves(x: np.ndarray, log_space: bool) -> np.ndarray:
+    """Level 0 of the product tree over the (M, n) probabilities ``x``, or
+    their logs in log space: item i's polynomial (1 - p_i, p_i) in node
+    storage (``_tree``), then the polynomial 1 up to an even count of at
+    least two, so the root is a product.  ``log1mexp`` refuses log p > 0."""
+    m, n = x.shape
+    leaves = _blank((m, max(n + n % 2, 2), 4), log_space)
+    leaves[:, n:, 1] = 0.0 if log_space else 1.0
+    leaves[:, :n, 2] = x
     if log_space:
-        p, q = weights[:, :, 0], weights[:, :, 1]
-        for i, (src, dst) in enumerate(steps):
-            end = min(i + 1, top) + 2
-            prev = rows[src]
-            np.logaddexp(prev[:, : end - 1] + p[i], prev[:, 1:end] + q[i], out=rows[dst, :, 1:end])
+        leaves[:, :n, 1] = log1mexp(x)
     else:
-        terms = sliding_window_view(rows, 2, axis=2)  # terms[r, :, k] = row r's counts k - 1 and k
-        for i, (src, dst) in enumerate(steps[:top]):
-            np.matmul(terms[src, :, : i + 2], weights[i], out=rows[dst, :, 1 : i + 3, None])
-        full_terms, full_rows = terms[:, :, : top + 1], rows[..., 1:, None]
-        for i, (src, dst) in enumerate(steps[top:], top):
-            np.matmul(full_terms[src], weights[i], out=full_rows[dst])
-    return rows if lattice else rows[n % 2]
+        np.subtract(1.0, x, out=leaves[:, :n, 1])
+    return leaves
 
 
-def _prob_weights(parts) -> np.ndarray:
-    """Probability-space step weights (p, 1 - p) of the (n, M_b, 1)
-    probabilities in ``parts``, stacked in order as the class rows of one
-    (n, sum M_b, 2, 1) array, which is the only one written."""
-    weights = np.empty((len(parts[0]), sum(p.shape[1] for p in parts), 2, 1))
-    col = 0
-    for p in parts:
-        weights[:, col : col + p.shape[1], 0] = p
-        col += p.shape[1]
-    np.subtract(1.0, weights[:, :, 0], out=weights[:, :, 1])
-    return weights
+def _size(level: np.ndarray) -> int:
+    """Coefficients per node of a level in node storage."""
+    return (level.shape[-1] + 2) // 3
 
 
-def _log_weights(log_p: np.ndarray) -> np.ndarray:
-    """Log-space step weights (log p, log(1 - p)) from the (n, M, 1) log p;
-    ``log1mexp`` refuses log p > 0."""
-    weights = np.empty((*log_p.shape[:2], 2, 1))
-    weights[:, :, 0] = log_p
-    weights[:, :, 1] = log1mexp(log_p)
-    return weights
+def _view(base: np.ndarray, offset: int, shape: tuple, strides: tuple) -> np.ndarray:
+    """A strided view into the C-contiguous float64 ``base``, ``offset``
+    counted in elements and ``strides`` in bytes: ``as_strided`` for the
+    cost of one constructor call."""
+    return np.ndarray(shape, np.float64, base, 8 * offset, strides)
+
+
+def _tree(leaves: np.ndarray, top: int, log_space: bool):
+    """Yield every level of the product tree over ``leaves``, from them to
+    the root; a level is made while only the one below it is held.
+
+    A level of N nodes of L coefficients each is a C-contiguous
+    (M, N, 3L - 2) array: node a's coefficients sit at [L - 1, 2L - 1)
+    between zero pads, so window k of width L over it holds its
+    coefficients k - L + 1 .. k.  Below the root N is even, an odd node out
+    paired with the polynomial 1.  A pair's product keeps its coefficients
+    0 .. min(2L - 2, top): window k of the right node against the left
+    node reversed.
+    """
+    nodes = leaves
+    yield nodes
+    while nodes.shape[1] > 1:
+        (m, n, width), (row, node, _) = nodes.shape, nodes.strides
+        pairs, size = n // 2, _size(nodes)
+        counts = min(2 * size - 1, top + 1)
+        parents = _blank((m, pairs + pairs % 2 if pairs > 1 else 1, 3 * counts - 2), log_space)
+        if pairs % 2 and pairs > 1:
+            parents[:, pairs, counts - 1] = 0.0 if log_space else 1.0
+        windows = _view(nodes, width, (m, pairs, counts, size), (row, 2 * node, 8, 8))
+        left = _view(nodes, 2 * size - 2, (m, pairs, size, 1), (row, 2 * node, -8, 8))
+        _window_dot(windows, left, parents[:, :pairs, counts - 1 : 2 * counts - 1, None], log_space)
+        nodes = parents
+        yield nodes
+
+
+def _root(levels) -> np.ndarray:
+    """The (M, L) coefficients of the root, the last of ``levels``: a list,
+    or ``_tree``'s generator, which then holds two levels at a time."""
+    for root in levels:
+        pass
+    size = _size(root)
+    return root[:, 0, size - 1 : 2 * size - 1]
+
+
+def _point_masses(levels: list[np.ndarray], lo: np.ndarray, hi: np.ndarray,
+                  log_space: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(M, N_0) P(S_{-i} = lo - 1) and P(S_{-i} = hi) of each leaf i, per
+    class row, or their logs, from the tree ``_tree`` built.
+
+    The root's coefficient c is a linear functional g of each node's
+    coefficients, the rest of the tree held fixed: g[k] is the mass of count
+    c - k over the items outside the node.  Below the root, that is the
+    sibling read backwards from c.  Further down, a child's g is its
+    parent's correlated with its sibling,
+
+        g_child[k] = sum_t g_parent[k + t] sibling[t],
+
+    one window product per level for both children of every pair, both
+    points (c = lo and c = hi) and all class rows.  At leaf i, g[0] is
+    P(S_{-i} = c) and g[1] is P(S_{-i} = c - 1), which is 0 at c = 0; the
+    last level computes only those two.
+    """
+    m = len(lo)
+    sizes = [_size(level) for level in levels]
+    # a level's functionals are padded to the width its children's windows read
+    widths = [2] + [2 * size - 1 for size in sizes[:-1]]
+    # storage index of sibling coefficient c - k, zero pads included (c <= 2L - 2)
+    reads = sizes[-2] - 1 + np.stack((lo, hi))[:, :, None, None] - np.arange(sizes[-2])
+    g = _blank((2, m, 2, widths[-2]), log_space)
+    g[..., : sizes[-2]] = levels[-2][np.arange(m)[:, None, None], [[1], [0]], reads]
+    if len(levels) == 2:  # the leaves are the root's children
+        return g[0, :, :, 1], g[1, :, :, 0]
+    for nodes, size, width in zip(levels[-3:0:-1], sizes[-3:0:-1], widths[-3:0:-1]):
+        (_, n, stored), (row, node, _) = nodes.shape, nodes.strides
+        pairs = n // 2
+        windows = _view(g, 0, (2, m, pairs, 1, size, size), (*g.strides[:3], 0, 8, 8))
+        # the sibling of child c of pair a is node 2a + 1 - c
+        siblings = _view(nodes, stored + size - 1, (m, pairs, 2, size, 1),
+                         (row, 2 * node, -node, 8, 8))
+        g = _blank((2, m, n, width), log_space)
+        (funcs, row, node, _) = g.strides
+        children = _view(g, 0, (2, m, pairs, 2, size, 1), (funcs, row, 2 * node, node, 8, 8))
+        _window_dot(windows, siblings, children, log_space)
+    # the leaves need g[1] at lo and g[0] at hi only: one two-term window each,
+    # against both siblings of a pair at once
+    (_, n, stored), (row, node, _) = levels[0].shape, levels[0].strides
+    pairs = n // 2
+    siblings = _view(levels[0], stored + 1, (m, pairs, 2, 2), (row, 2 * node, -node, 8))
+    ends = _view(g, 1, (2, m, pairs, 2, 1), (g.strides[0] - 8, *g.strides[1:3], 8, 8))
+    masses = np.empty((2, m, n))
+    _window_dot(siblings, ends, masses.reshape(2, m, pairs, 2, 1), log_space)
+    return masses[0], masses[1]
 
 
 def count_log_pmf(log_p: np.ndarray) -> np.ndarray:
     """Log-pmf of the sum of independent Bernoullis with log-probs ``log_p``.
 
-    Entry k of the (n + 1,) result is log P(count == k).  The recurrence
-    runs in log space on two rows: O(n) working memory, O(n^2) time.
+    Entry k of the (n + 1,) result is log P(count == k), the root of the
+    log-space product tree: O(n) memory, O(n^2) time.
     """
-    log_p = np.asarray(log_p, dtype=np.float64)[:, None, None]
-    return _forward(_log_weights(log_p), len(log_p))[0, 1:]
+    log_p = np.asarray(log_p, dtype=np.float64)
+    n = len(log_p)
+    return _root(_tree(_leaves(log_p[None], True), n, True))[0, : n + 1]
 
 
 def _check_intervals(lo: np.ndarray, hi: np.ndarray, n: int) -> None:
@@ -173,7 +276,7 @@ def interval_log_prob(log_pmf: np.ndarray, lo, hi):
     """log P(lo <= count <= hi) of each log-pmf row of ``log_pmf``.
 
     Entry k of a row is log P(count == k); a row may stop at any count
-    top >= hi, as the DP's rows stop at max(hi).  ``lo`` and ``hi`` are
+    top >= hi, as the tree's root stops at max(hi).  ``lo`` and ``hi`` are
     integers, scalars or one per row.  ``logsumexp`` ignores the masked
     counts, so a cut row and the full (n + 1,) pmf give the same bits.
     """
@@ -212,11 +315,11 @@ class CountLossResult:
     loss: float
     grad: np.ndarray  # d loss / d batch_probs[i][j]
     saturated: bool  # an interval probability hit the clamp floor
-    log_space: bool = False  # the batch fell back to the log-space DP
+    log_space: bool = False  # the batch fell back to the log-space tree
 
 
 def _batch_inputs(probs: np.ndarray, lo, hi) -> tuple:
-    """Validated (n, m, 1) probabilities and the (m,) lo and hi."""
+    """Validated (n, m) probabilities and the (m,) lo and hi."""
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 2:
         raise ValueError("batch_probs must be a 2-D matrix")
@@ -229,27 +332,29 @@ def _batch_inputs(probs: np.ndarray, lo, hi) -> tuple:
                 f"got {bound.dtype} {bound.shape}"
             )
     _check_intervals(lo, hi, n)
-    return probs[:, :, None], lo, hi
+    return probs, lo, hi
 
 
-def _interval_dp(weights: np.ndarray, lo, hi, log_space: bool, lattice: bool = False):
-    """``_forward`` over the (n, M, 2, 1) probability-space step weights
-    ``weights`` with rows stopped at max(hi), and the interval
-    log-probabilities of the first len(lo) class rows of its last row, from
-    ``interval_log_prob``'s sum without its checks (``_batch_inputs`` made
-    them).  In log space the DP runs on the logs of ``weights[:, :, 0]``.  A
-    probability-space row reaches that sum through ``np.log``: zeros become
-    ``-inf``, which it ignores.
-    """
+def _class_rows(parts, log_space: bool) -> np.ndarray:
+    """The (n, M_b) probabilities in ``parts`` stacked in order as (M, n)
+    class rows, or their logs in log space."""
+    x = np.concatenate(parts, axis=1).T if len(parts) > 1 else parts[0].T
     if log_space:
         with np.errstate(divide="ignore"):
-            weights = _log_weights(np.log(weights[:, :, 0]))
-    rows = _forward(weights, int(hi.max()), lattice, log_space)
-    last = (rows[-1] if lattice else rows)[: len(lo), 1:]
+            x = np.log(x)
+    return x
+
+
+def _root_interval(levels, lo: np.ndarray, hi: np.ndarray, log_space: bool) -> np.ndarray:
+    """Interval log-probabilities of the root of ``levels``, from
+    ``interval_log_prob``'s sum without its checks (``_batch_inputs`` made
+    them).  A probability-space root reaches that sum through ``np.log``:
+    zeros become ``-inf``, which it ignores."""
+    root = _root(levels)
     if not log_space:
         with np.errstate(divide="ignore", invalid="ignore"):
-            last = np.log(last)
-    return rows, _interval_sum(last, lo, hi)
+            root = np.log(root)
+    return _interval_sum(root, lo, hi)
 
 
 def _keeps_prob_space(p: np.ndarray, log_in: np.ndarray) -> bool:
@@ -260,7 +365,7 @@ def _keeps_prob_space(p: np.ndarray, log_in: np.ndarray) -> bool:
 
 
 def _loss_terms(log_q: np.ndarray) -> tuple[float, np.ndarray, bool]:
-    """Loss value, d loss / d q_j and the saturation flag from per-class log q.
+    """Loss value, the clamped per-class log q and the saturation flag.
 
     Roundoff can push log q a hair above 0; it is clamped there so no
     per-class term goes negative.  It is also clamped at ``MIN_LOG_PROB``,
@@ -269,49 +374,13 @@ def _loss_terms(log_q: np.ndarray) -> tuple[float, np.ndarray, bool]:
     log_q = np.minimum(log_q, 0.0)
     saturated = bool(np.any(log_q < MIN_LOG_PROB))
     log_q = np.maximum(log_q, MIN_LOG_PROB)
-    dloss_dq = -1.0 / np.exp(log_q)
     # summed class by class, left to right, so the value depends neither on
     # numpy's reduction strategy for m nor on the Python version (sum() of
     # floats is compensated from 3.12 on)
     total = 0.0
     for log_qj in log_q.tolist():
         total -= log_qj
-    return total, dloss_dq, saturated
-
-
-def _leave_one_out_grad(lattice: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                        log_space: bool) -> np.ndarray:
-    """(n, m) matrix of d q_j / d p_ij from the stacked prefix/suffix lattice.
-
-    ``lattice`` is ``_forward``'s over the items followed, as classes m..2m-1,
-    by the same items reversed: rows :m of lattice[i] are the prefix pmfs F_i
-    (items 0..i-1) and rows m: of lattice[n-1-i] the suffix pmfs B_{i+1}
-    (items i+1..n-1).  Conditioning q on item i, the interval sums telescope:
-
-        dq/dp_i = P(S_{-i} = lo-1) - P(S_{-i} = hi),
-        P(S_{-i} = c) = sum_k F_i[k] B_{i+1}[c-k],
-
-    two slice dot products per class.  At lo = 0 the first slices are empty
-    and its term is 0.
-    """
-    multiply = np.add if log_space else np.multiply  # a product in the lattice's number system
-    n = len(lattice) - 1
-    m = lattice.shape[1] // 2
-    fwd = lattice[:n, :m]  # F_i, i = 0..n-1
-    bwd = lattice[n - 1 :: -1, m:]  # B_{i+1}, i = 0..n-1
-    grad = np.empty((n, m))
-    for j in range(m):
-        up, down = (multiply(fwd[:, j, 1 : c + 2], bwd[:, j, c + 1 : 0 : -1])
-                    for c in (lo[j] - 1, hi[j]))
-        scale = 1.0
-        if log_space:
-            # one max-shift for both sums keeps their difference well scaled
-            shift = np.maximum(*(t.max(axis=1, initial=LOG_ZERO) for t in (up, down)))
-            shift = np.where(shift > LOG_ZERO, shift, 0.0)
-            up, down = (np.exp(t - shift[:, None]) for t in (up, down))
-            scale = np.exp(shift)
-        grad[:, j] = scale * (up.sum(axis=1) - down.sum(axis=1))
-    return grad
+    return total, log_q, saturated
 
 
 def count_loss(batch_probs: np.ndarray, lo, hi) -> CountLossResult:
@@ -319,40 +388,49 @@ def count_loss(batch_probs: np.ndarray, lo, hi) -> CountLossResult:
 
     Per class j the batch column is treated as independent Bernoulli
     probabilities, and q_j = P(lo[j] <= count_j <= hi[j]) comes out of the
-    DP.  The objective is the negative log-likelihood of the intervals,
-    -sum_j log q_j, the differentiable count loss of Shukla et al. (NeurIPS
-    2023).  Each log q_j is clamped at ``MIN_LOG_PROB``: a q_j below it
-    raises the ``saturated`` flag instead of returning +inf.
+    product tree.  The objective is the negative log-likelihood of the
+    intervals, -sum_j log q_j, the differentiable count loss of Shukla et
+    al. (NeurIPS 2023).  Each log q_j is clamped at ``MIN_LOG_PROB``: a q_j
+    below it raises the ``saturated`` flag instead of returning +inf.
 
-    All m classes, and the same items in reverse order, run through one DP,
-    in probability space unless the batch falls back to log space
-    (``_keeps_prob_space``); the gradient comes from the leave-one-out
-    identity evaluated on its prefix and suffix pmfs (``_leave_one_out_grad``),
-    O(n^2 m) in all.
+    All m classes run through one tree, in probability space unless the
+    batch falls back to log space (``_keeps_prob_space``).  Conditioning q
+    on item i, the interval sums telescope,
+
+        dq/dp_i = P(S_{-i} = lo - 1) - P(S_{-i} = hi),
+
+    and both masses come from one pass down the tree (``_point_masses``).
     """
     p, lo, hi = _batch_inputs(batch_probs, lo, hi)
-    both_ways = _prob_weights((p, p[::-1]))  # items reversed as classes m..2m-1
-    log_space = False
-    lattice, log_in = _interval_dp(both_ways, lo, hi, log_space, lattice=True)
-    if not _keeps_prob_space(p, log_in):
-        log_space = True
-        lattice, log_in = _interval_dp(both_ways, lo, hi, log_space, lattice=True)
-    total, dloss_dq, saturated = _loss_terms(log_in)
-    grad = _leave_one_out_grad(lattice, lo, hi, log_space) * dloss_dq
+    for log_space in (False, True):
+        leaves = _leaves(_class_rows((p,), log_space), log_space)
+        levels = list(_tree(leaves, int(hi.max()), log_space))
+        log_in = _root_interval(levels, lo, hi, log_space)
+        if log_space or _keeps_prob_space(p, log_in):
+            break
+    total, log_q, saturated = _loss_terms(log_in)
+    n = len(p)
+    up, down = (mass[:, :n] for mass in _point_masses(levels, lo, hi, log_space))
+    grad = np.empty((n, len(lo)))
+    # d loss / d p_ij = -(dq_j / dp_ij) / q_j
+    if log_space:
+        np.subtract(np.exp(down - log_q[:, None]), np.exp(up - log_q[:, None]), out=grad.T)
+    else:
+        np.divide(down - up, np.exp(log_q)[:, None], out=grad.T)
     return CountLossResult(loss=total, grad=grad, saturated=saturated, log_space=log_space)
 
 
 def count_loss_values(batches) -> list[float]:
     """``count_loss(probs, lo, hi).loss`` of each ``(probs, lo, hi)`` batch.
 
-    Value only: no lattice and no gradient, so memory is O(n m) per batch;
-    used when the count loss is only reported (lambda = 0).  Batches of one
-    size n share one probability-space DP: their (n, m, 1) probabilities are
-    stacked into (n, B m, 1) class rows, which the recurrence treats
-    independently, so each batch's value has the bits it gets on its own.
-    The batches among them that fall back run again, stacked, in log space,
-    so a batch's bits do not depend on the others either way.  Values come
-    back in batch order.
+    Value only: no pass down the tree and no gradient; used when the count
+    loss is only reported (lambda = 0).  Batches of one size n share
+    probability-space trees: their (n, m) probabilities are stacked into
+    class rows, which a tree treats independently, and a row's coefficients
+    do not depend on where it stops, so each batch's value has the bits it
+    gets on its own.  The batches among them that fall back run
+    again, stacked, in log space, so a batch's bits do not depend on the
+    others either way.  Values come back in batch order.
     """
     inputs = [_batch_inputs(probs, lo, hi) for probs, lo, hi in batches]
     by_size: dict[int, list[int]] = {}
@@ -360,19 +438,26 @@ def count_loss_values(batches) -> list[float]:
         by_size.setdefault(p.shape[0], []).append(b)
     values = [0.0] * len(inputs)
     for group in by_size.values():
-        log_in = _stacked_interval_dp(inputs, group, log_space=False)
+        log_in = _stacked_interval_log_probs(inputs, group, log_space=False)
         fallback = [b for b in group if not _keeps_prob_space(inputs[b][0], log_in[b])]
         if fallback:
-            log_in.update(_stacked_interval_dp(inputs, fallback, log_space=True))
+            log_in.update(_stacked_interval_log_probs(inputs, fallback, log_space=True))
         for b in group:
             values[b] = _loss_terms(log_in[b])[0]
     return values
 
 
-def _stacked_interval_dp(inputs: list, group: list[int], log_space: bool) -> dict:
+def _stacked_interval_log_probs(inputs: list, group: list[int], log_space: bool) -> dict:
     """Interval log-probabilities of each batch b in ``group`` (all of one
-    size), keyed by b, from one value-only DP over their stacked class rows."""
+    size), keyed by b, from value-only trees over their stacked class rows,
+    each over as many rows as hold ``_VALUE_TREE_ITEMS`` items."""
     p, lo, hi = zip(*(inputs[b] for b in group))
-    _, log_in = _interval_dp(_prob_weights(p), np.concatenate(lo), np.concatenate(hi), log_space)
+    x, lo, hi = _class_rows(p, log_space), np.concatenate(lo), np.concatenate(hi)
+    step = max(_VALUE_TREE_ITEMS // x.shape[1], 1)
+    log_in = []
+    for start in range(0, len(x), step):
+        rows = slice(start, start + step)
+        levels = _tree(_leaves(x[rows], log_space), int(hi[rows].max()), log_space)
+        log_in.append(_root_interval(levels, lo[rows], hi[rows], log_space))
     ends = np.cumsum([len(inputs[b][1]) for b in group])
-    return dict(zip(group, np.split(log_in, ends[:-1])))
+    return dict(zip(group, np.split(np.concatenate(log_in), ends[:-1])))

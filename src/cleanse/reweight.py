@@ -21,10 +21,9 @@ NO_ENHANCEMENT = -1
 # votes run in int64 while k * lcm(set sizes) is below this
 _INT64_VOTE_LIMIT = 2**63
 
-# float64 elements per (rows, p) estimate block, 1 MiB; blocks keep at
-# least 128 rows (for GEMM efficiency) while that stays within 10^6 elements
-_BLOCK_ELEMENTS = 2**17
-_MIN_BLOCK_ROWS = 128
+# query rows per (rows, p) estimate block: 128 (for GEMM efficiency) while
+# that stays within 10^6 float64 elements, and one at least
+_BLOCK_ROWS = 128
 _MAX_BLOCK_ELEMENTS = 1_000_000
 # elements per (pairs, d) re-rank difference block, a cache-sized 256 KiB
 # temporary: on 64 x 784 batches 16k-32k ran fastest and 1M a third slower
@@ -48,7 +47,7 @@ class NeighborList:
 
 def _block_rows(p: int) -> int:
     """Query rows per (rows, p) estimate block of a search over p points."""
-    return max(_BLOCK_ELEMENTS // p, min(_MIN_BLOCK_ROWS, _MAX_BLOCK_ELEMENTS // p), 1)
+    return max(min(_BLOCK_ROWS, _MAX_BLOCK_ELEMENTS // p), 1)
 
 
 def knn_search(features: np.ndarray, k: int, threads: int = 1) -> NeighborList:

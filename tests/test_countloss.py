@@ -3,6 +3,7 @@ exhaustive 2^n enumeration, extended-precision references, and central
 finite differences."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from cleanse.data import generate_synthetic
 from cleanse.checks import (
     check_count_loss_grad_at_scale,
     check_count_loss_log_fallback,
+    check_underflow_stress,
+    loss_by_enumeration,
     pmf_by_enumeration,
     relative_error,
 )
@@ -34,7 +37,7 @@ def count_loss_value(probs, lo, hi):
 
 
 def on_log_path(fn, *args):
-    """``fn(*args)`` with every batch falling back to the log-space DP: no
+    """``fn(*args)`` with every batch falling back to the log-space tree: no
     interval log-probability reaches a floor of +inf."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(countloss_module, "MIN_PROB_SPACE_LOG", math.inf)
@@ -156,29 +159,44 @@ class TestTrainingRunsTheTestedPrimitives:
     """count_loss and count_loss_values call the log1mexp, logsumexp and
     interval sum the tests above and ``cleanse check`` test, not private
     copies of them.  The interval sum is ``interval_log_prob`` without its
-    bounds check, which ``_batch_inputs`` has already made.  log1mexp makes
-    the log-space DP's inputs, so its calls are counted where batches fall
-    back to it."""
+    bounds check, which ``_batch_inputs`` has already made.  A batch that
+    falls back runs a second tree in log space, after its probability-space
+    one: log1mexp makes that tree's leaves, each of its window products is a
+    ``logsumexp``, and its root has an interval sum of its own."""
 
     @pytest.mark.parametrize("name", ["log1mexp", "logsumexp", "_interval_sum"],
                              ids=["log1mexp", "logsumexp", "interval_sum"])
     def test_both_paths_call_the_module_function(self, monkeypatch, name):
-        run = on_log_path if name == "log1mexp" else (lambda fn, *args: fn(*args))
-        calls = []
-        original = getattr(countloss_module, name)
+        calls, products = [], []
+        original, window_dot = getattr(countloss_module, name), countloss_module._window_dot
 
         def counting(*args):
             calls.append(np.shape(args[0]))
             return original(*args)
 
         monkeypatch.setattr(countloss_module, name, counting)
+        monkeypatch.setattr(countloss_module, "_window_dot",
+                            lambda *args: products.append(args[-1]) or window_dot(*args))
         probs = np.array([[0.2, 0.8], [0.6, 0.4], [0.5, 0.5]])
         lo, hi = np.array([0, 1]), np.array([2, 3])
-        run(count_loss, probs, lo, hi)
-        assert len(calls) == 1
-        # batches of one size share one DP, in either number system
-        run(count_loss_values, [(probs, lo, hi), (probs, lo, hi)])
-        assert len(calls) == 2
+        # three items make a tree of two levels; the gradient's pass, run in
+        # the number system that stands, reads the root's children off it and
+        # takes one product down to the leaves.  Batches of one size share
+        # one tree.
+        for fn, args, per_tree in ((count_loss, (probs, lo, hi), 3),
+                                   (count_loss_values, ([(probs, lo, hi)] * 2,), 2)):
+            for log_space in (False, True):
+                run = on_log_path if log_space else _direct
+                calls.clear()
+                products.clear()
+                run(fn, *args)
+                trees = 2 if log_space else 1
+                assert products == ([False, False] + [True] * per_tree if log_space
+                                    else [False] * per_tree)
+                want = {"log1mexp": trees - 1,
+                        "logsumexp": trees + sum(products),
+                        "_interval_sum": trees}[name]
+                assert len(calls) == want
 
     def test_interval_log_prob_is_the_checked_interval_sum(self, monkeypatch):
         calls = []
@@ -194,11 +212,11 @@ class TestTrainingRunsTheTestedPrimitives:
 
     def test_the_oracle_path_has_the_training_bits(self):
         # interval-prob-vs-enumeration sums count_log_pmf's array with this very
-        # function; the count losses sum their DP rows, cut at max(hi), and the
-        # sum ignores the -inf masked counts (zeros of a probability-space row
-        # included), so each path gets the bits of its full row: the log path
-        # those of count_log_pmf, the probability path those of the same
-        # recurrence run on p and 1 - p
+        # function; the count losses sum their tree's root, cut at max(hi), and
+        # the sum ignores the -inf masked counts (zeros of a probability-space
+        # root included), so each path gets the bits of its full root: the log
+        # path those of count_log_pmf, the probability path those of the same
+        # tree run on p and 1 - p
         assert checks_module.interval_log_prob is countloss_module.interval_log_prob
         rng = np.random.default_rng(31)
         for _ in range(40):
@@ -210,12 +228,30 @@ class TestTrainingRunsTheTestedPrimitives:
             want = -min(log_q, 0.0)
             assert on_log_path(count_loss, probs, lo, hi).loss == want
             assert on_log_path(count_loss_value, probs, lo, hi) == want
-            p = probs[:, :, None]
-            row = countloss_module._forward(countloss_module._prob_weights((p,)), n,
-                                            log_space=False)
-            want = -min(interval_log_prob(np.log(row[0, 1:]), lo[0], hi[0]), 0.0)
+            root = _full_root(probs, log_space=False)
+            want = -min(interval_log_prob(np.log(root[0]), lo[0], hi[0]), 0.0)
             assert count_loss(probs, lo, hi).loss == want
             assert count_loss_value(probs, lo, hi) == want
+
+
+def _full_root(probs, log_space):
+    """The (m, n + 1) root of the product tree over the (n, m) ``probs``,
+    stopped at count n: in probability space, or in log space on their logs."""
+    x = probs.T
+    if log_space:
+        with np.errstate(divide="ignore"):
+            x = np.log(x)
+    n = len(probs)
+    return countloss_module._root(countloss_module._tree(
+        countloss_module._leaves(x, log_space), n, log_space))[:, : n + 1]
+
+
+def _uncut_tree(monkeypatch):
+    """Make every tree keep all its coefficients, whatever max(hi) is: a top
+    of twice the leaf count is past every count."""
+    tree = countloss_module._tree
+    monkeypatch.setattr(countloss_module, "_tree",
+                        lambda leaves, top, log_space: tree(leaves, 2 * leaves.shape[1], log_space))
 
 
 class TestCountLogPmf:
@@ -532,18 +568,14 @@ def _epoch_of_batches(rng, n_rows, m):
 
 
 def _full_row_value(probs, lo, hi, log_space):
-    """The value-only DP with every count row kept (no stop at max(hi)), in
-    log space or in probability space."""
-    p, lo, hi = countloss_module._batch_inputs(probs, lo, hi)
-    if log_space:
+    """The value with every coefficient of the root kept (no stop at
+    max(hi)), from the log-space tree or the probability-space one."""
+    _, lo, hi = countloss_module._batch_inputs(probs, lo, hi)
+    root = _full_root(probs, log_space)
+    if not log_space:
         with np.errstate(divide="ignore"):
-            log_p = np.log(p)
-        row = countloss_module._forward(countloss_module._log_weights(log_p), len(p))
-    else:
-        weights = countloss_module._prob_weights((p,))
-        with np.errstate(divide="ignore"):
-            row = np.log(countloss_module._forward(weights, len(p), log_space=False))
-    return countloss_module._loss_terms(interval_log_prob(row[:, 1:], lo, hi))[0]
+            root = np.log(root)
+    return countloss_module._loss_terms(interval_log_prob(root, lo, hi))[0]
 
 
 class TestCountLossValues:
@@ -556,7 +588,7 @@ class TestCountLossValues:
                     run = on_log_path if log_space else (lambda fn, *args: fn(*args))
                     got = run(count_loss_values, batches)
                     one_by_one = [run(count_loss_value, p, lo, hi) for p, lo, hi in batches]
-                    # each batch's full row in the number system its DP ran in
+                    # each batch's full root in the number system its tree ran in
                     full_rows = [_full_row_value(p, lo, hi, run(count_loss, p, lo, hi).log_space)
                                  for p, lo, hi in batches]
                     assert np.array(got).tobytes() == np.array(one_by_one).tobytes()
@@ -581,8 +613,8 @@ class TestCountLossValues:
 
     @pytest.mark.parametrize("n", [1, 2, 64])
     def test_batch_whose_intervals_stop_at_zero_keeps_its_bits_when_stacked(self, n):
-        # a DP stopped at count 0 steps over one count, where a stacked one
-        # steps over many; both must give the same bits
+        # a tree stopped at count 0 keeps one coefficient per node, where a
+        # stacked one keeps many; both must give the same bits
         rng = np.random.default_rng(n + 70)
         zero_top = (rng.uniform(0.0, 0.05, size=(n, 3)), np.zeros(3, dtype=np.int64),
                     np.zeros(3, dtype=np.int64))
@@ -594,18 +626,15 @@ class TestCountLossValues:
         assert stacked[1] == alone.loss == count_loss_value(*zero_top)
         assert stacked[0] == count_loss_value(*wide)
         with pytest.MonkeyPatch.context() as patch:
-            forward = countloss_module._forward
-            patch.setattr(countloss_module, "_forward",
-                          lambda weights, top, lattice=False, log_space=True:
-                              forward(weights, len(weights), lattice, log_space))
+            _uncut_tree(patch)
             full = count_loss(*zero_top)
         assert full.loss == alone.loss
         assert full.grad.tobytes() == alone.grad.tobytes()
 
     @pytest.mark.parametrize("n", [64, 1000])
     def test_top_stop_keeps_count_loss_bits(self, monkeypatch, n):
-        # both number systems: the probability-space DP this batch takes, and
-        # the log-space one it falls back to under a floor of +inf
+        # both number systems: the probability-space tree this batch takes,
+        # and the log-space one it falls back to under a floor of +inf
         rng = np.random.default_rng(n)
         m = 4
         cands = generate_synthetic(rng.integers(0, m, size=n), m, 0.2, seed=n + 1)
@@ -613,7 +642,6 @@ class TestCountLossValues:
         probs = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
         lo, hi = batch_intervals(cands)
         assert hi.max() < n  # the stop drops counts
-        forward = countloss_module._forward
         for log_space in (False, True):
             with monkeypatch.context() as patch:
                 if log_space:
@@ -621,11 +649,7 @@ class TestCountLossValues:
                 got = count_loss(probs, lo, hi)
                 got_value = count_loss_value(probs, lo, hi)
                 assert got.log_space == log_space
-                patch.setattr(
-                    countloss_module, "_forward",
-                    lambda weights, top, lattice=False, log_space=True:
-                        forward(weights, len(weights), lattice, log_space),
-                )
+                _uncut_tree(patch)
                 want = count_loss(probs, lo, hi)
                 assert want.log_space == log_space
                 assert got.loss == want.loss
@@ -634,17 +658,176 @@ class TestCountLossValues:
                 assert got_value == count_loss_value(probs, lo, hi)
 
 
+def _direct(fn, *args):
+    return fn(*args)
+
+
+def _enumerated_grad(probs, lo, hi):
+    """d loss / d p_ij = -(P(S_-i = lo - 1) - P(S_-i = hi)) / q_j, every
+    mass from ``pmf_by_enumeration``."""
+    n, m = probs.shape
+    grad = np.empty((n, m))
+    for j in range(m):
+        q = float(np.sum(pmf_by_enumeration(probs[:, j])[lo[j] : hi[j] + 1]))
+        for i in range(n):
+            rest = np.append(pmf_by_enumeration(np.delete(probs[:, j], i)), 0.0)  # counts 0..n
+            up = rest[lo[j] - 1] if lo[j] > 0 else 0.0
+            grad[i, j] = -(up - rest[hi[j]]) / q
+    return grad
+
+
+def _sequential_window_dots(monkeypatch):
+    """A list that gets, for every probability-space window product, whether
+    its result has the bits of the sum taken term by term from t = 0."""
+    window_dot, checked = countloss_module._window_dot, []
+
+    def ordered(windows, column, out, log_space):
+        window_dot(windows, column, out, log_space)
+        if not log_space:
+            row = column[..., 0]
+            total = np.zeros(np.broadcast_shapes(windows.shape[:-1], row.shape[:-1] + (1,)))
+            for t in range(windows.shape[-1]):
+                total = total + windows[..., t] * row[..., None, t]
+            checked.append(total.tobytes() == np.ascontiguousarray(out[..., 0]).tobytes())
+
+    monkeypatch.setattr(countloss_module, "_window_dot", ordered)
+    return checked
+
+
+class TestProductTree:
+    """The product tree against the enumeration oracles at sizes whose levels
+    end in an odd node or do not, and its bits against how it is stacked,
+    where its rows stop and how numpy evaluates its products."""
+
+    @pytest.mark.parametrize("log_space", [False, True], ids=["prob", "log"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 12])
+    def test_value_and_gradient_match_enumeration(self, n, log_space):
+        run = on_log_path if log_space else _direct
+        rng = np.random.default_rng(100 + n)
+        m = 4
+        for _ in range(3):
+            probs = rng.dirichlet(np.ones(m), size=n)
+            lo = rng.integers(0, n + 1, size=m)
+            hi = lo + rng.integers(0, n + 1 - lo)
+            lo[:3] = 0, 0, rng.integers(0, n + 1)  # [0, n] (certain), [0, hi], [lo, n]
+            hi[:3] = n, rng.integers(0, n + 1), n
+            res = run(count_loss, probs, lo, hi)
+            assert res.log_space == log_space
+            assert relative_error(res.loss, loss_by_enumeration(probs, lo, hi)) <= 1e-13
+            want = _enumerated_grad(probs, lo, hi)
+            assert np.all(np.abs(res.grad - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+            assert np.all(res.grad[:, 0] == 0.0)
+
+    def test_count_loss_value_is_count_loss_values_bitwise(self):
+        rng = np.random.default_rng(73)
+        for n_rows in (1, 2, 3, 5, 64, 88, 200):
+            for m in (2, 3, 10):
+                for batch in _epoch_of_batches(rng, n_rows, m):
+                    for run in (_direct, on_log_path):
+                        got = run(count_loss, *batch)
+                        assert got.loss == run(count_loss_values, [batch])[0]
+
+    def test_a_batch_keeps_its_bits_stacked_with_other_sizes(self):
+        # other sizes make other depths and stop at other tops; the tail
+        # batch falls back to log space
+        rng = np.random.default_rng(79)
+        batches = [batch for n_rows, m in ((64, 3), (88, 3), (7, 3), (64, 5), (1, 3), (96, 10))
+                   for batch in _epoch_of_batches(rng, n_rows, m)]
+        batches += [_far_tail_batch(rng), _ordinary_batch(rng, 1024, 2)]
+        alone = [count_loss(*batch).loss for batch in batches]
+        assert count_loss(*batches[-2]).log_space
+        for order in (range(len(batches)), rng.permutation(len(batches))):
+            got = count_loss_values([batches[b] for b in order])
+            assert np.array(got).tobytes() == np.array([alone[b] for b in order]).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 88])
+    def test_rows_stopped_at_max_hi_keep_value_and_gradient_bits(self, monkeypatch, n):
+        rng = np.random.default_rng(n + 80)
+        probs, lo, hi = _epoch_of_batches(rng, n, 4)[0]
+        for run in (_direct, on_log_path):
+            got = run(count_loss, probs, lo, hi)
+            with monkeypatch.context() as patch:
+                _uncut_tree(patch)
+                want = run(count_loss, probs, lo, hi)
+            assert got.log_space == want.log_space == (run is on_log_path)
+            assert got.loss == want.loss
+            assert got.grad.tobytes() == want.grad.tobytes()
+
+    def test_every_product_is_numpy_s_own_sequential_loop(self, monkeypatch):
+        # desk's two batch sizes, big-batch's, and a stacked value-only epoch:
+        # no product goes to BLAS, so none depends on its threads
+        checked = _sequential_window_dots(monkeypatch)
+        rng = np.random.default_rng(89)
+        for n, m in ((64, 3), (88, 3), (1024, 5)):
+            count_loss(*_epoch_of_batches(rng, n, m)[0])
+        count_loss_values(_epoch_of_batches(rng, 352, 10))
+        assert len(checked) > 30 and all(checked)
+
+
+class TestCountLossMemory:
+    """The gradient's tree keeps O(n log n) coefficients per class row and
+    one level of functionals at a time, a value-only tree two levels, and
+    the log-space products run in blocks."""
+
+    def test_count_loss_at_big_batch_shape_keeps_no_lattice(self):
+        # the sequential DP's prefix/suffix lattice alone held
+        # (n + 1) 2m (max(hi) + 2) float64s here, over 30 MiB
+        rng = np.random.default_rng(83)
+        n, m = 1024, 5
+        z = rng.standard_normal((n, m))
+        probs = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
+        lo, hi = batch_intervals(generate_synthetic(rng.integers(0, m, size=n), m, 0.3, seed=84))
+        assert (n + 1) * 2 * m * (int(hi.max()) + 2) * 8 > 30 * 2**20
+        count_loss(probs, lo, hi)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            count_loss(probs, lo, hi)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    def test_value_only_trees_take_a_bounded_block_of_rows(self):
+        # 360 batches of 64 rows and 10 classes: past the stacked copy of
+        # their probabilities, the value-only trees hold one block of class
+        # rows at a time, however many batches there are
+        batches = _epoch_of_batches(np.random.default_rng(97), 360 * 64, 10)
+        stacked = sum(p.nbytes for p, _, _ in batches)
+        count_loss_values(batches)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            count_loss_values(batches)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < stacked + 2**20
+
+    def test_underflow_stress_at_4096_builds_no_square_window_array(self):
+        # the root's 4097 x 2049 windows would take 64 MiB in one piece
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = check_underflow_stress(4096)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert result.passed, result
+        assert peak < 4 * 2**20
+
+
 def _log_space_rows(monkeypatch):
-    """A list that gets the class-row count of every log-space ``_forward`` call."""
+    """A list that gets the class-row count of every log-space ``_tree`` call."""
     rows = []
-    forward = countloss_module._forward
+    tree = countloss_module._tree
 
-    def counting(weights, top, lattice=False, log_space=True):
+    def counting(leaves, top, log_space):
         if log_space:
-            rows.append(weights.shape[1])
-        return forward(weights, top, lattice, log_space)
+            rows.append(leaves.shape[0])
+        return tree(leaves, top, log_space)
 
-    monkeypatch.setattr(countloss_module, "_forward", counting)
+    monkeypatch.setattr(countloss_module, "_tree", counting)
     return rows
 
 
@@ -669,7 +852,7 @@ class TestLogSpaceFallback:
         assert np.all((log_q < MIN_PROB_SPACE_LOG) & (log_q > countloss_module.MIN_LOG_PROB))
         rows = _log_space_rows(monkeypatch)
         res = count_loss(probs, lo, hi)
-        assert rows == [2 * probs.shape[1]]  # the stacked forward/reversed lattice
+        assert rows == [probs.shape[1]]  # one tree over the batch's classes
         assert res.log_space and not res.saturated
         assert res.loss == pytest.approx(-float(log_q.sum()), rel=1e-13)
         np.testing.assert_allclose(res.grad, 1.0 / (1.0 - probs), rtol=1e-11)
@@ -682,7 +865,7 @@ class TestLogSpaceFallback:
         alone = [count_loss_value(*batch) for batch in batches]
         rows = _log_space_rows(monkeypatch)
         got = count_loss_values(batches)
-        # one log-space DP, over the tail batch's two class rows only
+        # one log-space tree, over the tail batch's two class rows only
         assert rows == [2]
         assert np.array(got).tobytes() == np.array(alone).tobytes()
         assert got[1] == count_loss(*tail).loss
@@ -719,7 +902,7 @@ class TestLogSpaceFallback:
 
 
 class TestProbabilitySpaceMatchesLogSpace:
-    """The probability-space DP against the log-space one it replaces, on
+    """The probability-space tree against the log-space one it replaces, on
     batches whose intervals come from candidate sets drawn around the
     predictions: random n and m, logit scales up to 30 (p down to about
     1e-70), and the merged-tail batch sizes of a 64-row epoch."""
@@ -747,8 +930,7 @@ class TestProbabilitySpaceMatchesLogSpace:
 
     def test_gradient_near_the_floor_against_mpmath(self):
         # q is about e^-479, between the floor and 1: the probability-space
-        # DP stands and its gradient stays within 1e-13 of 60-digit mpmath,
-        # where the log-space DP's exponentiated shifts reach 2e-13
+        # tree stands and its gradient stays within 1e-13 of 60-digit mpmath
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 60
         rng = np.random.default_rng(71)

@@ -158,10 +158,11 @@ class TestKnnSearch:
         rows = _block_rows(p)
         assert rows >= 1 and rows * p <= max(10**6, p)
         assert rows >= min(128, 10**6 // p)  # wide searches keep their GEMM rows
+        assert rows <= 128  # and narrow ones do not grow past them
 
     def test_peak_traced_memory_at_desk_shape(self):
-        # 600 points make three 1 MiB estimate blocks; the estimate and its
-        # partitioned copy are the only block-sized arrays alive at once
+        # 600 points make five 128-row estimate blocks of 600 KiB; the estimate
+        # and its partitioned copy are the only block-sized arrays alive at once
         X = np.random.default_rng(0).standard_normal((600, 2))
         tracemalloc.start()
         try:
