@@ -22,7 +22,7 @@ from .countloss import (
     batch_intervals,
     count_log_pmf,
     count_loss,
-    count_loss_values,
+    count_loss_value,
     interval_log_prob,
     logsumexp,
 )
@@ -169,32 +169,17 @@ def check_count_loss_log_fallback(rng: np.random.Generator, n: int = 1024,
     q_j = prod_i (1 - p_ij) is about e^-612: below ``MIN_PROB_SPACE_LOG``,
     above the loss clamp.  In closed form the loss is
     -sum_ij log1p(-p_ij) and d loss / d p_ij = 1 / (1 - p_ij).  The result
-    must say it fell back to log space, and the batch, stacked in
-    ``count_loss_values`` between two ordinary batches of the same n, must
-    keep the bits it has alone; a miss counts as an infinite deviation.
+    must say it fell back to log space, and ``count_loss_value`` must give
+    its loss bit for bit; a miss counts as an infinite deviation.
     """
     name = f"count-loss-log-fallback-n{n}"
     probs = rng.uniform(0.44, 0.46, size=(n, m))
     zeros = np.zeros(m, dtype=np.int64)
     res = count_loss(probs, zeros, zeros)
-    if not res.log_space or res.saturated:
+    if not res.log_space or res.saturated or count_loss_value(probs, zeros, zeros) != res.loss:
         return CheckResult(name, math.inf, 1e-10)
     worst = relative_error(res.loss, -float(np.sum(np.log1p(-probs))))
     worst = max(worst, max(map(relative_error, res.grad.flat, (1.0 / (1.0 - probs)).flat)))
-
-    batches = []
-    for _ in range(2):
-        z = rng.standard_normal((n, m))
-        ordinary = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
-        mean = ordinary.sum(axis=0)
-        sd = np.sqrt(np.sum(ordinary * (1.0 - ordinary), axis=0))
-        batches.append((ordinary, (mean - 2.0 * sd).astype(np.int64),
-                        (mean + 2.0 * sd).astype(np.int64)))
-    batches.insert(1, (probs, zeros, zeros))
-    stacked = count_loss_values(batches)
-    alone = [count_loss_values([batch])[0] for batch in batches]
-    if stacked != alone or stacked[1] != res.loss:
-        return CheckResult(name, math.inf, 1e-10)
     return CheckResult(name, worst, 1e-10)
 
 
@@ -467,24 +452,21 @@ def loss_by_enumeration(probs: np.ndarray, lo, hi) -> float:
 
 
 def check_count_values(rng: np.random.Generator, cases: int = 20, max_n: int = 12) -> CheckResult:
-    """``count_loss_values`` over mixed-size batches vs enumerated losses.
-
-    Each case is a list of batches of a few sizes, so batches are stacked
-    into one tree per size and values must come back in batch order.
-    """
+    """``count_loss_value`` vs enumerated losses on random batches of a few
+    sizes each case; ``count_loss(...).loss`` must equal it bit for bit, and
+    a miss counts as an infinite deviation."""
     worst = 0.0
     for _ in range(cases):
         m = int(rng.integers(2, 5))
         sizes = rng.integers(1, max_n + 1, size=3)
-        batches = []
         for n in rng.choice(sizes, size=int(rng.integers(1, 7))):
             z = rng.standard_normal((n, m))
             probs = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
             lo = rng.integers(0, n + 1, size=m)
             hi = lo + rng.integers(0, n + 1 - lo)
-            batches.append((probs, lo, hi))
-        got = count_loss_values(batches)
-        for value, (probs, lo, hi) in zip(got, batches):
+            value = count_loss_value(probs, lo, hi)
+            if count_loss(probs, lo, hi).loss != value:
+                return CheckResult("count-values-vs-enumeration", math.inf, 1e-10)
             worst = max(worst, relative_error(value, loss_by_enumeration(probs, lo, hi)))
     return CheckResult("count-values-vs-enumeration", worst, 1e-10)
 

@@ -17,7 +17,7 @@ zero-padded coefficients against the left node's, reversed.  In
 probability space that is one ``matmul``; the windows overlap and the
 reversed operand runs backwards, so numpy never hands them to BLAS, and
 each dot product is its own sequential loop.  So no bit depends on the
-thread count, on how many rows are stacked or on where rows stop.
+thread count, on how many class rows share a tree or on where rows stop.
 
 The count losses run the tree on the probabilities themselves: every node
 is a pmf, each coefficient a sum of nonnegative products, so it needs no
@@ -40,7 +40,8 @@ P(S_{-i} = hi).  They come from one pass down the same levels, which
 carries two point functionals of the root, its coefficients at lo and at
 hi, by correlating each parent's functional with the node's sibling
 (``_point_masses``).  One tree serves every caller, on all m classes at
-once.
+once; ``count_loss_value``, for callers that only report the loss, builds
+the same tree, with the same fallback, and skips the pass down.
 """
 from __future__ import annotations
 
@@ -69,12 +70,6 @@ _LOG_HALF = -math.log(2.0)
 # A log-space window product sums its windows in blocks of output counts of
 # at most this many float64 elements (1 MiB).
 _LOG_BLOCK_ELEMENTS = 1 << 17
-
-# A value-only tree takes at most this many items (class rows x batch
-# size), so its two live levels stay near 128 KiB however many batches
-# ``count_loss_values`` stacks: at mnist-shape's epoch this ran faster than
-# one tree of 2^13 items and kept the traced peak at 0.4 MiB, not 1.1.
-_VALUE_TREE_ITEMS = 1 << 11
 
 
 def log1mexp(x):
@@ -277,11 +272,15 @@ def interval_log_prob(log_pmf: np.ndarray, lo, hi):
 
     Entry k of a row is log P(count == k); a row may stop at any count
     top >= hi, as the tree's root stops at max(hi).  ``lo`` and ``hi`` are
-    integers, scalars or one per row.  ``logsumexp`` ignores the masked
-    counts, so a cut row and the full (n + 1,) pmf give the same bits.
+    integers, scalars or one per row; a bound of any other type, bool and
+    float included, is refused.  ``logsumexp`` ignores the masked counts,
+    so a cut row and the full (n + 1,) pmf give the same bits.
     """
     log_pmf = np.asarray(log_pmf, dtype=np.float64)
     lo, hi = np.broadcast_arrays(lo, hi)
+    for bound in (lo, hi):
+        if not np.issubdtype(bound.dtype, np.integer):
+            raise ValueError(f"count bounds must be integers, got {bound.dtype}")
     _check_intervals(lo, hi, log_pmf.shape[-1] - 1)
     return _interval_sum(log_pmf, lo, hi)
 
@@ -335,10 +334,9 @@ def _batch_inputs(probs: np.ndarray, lo, hi) -> tuple:
     return probs, lo, hi
 
 
-def _class_rows(parts, log_space: bool) -> np.ndarray:
-    """The (n, M_b) probabilities in ``parts`` stacked in order as (M, n)
-    class rows, or their logs in log space."""
-    x = np.concatenate(parts, axis=1).T if len(parts) > 1 else parts[0].T
+def _class_rows(probs: np.ndarray, log_space: bool) -> np.ndarray:
+    """The (n, m) ``probs`` as (m, n) class rows, or their logs in log space."""
+    x = probs.T
     if log_space:
         with np.errstate(divide="ignore"):
             x = np.log(x)
@@ -383,6 +381,21 @@ def _loss_terms(log_q: np.ndarray) -> tuple[float, np.ndarray, bool]:
     return total, log_q, saturated
 
 
+def _count_tree(p: np.ndarray, lo: np.ndarray, hi: np.ndarray, keep_levels: bool) -> tuple:
+    """(levels, interval log-probabilities, log_space) of the tree over the
+    batch's class rows: in probability space, unless the batch fails
+    ``_keeps_prob_space`` and runs again in log space.  ``keep_levels`` keeps
+    every level in a list, for the pass down; otherwise the tree holds two
+    levels at a time and the returned ``levels`` are spent."""
+    for log_space in (False, True):
+        levels = _tree(_leaves(_class_rows(p, log_space), log_space), int(hi.max()), log_space)
+        if keep_levels:
+            levels = list(levels)
+        log_in = _root_interval(levels, lo, hi, log_space)
+        if log_space or _keeps_prob_space(p, log_in):
+            return levels, log_in, log_space
+
+
 def count_loss(batch_probs: np.ndarray, lo, hi) -> CountLossResult:
     """Count objective and its exact gradient w.r.t. the prediction matrix.
 
@@ -402,12 +415,7 @@ def count_loss(batch_probs: np.ndarray, lo, hi) -> CountLossResult:
     and both masses come from one pass down the tree (``_point_masses``).
     """
     p, lo, hi = _batch_inputs(batch_probs, lo, hi)
-    for log_space in (False, True):
-        leaves = _leaves(_class_rows((p,), log_space), log_space)
-        levels = list(_tree(leaves, int(hi.max()), log_space))
-        log_in = _root_interval(levels, lo, hi, log_space)
-        if log_space or _keeps_prob_space(p, log_in):
-            break
+    levels, log_in, log_space = _count_tree(p, lo, hi, keep_levels=True)
     total, log_q, saturated = _loss_terms(log_in)
     n = len(p)
     up, down = (mass[:, :n] for mass in _point_masses(levels, lo, hi, log_space))
@@ -420,44 +428,9 @@ def count_loss(batch_probs: np.ndarray, lo, hi) -> CountLossResult:
     return CountLossResult(loss=total, grad=grad, saturated=saturated, log_space=log_space)
 
 
-def count_loss_values(batches) -> list[float]:
-    """``count_loss(probs, lo, hi).loss`` of each ``(probs, lo, hi)`` batch.
-
-    Value only: no pass down the tree and no gradient; used when the count
-    loss is only reported (lambda = 0).  Batches of one size n share
-    probability-space trees: their (n, m) probabilities are stacked into
-    class rows, which a tree treats independently, and a row's coefficients
-    do not depend on where it stops, so each batch's value has the bits it
-    gets on its own.  The batches among them that fall back run
-    again, stacked, in log space, so a batch's bits do not depend on the
-    others either way.  Values come back in batch order.
-    """
-    inputs = [_batch_inputs(probs, lo, hi) for probs, lo, hi in batches]
-    by_size: dict[int, list[int]] = {}
-    for b, (p, _, _) in enumerate(inputs):
-        by_size.setdefault(p.shape[0], []).append(b)
-    values = [0.0] * len(inputs)
-    for group in by_size.values():
-        log_in = _stacked_interval_log_probs(inputs, group, log_space=False)
-        fallback = [b for b in group if not _keeps_prob_space(inputs[b][0], log_in[b])]
-        if fallback:
-            log_in.update(_stacked_interval_log_probs(inputs, fallback, log_space=True))
-        for b in group:
-            values[b] = _loss_terms(log_in[b])[0]
-    return values
-
-
-def _stacked_interval_log_probs(inputs: list, group: list[int], log_space: bool) -> dict:
-    """Interval log-probabilities of each batch b in ``group`` (all of one
-    size), keyed by b, from value-only trees over their stacked class rows,
-    each over as many rows as hold ``_VALUE_TREE_ITEMS`` items."""
-    p, lo, hi = zip(*(inputs[b] for b in group))
-    x, lo, hi = _class_rows(p, log_space), np.concatenate(lo), np.concatenate(hi)
-    step = max(_VALUE_TREE_ITEMS // x.shape[1], 1)
-    log_in = []
-    for start in range(0, len(x), step):
-        rows = slice(start, start + step)
-        levels = _tree(_leaves(x[rows], log_space), int(hi[rows].max()), log_space)
-        log_in.append(_root_interval(levels, lo[rows], hi[rows], log_space))
-    ends = np.cumsum([len(inputs[b][1]) for b in group])
-    return dict(zip(group, np.split(np.concatenate(log_in), ends[:-1])))
+def count_loss_value(batch_probs: np.ndarray, lo, hi) -> float:
+    """``count_loss(batch_probs, lo, hi).loss``, bit for bit, without the
+    gradient: no pass down the tree, which holds two levels at a time.  Used
+    where the count loss is only reported (lambda = 0)."""
+    p, lo, hi = _batch_inputs(batch_probs, lo, hi)
+    return _loss_terms(_count_tree(p, lo, hi, keep_levels=False)[1])[0]

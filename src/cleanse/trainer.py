@@ -29,7 +29,7 @@ from .countloss import (  # noqa: F401
     batch_intervals,
     count_log_pmf,
     count_loss,
-    count_loss_values,
+    count_loss_value,
     interval_log_prob,
 )
 from .data import PartialDataset
@@ -235,16 +235,16 @@ def check_datasets(train: PartialDataset, test: PartialDataset | None) -> None:
 
 def batch_objective(
     probs: np.ndarray, weights: np.ndarray, lo, hi, lam: float
-) -> tuple[float, float | None, np.ndarray]:
+) -> tuple[float, float, np.ndarray]:
     """Reweighted CE, count loss and d(CE + lam * count) / d logits for one batch.
 
-    At lam = 0 the count loss only enters the report, so no count value is
-    returned (None): ``fit`` computes the epoch's values in one
-    ``count_loss_values`` call.
+    At lam = 0 the count loss only enters the report: its value comes from
+    ``count_loss_value``, with no gradient, and the logit gradient is the
+    CE's own, so T = 1, lam = 0 training is the baseline's bit for bit.
     """
     rl, grad_logits, _ = reweighted_ce(probs, weights)
     if lam == 0.0:
-        return rl, None, grad_logits
+        return rl, count_loss_value(probs, lo, hi), grad_logits
     cres = count_loss(probs, lo, hi)
     # route the prob-space gradient through the softmax Jacobian
     gdotp = np.sum(cres.grad * probs, axis=1, keepdims=True)
@@ -264,11 +264,9 @@ def fit(
     leak into any gradient.  Each epoch is evaluated on ``test`` (if given;
     otherwise its accuracy is nan), and ``on_epoch`` (if given) receives
     (EpochMetrics, model) after it; that is the only report ``fit`` makes.  A
-    non-finite batch loss stops the run with ``TrainingDiverged`` before
-    that batch's optimizer step.  At lambda = 0 the count losses are only
-    reported; they are computed after the epoch's last step, in one
-    ``count_loss_values`` call, and a non-finite one raises
-    ``TrainingDiverged`` naming its batch then.
+    non-finite batch loss, the reweight loss or the count loss (which at
+    lambda = 0 is only reported), stops the run with ``TrainingDiverged``
+    before that batch's optimizer step.
     """
     check_datasets(train, test)
     view = train.strip_truth()
@@ -305,9 +303,8 @@ def fit(
             global_weights = weight_rows(embedding, view.candidates)
 
         perm = rng.permutation(view.n)
-        batch_rl, batch_rg, deferred = [], [], []  # deferred: lambda = 0 count inputs
-        batches = epoch_batches(perm, config.batch_size)
-        for batch_no, batch_idx in enumerate(batches):
+        sum_rl = sum_rg = 0.0
+        for batch_no, batch_idx in enumerate(epoch_batches(perm, config.batch_size)):
             feats = view.features[batch_idx]
             cands = view.candidates[batch_idx]
             # cast once: forward and backward both take this array as it is
@@ -320,27 +317,13 @@ def fit(
                 weights = global_weights[batch_idx]
             lo, hi = batch_intervals(cands)
             rl, rg, grad_logits = batch_objective(probs, weights, lo, hi, config.lam)
-            if rg is None:  # lambda = 0: computed after the epoch's last step
-                deferred.append((probs, lo, hi))
-            if not (math.isfinite(rl) and (rg is None or math.isfinite(rg))):
-                if rg is None:
-                    rg = count_loss_values(deferred[-1:])[0]
-                raise TrainingDiverged(epoch, batch_no, rl, rg)
-
-            batch_rl.append(rl)
-            batch_rg.append(rg)
-
-            opt.step(model, backward(model, X, hidden, grad_logits, grads))
-
-        if deferred:
-            batch_rg = count_loss_values(deferred)
-            deferred.clear()  # the epoch's probabilities, freed before evaluation
-        sum_rl = sum_rg = 0.0
-        for batch_no, (batch_idx, rl, rg) in enumerate(zip(batches, batch_rl, batch_rg)):
-            if not math.isfinite(rg):  # only if deferred: the batch loop checked the rest
+            if not (math.isfinite(rl) and math.isfinite(rg)):
                 raise TrainingDiverged(epoch, batch_no, rl, rg)
             sum_rl += rl * len(batch_idx)
             sum_rg += rg * len(batch_idx)
+
+            opt.step(model, backward(model, X, hidden, grad_logits, grads))
+
         mean_rl = sum_rl / view.n
         mean_rg = sum_rg / view.n
         total = mean_rl + config.lam * mean_rg

@@ -19,7 +19,12 @@ import pytest
 import cleanse.checks as checks_module
 import cleanse.cli as cli_module
 import cleanse.trainer as trainer_module
-from cleanse.checks import check_count_pmf, check_count_values, check_trainer_grad
+from cleanse.checks import (
+    check_count_loss_log_fallback,
+    check_count_pmf,
+    check_count_values,
+    check_trainer_grad,
+)
 from cleanse.cli import (
     EXIT_CHECK_FAILED,
     EXIT_DIVERGED,
@@ -30,7 +35,7 @@ from cleanse.cli import (
     build_parser,
     main,
 )
-from cleanse.countloss import CountLossResult, count_log_pmf, count_loss_values
+from cleanse.countloss import CountLossResult, count_log_pmf, count_loss_value
 from cleanse.data import PartialDataset, read_pll_file, write_pll_file
 from cleanse.neural import load_mlp, save_mlp
 from cleanse.stats import Q_ALPHA_05
@@ -1076,12 +1081,24 @@ class TestCheck:
         assert not result.passed
 
     def test_values_out_of_batch_order_fail_named_check(self, monkeypatch):
-        def reversed_values(batches):
-            return count_loss_values(batches)[::-1]
+        values = []
 
-        monkeypatch.setattr(checks_module, "count_loss_values", reversed_values)
+        def previous_batch_value(probs, lo, hi):
+            values.append(count_loss_value(probs, lo, hi))
+            return values[-2] if len(values) > 1 else values[-1]
+
+        monkeypatch.setattr(checks_module, "count_loss_value", previous_batch_value)
         result = check_count_values(np.random.default_rng(0))
         assert result.name == "count-values-vs-enumeration"
+        assert not result.passed
+
+    def test_fallback_value_one_ulp_off_fails_named_check(self, monkeypatch):
+        def one_ulp_up(probs, lo, hi):
+            return math.nextafter(count_loss_value(probs, lo, hi), math.inf)
+
+        monkeypatch.setattr(checks_module, "count_loss_value", one_ulp_up)
+        result = check_count_loss_log_fallback(np.random.default_rng(0))
+        assert result.name == "count-loss-log-fallback-n1024"
         assert not result.passed
 
     def test_trainer_grad_gates_the_trainers_own_chain(self, monkeypatch):

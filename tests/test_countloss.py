@@ -15,7 +15,7 @@ from cleanse.countloss import (
     batch_intervals,
     count_log_pmf,
     count_loss,
-    count_loss_values,
+    count_loss_value,
     interval_log_prob,
     log1mexp,
     logsumexp,
@@ -30,10 +30,6 @@ from cleanse.checks import (
     pmf_by_enumeration,
     relative_error,
 )
-
-
-def count_loss_value(probs, lo, hi):
-    return count_loss_values([(probs, lo, hi)])[0]
 
 
 def on_log_path(fn, *args):
@@ -156,7 +152,7 @@ class TestLogsumexp:
 
 
 class TestTrainingRunsTheTestedPrimitives:
-    """count_loss and count_loss_values call the log1mexp, logsumexp and
+    """count_loss and count_loss_value call the log1mexp, logsumexp and
     interval sum the tests above and ``cleanse check`` test, not private
     copies of them.  The interval sum is ``interval_log_prob`` without its
     bounds check, which ``_batch_inputs`` has already made.  A batch that
@@ -181,15 +177,13 @@ class TestTrainingRunsTheTestedPrimitives:
         lo, hi = np.array([0, 1]), np.array([2, 3])
         # three items make a tree of two levels; the gradient's pass, run in
         # the number system that stands, reads the root's children off it and
-        # takes one product down to the leaves.  Batches of one size share
-        # one tree.
-        for fn, args, per_tree in ((count_loss, (probs, lo, hi), 3),
-                                   (count_loss_values, ([(probs, lo, hi)] * 2,), 2)):
+        # takes one product down to the leaves; the value skips that pass
+        for fn, per_tree in ((count_loss, 3), (count_loss_value, 2)):
             for log_space in (False, True):
                 run = on_log_path if log_space else _direct
                 calls.clear()
                 products.clear()
-                run(fn, *args)
+                run(fn, probs, lo, hi)
                 trees = 2 if log_space else 1
                 assert products == ([False, False] + [True] * per_tree if log_space
                                     else [False] * per_tree)
@@ -318,6 +312,15 @@ class TestIntervalLogProb:
         assert interval_log_prob(log_pmf, 1, 2) == pytest.approx(
             math.log(0.81), abs=1e-12
         )
+
+    def test_non_integer_bounds_rejected(self):
+        # a bound of 0.5 once summed counts 1..1 and a nan bound gave -inf
+        log_pmf = count_log_pmf(np.log([0.5, 0.5]))
+        for lo, hi in [(0.5, 1.5), (0, 1.0), (math.nan, 1), (0, math.nan), (False, True),
+                       (np.array([0.0]), np.array([1])), (0, "1")]:
+            with pytest.raises(ValueError, match="count bounds must be integers"):
+                interval_log_prob(log_pmf, lo, hi)
+        assert interval_log_prob(log_pmf, np.int32(1), np.uint8(2)) == logsumexp(log_pmf[1:])
 
     def test_invalid_intervals_rejected(self):
         log_pmf = count_log_pmf(np.log([0.5, 0.5]))
@@ -449,7 +452,7 @@ class TestCountLoss:
         with pytest.raises(TypeError):
             count_loss(probs, lo, hi, "entropy")
         with pytest.raises(TypeError):
-            count_loss_values([(probs, lo, hi)], "entropy")
+            count_loss_value(probs, lo, hi, "entropy")
 
     def test_interval_beyond_batch_rejected(self):
         for fn in (count_loss, count_loss_value):
@@ -544,8 +547,7 @@ class TestCountLoss:
         for max_n in (8, 8, 8, 200, 1000):
             probs, lo, hi = _random_instance(rng, max_n)
             want = count_loss(probs, lo, hi).loss
-            got = count_loss_value(probs, lo, hi)
-            assert abs(got - want) <= 1e-15 * max(1.0, abs(want))
+            assert count_loss_value(probs, lo, hi) == want
 
     def test_terms_are_summed_left_to_right(self):
         # 1 + 1e-16 rounds back to 1 each time; a compensated sum (Python's
@@ -579,52 +581,28 @@ def _full_row_value(probs, lo, hi, log_space):
 
 
 class TestCountLossValues:
-    def test_stacked_values_equal_per_batch_values_bitwise(self):
+    def test_values_equal_the_full_root_bitwise(self):
+        # the batches of epochs of several sizes, merged tails included
         rng = np.random.default_rng(23)
         for n_rows in (2, 5, 63, 64, 65, 160, 200):
             for m in (2, 3, 7, 10):
-                batches = _epoch_of_batches(rng, n_rows, m)
-                for log_space in (False, True):
-                    run = on_log_path if log_space else (lambda fn, *args: fn(*args))
-                    got = run(count_loss_values, batches)
-                    one_by_one = [run(count_loss_value, p, lo, hi) for p, lo, hi in batches]
-                    # each batch's full root in the number system its tree ran in
-                    full_rows = [_full_row_value(p, lo, hi, run(count_loss, p, lo, hi).log_space)
-                                 for p, lo, hi in batches]
-                    assert np.array(got).tobytes() == np.array(one_by_one).tobytes()
-                    assert np.array(got).tobytes() == np.array(full_rows).tobytes()
-
-    def test_mixed_sizes_come_back_in_batch_order(self):
-        # batches of 64 and one merged 96-row tail interleaved with small ones
-        rng = np.random.default_rng(29)
-        batches = _epoch_of_batches(rng, 352, 10)  # 4 x 64 + 96
-        batches += _epoch_of_batches(rng, 7, 3) + _epoch_of_batches(rng, 64, 4)
-        order = rng.permutation(len(batches))
-        shuffled = [batches[b] for b in order]
-        got = count_loss_values(shuffled)
-        for value, b in zip(got, order):
-            assert value == count_loss_value(*batches[b])
-
-    def test_empty_list_and_bad_batch(self):
-        assert count_loss_values([]) == []
-        probs = np.full((3, 2), 0.5)
-        with pytest.raises(ValueError, match="of class 1 is outside"):
-            count_loss_values([(probs, [0, 0], [3, 3]), (probs, [0, 2], [3, 1])])
+                for p, lo, hi in _epoch_of_batches(rng, n_rows, m):
+                    for run in (_direct, on_log_path):
+                        got = run(count_loss_value, p, lo, hi)
+                        # the full root in the number system the batch's tree ran in
+                        log_space = run(count_loss, p, lo, hi).log_space
+                        assert got == _full_row_value(p, lo, hi, log_space)
 
     @pytest.mark.parametrize("n", [1, 2, 64])
-    def test_batch_whose_intervals_stop_at_zero_keeps_its_bits_when_stacked(self, n):
-        # a tree stopped at count 0 keeps one coefficient per node, where a
-        # stacked one keeps many; both must give the same bits
+    def test_batch_whose_intervals_stop_at_zero_keeps_its_bits(self, n):
+        # a tree stopped at count 0 keeps one coefficient per node, where an
+        # uncut one keeps them all; both must give the same bits
         rng = np.random.default_rng(n + 70)
         zero_top = (rng.uniform(0.0, 0.05, size=(n, 3)), np.zeros(3, dtype=np.int64),
                     np.zeros(3, dtype=np.int64))
-        wide = (rng.dirichlet(np.ones(3), size=n), np.zeros(3, dtype=np.int64),
-                np.full(3, n, dtype=np.int64))
         alone = count_loss(*zero_top)
         assert not alone.log_space
-        stacked = count_loss_values([wide, zero_top])
-        assert stacked[1] == alone.loss == count_loss_value(*zero_top)
-        assert stacked[0] == count_loss_value(*wide)
+        assert alone.loss == count_loss_value(*zero_top)
         with pytest.MonkeyPatch.context() as patch:
             _uncut_tree(patch)
             full = count_loss(*zero_top)
@@ -696,8 +674,8 @@ def _sequential_window_dots(monkeypatch):
 
 class TestProductTree:
     """The product tree against the enumeration oracles at sizes whose levels
-    end in an odd node or do not, and its bits against how it is stacked,
-    where its rows stop and how numpy evaluates its products."""
+    end in an odd node or do not, and its bits against where its rows stop
+    and how numpy evaluates its products."""
 
     @pytest.mark.parametrize("log_space", [False, True], ids=["prob", "log"])
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 12])
@@ -718,27 +696,18 @@ class TestProductTree:
             assert np.all(np.abs(res.grad - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
             assert np.all(res.grad[:, 0] == 0.0)
 
-    def test_count_loss_value_is_count_loss_values_bitwise(self):
+    def test_count_loss_value_is_count_loss_bitwise(self):
         rng = np.random.default_rng(73)
         for n_rows in (1, 2, 3, 5, 64, 88, 200):
             for m in (2, 3, 10):
                 for batch in _epoch_of_batches(rng, n_rows, m):
                     for run in (_direct, on_log_path):
                         got = run(count_loss, *batch)
-                        assert got.loss == run(count_loss_values, [batch])[0]
-
-    def test_a_batch_keeps_its_bits_stacked_with_other_sizes(self):
-        # other sizes make other depths and stop at other tops; the tail
-        # batch falls back to log space
-        rng = np.random.default_rng(79)
-        batches = [batch for n_rows, m in ((64, 3), (88, 3), (7, 3), (64, 5), (1, 3), (96, 10))
-                   for batch in _epoch_of_batches(rng, n_rows, m)]
-        batches += [_far_tail_batch(rng), _ordinary_batch(rng, 1024, 2)]
-        alone = [count_loss(*batch).loss for batch in batches]
-        assert count_loss(*batches[-2]).log_space
-        for order in (range(len(batches)), rng.permutation(len(batches))):
-            got = count_loss_values([batches[b] for b in order])
-            assert np.array(got).tobytes() == np.array([alone[b] for b in order]).tobytes()
+                        assert got.loss == run(count_loss_value, *batch)
+        # a far-tail batch falls back to log space on its own
+        tail = _far_tail_batch(rng)
+        assert count_loss(*tail).log_space
+        assert count_loss(*tail).loss == count_loss_value(*tail)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 88])
     def test_rows_stopped_at_max_hi_keep_value_and_gradient_bits(self, monkeypatch, n):
@@ -754,13 +723,14 @@ class TestProductTree:
             assert got.grad.tobytes() == want.grad.tobytes()
 
     def test_every_product_is_numpy_s_own_sequential_loop(self, monkeypatch):
-        # desk's two batch sizes, big-batch's, and a stacked value-only epoch:
-        # no product goes to BLAS, so none depends on its threads
+        # desk's two batch sizes, big-batch's, and a value-only epoch at
+        # mnist-shape's m: no product goes to BLAS, so none depends on its threads
         checked = _sequential_window_dots(monkeypatch)
         rng = np.random.default_rng(89)
         for n, m in ((64, 3), (88, 3), (1024, 5)):
             count_loss(*_epoch_of_batches(rng, n, m)[0])
-        count_loss_values(_epoch_of_batches(rng, 352, 10))
+        for batch in _epoch_of_batches(rng, 352, 10):
+            count_loss_value(*batch)
         assert len(checked) > 30 and all(checked)
 
 
@@ -789,20 +759,24 @@ class TestCountLossMemory:
         assert peak < 4 * 2**20
 
     def test_value_only_trees_take_a_bounded_block_of_rows(self):
-        # 360 batches of 64 rows and 10 classes: past the stacked copy of
-        # their probabilities, the value-only trees hold one block of class
-        # rows at a time, however many batches there are
-        batches = _epoch_of_batches(np.random.default_rng(97), 360 * 64, 10)
-        stacked = sum(p.nbytes for p, _, _ in batches)
-        count_loss_values(batches)
+        # one count_loss_value at big-batch's shape: its tree holds two levels
+        # at a time, 0.54 MiB traced here, where one that kept every level,
+        # as the gradient's does, took 1.36
+        rng = np.random.default_rng(97)
+        n, m = 1024, 5
+        z = rng.standard_normal((n, m))
+        probs = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
+        lo, hi = batch_intervals(generate_synthetic(rng.integers(0, m, size=n), m, 0.3, seed=98))
+        assert not count_loss(probs, lo, hi).log_space
+        count_loss_value(probs, lo, hi)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            count_loss_values(batches)
+            count_loss_value(probs, lo, hi)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak < stacked + 2**20
+        assert peak < 0.75 * 2**20
 
     def test_underflow_stress_at_4096_builds_no_square_window_array(self):
         # the root's 4097 x 2049 windows would take 64 MiB in one piece
@@ -857,18 +831,14 @@ class TestLogSpaceFallback:
         assert res.loss == pytest.approx(-float(log_q.sum()), rel=1e-13)
         np.testing.assert_allclose(res.grad, 1.0 / (1.0 - probs), rtol=1e-11)
 
-    def test_stacked_fallback_batch_keeps_its_lone_bits(self, monkeypatch):
+    def test_fallback_value_runs_one_log_space_tree(self, monkeypatch):
         rng = np.random.default_rng(59)
         tail = _far_tail_batch(rng)
-        batches = [_ordinary_batch(rng, 1024, 2), tail, _ordinary_batch(rng, 1024, 2),
-                   _ordinary_batch(rng, 64, 2)]
-        alone = [count_loss_value(*batch) for batch in batches]
+        want = count_loss(*tail).loss
         rows = _log_space_rows(monkeypatch)
-        got = count_loss_values(batches)
-        # one log-space tree, over the tail batch's two class rows only
+        assert count_loss_value(*tail) == want
+        # one log-space tree, over the batch's two class rows
         assert rows == [2]
-        assert np.array(got).tobytes() == np.array(alone).tobytes()
-        assert got[1] == count_loss(*tail).loss
 
     def test_ordinary_batches_stay_in_probability_space(self, monkeypatch):
         rng = np.random.default_rng(61)
@@ -876,7 +846,7 @@ class TestLogSpaceFallback:
         rows = _log_space_rows(monkeypatch)
         for batch in batches:
             assert not count_loss(*batch).log_space
-        count_loss_values(batches)
+            count_loss_value(*batch)
         assert rows == []
 
     def test_saturated_batch_runs_in_log_space(self):
@@ -924,8 +894,8 @@ class TestProbabilitySpaceMatchesLogSpace:
             assert not got.log_space and want.log_space
             assert abs(got.loss - want.loss) <= 1e-13 * max(1.0, abs(want.loss))
             assert np.all(np.abs(got.grad - want.grad) <= 1e-13 * np.maximum(1.0, np.abs(want.grad)))
-        got = np.array(count_loss_values(batches))
-        want = np.array(on_log_path(count_loss_values, batches))
+        got = np.array([count_loss_value(*batch) for batch in batches])
+        want = np.array([on_log_path(count_loss_value, *batch) for batch in batches])
         assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
 
     def test_gradient_near_the_floor_against_mpmath(self):

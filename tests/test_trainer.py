@@ -28,6 +28,7 @@ from cleanse.trainer import (
     EpochMetrics,
     TrainConfig,
     TrainingDiverged,
+    batch_objective,
     epoch_batches,
     evaluate,
     fit,
@@ -346,6 +347,26 @@ class TestDegeneracy:
             np.testing.assert_array_equal(a, b)
 
 
+class TestBatchObjective:
+    def test_lambda0_reports_the_count_value_and_keeps_the_ce_gradient(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(trainer_module, "reweighted_ce",
+                            lambda *args: calls.append(reweighted_ce(*args)) or calls[-1])
+        rng = np.random.default_rng(35)
+        n, m = 40, 3
+        z = rng.standard_normal((n, m))
+        probs = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
+        cands = generate_synthetic(rng.integers(0, m, size=n), m, q=0.5, seed=36)
+        weights = cands / cands.sum(axis=1, keepdims=True)
+        lo, hi = batch_intervals(cands)
+        rl, rg, grad_logits = batch_objective(probs, weights, lo, hi, 0.0)
+        assert rl == calls[0][0] and rg == count_loss(probs, lo, hi).loss
+        # the CE's own array: no lam * count-gradient term, not even a zero one
+        assert grad_logits is calls[0][1]
+        _, rg_half, grad_half = batch_objective(probs, weights, lo, hi, 0.5)
+        assert rg_half == rg and not np.array_equal(grad_half, grad_logits)
+
+
 class TestFirewallAndDeterminism:
     def test_shuffled_hidden_truth_changes_nothing(self):
         ds = make_dataset(n=150, seed=6)
@@ -427,20 +448,32 @@ class TestMetrics:
                     h.reweight_loss + lam * h.count_loss, abs=1e-9
                 )
 
-    def test_lambda0_counts_once_per_epoch(self, monkeypatch):
-        # the epoch's deferred count losses are one count_loss_values call
-        calls = []
-        original = trainer_module.count_loss_values
+    def test_lambda0_counts_once_per_batch(self, monkeypatch):
+        # one value-only call per batch and no gradient; the column is the
+        # size-weighted mean of the batch values, the merged tail included
+        values = []
+        original = trainer_module.count_loss_value
 
-        def counting(batches):
-            calls.append(len(batches))
-            return original(batches)
+        def recording(probs, lo, hi):
+            values.append((original(probs, lo, hi), len(probs)))
+            return values[-1][0]
 
-        monkeypatch.setattr(trainer_module, "count_loss_values", counting)
+        def no_gradient(*args):
+            raise AssertionError("count_loss ran at lambda = 0")
+
+        monkeypatch.setattr(trainer_module, "count_loss_value", recording)
+        monkeypatch.setattr(trainer_module, "count_loss", no_gradient)
         train = make_dataset(n=100, seed=16)
         config = TrainConfig(epochs=3, batch_size=32, hidden=(8,), lam=0.0, seed=18)
-        fit(train, None, config)
-        assert calls == [len(epoch_batches(np.arange(train.n), 32))] * config.epochs
+        _, history = fit(train, None, config)
+        sizes = [len(b) for b in epoch_batches(np.arange(train.n), 32)]
+        assert sizes == [32, 32, 36]
+        assert [size for _, size in values] == sizes * config.epochs
+        for epoch, metrics in enumerate(history):
+            total = 0.0
+            for value, size in values[epoch * len(sizes) : (epoch + 1) * len(sizes)]:
+                total += value * size
+            assert metrics.count_loss == total / train.n
 
     def test_csv_round_trip_and_final_accuracy_recompute(self, tmp_path):
         ds = make_dataset(n=140, seed=19)
@@ -687,8 +720,8 @@ class TestDivergence:
         assert epochs_done == []
 
     def test_lambda0_stops_at_the_same_batch(self):
-        # lambda = 0 defers the count values to the epoch's end, but a
-        # non-finite reweight loss still stops the run at its own batch
+        # at lambda = 0 the count loss is only reported, and a non-finite
+        # reweight loss stops the run at the same batch as at lambda > 0
         feats, labels = gaussian_clusters(200, 3, seed=0)
         cands = generate_synthetic(labels, 3, q=0.5, seed=1)
         ds = PartialDataset(features=feats * 1e30, candidates=cands, m=3, hidden_truth=labels)
@@ -724,26 +757,41 @@ class TestDivergence:
                 on_epoch=lambda metrics, model: epochs_done.append(metrics))
         assert (err.value.epoch, err.value.batch) == (0, 1)
         assert epochs_done == []
-        want = trainer_module.count_loss_values([(seen[1], *intervals[1])])[0]
+        want = trainer_module.count_loss_value(seen[1], *intervals[1])
         assert math.isfinite(want)
         assert str(err.value).endswith(f"reweight loss nan, count loss {want}")
 
-    def test_non_finite_deferred_count_value_names_its_batch(self, monkeypatch):
-        count_loss_values = trainer_module.count_loss_values
+    def test_non_finite_count_value_at_lambda0_stops_before_its_step(self, monkeypatch):
+        # the reported count value is checked with the reweight loss, so the
+        # run stops before batch 2 of epoch 1 steps, not after the epoch
+        count_loss_value, calls = trainer_module.count_loss_value, []
 
-        def nan_at_batch_2(batches):
-            values = count_loss_values(batches)
-            values[2] = float("inf")
-            return values
+        def inf_at_epoch_1_batch_2(*args):
+            calls.append(args)
+            value = count_loss_value(*args)
+            return float("inf") if len(calls) == per_epoch + 3 else value
 
-        monkeypatch.setattr(trainer_module, "count_loss_values", nan_at_batch_2)
-        config = TrainConfig(epochs=2, batch_size=32, hidden=(8,), seed=0, lam=0.0)
+        steps = []
+        make_optimizer = trainer_module.make_optimizer
+
+        def counting_optimizer(*args):
+            opt = make_optimizer(*args)
+            step = opt.step
+            opt.step = lambda *a: steps.append(len(calls)) or step(*a)
+            return opt
+
+        monkeypatch.setattr(trainer_module, "count_loss_value", inf_at_epoch_1_batch_2)
+        monkeypatch.setattr(trainer_module, "make_optimizer", counting_optimizer)
+        train = make_dataset()
+        per_epoch = len(epoch_batches(np.arange(train.n), 32))
+        config = TrainConfig(epochs=3, batch_size=32, hidden=(8,), seed=0, lam=0.0)
         epochs_done = []
-        with pytest.raises(TrainingDiverged, match="epoch 0, batch 2: .* count loss inf") as err:
-            fit(make_dataset(), None, config,
-                on_epoch=lambda metrics, model: epochs_done.append(metrics))
-        assert (err.value.epoch, err.value.batch) == (0, 2)
-        assert epochs_done == []
+        with pytest.raises(TrainingDiverged, match="epoch 1, batch 2: .* count loss inf") as err:
+            fit(train, None, config, on_epoch=lambda metrics, model: epochs_done.append(metrics))
+        assert (err.value.epoch, err.value.batch) == (1, 2)
+        assert [m.epoch for m in epochs_done] == [0]
+        # every batch before it stepped once, after its own count value
+        assert steps == list(range(1, per_epoch + 3))
 
 
 class TestScalingSmoke:
