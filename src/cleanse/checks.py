@@ -261,23 +261,29 @@ def brute_force_knn(X, k: int, rows=None) -> list[tuple[np.ndarray, np.ndarray]]
 
 
 def check_knn_brute_force(rng: np.random.Generator, p: int = 2000, d: int = 4, k: int = 10,
-                          queries: int = 50) -> CheckResult:
-    """knn_search vs brute_force_knn on queries sampled from every row block.
+                          queries: int = 50, batch: int = 64) -> CheckResult:
+    """knn_search vs brute_force_knn on queries sampled from every row block,
+    and on every row of one batch-sized search.
 
     2000 points make sixteen of knn_search's 128-row query blocks.  A
     half-unit grid offset by 1e4 gives duplicates and distance ties whose
     GEMM estimates differ in the last bits, so a band without its roundoff
-    margin drops tied neighbours.  The tolerance is 0: a wrong index counts
-    as an infinite deviation.
+    margin drops tied neighbours.  The grid's first 64 rows, each repeated
+    to 784 features (mnist-shape's batch), are searched on their own too:
+    one query block in which most band pairs have their mirror, whose
+    distance is copied rather than differenced again.  The tolerance is 0:
+    a wrong index counts as an infinite deviation.
     """
     X = np.round(2.0 * rng.standard_normal((p, d))) / 2.0 + 1e4
-    got = knn_search(X, k)
-    rows = range(0, p, p // queries)
+    wide = np.tile(X[:batch], -(-784 // d))[:, :784]
+    searches = ((X, range(0, p, p // queries)), (wide, range(batch)))
     worst = 0.0
-    for r, (idx, dist) in zip(rows, brute_force_knn(X, k, rows)):
-        if not np.array_equal(got[r].indices, idx):
-            return CheckResult("knn-vs-brute-force", math.inf, 0.0)
-        worst = max(worst, float(np.max(np.abs(got[r].distances - dist))))
+    for points, rows in searches:
+        got = knn_search(points, k)
+        for r, (idx, dist) in zip(rows, brute_force_knn(points, k, rows)):
+            if not np.array_equal(got[r].indices, idx):
+                return CheckResult("knn-vs-brute-force", math.inf, 0.0)
+            worst = max(worst, float(np.max(np.abs(got[r].distances - dist))))
     return CheckResult("knn-vs-brute-force", worst, 0.0)
 
 

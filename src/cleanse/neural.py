@@ -18,8 +18,11 @@ import numpy as np
 # loss clamp so saturated losses stay finite with the descent direction intact.
 MIN_PROB = math.exp(-700.0)
 
-# elements per block of an optimizer step: its scratch stays in cache
-_STEP_BLOCK = 16384
+# elements per block of an optimizer step: its scratch stays in cache.  On a
+# 2-core Xeon VM (4 MiB L2 per core) an Adam step at mnist widths (784, 300,
+# 300, 10) in float32 took 0.82-0.88x its time at 16384; 49152 to 131072
+# read within 2% of each other, and 2^20 was slower than 16384
+_STEP_BLOCK = 65536
 
 
 def _checked_widths(widths) -> tuple[int, ...]:
@@ -177,8 +180,24 @@ def backward(
         grads[2 * l] = np.matmul(inputs[l].T, delta, out=grads[2 * l])
         grads[2 * l + 1] = delta.sum(axis=0, out=grads[2 * l + 1])
         if l > 0:
-            delta = np.where(inputs[l] > 0.0, delta @ model.weights[l].T, 0.0)
+            delta = _relu_backward(delta @ model.weights[l].T, inputs[l])
     return grads
+
+
+def _relu_backward(grad: np.ndarray, activation: np.ndarray) -> np.ndarray:
+    """``np.where(activation > 0, grad, 0)`` with the same bits, in place.
+
+    ``grad`` is a new C-ordered product; its bits are ANDed with a 0/-1
+    integer mask of the same width, which keeps an active unit's value as
+    it is (-0, inf and nan included) and makes an inactive one +0.  That
+    takes about a seventh of ``np.where``'s time on a 64 x 300 float32 batch.
+    """
+    bits = np.dtype(f"i{grad.itemsize}")
+    mask = (activation > 0.0).astype(bits)
+    np.negative(mask, out=mask)
+    view = grad.view(bits)
+    np.bitwise_and(view, mask, out=view)
+    return grad
 
 
 class _FlatStep:

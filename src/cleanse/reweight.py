@@ -26,8 +26,15 @@ _INT64_VOTE_LIMIT = 2**63
 _BLOCK_ROWS = 128
 _MAX_BLOCK_ELEMENTS = 1_000_000
 # elements per (pairs, d) re-rank difference block, a cache-sized 256 KiB
-# temporary: on 64 x 784 batches 16k-32k ran fastest and 1M a third slower
+# temporary: on 64 x 784 batches 16k-32k ran fastest and 1M a third slower.
+# The squared norms are summed in (rows, d) blocks of the same size.
 _RERANK_ELEMENTS = 32_768
+# features from which a band pair whose mirror is banded in the same query
+# block copies its mirror's d2.  Below, a difference row costs less than the
+# bookkeeping that finds the mirror: on 64-row Gaussian batches (k = 10) the
+# copies took 1.02x the time of differencing every pair at d = 128, 0.98x at
+# 256 and 0.92x at 784
+_MIRROR_MIN_FEATURES = 256
 
 
 @dataclass(frozen=True)
@@ -50,6 +57,18 @@ def _block_rows(p: int) -> int:
     return max(min(_BLOCK_ROWS, _MAX_BLOCK_ELEMENTS // p), 1)
 
 
+def _pair_distances(X: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances |X[a_i] - X[b_i]|^2 by direct differences, summed
+    over one cache-sized (pairs, d) block of difference rows at a time."""
+    d2 = np.empty(len(a))
+    step = max(1, _RERANK_ELEMENTS // X.shape[1])
+    for s in range(0, len(a), step):
+        diff = X.take(a[s : s + step], axis=0)  # take: 10x X[a]'s speed at d=2
+        diff -= X.take(b[s : s + step], axis=0)
+        np.sum(np.square(diff, out=diff), axis=1, out=d2[s : s + step])
+    return d2
+
+
 def knn_search(features: np.ndarray, k: int, threads: int = 1) -> NeighborList:
     """Exact Euclidean k nearest neighbors of every row among all rows.
 
@@ -57,9 +76,10 @@ def knn_search(features: np.ndarray, k: int, threads: int = 1) -> NeighborList:
     excluded and equal distances are broken by the lower instance index
     (stable sort on squared distances).  When k >= p the neighbor count is
     clamped to p - 1 without a notice: that is a statistic of the run, not
-    an error, and the caller reports it.  ``threads`` splits the query rows
-    over a thread pool with fixed block boundaries, so results are bitwise
-    identical for any thread count.
+    an error, and the caller reports it; a k that is not an integer (bool
+    included) is refused.  ``threads`` splits the query rows over a thread
+    pool with fixed block boundaries, so results are bitwise identical for
+    any thread count.
 
     A GEMM on mean-centred features C picks each row's points within a
     roundoff bound of its k-th estimate; direct differences re-rank them, so
@@ -74,7 +94,9 @@ def knn_search(features: np.ndarray, k: int, threads: int = 1) -> NeighborList:
     margins: the band keeps each neighbour and each tie of the k-th.  By
     Cauchy-Schwarz |C_q.C_j| <= max(sq), so |est_j| <= 3 max(sq) and every
     estimate is finite when 4 max(sq) is; otherwise every point joins every
-    band.
+    band.  From _MIRROR_MIN_FEATURES features on, a pair whose mirror is
+    banded in the same query block is differenced once: x_a - x_b and
+    x_b - x_a square to the same bits.
     """
     X = np.ascontiguousarray(np.asarray(features, dtype=np.float64))
     if X.ndim != 2:
@@ -82,17 +104,22 @@ def knn_search(features: np.ndarray, k: int, threads: int = 1) -> NeighborList:
     p, d = X.shape
     if p < 2:
         raise ValueError("knn_search requires at least 2 instances")
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ValueError(f"k must be an integer, got {k!r}")
     if k < 1:
         raise ValueError("k must be >= 1")
     kk = min(k, p - 1)
 
     C = X - X.mean(axis=0)
-    sq = np.sum(C * C, axis=1)
+    # row sums of squares in blocks, with np.sum(C * C, axis=1)'s bits but
+    # without its (p, d) temporary, which set the heap's peak on 64 x 784
+    # batches
+    step = max(1, _RERANK_ELEMENTS // d)
+    sq = np.concatenate([np.sum(np.square(C[s : s + step]), axis=1) for s in range(0, p, step)])
     fp = np.finfo(np.float64)
     finite = bool(np.isfinite(sq).all() and 4.0 * sq.max() < fp.max)
     margin = 8.0 * (d + 4) * fp.eps * (sq + sq.max() + fp.tiny)
     block = _block_rows(p)
-    pairs = max(1, _RERANK_ELEMENTS // d)
 
     def work(start: int) -> tuple[np.ndarray, np.ndarray]:
         rows = slice(start, min(start + block, p))
@@ -107,12 +134,23 @@ def knn_search(features: np.ndarray, k: int, threads: int = 1) -> NeighborList:
         else:
             band = np.ones((rows.stop - start, p), dtype=bool)
             np.fill_diagonal(band[:, start:], False)
-        local, cols = np.divmod(np.flatnonzero(band), p)  # each band in index order
-        d2 = np.empty(len(cols))
-        for s in range(0, len(cols), pairs):
-            diff = X[start + local[s : s + pairs]]
-            diff -= X[cols[s : s + pairs]]
-            np.sum(np.square(diff, out=diff), axis=1, out=d2[s : s + pairs])
+        flat = np.flatnonzero(band)  # each band in index order
+        local, cols = np.divmod(flat, p)
+        queries = local + start
+        if d < _MIRROR_MIN_FEATURES:
+            d2 = _pair_distances(X, queries, cols)
+        else:
+            # pairs (q, j) whose mirror (j, q) is banded too: the one with
+            # q > j copies the d2 of its mirror, which is differenced
+            mirrored = np.flatnonzero((cols >= start) & (cols < queries))
+            twin = (cols[mirrored] - start) * p + queries[mirrored]  # the mirror's flat index
+            banded = band.ravel()[twin]
+            mirrored, twin = mirrored[banded], twin[banded]
+            direct = np.ones(len(flat), dtype=bool)
+            direct[mirrored] = False
+            d2 = np.empty(len(flat))
+            d2[direct] = _pair_distances(X, queries[direct], cols[direct])
+            d2[mirrored] = d2[np.searchsorted(flat, twin)]
         order = np.lexsort((d2, local))  # stable: ties keep index order
         pick = order[np.searchsorted(local, np.arange(len(band)))[:, None] + np.arange(kk)]
         return cols[pick], np.sqrt(d2[pick])
@@ -161,14 +199,15 @@ def enhanced_labels(own, neighbour_masks, distances) -> np.ndarray:
         raise ValueError(f"shapes {own.shape}, {masks.shape} and {distances.shape} "
                          "are not (n, m), (n, k, m) and (n, k)")
     n, k, m = masks.shape
-    clean = own.sum(axis=1) == 1
+    clean = np.einsum("nm->n", own, dtype=np.int64) == 1
     if k == 0:
         if not clean.all():
             raise ValueError("enhanced_labels requires a nonempty neighbor list")
         return own.argmax(axis=1)
 
     hits = masks & own[:, None, :]  # neighbour labels that are the row's candidates
-    sizes = masks.sum(axis=2)
+    # einsum: about half the time of sum(axis=2) on (64, 10, 10) bool masks
+    sizes = np.einsum("nkm->nk", masks, dtype=np.int64)
     # Integer votes, every row's scaled by the same L, keep each ordering and
     # each tie exact.  Python ints take over where k * L might overflow int64
     # (lcm(1..43) > 2^63).
@@ -176,14 +215,19 @@ def enhanced_labels(own, neighbour_masks, distances) -> np.ndarray:
     present[sizes] = True
     if present[0]:
         raise ValueError("every neighbor needs at least one candidate")
-    scale = math.lcm(*np.flatnonzero(present).tolist())
-    weights = scale // (sizes if k * scale < _INT64_VOTE_LIMIT else sizes.astype(object))
+    counts = np.flatnonzero(present)
+    scale = math.lcm(*counts.tolist())
+    # each neighbour's weight L // |its set|, looked up by set size
+    per_size = np.zeros(m + 1, dtype=np.int64 if k * scale < _INT64_VOTE_LIMIT else object)
+    per_size[counts] = [scale // c for c in counts.tolist()]
+    weights = per_size[sizes]
     votes = (weights[:, None, :] @ hits)[:, 0]
     top = votes.max(axis=1, keepdims=True)
     tied = (votes == top) & (votes > 0)
     # distance of each label's first (nearest) contributing neighbour; fmin
     # skips nan, so a nan ranks after every number, as in knn_search's lexsort
-    nearest = np.take_along_axis(distances, hits.argmax(axis=1), axis=1)
+    rows = np.arange(n)
+    nearest = distances[rows[:, None], hits.argmax(axis=1)]
     nearest = np.where(tied, nearest, np.nan)
     low = np.fmin.reduce(nearest, axis=1, keepdims=True)
     best = tied & ((nearest == low) | np.isnan(low))
@@ -191,7 +235,7 @@ def enhanced_labels(own, neighbour_masks, distances) -> np.ndarray:
 
     clean_hits = (sizes == 1) & hits.any(axis=2)
     first = clean_hits.argmax(axis=1)
-    labels = np.where(clean_hits.any(axis=1), hits[np.arange(n), first].argmax(axis=1), labels)
+    labels = np.where(clean_hits.any(axis=1), hits[rows, first].argmax(axis=1), labels)
     return np.where(clean, own.argmax(axis=1), labels)
 
 
@@ -210,8 +254,8 @@ def build_weight_matrix(candidates, enhanced, temperature: float) -> np.ndarray:
     support equal to the candidate set: a clean sample is one-hot and a
     sentinel-enhanced row is uniform over its candidates.
     """
-    if temperature < 1.0:
-        raise ValueError("temperature must be >= 1")
+    if not 1.0 <= temperature < math.inf:  # nan fails both comparisons
+        raise ValueError(f"temperature must be finite and >= 1, got {temperature!r}")
     n, m = candidates.shape
     if len(enhanced) != n:
         raise ValueError("one enhanced label per instance required")

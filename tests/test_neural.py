@@ -13,6 +13,7 @@ from cleanse.neural import (
     Adam,
     Mlp,
     Sgd,
+    _relu_backward,
     backward,
     forward,
     load_mlp,
@@ -230,6 +231,46 @@ class TestBackward:
             for g, want in zip(got, backward(model, X, hidden, grad_logits)):
                 assert g.dtype == want.dtype and g.tobytes() == want.tobytes()
 
+    # values planted in delta @ W.T, each at an active unit (activation > 0)
+    # and at an inactive one (+0, -0, negative or nan)
+    PLANTED = [0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -2.5]
+    INACTIVE = [0.0, -0.0, -1.0, np.nan, 0.0, -3.0, -0.0]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_mask_has_the_bits_of_where(self, dtype):
+        product = np.array([self.PLANTED * 2], dtype=dtype)
+        activation = np.array([[2.0] * len(self.PLANTED) + self.INACTIVE], dtype=dtype)
+        active = activation > 0.0
+        want = np.where(active, product, 0.0)
+        assert want.dtype == dtype
+        # a mask multiplied in keeps -0 and makes inf * 0 = nan at inactive
+        # units; adding +0 after it loses -0 at active ones
+        with np.errstate(invalid="ignore"):
+            assert (product * active).tobytes() != want.tobytes()
+            assert (product * active + 0.0).tobytes() != want.tobytes()
+        got = _relu_backward(product, activation)
+        assert got is product and got.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_masks_inf_and_nan_like_where(self, dtype):
+        # one row and one output, so delta @ W.T is W's column times 1 and the
+        # hidden bias gradient is the masked delta itself; inf and nan sit at
+        # active and inactive units, where a multiplied mask would give nan
+        values = [np.inf, -np.inf, np.nan, 2.0]
+        column = np.array(values * 2, dtype=dtype)
+        h = len(column)
+        model = Mlp(widths=(1, h, 1), weights=[np.ones((1, h), dtype), column[:, None]],
+                    biases=[np.zeros(h, dtype), np.zeros(1, dtype)])
+        hidden = [np.array([[1.0] * len(values) + [0.0, -0.0, np.nan, -1.0]], dtype=dtype)]
+        X, grad_logits = np.ones((1, 1), dtype), np.ones((1, 1))
+        grads = backward(model, X, hidden, grad_logits)
+        with np.errstate(invalid="ignore"):
+            multiplied = column * (hidden[0][0] > 0.0)
+        want = np.where(hidden[0] > 0.0, column[None, :], 0.0)[0]
+        assert grads[1].tobytes() == want.tobytes()
+        assert np.isnan(multiplied).sum() > np.isnan(want).sum()
+
 
 class TestOptimizers:
     def test_zero_lr_leaves_model_unchanged(self):
@@ -297,22 +338,25 @@ class TestBlockedStep:
     # widths of the Mlp.init models; the flat buffer lays each out as
     # weights[0], biases[0], weights[1], ...
     DESK = (2, 32, 32, 3)  # one block holds every parameter
-    # 100 x 150 = 15000 weights, 150 biases, then 150 x 40: the first block
+    # 400 x 160 = 64000 weights, 160 biases, then 160 x 40: the first block
     # ends inside the second weight matrix, which the second block finishes
-    BOUNDARY = (100, 150, 40)
+    BOUNDARY = (400, 160, 40)
 
     @staticmethod
     def _mnist_like(dtype):
-        # 784x300 spans several blocks, and a block ends inside the 3x40000
-        # weight; the Fortran-ordered weight is copied into its C-ordered view
+        # 784x300 spans several blocks, a block ends inside the 3x80000
+        # weight, and its 80000 biases outgrow one block; the Fortran-ordered
+        # weight is copied into its C-ordered view
         rng = np.random.default_rng(12)
         weights = [
             rng.standard_normal((784, 300)).astype(dtype),
-            rng.standard_normal((3, 40000)).astype(dtype),
+            rng.standard_normal((3, 80000)).astype(dtype),
             np.asfortranarray(rng.standard_normal((70, 50)).astype(dtype)),
         ]
-        biases = [rng.standard_normal(n).astype(dtype) for n in (300, 40000, 50)]
-        assert 784 * 300 > 2 * _STEP_BLOCK and 40000 > _STEP_BLOCK
+        biases = [rng.standard_normal(n).astype(dtype) for n in (300, 80000, 50)]
+        assert 784 * 300 > 2 * _STEP_BLOCK and 80000 > _STEP_BLOCK
+        first = 784 * 300 + 300  # where the 3x80000 weight starts
+        assert first // _STEP_BLOCK < (first + 3 * 80000 - 1) // _STEP_BLOCK
         return Mlp(widths=(784, 300), weights=weights, biases=biases)
 
     def _model(self, shape, dtype):
@@ -320,7 +364,7 @@ class TestBlockedStep:
             return self._mnist_like(dtype)
         widths = self.DESK if shape == "desk" else self.BOUNDARY
         if shape == "boundary":
-            assert 100 * 150 + 150 < _STEP_BLOCK < 100 * 150 + 150 + 150 * 40
+            assert 400 * 160 + 160 < _STEP_BLOCK < 400 * 160 + 160 + 160 * 40
         return _model(widths, seed=12, dtype=dtype)
 
     @pytest.mark.parametrize("name", ["adam", "sgd"])

@@ -21,6 +21,7 @@ from cleanse.reweight import (
     NO_ENHANCEMENT,
     NeighborList,
     _block_rows,
+    _pair_distances,
     build_weight_matrix,
     enhanced_label,
     enhanced_labels,
@@ -197,6 +198,64 @@ class TestKnnSearch:
             assert row.distances.tobytes() == got.distances[r].tobytes()
             assert r not in row.indices
         assert got[-1].indices.tobytes() == got.indices[8].tobytes()
+
+    def test_matches_bruteforce_property(self):
+        # seeded cases over one query block and several: features on a grid
+        # of random resolution (many tied distances) with duplicated rows;
+        # at the batch shape's d = 784 mirrored band pairs copy their
+        # distances.  Indices and distance bits must equal the oracle's
+        rng = np.random.default_rng(35)
+        for case in range(36):
+            p = int(rng.integers(2, 401))
+            d = (1, 2, 784)[case % 3]
+            k = int(rng.integers(1, 26))
+            X = np.round(rng.standard_normal((p, d)) * rng.choice([1.0, 2.0, 8.0])) / 4.0
+            copies = rng.integers(0, p, size=(2, p // 4))
+            X[copies[0]] = X[copies[1]]
+            got = knn_search(X, k)
+            rows = range(p) if p <= 48 else np.sort(rng.choice(p, 48, replace=False)).tolist()
+            for r, (w_idx, w_dist) in zip(rows, brute_force_knn(X, k, rows=rows)):
+                assert got[r].indices.tobytes() == w_idx.tobytes(), (p, d, k, r)
+                assert got[r].distances.tobytes() == w_dist.tobytes(), (p, d, k, r)
+
+    @pytest.mark.parametrize("p, scale", [(64, 1.0), (200, 1.0), (40, 1e200)])
+    @pytest.mark.parametrize("wide", [True, False], ids=["mirrors", "narrow"])
+    def test_mirrored_pairs_are_differenced_once(self, monkeypatch, p, scale, wide):
+        # k = p - 1 bands every other point, so every band is symmetric: from
+        # _MIRROR_MIN_FEATURES on, a block of b rows differences its
+        # b(b - 1)/2 pairs within the block once and its b(p - b) pairs
+        # outside it; narrower features difference all b(p - 1).  Overflowing
+        # features take the all-pairs band of the non-finite path
+        d = reweight._MIRROR_MIN_FEATURES - (0 if wide else 1)
+        X = np.random.default_rng(p).standard_normal((p, d)) * scale
+        rows = []
+
+        def counted(X, a, b):
+            rows.append(len(a))
+            return _pair_distances(X, a, b)
+
+        monkeypatch.setattr(reweight, "_pair_distances", counted)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = knn_search(X, p - 1)
+            want = brute_force_knn(X, p - 1)
+        block = _block_rows(p)
+        sizes = [min(block, p - start) for start in range(0, p, block)]
+        if wide:
+            assert rows == [b * (b - 1) // 2 + b * (p - b) for b in sizes]
+        else:
+            assert rows == [b * (p - 1) for b in sizes]
+        for r, (w_idx, w_dist) in enumerate(want):
+            assert got[r].indices.tobytes() == w_idx.tobytes()
+            assert got[r].distances.tobytes() == w_dist.tobytes()
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, np.float64(3.0), "3", None])
+    def test_non_integer_k_rejected(self, k):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            knn_search(np.zeros((5, 2)), k)
+
+    def test_numpy_integer_k_accepted(self):
+        X = np.random.default_rng(3).standard_normal((6, 2))
+        assert knn_search(X, np.int64(2)).indices.tobytes() == knn_search(X, 2).indices.tobytes()
 
     def test_distances_nondecreasing(self):
         X = np.random.default_rng(4).standard_normal((40, 3))
@@ -475,3 +534,10 @@ class TestWeightMatrix:
         cands = _mask([[1, 3]], 5)
         with pytest.raises(ValueError):
             build_weight_matrix(cands, [3], temperature=0.5)
+
+    @pytest.mark.parametrize("temperature", [math.nan, math.inf])
+    def test_non_finite_temperature_rejected(self, temperature):
+        # nan would make every row nan and inf the enhanced label's weight nan
+        cands = _mask([[1, 3]], 5)
+        with pytest.raises(ValueError, match="temperature must be finite"):
+            build_weight_matrix(cands, [3], temperature=temperature)
