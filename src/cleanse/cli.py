@@ -171,7 +171,8 @@ def _load_manifest(path: str):
     of the bytes it reads, and ``_verify_replay`` its output digests.  A
     field of ``RETIRED_MODES`` is dropped when it holds its kept value, the
     one every 0.3.0 manifest records, and refused otherwise; a field of
-    ``RETIRED_SETTINGS`` is dropped at any value."""
+    ``RETIRED_SETTINGS`` is dropped at any value.  Global-scope k-NN over
+    the embedding, removed in 0.8.0, is refused."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
@@ -190,6 +191,10 @@ def _load_manifest(path: str):
             if config.get(name, kept) != kept:
                 raise ManifestError(f"{path}: config {name} {config[name]!r} names a mode "
                                     "removed in 0.4.0, so the run cannot be replayed")
+        if config.get("knn_scope") == "global" and config.get("knn_features") == "embedding":
+            raise ManifestError(f"{path}: config knn_scope 'global' with knn_features "
+                                "'embedding' names a mode removed in 0.8.0, so the run "
+                                "cannot be replayed")
         config = {name: value for name, value in config.items()
                   if name not in RETIRED_MODES and name not in RETIRED_SETTINGS}
     try:
@@ -220,9 +225,10 @@ def _verify_replay(path: str, recorded: dict, written: dict) -> int:
     """Compare ``written``, the digests of the ``RUN_OUTPUTS`` a replay
     wrote, with those its manifest (``recorded``, loaded from ``path``)
     lists.  The first that differs fails the replay (exit 1), and the
-    message also names every platform field that differs.  Any other file a
-    manifest lists (0.4.0 runs could record model_epoch<N>.txt) is not
-    compared."""
+    message also names every platform field that differs, or, when none
+    does, what else the bits depend on that the manifest does not record.
+    Any other file a manifest lists (0.4.0 runs could record
+    model_epoch<N>.txt) is not compared."""
     digests = recorded["output_sha256"]
     for name in RUN_OUTPUTS:
         if written[name] != digests[name]:
@@ -232,7 +238,10 @@ def _verify_replay(path: str, recorded: dict, written: dict) -> int:
                        for key, value in now.items() if was[key] != value]
             _log(f"error: the replay of {path} differs: {name} has sha256 {written[name]}, "
                  f"recorded {digests[name]}"
-                 + (f"; platform differs: {', '.join(changed)}" if changed else ""))
+                 + (f"; platform differs: {', '.join(changed)}" if changed else
+                    "; no recorded platform field differs, but the bits also depend on "
+                    "the BLAS build, the CPU and the BLAS thread count, which the "
+                    "manifest does not record"))
             return EXIT_CHECK_FAILED
     print(f"replay verified: {', '.join(RUN_OUTPUTS)} match the digests in {path}")
     return EXIT_OK

@@ -4,10 +4,10 @@ Each epoch shuffles the training set with the run's seeded RNG and walks it
 in mini-batches; per batch the count intervals are recounted, and the
 combined objective  total = reweight_loss + lambda * count_loss  is
 backpropagated.  Its weight rows come from the enhanced labels of the
-current neighbor structure, built once per label set: once per run at
-global scope over raw features, once per epoch at global scope over the
-embedding, and per batch at batch scope; global scope gathers each batch's
-rows.  Runs are deterministic given the config seed.
+current neighbor structure: built once per run at global scope, which
+searches the raw features, and once per batch at batch scope, which
+searches the raw features or the batch's last hidden layer; global scope
+gathers each batch's rows.  Runs are deterministic given the config seed.
 
 The network trains in float32 (``NETWORK_DTYPE``): its parameters, its
 activations and the optimizer's state.  Everything from the logits on is
@@ -52,14 +52,14 @@ from .reweight import (  # noqa: F401
 # dtype of the network fit trains; see the module docstring for the boundary
 NETWORK_DTYPE = np.float32
 
-# rows per forward block of evaluation and of the global embedding, so their
-# transients do not grow with the data.  A block holds FORWARD_BLOCK to
-# 2 * FORWARD_BLOCK - 1 rows (a smaller set is one block): never one row of
-# many, since a one-row forward takes numpy's matrix-vector path, whose
-# bits differ from a matrix's.  On a 2-core x86 VM (OpenBLAS, one thread),
-# 64-row blocks left mnist-shape's peak RSS 0.3 MiB below 128-row blocks and
-# 1.9 MiB below 256, and evaluated 12000x784 within 3% of one whole-set
-# forward's time; 32-row blocks took 35% longer.
+# rows per forward block of evaluation, so its transients do not grow with
+# the test set.  A block holds FORWARD_BLOCK to 2 * FORWARD_BLOCK - 1 rows
+# (a smaller set is one block): never one row of many, since a one-row
+# forward takes numpy's matrix-vector path, whose bits differ from a
+# matrix's.  On a 2-core x86 VM (OpenBLAS, one thread), 64-row blocks left
+# mnist-shape's peak RSS 0.3 MiB below 128-row blocks and 1.9 MiB below
+# 256, and evaluated 12000x784 within 3% of one whole-set forward's time;
+# 32-row blocks took 35% longer.
 FORWARD_BLOCK = 64
 
 
@@ -117,6 +117,9 @@ class TrainConfig:
             (all(h >= 1 for h in self.hidden), "hidden widths must be >= 1"),
             (self.seed >= 0, "seed must be >= 0"),
             (self.threads >= 1, "threads must be >= 1"),
+            (not (self.knn_scope == "global" and self.knn_features == "embedding"),
+             "knn_scope 'global' with knn_features 'embedding' was removed in 0.8.0; "
+             "embedding neighbours are searched at knn_scope 'batch'"),
         )
         for ok, message in rules:
             if not ok:
@@ -283,25 +286,15 @@ def fit(
         enhanced = enhanced_labels(cands, cands[nb.indices], nb.distances)
         return build_weight_matrix(cands, enhanced, config.temperature)
 
-    global_weights = embedding = None
-    if config.knn_scope == "global" and not embed:
+    global_weights = None
+    if config.knn_scope == "global":
         # neighbours, enhanced labels and weight rows of the raw view never change
         global_weights = weight_rows(view.features, view.candidates)
-    elif config.knn_scope == "global":
-        # the last hidden layer of every row, filled in row blocks each epoch;
-        # float64, so knn_search takes it as it is (the float32 values are exact)
-        embedding = np.empty((view.n, config.hidden[-1]))
     grads = model.gradient_buffer()  # every step's backward writes into it
 
     history: list[EpochMetrics] = []
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
-        if embedding is not None:
-            for rows in row_blocks(view.n):
-                hidden, _ = forward(model, view.features[rows])
-                embedding[rows] = hidden[-1]
-            global_weights = weight_rows(embedding, view.candidates)
-
         perm = rng.permutation(view.n)
         sum_rl = sum_rg = 0.0
         for batch_no, batch_idx in enumerate(epoch_batches(perm, config.batch_size)):

@@ -290,6 +290,18 @@ class TestTrain:
         assert "must be" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("hidden", ["--hidden=8", "--hidden="])
+    def test_global_scope_over_the_embedding_writes_nothing(self, tiny_dataset, tmp_path,
+                                                            capsys, hidden):
+        train, test = tiny_dataset
+        out_dir = tmp_path / "bad"
+        code = run_cli(["train", "--train", train, "--test", test, "--out-dir", str(out_dir),
+                        "--knn-scope", "global", "--knn-features", "embedding", hidden,
+                        "--quiet"])
+        assert code == EXIT_USAGE
+        assert "removed in 0.8.0" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_diverging_run_reports_and_exits_nonzero(self, tiny_dataset, tmp_path, capsys):
         train, test = tiny_dataset
         ds = read_pll_file(train)
@@ -552,7 +564,12 @@ class TestReplay:
         assert code == EXIT_CHECK_FAILED
         err = capsys.readouterr().err
         assert f"{name} has sha256 {digest}, recorded {wrong}" in err
+        # every recorded platform field matches, as when only the BLAS thread
+        # pool of the replay differs from the run's
         assert "platform differs" not in err
+        assert err.endswith("; no recorded platform field differs, but the bits also depend "
+                            "on the BLAS build, the CPU and the BLAS thread count, which the "
+                            "manifest does not record\n")
         # the replay's own files stay, and its manifest lists their digests
         assert json.loads((out_dir / "manifest.json").read_text())["output_sha256"] == \
             recorded["output_sha256"]
@@ -582,8 +599,10 @@ class TestReplay:
         code = run_cli(["train", "--manifest", str(manifest), "--out-dir",
                         str(tmp_path / "b"), "--quiet"])
         assert code == EXIT_CHECK_FAILED
-        assert (f"; platform differs: toolkit_version {cli_module.__version__} (recorded 0.2.0), "
-                f"numpy {np.__version__} (recorded 1.0.0)" in capsys.readouterr().err)
+        # the platform fields end the message, which names nothing unrecorded
+        assert capsys.readouterr().err.endswith(
+            f"; platform differs: toolkit_version {cli_module.__version__} (recorded 0.2.0), "
+            f"numpy {np.__version__} (recorded 1.0.0)\n")
 
     @pytest.mark.parametrize(
         "edit, message",
@@ -673,6 +692,25 @@ class TestReplay:
         assert code == EXIT_IO
         assert (f"{manifest}: config {field} {value!r} names a mode removed in 0.4.0"
                 in capsys.readouterr().err)
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("hidden", [[8], []])
+    def test_global_scope_over_the_embedding_is_refused_before_any_read(
+            self, recorded_run, tmp_path, monkeypatch, capsys, hidden):
+        manifest, _ = recorded_run
+        _edit_manifest(manifest, lambda loaded: loaded["config"].update(
+            knn_scope="global", knn_features="embedding", hidden=hidden))
+
+        def read_pll(path):
+            raise AssertionError(f"read {path}")
+
+        monkeypatch.setattr(cli_module, "_read_pll", read_pll)
+        out_dir = tmp_path / "b"
+        code = run_cli(["train", "--manifest", str(manifest), "--out-dir", str(out_dir),
+                        "--quiet"])
+        assert code == EXIT_IO
+        assert (f"{manifest}: config knn_scope 'global' with knn_features 'embedding' names "
+                "a mode removed in 0.8.0" in capsys.readouterr().err)
         assert not out_dir.exists()
 
     @pytest.mark.parametrize(

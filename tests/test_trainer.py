@@ -112,12 +112,10 @@ def reference_fit(train, test, config):
         nb = knn_search(features, config.k, threads=config.threads)
         return enhanced_labels(cands, cands[nb.indices], nb.distances)
 
-    if config.knn_scope == "global" and not embed:
+    if config.knn_scope == "global":
         enhanced = labels(view.features, view.candidates)
     history = []
     for _ in range(config.epochs):
-        if config.knn_scope == "global" and embed:
-            enhanced = labels(forward(network(), view.features)[0][-1], view.candidates)
         sum_rl = sum_rg = 0.0
         for batch_idx in epoch_batches(rng.permutation(view.n), config.batch_size):
             feats, cands = view.features[batch_idx], view.candidates[batch_idx]
@@ -143,13 +141,13 @@ def reference_fit(train, test, config):
 
 
 class TestReferenceFit:
-    # desk's shape (600 training rows, m=3, global raw scope), global
-    # embedding scope, and batch scope at m=10
+    # desk's shape (600 training rows, m=3, global raw scope), batch scope
+    # over the embedding, and batch scope at m=10
     CASES = {
         "desk": (dict(n=800, m=3, seed=50), dict(
             epochs=3, batch_size=64, hidden=(32, 32), k=20, knn_scope="global", lam=1e-3)),
-        "global-embedding": (dict(n=200, m=3, seed=52), dict(
-            epochs=3, batch_size=32, hidden=(8, 8), k=5, knn_scope="global",
+        "batch-embedding": (dict(n=200, m=3, seed=52), dict(
+            epochs=3, batch_size=32, hidden=(8, 8), k=5, knn_scope="batch",
             knn_features="embedding", lam=0.1)),
         "batch-m10": (dict(n=300, m=10, seed=54, q=0.3), dict(
             epochs=2, batch_size=64, hidden=(16,), k=10, knn_scope="batch", lam=0.1)),
@@ -255,6 +253,9 @@ class TestConfigValidation:
             {"epochs": "3"},
             {"hidden": 3},
             {"hidden": ("8",)},
+            # removed in 0.8.0, also where no hidden layer made it the raw view
+            {"knn_scope": "global", "knn_features": "embedding"},
+            {"knn_scope": "global", "knn_features": "embedding", "hidden": ()},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -401,8 +402,7 @@ class TestFirewallAndDeterminism:
         assert [x.count_loss for x in h1] == [x.count_loss for x in h2]
         assert [x.test_accuracy for x in h1] == [x.test_accuracy for x in h2]
 
-    @pytest.mark.parametrize("scope,feats", [("global", "raw"), ("batch", "embedding"),
-                                             ("global", "embedding")])
+    @pytest.mark.parametrize("scope,feats", [("global", "raw"), ("batch", "embedding")])
     def test_other_neighbor_modes_run_and_reproduce(self, scope, feats):
         ds = make_dataset(n=100, seed=13)
         train, test = split(ds, 0.2, seed=14)
@@ -414,8 +414,7 @@ class TestFirewallAndDeterminism:
         assert [x.reweight_loss for x in h1] == [x.reweight_loss for x in h2]
 
     @pytest.mark.parametrize("scope,feats,lam", [("batch", "raw", 1e-3), ("global", "raw", 0.0),
-                                                 ("batch", "embedding", 0.0),
-                                                 ("global", "embedding", 1e-3)])
+                                                 ("batch", "embedding", 0.0)])
     def test_epoch_n_of_a_longer_run_is_an_n_epoch_run(self, scope, feats, lam):
         # the parameters after epoch N-1 of a run are those of the same run
         # with epochs=N, and its history is a prefix
@@ -601,29 +600,6 @@ class TestForwardBlocks:
         assert type(got) is float and got == whole
         assert 0.0 < whole < 1.0 or n == 1  # the check is not on a constant prediction
 
-    def test_global_embedding_weight_rows_equal_whole_set_forward(self, monkeypatch):
-        # 2B + 1 training rows: blocks of B and B + 1, the tail merged
-        ds = wide_dataset(int(math.ceil((2 * B + 1) / 0.8)), seed=41)
-        train, test = split(ds, 0.2, seed=42)
-        assert train.n == 2 * B + 1
-        config = TrainConfig(epochs=3, batch_size=32, hidden=(24, 12), knn_scope="global",
-                             knn_features="embedding", seed=43)
-        runs = {}
-        for block in (B, train.n):  # the second covers each set in one forward
-            monkeypatch.setattr(trainer_module, "FORWARD_BLOCK", block)
-            rows = []
-
-            def recording(cands, enhanced, temperature):
-                rows.append(build_weight_matrix(cands, enhanced, temperature))
-                return rows[-1]
-
-            monkeypatch.setattr(trainer_module, "build_weight_matrix", recording)
-            model, history = fit(train, test, config)
-            runs[block] = ([w.tobytes() for w in rows], model.flat.tobytes(),
-                           [(h.reweight_loss, h.count_loss, h.test_accuracy) for h in history])
-            assert len(rows) == config.epochs
-        assert runs[B] == runs[train.n]
-
 
 class TestEvaluateMemory:
     # the Python objects of 50 row slices, beyond the blocks' arrays
@@ -662,34 +638,15 @@ def label_calls(monkeypatch):
 
 
 class TestGlobalRawEnhancedLabels:
-    @pytest.mark.parametrize("knn_features", ["raw", "embedding"])
+    @pytest.mark.parametrize("knn_features", ["raw"])
     def test_computed_once_per_row_per_run(self, label_calls, knn_features):
-        # raw neighbours never change, so labels are computed once per run;
-        # embedding neighbours are recomputed each epoch, in view order
+        # raw neighbours never change, so labels are computed once per run
         ds = make_dataset(n=100, seed=16)
         train, test = split(ds, 0.2, seed=17)
         config = TrainConfig(epochs=3, batch_size=32, hidden=(8,), knn_scope="global",
                              knn_features=knn_features, seed=18)
         fit(train, test, config)
-        runs = 1 if knn_features == "raw" else config.epochs
-        assert label_calls == list(range(train.n)) * runs
-
-    def test_embedding_without_hidden_layer_computed_once(self, label_calls):
-        # with no hidden layer the embedding is the raw view, which never changes
-        ds = make_dataset(n=100, seed=16)
-        train, test = split(ds, 0.2, seed=17)
-        runs = {}
-        for knn_features in ("embedding", "raw"):
-            config = TrainConfig(epochs=3, batch_size=32, hidden=(), knn_scope="global",
-                                 knn_features=knn_features, seed=18)
-            model, history = fit(train, test, config)
-            runs[knn_features] = (
-                [(h.reweight_loss, h.count_loss, h.test_accuracy) for h in history],
-                [p.tobytes() for p in model.parameters()],
-            )
-            if knn_features == "embedding":
-                assert label_calls == list(range(train.n))
-        assert runs["embedding"] == runs["raw"]
+        assert label_calls == list(range(train.n))
 
     @pytest.mark.parametrize("knn_features", ["raw", "embedding"])
     def test_batch_scope_labels_each_batch_every_epoch(self, label_calls, knn_features):
