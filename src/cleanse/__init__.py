@@ -2,7 +2,7 @@
 Poisson-binomial count loss, a plain-numpy MLP trainer, and
 nonparametric rank statistics."""
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from .countloss import (
     CountLossResult,
@@ -24,7 +24,7 @@ from .data import (
     split,
     write_pll_file,
 )
-from .neural import Adam, Mlp, Sgd, backward, forward, load_mlp, reweighted_ce, save_mlp
+from .neural import Adam, Mlp, backward, forward, load_mlp, reweighted_ce, save_mlp
 from .reweight import (
     NO_ENHANCEMENT,
     NeighborList,
@@ -60,7 +60,6 @@ __all__ = [
     "batch_intervals",
     "count_loss",
     "Mlp",
-    "Sgd",
     "Adam",
     "forward",
     "backward",

@@ -51,6 +51,7 @@ from .neural import save_mlp
 from .stats import Q_ALPHA_05, RankTable, bonferroni_dunn_cd, friedman, rank_results
 from .trainer import (
     CSV_HEADER,
+    RetiredChoice,
     TrainConfig,
     TrainingDiverged,
     check_datasets,
@@ -171,8 +172,8 @@ def _load_manifest(path: str):
     of the bytes it reads, and ``_verify_replay`` its output digests.  A
     field of ``RETIRED_MODES`` is dropped when it holds its kept value, the
     one every 0.3.0 manifest records, and refused otherwise; a field of
-    ``RETIRED_SETTINGS`` is dropped at any value.  Global-scope k-NN over
-    the embedding, removed in 0.8.0, is refused."""
+    ``RETIRED_SETTINGS`` is dropped at any value.  A choice ``TrainConfig``
+    refuses as retired (``RetiredChoice``) is refused here too."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
@@ -191,16 +192,14 @@ def _load_manifest(path: str):
             if config.get(name, kept) != kept:
                 raise ManifestError(f"{path}: config {name} {config[name]!r} names a mode "
                                     "removed in 0.4.0, so the run cannot be replayed")
-        if config.get("knn_scope") == "global" and config.get("knn_features") == "embedding":
-            raise ManifestError(f"{path}: config knn_scope 'global' with knn_features "
-                                "'embedding' names a mode removed in 0.8.0, so the run "
-                                "cannot be replayed")
         config = {name: value for name, value in config.items()
                   if name not in RETIRED_MODES and name not in RETIRED_SETTINGS}
     try:
         config = TrainConfig(**config)
     except TypeError as exc:
         raise ManifestError(f"{path}: bad config: {exc}") from None
+    except RetiredChoice as exc:
+        raise ManifestError(f"{path}: {exc}, so the run cannot be replayed") from None
     for name in ("train_path", "test_path", "out_dir", "toolkit_version"):
         if not isinstance(loaded[name], str):
             raise ManifestError(f"{path}: {name} must be a string, got {loaded[name]!r}")

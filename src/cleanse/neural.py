@@ -58,7 +58,7 @@ class Mlp:
 
     Every parameter is a C-ordered view of one contiguous buffer, ``flat``,
     in ``parameters()`` order.  The constructor copies the arrays it is given
-    into a new buffer of their common dtype; the optimizers step that buffer,
+    into a new buffer of their common dtype; the optimizer steps that buffer,
     so a parameter is changed in place, never replaced.
     """
 
@@ -201,22 +201,22 @@ def _relu_backward(grad: np.ndarray, activation: np.ndarray) -> np.ndarray:
 
 
 class _FlatStep:
-    """The blocks of ``_STEP_BLOCK`` elements (the last may be shorter) an
-    optimizer steps a model's flat buffer in, with ``count`` scratch views
-    per block.
+    """The blocks of ``_STEP_BLOCK`` elements (the last may be shorter) the
+    optimizer steps a model's flat buffer in, with two scratch views per
+    block.
 
     The scratch is allocated once, in the parameters' dtype, to the size of
     the largest block; every block's views share it.  ``blocks`` lists
-    (buffer slice, scratch views..., segments).  A segment (j, src, dst)
-    says that the block's part ``dst`` of the first scratch view takes the
-    raveled elements ``src`` of gradient j.
+    (buffer slice, scratch a, scratch b, segments).  A segment (j, src, dst)
+    says that the block's part ``dst`` of ``a`` takes the raveled elements
+    ``src`` of gradient j.
     """
 
-    def __init__(self, model: Mlp, count: int):
+    def __init__(self, model: Mlp):
         params = model.parameters()
         self.size = len(params)
         starts = np.cumsum([0, *(p.size for p in params)]).tolist()
-        bufs = [np.empty(min(starts[-1], _STEP_BLOCK), dtype=model.dtype) for _ in range(count)]
+        bufs = [np.empty(min(starts[-1], _STEP_BLOCK), dtype=model.dtype) for _ in range(2)]
         self.blocks = []
         for lo in range(0, starts[-1], _STEP_BLOCK):
             hi = min(lo + _STEP_BLOCK, starts[-1])
@@ -251,34 +251,6 @@ def _scalars(dtype, *values: float) -> tuple:
     """
     cast = dtype.type
     return tuple(cast(v) for v in values)
-
-
-class Sgd:
-    """Plain gradient descent; weight decay enters as an L2 gradient term.
-
-    A step evaluates ``p -= lr * (g + wd * p)`` in place over the model's
-    flat buffer, one block at a time through one scratch block, so no step
-    after the first allocates, and the parameters are bitwise equal to the
-    plain expression.
-    """
-
-    def __init__(self, lr: float = 1e-3, weight_decay: float = 0.0):
-        self.lr = lr
-        self.weight_decay = weight_decay
-        self._plan: _FlatStep | None = None
-
-    def step(self, model: Mlp, grads) -> Mlp:
-        if self._plan is None:
-            self._plan = _FlatStep(model, 1)
-        flat_grads = self._plan.gradients(grads)
-        wd, lr = _scalars(model.dtype, self.weight_decay, self.lr)
-        for rows, a, segments in self._plan.blocks:
-            pb = model.flat[rows]
-            np.multiply(pb, wd, out=a)
-            _FlatStep.gradient_into(flat_grads, segments)
-            np.multiply(a, lr, out=a)
-            np.subtract(pb, a, out=pb)
-        return model
 
 
 class Adam:
@@ -320,7 +292,7 @@ class Adam:
             self._moments = np.zeros((2, model.flat.size), dtype=model.dtype)
             shapes = [p.shape for p in model.parameters()]
             self.m, self.v = (_views(row, shapes) for row in self._moments)
-            self._plan = _FlatStep(model, 2)
+            self._plan = _FlatStep(model)
         flat_grads = self._plan.gradients(grads)
         self.t += 1
         b1, b2 = self.betas
@@ -351,7 +323,7 @@ class Adam:
 
 
 # optimizer classes by name; the first is the default
-OPTIMIZERS = {"adam": Adam, "sgd": Sgd}
+OPTIMIZERS = {"adam": Adam}
 
 
 def make_optimizer(name: str, lr: float, weight_decay: float):

@@ -68,6 +68,21 @@ def _one_of(*choices: str):
     return field(default=choices[0], metadata={"choices": choices})
 
 
+class RetiredChoice(ValueError):
+    """A ``TrainConfig`` choice that an earlier release removed; the message
+    names the release.  A fresh run exits 2 on it, a replayed manifest 3."""
+
+
+# each removed choice: (release, the settings that make it, what to do instead)
+_RETIRED_CHOICES = (
+    ("0.8.0", {"knn_scope": "global", "knn_features": "embedding"},
+     "embedding neighbours are searched at knn_scope 'batch'"),
+    ("0.9.0", {"optimizer": "sgd"}, "adam is the one optimizer"),
+    ("0.9.0", {"knn_features": "embedding", "hidden": ()},
+     "with no hidden layer it searched the raw features; use knn_features 'raw'"),
+)
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Every setting of a training run.
@@ -96,6 +111,12 @@ class TrainConfig:
                 and all(type(h) is int for h in self.hidden)):
             raise ValueError(f"hidden widths must be integers in a list, got {self.hidden!r}")
         object.__setattr__(self, "hidden", tuple(self.hidden))
+        # before the choices, which no longer list a retired value
+        for release, settings, instead in _RETIRED_CHOICES:
+            if all(getattr(self, name) == value for name, value in settings.items()):
+                named = " with ".join(f"{name} {value!r}" for name, value in settings.items())
+                raise RetiredChoice(
+                    f"config {named} names a mode removed in {release} ({instead})")
         for f in fields(self):
             value = getattr(self, f.name)
             if type(f.default) is int and type(value) is not int:
@@ -117,9 +138,6 @@ class TrainConfig:
             (all(h >= 1 for h in self.hidden), "hidden widths must be >= 1"),
             (self.seed >= 0, "seed must be >= 0"),
             (self.threads >= 1, "threads must be >= 1"),
-            (not (self.knn_scope == "global" and self.knn_features == "embedding"),
-             "knn_scope 'global' with knn_features 'embedding' was removed in 0.8.0; "
-             "embedding neighbours are searched at knn_scope 'batch'"),
         )
         for ok, message in rules:
             if not ok:
@@ -277,7 +295,7 @@ def fit(
     model = Mlp.init((view.d, *config.hidden, view.m), rng, dtype=NETWORK_DTYPE)
     opt = make_optimizer(config.optimizer, config.lr, config.weight_decay)
 
-    embed = config.knn_features == "embedding" and len(config.hidden) > 0
+    embed = config.knn_features == "embedding"
 
     def weight_rows(features, cands):
         """Weight rows of ``cands``' rows, from their enhanced labels among

@@ -302,6 +302,17 @@ class TestTrain:
         assert "removed in 0.8.0" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_embedding_without_a_hidden_layer_writes_nothing(self, tiny_dataset, tmp_path,
+                                                             capsys):
+        train, test = tiny_dataset
+        out_dir = tmp_path / "bad"
+        code = run_cli(["train", "--train", train, "--test", test, "--out-dir", str(out_dir),
+                        "--knn-features", "embedding", "--hidden", "", "--quiet"])
+        assert code == EXIT_USAGE
+        assert ("config knn_features 'embedding' with hidden () names a mode removed in 0.9.0"
+                in capsys.readouterr().err)
+        assert not out_dir.exists()
+
     def test_diverging_run_reports_and_exits_nonzero(self, tiny_dataset, tmp_path, capsys):
         train, test = tiny_dataset
         ds = read_pll_file(train)
@@ -314,7 +325,7 @@ class TestTrain:
         out_dir = tmp_path / "div"
         with np.errstate(all="ignore"):
             code = run_cli(["train", "--train", str(huge), "--test", test,
-                            "--out-dir", str(out_dir), "--optimizer", "sgd", "--lr", "10",
+                            "--out-dir", str(out_dir), "--lr", "1e9",
                             *TINY_TRAIN_ARGS])
         assert code == EXIT_DIVERGED
         assert "training diverged at epoch" in capsys.readouterr().err
@@ -387,7 +398,7 @@ class TestTrain:
                                       ds.hidden_truth), huge)
         with np.errstate(all="ignore"):
             code = run_cli(["train", "--train", str(huge), "--test", test,
-                            "--out-dir", str(out_dir), "--optimizer", "sgd", "--lr", "10",
+                            "--out-dir", str(out_dir), "--lr", "1e9",
                             *TINY_TRAIN_ARGS])
         assert code == EXIT_DIVERGED
         assert sorted(os.listdir(out_dir)) == ["manifest.json", "metrics.csv", "notes.txt"]
@@ -694,12 +705,22 @@ class TestReplay:
                 in capsys.readouterr().err)
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("hidden", [[8], []])
+    @pytest.mark.parametrize(
+        "settings, message",
+        [({"knn_scope": "global", "knn_features": "embedding", "hidden": [8]},
+          "config knn_scope 'global' with knn_features 'embedding' names a mode removed in 0.8.0"),
+         ({"knn_scope": "global", "knn_features": "embedding", "hidden": []},
+          "config knn_scope 'global' with knn_features 'embedding' names a mode removed in 0.8.0"),
+         ({"optimizer": "sgd"}, "config optimizer 'sgd' names a mode removed in 0.9.0"),
+         ({"knn_features": "embedding", "hidden": []},
+          "config knn_features 'embedding' with hidden () names a mode removed in 0.9.0")],
+        ids=["hidden0", "hidden1", "sgd", "embedding-no-hidden"],
+    )
     def test_global_scope_over_the_embedding_is_refused_before_any_read(
-            self, recorded_run, tmp_path, monkeypatch, capsys, hidden):
+            self, recorded_run, tmp_path, monkeypatch, capsys, settings, message):
+        # named before 0.9.0; every retired TrainConfig choice is refused this way
         manifest, _ = recorded_run
-        _edit_manifest(manifest, lambda loaded: loaded["config"].update(
-            knn_scope="global", knn_features="embedding", hidden=hidden))
+        _edit_manifest(manifest, lambda loaded: loaded["config"].update(settings))
 
         def read_pll(path):
             raise AssertionError(f"read {path}")
@@ -709,8 +730,7 @@ class TestReplay:
         code = run_cli(["train", "--manifest", str(manifest), "--out-dir", str(out_dir),
                         "--quiet"])
         assert code == EXIT_IO
-        assert (f"{manifest}: config knn_scope 'global' with knn_features 'embedding' names "
-                "a mode removed in 0.8.0" in capsys.readouterr().err)
+        assert f"{manifest}: {message}" in capsys.readouterr().err
         assert not out_dir.exists()
 
     @pytest.mark.parametrize(
@@ -895,7 +915,7 @@ class TestTrainFlags:
         assert choices == {
             "--knn-scope": ["batch", "global"],
             "--knn-features": ["raw", "embedding"],
-            "--optimizer": ["adam", "sgd"],
+            "--optimizer": ["adam"],
         }
 
     def test_defaults_are_the_config_defaults(self):
@@ -926,10 +946,11 @@ class TestTrainFlags:
         assert "_widths" not in err
 
     def test_bad_choice_exits_through_argparse(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run_cli(["train", "--optimizer", "foo"])
-        assert exc.value.code == EXIT_USAGE
-        assert "invalid choice: 'foo'" in capsys.readouterr().err
+        for value in ("foo", "sgd"):  # sgd was removed in 0.9.0
+            with pytest.raises(SystemExit) as exc:
+                run_cli(["train", "--optimizer", value])
+            assert exc.value.code == EXIT_USAGE
+            assert f"invalid choice: '{value}'" in capsys.readouterr().err
 
 
 def _tied(k: int) -> str:

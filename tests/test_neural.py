@@ -12,11 +12,11 @@ from cleanse.neural import (
     _STEP_BLOCK,
     Adam,
     Mlp,
-    Sgd,
     _relu_backward,
     backward,
     forward,
     load_mlp,
+    make_optimizer,
     reweighted_ce,
     save_mlp,
     softmax,
@@ -277,20 +277,18 @@ class TestOptimizers:
         model = _model((3, 4, 2), seed=9)
         before = [p.copy() for p in model.parameters()]
         grads = [np.ones_like(p) for p in model.parameters()]
-        Sgd(lr=0.0).step(model, grads)
+        Adam(lr=0.0).step(model, grads)
         for p, b in zip(model.parameters(), before):
             np.testing.assert_array_equal(p, b)
 
-    def test_scalar_sgd_step(self):
-        model = Mlp(widths=(1, 1), weights=[np.array([[1.0]])], biases=[np.array([0.0])])
-        Sgd(lr=0.1).step(model, [np.array([[1.0]]), np.array([0.0])])
-        assert model.weights[0][0, 0] == pytest.approx(0.9, abs=1e-15)
-
     def test_weight_decay_shrinks_without_gradient(self):
+        # the decay term wd * p is the whole gradient, so the bias-corrected
+        # first step moves p towards zero by lr * g / (|g| + eps)
         model = Mlp(widths=(1, 1), weights=[np.array([[2.0]])], biases=[np.array([0.0])])
-        lr, wd = 0.5, 1e-5
-        Sgd(lr=lr, weight_decay=wd).step(model, [np.zeros((1, 1)), np.zeros(1)])
-        assert model.weights[0][0, 0] == pytest.approx(2.0 * (1 - lr * wd), abs=1e-15)
+        lr, wd, eps = 0.5, 1e-5, 1e-8
+        Adam(lr=lr, weight_decay=wd, eps=eps).step(model, [np.zeros((1, 1)), np.zeros(1)])
+        g = 2.0 * wd
+        assert model.weights[0][0, 0] == pytest.approx(2.0 - lr * g / (g + eps), abs=1e-12)
 
     def test_adam_first_step_is_signed_lr(self):
         model = Mlp(widths=(1, 1), weights=[np.array([[1.0]])], biases=[np.array([0.0])])
@@ -306,11 +304,6 @@ class TestOptimizers:
         opt.step(model, grads)
         for mom, p in zip(opt.m, model.parameters()):
             assert mom.shape == p.shape
-
-
-def _textbook_sgd_step(params, grads, lr, weight_decay):
-    for p, g in zip(params, grads):
-        p -= lr * (g + weight_decay * p)
 
 
 class _TextbookAdam:
@@ -367,17 +360,18 @@ class TestBlockedStep:
             assert 400 * 160 + 160 < _STEP_BLOCK < 400 * 160 + 160 + 160 * 40
         return _model(widths, seed=12, dtype=dtype)
 
-    @pytest.mark.parametrize("name", ["adam", "sgd"])
+    # name is a key of OPTIMIZERS, built by make_optimizer as fit builds it
+    @pytest.mark.parametrize("name", ["adam"])
     def test_equals_textbook_update_in_place(self, name):
         self._check_textbook(name, "mnist-like", np.float64)
 
-    @pytest.mark.parametrize("name", ["adam", "sgd"])
+    @pytest.mark.parametrize("name", ["adam"])
     def test_float32_equals_textbook_update_in_place(self, name):
         self._check_textbook(name, "mnist-like", np.float32)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
     @pytest.mark.parametrize("shape", ["desk", "boundary"])
-    @pytest.mark.parametrize("name", ["adam", "sgd"])
+    @pytest.mark.parametrize("name", ["adam"])
     def test_init_models_equal_textbook_update_in_place(self, name, shape, dtype):
         self._check_textbook(name, shape, dtype)
 
@@ -386,30 +380,25 @@ class TestBlockedStep:
         params = model.parameters()
         want = [p.copy() for p in params]
         lr, wd = 1e-3, 1e-5
-        opt = Adam(lr=lr, weight_decay=wd) if name == "adam" else Sgd(lr=lr, weight_decay=wd)
-        ref = _TextbookAdam(want, lr, wd) if name == "adam" else None
+        opt = make_optimizer(name, lr, wd)
+        ref = _TextbookAdam(want, lr, wd)
         rng = np.random.default_rng(13)
         for step in range(5):
             grads = [rng.standard_normal(p.shape).astype(dtype) for p in params]
             if step == 1:  # a gradient that is not C-ordered enters as a copy
                 grads[0] = np.asfortranarray(grads[0])
             opt.step(model, grads)
-            if ref is None:
-                _textbook_sgd_step(want, grads, lr, wd)
-            else:
-                ref.step(want, grads)
+            ref.step(want, grads)
             for p, q, w in zip(model.parameters(), params, want):
                 assert p is q and p.dtype == dtype
                 assert p.tobytes() == w.tobytes()
-        if ref is not None:
-            assert all(m.dtype == dtype for m in opt.m + opt.v)
+        assert all(m.dtype == dtype for m in opt.m + opt.v)
 
     def test_gradient_count_is_checked(self):
         model = self._model("desk", np.float32)
         grads = [np.zeros_like(p) for p in model.parameters()]
-        for opt in (Adam(), Sgd()):
-            with pytest.raises(ValueError, match="expected 6 gradients, got 5"):
-                opt.step(model, grads[:5])
+        with pytest.raises(ValueError, match="expected 6 gradients, got 5"):
+            Adam().step(model, grads[:5])
 
 
 class TestFlatParameters:
@@ -444,7 +433,7 @@ class TestStepMemory:
     # buffers themselves (16-23 KB at these widths)
     SLACK = 32 * 1024
 
-    @pytest.mark.parametrize("name, scratch_blocks", [("adam", 2), ("sgd", 1)])
+    @pytest.mark.parametrize("name, scratch_blocks", [("adam", 2)])
     def test_scratch_is_row_blocks_not_parameters(self, name, scratch_blocks):
         # at mnist widths in float32 the largest parameter holds 940800 bytes,
         # so scratch the size of a parameter would break the first bound
@@ -452,8 +441,8 @@ class TestStepMemory:
         params = model.parameters()
         rng = np.random.default_rng(3)
         grads = [rng.standard_normal(p.shape).astype(np.float32) for p in params]
-        opt = Adam(weight_decay=1e-5) if name == "adam" else Sgd(weight_decay=1e-5)
-        moments = 2 * sum(p.nbytes for p in params) if name == "adam" else 0
+        opt = make_optimizer(name, 1e-3, 1e-5)
+        moments = 2 * sum(p.nbytes for p in params)
         block = _STEP_BLOCK * np.dtype(np.float32).itemsize
         tracemalloc.start()
         try:

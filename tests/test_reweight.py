@@ -257,6 +257,19 @@ class TestKnnSearch:
         X = np.random.default_rng(3).standard_normal((6, 2))
         assert knn_search(X, np.int64(2)).indices.tobytes() == knn_search(X, 2).indices.tobytes()
 
+    @pytest.mark.parametrize("threads, message", [
+        (0, "threads must be >= 1"), (-2, "threads must be >= 1"),
+        (True, "threads must be an integer"), (2.5, "threads must be an integer"),
+        (2.0, "threads must be an integer"), (None, "threads must be an integer")])
+    def test_bad_threads_rejected(self, threads, message):
+        with pytest.raises(ValueError, match=message):
+            knn_search(np.zeros((5, 2)), 2, threads=threads)
+
+    def test_numpy_integer_threads_accepted(self):
+        X = np.random.default_rng(3).standard_normal((6, 2))
+        got = knn_search(X, 2, threads=np.int64(2))
+        assert got.indices.tobytes() == knn_search(X, 2).indices.tobytes()
+
     def test_distances_nondecreasing(self):
         X = np.random.default_rng(4).standard_normal((40, 3))
         assert np.all(np.diff(knn_search(X, 9).distances, axis=1) >= 0.0)

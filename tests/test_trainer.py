@@ -26,6 +26,7 @@ from cleanse.trainer import (
     CSV_HEADER,
     FORWARD_BLOCK,
     EpochMetrics,
+    RetiredChoice,
     TrainConfig,
     TrainingDiverged,
     batch_objective,
@@ -256,11 +257,32 @@ class TestConfigValidation:
             # removed in 0.8.0, also where no hidden layer made it the raw view
             {"knn_scope": "global", "knn_features": "embedding"},
             {"knn_scope": "global", "knn_features": "embedding", "hidden": ()},
+            # no hidden layer to search; before 0.9.0 this quietly searched the raw features
+            {"knn_features": "embedding", "hidden": ()},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "settings, named",
+        [({"knn_scope": "global", "knn_features": "embedding"},
+          "knn_scope 'global' with knn_features 'embedding' names a mode removed in 0.8.0"),
+         ({"knn_scope": "global", "knn_features": "embedding", "hidden": ()},
+          "knn_scope 'global' with knn_features 'embedding' names a mode removed in 0.8.0"),
+         ({"optimizer": "sgd"}, "optimizer 'sgd' names a mode removed in 0.9.0"),
+         ({"knn_features": "embedding", "hidden": []},
+          r"knn_features 'embedding' with hidden \(\) names a mode removed in 0.9.0"),
+         # a retired value is named as such before the choices would call it unknown
+         ({"optimizer": "sgd", "knn_scope": "window"},
+          "optimizer 'sgd' names a mode removed in 0.9.0")],
+        ids=["global-embedding", "global-embedding-no-hidden", "sgd", "embedding-no-hidden",
+             "sgd-before-choices"],
+    )
+    def test_retired_choices_name_their_release(self, settings, named):
+        with pytest.raises(RetiredChoice, match=f"^config {named} "):
+            TrainConfig(**settings)
 
     @pytest.mark.parametrize("field, value", [("count_mode", "nll"), ("vote_mode", "fractional")])
     def test_removed_modes_are_not_fields(self, field, value):
@@ -271,7 +293,7 @@ class TestConfigValidation:
 
     def test_boundary_values_accepted(self):
         config = TrainConfig(temperature=1.0, lam=0.0, weight_decay=0.0, lr=1e-300,
-                             hidden=[], seed=0, optimizer="sgd")
+                             hidden=[], seed=0, optimizer="adam")
         assert config.hidden == ()
         # manifests and the benchmark worker pass hidden as a JSON list
         assert TrainConfig(hidden=[300, 300]) == TrainConfig()
@@ -663,12 +685,13 @@ class TestGlobalRawEnhancedLabels:
 
 class TestDivergence:
     def test_non_finite_loss_names_epoch_and_batch(self):
-        # features at 1e30, inside float32's range, and SGD at lr=10 overflow
-        # the first update: the second batch's activations are inf
+        # features at 1e30, inside float32's range, and Adam at lr=1e9, whose
+        # first step moves every parameter by about lr, overflow the first
+        # update: the second batch's activations are inf
         feats, labels = gaussian_clusters(200, 3, seed=0)
         cands = generate_synthetic(labels, 3, q=0.5, seed=1)
         ds = PartialDataset(features=feats * 1e30, candidates=cands, m=3, hidden_truth=labels)
-        config = TrainConfig(epochs=5, batch_size=32, hidden=(8,), optimizer="sgd", lr=10.0, seed=0)
+        config = TrainConfig(epochs=5, batch_size=32, hidden=(8,), lr=1e9, seed=0)
         epochs_done = []
         with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as err:
             fit(ds, None, config, on_epoch=lambda metrics, model: epochs_done.append(metrics))
@@ -682,8 +705,7 @@ class TestDivergence:
         feats, labels = gaussian_clusters(200, 3, seed=0)
         cands = generate_synthetic(labels, 3, q=0.5, seed=1)
         ds = PartialDataset(features=feats * 1e30, candidates=cands, m=3, hidden_truth=labels)
-        config = TrainConfig(epochs=5, batch_size=32, hidden=(8,), optimizer="sgd", lr=10.0,
-                             seed=0, lam=0.0)
+        config = TrainConfig(epochs=5, batch_size=32, hidden=(8,), lr=1e9, seed=0, lam=0.0)
         epochs_done = []
         with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as err:
             fit(ds, None, config, on_epoch=lambda metrics, model: epochs_done.append(metrics))
