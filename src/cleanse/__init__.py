@@ -2,7 +2,7 @@
 Poisson-binomial count loss, a plain-numpy MLP trainer, and
 nonparametric rank statistics."""
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 from .countloss import (
     CountLossResult,

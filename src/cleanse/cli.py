@@ -147,10 +147,6 @@ RUN_OUTPUTS = ("metrics.csv", "model.txt")
 # every field of a finished run's manifest; output_sha256, written only at its end, first
 MANIFEST_FIELDS = ("output_sha256", "platform", "toolkit_version", "config", "train_path",
                    "test_path", "train_sha256", "test_sha256", "out_dir")
-# config fields removed in 0.4.0, each with the one value whose runs still replay
-RETIRED_MODES = {"count_mode": "nll", "vote_mode": "fractional"}
-# config fields removed in 0.6.0 that reached no output file, so any value replays
-RETIRED_SETTINGS = ("eval_window",)
 
 
 def _platform() -> dict:
@@ -170,10 +166,8 @@ def _load_manifest(path: str):
     a finished run, with every field ``cmd_train`` writes.  ``recorded`` is
     the manifest itself: ``cmd_train`` compares its input digests with those
     of the bytes it reads, and ``_verify_replay`` its output digests.  A
-    field of ``RETIRED_MODES`` is dropped when it holds its kept value, the
-    one every 0.3.0 manifest records, and refused otherwise; a field of
-    ``RETIRED_SETTINGS`` is dropped at any value.  A choice ``TrainConfig``
-    refuses as retired (``RetiredChoice``) is refused here too."""
+    setting ``TrainConfig`` refuses as removed (``RetiredChoice``) is
+    refused here too."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
@@ -186,16 +180,8 @@ def _load_manifest(path: str):
         raise ManifestError(f"{path}: missing field {missing[0]!r}" + (
             ", so the replay cannot be verified: the run predates 0.3.0, or it diverged or "
             "was stopped before it wrote its outputs" if missing[0] == "output_sha256" else ""))
-    config = loaded["config"]
-    if isinstance(config, dict):
-        for name, kept in RETIRED_MODES.items():
-            if config.get(name, kept) != kept:
-                raise ManifestError(f"{path}: config {name} {config[name]!r} names a mode "
-                                    "removed in 0.4.0, so the run cannot be replayed")
-        config = {name: value for name, value in config.items()
-                  if name not in RETIRED_MODES and name not in RETIRED_SETTINGS}
     try:
-        config = TrainConfig(**config)
+        config = TrainConfig(**loaded["config"])
     except TypeError as exc:
         raise ManifestError(f"{path}: bad config: {exc}") from None
     except RetiredChoice as exc:

@@ -322,14 +322,9 @@ class Adam:
         return model
 
 
-# optimizer classes by name; the first is the default
-OPTIMIZERS = {"adam": Adam}
-
-
-def make_optimizer(name: str, lr: float, weight_decay: float):
-    if name not in OPTIMIZERS:
-        raise ValueError(f"unknown optimizer {name!r}")
-    return OPTIMIZERS[name](lr=lr, weight_decay=weight_decay)
+def make_optimizer(lr: float, weight_decay: float) -> Adam:
+    """The optimizer ``fit`` steps: Adam with its default betas and eps."""
+    return Adam(lr=lr, weight_decay=weight_decay)
 
 
 # parameter dtypes by their field in the ``#mlp`` header

@@ -77,9 +77,9 @@ def knn_search(features: np.ndarray, k: int, threads: int = 1) -> NeighborList:
     (stable sort on squared distances).  When k >= p the neighbor count is
     clamped to p - 1 without a notice: that is a statistic of the run, not
     an error, and the caller reports it; a k or ``threads`` that is not an
-    integer >= 1 (bool included) is refused.  ``threads`` splits the query
-    rows over a thread pool with fixed block boundaries, so results are
-    bitwise identical for any thread count.
+    integer >= 1 (bool included), and features with no column, are refused.
+    ``threads`` splits the query rows over a thread pool with fixed block
+    boundaries, so results are bitwise identical for any thread count.
 
     A GEMM on mean-centred features C picks each row's points within a
     roundoff bound of its k-th estimate; direct differences re-rank them, so
@@ -104,6 +104,8 @@ def knn_search(features: np.ndarray, k: int, threads: int = 1) -> NeighborList:
     p, d = X.shape
     if p < 2:
         raise ValueError("knn_search requires at least 2 instances")
+    if d < 1:
+        raise ValueError("knn_search requires at least 1 feature column")
     for name, value in (("k", k), ("threads", threads)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValueError(f"{name} must be an integer, got {value!r}")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import KW_ONLY, InitVar, dataclass, field, fields
 
 import numpy as np
 
@@ -33,14 +33,7 @@ from .countloss import (  # noqa: F401
     interval_log_prob,
 )
 from .data import PartialDataset
-from .neural import (
-    OPTIMIZERS,
-    Mlp,
-    backward,
-    forward,
-    make_optimizer,
-    reweighted_ce,
-)
+from .neural import Mlp, backward, forward, make_optimizer, reweighted_ce
 from .reweight import (  # noqa: F401
     build_weight_matrix,
     enhanced_label,
@@ -69,10 +62,20 @@ def _one_of(*choices: str):
 
 
 class RetiredChoice(ValueError):
-    """A ``TrainConfig`` choice that an earlier release removed; the message
+    """A ``TrainConfig`` setting that an earlier release removed; the message
     names the release.  A fresh run exits 2 on it, a replayed manifest 3."""
 
 
+# each removed field: (release, the one value whose runs still replay, or None
+# where any value does, as it reached no output file).  TrainConfig takes each
+# as a keyword-only InitVar, so a manifest that records it loads, and drops it
+# at that value.
+_RETIRED_FIELDS = {
+    "count_mode": ("0.4.0", "nll"),
+    "vote_mode": ("0.4.0", "fractional"),
+    "eval_window": ("0.6.0", None),
+    "optimizer": ("0.10.0", "adam"),
+}
 # each removed choice: (release, the settings that make it, what to do instead)
 _RETIRED_CHOICES = (
     ("0.8.0", {"knn_scope": "global", "knn_features": "embedding"},
@@ -88,7 +91,8 @@ class TrainConfig:
     """Every setting of a training run.
 
     ``cleanse train`` has one flag per field (``lam`` is ``--lambda``), with
-    the field's default and, for the string settings, its choices.
+    the field's default and, for the string settings, its choices.  The
+    keywords after the fields are the ``_RETIRED_FIELDS``, in its order.
     """
 
     epochs: int = 250
@@ -100,23 +104,34 @@ class TrainConfig:
     lam: float = 1e-3
     knn_scope: str = _one_of("batch", "global")
     knn_features: str = _one_of("raw", "embedding")
-    optimizer: str = _one_of(*OPTIMIZERS)
     hidden: tuple[int, ...] = (300, 300)
     seed: int = 0
     threads: int = 1
+    _: KW_ONLY
+    count_mode: InitVar[object] = None
+    vote_mode: InitVar[object] = None
+    eval_window: InitVar[object] = None
+    optimizer: InitVar[object] = None
 
-    def __post_init__(self):
+    def __post_init__(self, *removed):
         # types first, so no range rule below compares a value of the wrong type
         if not (isinstance(self.hidden, (tuple, list))
                 and all(type(h) is int for h in self.hidden)):
             raise ValueError(f"hidden widths must be integers in a list, got {self.hidden!r}")
         object.__setattr__(self, "hidden", tuple(self.hidden))
-        # before the choices, which no longer list a retired value
+        # before the choices, which no longer list a retired value; a removed
+        # field not given is None
+        given = {**dict(zip(_RETIRED_FIELDS, removed)),
+                 **{f.name: getattr(self, f.name) for f in fields(self)}}
         for release, settings, instead in _RETIRED_CHOICES:
-            if all(getattr(self, name) == value for name, value in settings.items()):
+            if all(given[name] == value for name, value in settings.items()):
                 named = " with ".join(f"{name} {value!r}" for name, value in settings.items())
                 raise RetiredChoice(
                     f"config {named} names a mode removed in {release} ({instead})")
+        for name, (release, kept) in _RETIRED_FIELDS.items():
+            if kept is not None and given[name] not in (None, kept):
+                raise RetiredChoice(f"config {name} {given[name]!r} names a mode removed "
+                                    f"in {release} (only {name} {kept!r} still runs)")
         for f in fields(self):
             value = getattr(self, f.name)
             if type(f.default) is int and type(value) is not int:
@@ -293,7 +308,7 @@ def fit(
     view = train.strip_truth()
     rng = np.random.default_rng(config.seed)
     model = Mlp.init((view.d, *config.hidden, view.m), rng, dtype=NETWORK_DTYPE)
-    opt = make_optimizer(config.optimizer, config.lr, config.weight_decay)
+    opt = make_optimizer(config.lr, config.weight_decay)
 
     embed = config.knn_features == "embedding"
 

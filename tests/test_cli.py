@@ -658,17 +658,18 @@ class TestReplay:
             "metrics.csv", "model.txt"}
 
     def test_retired_modes_at_their_kept_values_replay(self, recorded_run, tmp_path, capsys):
-        # every 0.3.0 manifest records these two fields, at these values
+        # every 0.3.0 manifest records the first two fields, at these values,
+        # and every manifest before 0.10.0 the optimizer
         manifest, _ = recorded_run
         _edit_manifest(manifest, lambda loaded: loaded["config"].update(
-            count_mode="nll", vote_mode="fractional"))
+            count_mode="nll", vote_mode="fractional", optimizer="adam"))
         out_dir = tmp_path / "b"
         code = run_cli(["train", "--manifest", str(manifest), "--out-dir", str(out_dir),
                         "--quiet"])
         assert code == EXIT_OK
         assert "replay verified: metrics.csv, model.txt" in capsys.readouterr().out
         config = json.loads((out_dir / "manifest.json").read_text())["config"]
-        assert "count_mode" not in config and "vote_mode" not in config
+        assert not {"count_mode", "vote_mode", "optimizer"} & config.keys()
 
     @pytest.mark.parametrize("window", [3, 10])
     def test_recorded_eval_window_replays_at_any_value(self, recorded_run, tmp_path, capsys,
@@ -713,12 +714,13 @@ class TestReplay:
           "config knn_scope 'global' with knn_features 'embedding' names a mode removed in 0.8.0"),
          ({"optimizer": "sgd"}, "config optimizer 'sgd' names a mode removed in 0.9.0"),
          ({"knn_features": "embedding", "hidden": []},
-          "config knn_features 'embedding' with hidden () names a mode removed in 0.9.0")],
-        ids=["hidden0", "hidden1", "sgd", "embedding-no-hidden"],
+          "config knn_features 'embedding' with hidden () names a mode removed in 0.9.0"),
+         ({"optimizer": "foo"}, "config optimizer 'foo' names a mode removed in 0.10.0")],
+        ids=["hidden0", "hidden1", "sgd", "embedding-no-hidden", "optimizer-foo"],
     )
     def test_global_scope_over_the_embedding_is_refused_before_any_read(
             self, recorded_run, tmp_path, monkeypatch, capsys, settings, message):
-        # named before 0.9.0; every retired TrainConfig choice is refused this way
+        # named before 0.9.0; every removed TrainConfig setting is refused this way
         manifest, _ = recorded_run
         _edit_manifest(manifest, lambda loaded: loaded["config"].update(settings))
 
@@ -863,7 +865,7 @@ class TestReplay:
 
     @pytest.mark.parametrize(
         "edit, message",
-        [({"optimizer": "foo"}, "unknown optimizer 'foo'"),
+        [({"knn_scope": "window"}, "unknown knn_scope 'window'"),
          ({"hidden": [0]}, "hidden widths must be >= 1"),
          ({"seed": -1}, "seed must be >= 0"),
          ({"lam": math.nan}, "lambda must be finite"),
@@ -873,7 +875,7 @@ class TestReplay:
          ({"lr": True}, "lr must be a number, got True"),
          ({"temperature": "3.0"}, "temperature must be a number, got '3.0'"),
          ({"hidden": 300}, "hidden widths must be integers in a list, got 300")],
-        ids=["optimizer", "hidden", "seed", "lam", "epochs", "hidden-fraction",
+        ids=["knn-scope", "hidden", "seed", "lam", "epochs", "hidden-fraction",
              "epochs-string", "lr-bool", "temperature-string", "hidden-int"],
     )
     def test_refused_config_value_writes_nothing(self, recorded_run, tmp_path, capsys,
@@ -906,7 +908,7 @@ class TestTrainFlags:
         assert all(len(a.option_strings) == 1 for a in actions)
         assert set(flags) == RUN_FLAGS | {
             "--epochs", "--batch-size", "--lr", "--weight-decay", "--k", "--temperature",
-            "--lambda", "--knn-scope", "--knn-features", "--optimizer", "--hidden", "--seed",
+            "--lambda", "--knn-scope", "--knn-features", "--hidden", "--seed",
             "--threads",
         }
         config_dests = {a.dest for flag, a in flags.items() if flag not in RUN_FLAGS}
@@ -915,7 +917,6 @@ class TestTrainFlags:
         assert choices == {
             "--knn-scope": ["batch", "global"],
             "--knn-features": ["raw", "embedding"],
-            "--optimizer": ["adam"],
         }
 
     def test_defaults_are_the_config_defaults(self):
@@ -946,9 +947,9 @@ class TestTrainFlags:
         assert "_widths" not in err
 
     def test_bad_choice_exits_through_argparse(self, capsys):
-        for value in ("foo", "sgd"):  # sgd was removed in 0.9.0
+        for value in ("foo", "window"):
             with pytest.raises(SystemExit) as exc:
-                run_cli(["train", "--optimizer", value])
+                run_cli(["train", "--knn-scope", value])
             assert exc.value.code == EXIT_USAGE
             assert f"invalid choice: '{value}'" in capsys.readouterr().err
 
@@ -1184,9 +1185,11 @@ class TestCheck:
      ["stats", "--k", "3", "--cases", "25"],
      ["train", "--train", "TRAIN", "--test", "TEST", "--eval-window", "3"],
      ["check", "--seed", "1"],
-     ["stats", "--csv", "acc.csv", "--fixed-rank", "a=1"]],
+     ["stats", "--csv", "acc.csv", "--fixed-rank", "a=1"],
+     ["train", "--train", "TRAIN", "--test", "TEST", "--optimizer", "adam"]],
     ids=["check-alias", "check-n", "stats-n", "count-mode", "vote-mode", "checkpoint-every",
-         "generate-mode", "stats-k", "eval-window", "check-seed", "stats-fixed-rank"],
+         "generate-mode", "stats-k", "eval-window", "check-seed", "stats-fixed-rank",
+         "optimizer"],
 )
 def test_removed_names_are_usage_errors(tiny_dataset, tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)

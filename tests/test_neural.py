@@ -360,28 +360,29 @@ class TestBlockedStep:
             assert 400 * 160 + 160 < _STEP_BLOCK < 400 * 160 + 160 + 160 * 40
         return _model(widths, seed=12, dtype=dtype)
 
-    # name is a key of OPTIMIZERS, built by make_optimizer as fit builds it
-    @pytest.mark.parametrize("name", ["adam"])
-    def test_equals_textbook_update_in_place(self, name):
-        self._check_textbook(name, "mnist-like", np.float64)
+    # the optimizer make_optimizer builds, as fit builds it, against the
+    # textbook update its step must equal
+    @pytest.mark.parametrize("textbook", [_TextbookAdam], ids=["adam"])
+    def test_equals_textbook_update_in_place(self, textbook):
+        self._check_textbook(textbook, "mnist-like", np.float64)
 
-    @pytest.mark.parametrize("name", ["adam"])
-    def test_float32_equals_textbook_update_in_place(self, name):
-        self._check_textbook(name, "mnist-like", np.float32)
+    @pytest.mark.parametrize("textbook", [_TextbookAdam], ids=["adam"])
+    def test_float32_equals_textbook_update_in_place(self, textbook):
+        self._check_textbook(textbook, "mnist-like", np.float32)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
     @pytest.mark.parametrize("shape", ["desk", "boundary"])
-    @pytest.mark.parametrize("name", ["adam"])
-    def test_init_models_equal_textbook_update_in_place(self, name, shape, dtype):
-        self._check_textbook(name, shape, dtype)
+    @pytest.mark.parametrize("textbook", [_TextbookAdam], ids=["adam"])
+    def test_init_models_equal_textbook_update_in_place(self, textbook, shape, dtype):
+        self._check_textbook(textbook, shape, dtype)
 
-    def _check_textbook(self, name, shape, dtype):
+    def _check_textbook(self, textbook, shape, dtype):
         model = self._model(shape, dtype)
         params = model.parameters()
         want = [p.copy() for p in params]
         lr, wd = 1e-3, 1e-5
-        opt = make_optimizer(name, lr, wd)
-        ref = _TextbookAdam(want, lr, wd)
+        opt = make_optimizer(lr, wd)
+        ref = textbook(want, lr, wd)
         rng = np.random.default_rng(13)
         for step in range(5):
             grads = [rng.standard_normal(p.shape).astype(dtype) for p in params]
@@ -433,15 +434,15 @@ class TestStepMemory:
     # buffers themselves (16-23 KB at these widths)
     SLACK = 32 * 1024
 
-    @pytest.mark.parametrize("name, scratch_blocks", [("adam", 2)])
-    def test_scratch_is_row_blocks_not_parameters(self, name, scratch_blocks):
-        # at mnist widths in float32 the largest parameter holds 940800 bytes,
-        # so scratch the size of a parameter would break the first bound
+    def test_scratch_is_row_blocks_not_parameters(self):
+        # Adam's two scratch blocks; at mnist widths in float32 the largest
+        # parameter holds 940800 bytes, so scratch the size of a parameter
+        # would break the first bound
         model = _model((784, 300, 300, 10), dtype=np.float32)
         params = model.parameters()
         rng = np.random.default_rng(3)
         grads = [rng.standard_normal(p.shape).astype(np.float32) for p in params]
-        opt = make_optimizer(name, 1e-3, 1e-5)
+        opt = make_optimizer(1e-3, 1e-5)
         moments = 2 * sum(p.nbytes for p in params)
         block = _STEP_BLOCK * np.dtype(np.float32).itemsize
         tracemalloc.start()
@@ -455,7 +456,7 @@ class TestStepMemory:
             second = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert first <= scratch_blocks * block + self.SLACK
+        assert first <= 2 * block + self.SLACK
         assert second < block
 
 

@@ -38,7 +38,9 @@ def test_traced_worker_accounts_for_fit(tmp_path):
     write_pll_file(test, tmp_path / "test.pll")
     spec = dict(
         src=str(SRC), train=str(tmp_path / "train.pll"), test=str(tmp_path / "test.pll"),
-        config=dict(epochs=2, batch_size=16, hidden=[4], k=3, knn_scope="batch", seed=0),
+        # optimizer as every perfbench workload passes it
+        config=dict(epochs=2, batch_size=16, hidden=[4], k=3, knn_scope="batch", seed=0,
+                    optimizer="adam"),
         trace=True, run_id="smoke", result=str(tmp_path / "result.json"),
         cpus=sorted(os.sched_getaffinity(0))[:1],
     )

@@ -275,8 +275,10 @@ class TestKnnSearch:
         assert np.all(np.diff(knn_search(X, 9).distances, axis=1) >= 0.0)
 
     def test_too_few_points_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least 2 instances"):
             knn_search(np.zeros((1, 2)), 1)
+        with pytest.raises(ValueError, match="at least 1 feature column"):
+            knn_search(np.zeros((5, 0)), 2)
 
 
 def _mask(cand_lists, m):

@@ -2,6 +2,7 @@
 hidden-truth firewall, determinism, metrics identities."""
 
 import dataclasses
+import inspect
 import math
 import re
 import time
@@ -68,7 +69,7 @@ def baseline_fit(train, test, config):
     view = train.strip_truth()
     rng = np.random.default_rng(config.seed)
     model = Mlp.init((view.d, *config.hidden, view.m), rng, dtype=trainer_module.NETWORK_DTYPE)
-    opt = make_optimizer(config.optimizer, config.lr, config.weight_decay)
+    opt = make_optimizer(config.lr, config.weight_decay)
     uniform = np.zeros((view.n, view.m))
     for i, row in enumerate(view.candidates):
         labs = np.flatnonzero(row)
@@ -97,7 +98,7 @@ def reference_fit(train, test, config):
     hand, and a textbook Adam on parameter arrays of its own.  Mirrors fit's
     RNG consumption; returns the parameters and, per epoch, (reweight loss,
     count loss, total loss, test accuracy)."""
-    assert config.lam > 0.0 and config.optimizer == "adam"
+    assert config.lam > 0.0
     view = train.strip_truth()
     rng = np.random.default_rng(config.seed)
     widths = (view.d, *config.hidden, view.m)
@@ -276,24 +277,38 @@ class TestConfigValidation:
           r"knn_features 'embedding' with hidden \(\) names a mode removed in 0.9.0"),
          # a retired value is named as such before the choices would call it unknown
          ({"optimizer": "sgd", "knn_scope": "window"},
-          "optimizer 'sgd' names a mode removed in 0.9.0")],
+          "optimizer 'sgd' names a mode removed in 0.9.0"),
+         ({"optimizer": "foo"}, "optimizer 'foo' names a mode removed in 0.10.0"),
+         ({"count_mode": "entropy"}, "count_mode 'entropy' names a mode removed in 0.4.0"),
+         ({"vote_mode": "multiset"}, "vote_mode 'multiset' names a mode removed in 0.4.0")],
         ids=["global-embedding", "global-embedding-no-hidden", "sgd", "embedding-no-hidden",
-             "sgd-before-choices"],
+             "sgd-before-choices", "optimizer-foo", "count-mode", "vote-mode"],
     )
     def test_retired_choices_name_their_release(self, settings, named):
         with pytest.raises(RetiredChoice, match=f"^config {named} "):
             TrainConfig(**settings)
 
-    @pytest.mark.parametrize("field, value", [("count_mode", "nll"), ("vote_mode", "fractional")])
+    @pytest.mark.parametrize("field, value", [("count_mode", "nll"), ("vote_mode", "fractional"),
+                                              ("eval_window", 3), ("optimizer", "adam")])
     def test_removed_modes_are_not_fields(self, field, value):
-        # removed in 0.4.0, even at the values that ran the kept code; only a
-        # manifest replay still reads them
-        with pytest.raises(TypeError, match=f"unexpected keyword argument '{field}'"):
-            TrainConfig(**{field: value})
+        # a removed field is a keyword only, dropped at the value its runs
+        # still replay at (eval_window at any); the refusals of other values
+        # are in test_retired_choices_name_their_release
+        config = TrainConfig(**{field: value}, threads=2)
+        assert config == TrainConfig(threads=2)
+        assert field not in dataclasses.asdict(config)
+        assert dataclasses.replace(config, threads=1) == TrainConfig()
+
+    def test_removed_fields_are_the_keywords_in_table_order(self):
+        # __post_init__ pairs the keywords with _RETIRED_FIELDS by position
+        keywords = [p.name for p in inspect.signature(TrainConfig).parameters.values()
+                    if p.kind is inspect.Parameter.KEYWORD_ONLY]
+        assert keywords == list(trainer_module._RETIRED_FIELDS)
+        assert len(dataclasses.fields(TrainConfig)) == 12
 
     def test_boundary_values_accepted(self):
         config = TrainConfig(temperature=1.0, lam=0.0, weight_decay=0.0, lr=1e-300,
-                             hidden=[], seed=0, optimizer="adam")
+                             hidden=[], seed=0)
         assert config.hidden == ()
         # manifests and the benchmark worker pass hidden as a JSON list
         assert TrainConfig(hidden=[300, 300]) == TrainConfig()
